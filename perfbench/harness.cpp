@@ -1,35 +1,25 @@
-// seance_perfbench — the measuring half of the repository benchmark.
+// seance_perfbench — the per-layer replay of the repository benchmark.
 //
-// perfbench/run.py owns the workloads, the golden check, and the report;
-// this binary does the timing that has to happen next to the code.  It
-// links the SEANCE libraries and measures from outside by timing calls
-// into their public functions — nothing inside the pipeline is
-// instrumented.  Two subcommands, each printing one JSON object on its
-// last stdout line:
+// perfbench/run.py owns the workloads, the untraced runs (seance_cli
+// itself, timed from outside), the golden check, and the report.  This
+// binary does the timing that has to happen next to the code: it links
+// the SEANCE libraries and times calls into their public functions —
+// nothing inside the pipeline is instrumented.
 //
-//   batch  RECIPE --seed N --passes P --rows FILE
-//       The untraced batch loop: the same per-job work as
-//       `seance_cli batch --jobs 1 --gate-ternary --timeout 120000`
-//       (one transposition table, every job through the watchdog and
-//       BatchRunner::run_job), run in P seeded-shuffled passes over the
-//       corpus.
+//   seance_perfbench trace RECIPE --work DIR --seed N --rows FILE
 //
-//   trace  RECIPE --work DIR --seed N --rows FILE
-//       The per-layer replay.  Every table is requested twice in a seeded
-//       order and answered the way `seance_cli serve` answers it (cache
-//       key, lookup, parse + run_job + insert on a miss), so both cache
-//       paths are priced; each miss is then replayed
-//       through the public function of every layer: table clear, reduce,
-//       assign_ustt, find_hazards, synthesize (the equation stage is the
-//       residual), all_primes_cover on the FL minterms, and the four
-//       checks.  The replay must reproduce synthesize's reduced states,
-//       codes, and FL list, or the per-layer split is reported invalid.
+// Every table is requested twice in a seeded order and answered the way
+// `seance_cli serve` answers it (cache key, lookup, parse + run_job +
+// insert on a miss), so both cache paths are priced; each miss is then
+// replayed through the public function of every layer: table clear,
+// reduce, assign_ustt, find_hazards, synthesize (the equation stage is
+// the residual), all_primes_cover on the FL minterms, and the four
+// checks.  The replay must reproduce synthesize's reduced states, codes,
+// and FL list, or the per-layer split is reported invalid.  Prints one
+// JSON object on its last stdout line.
 //
 // RECIPE is the CLI's corpus spelling: --no-suite --extra --random N
 // --hard N --harder N --hardest N (generator seed 1, the golden seed).
-
-#include <malloc.h>
-#include <sys/resource.h>
 
 #include <algorithm>
 #include <chrono>
@@ -86,32 +76,6 @@ double median(std::vector<double> values) {
   return n % 2 == 1 ? values[n / 2] : 0.5 * (values[n / 2 - 1] + values[n / 2]);
 }
 
-double peak_rss_mb(const struct rusage& usage) {
-  return static_cast<double>(usage.ru_maxrss) / 1024.0;  // ru_maxrss is KiB
-}
-
-/// Starts each pass like a fresh batch process: freed heap pages from
-/// earlier passes and set-ups go back to the system, then the
-/// resident-set high-water mark restarts (Linux /proc/self/clear_refs,
-/// value 5) so the pass reports its own peak.
-void reset_peak_rss() {
-  malloc_trim(0);
-  std::ofstream("/proc/self/clear_refs") << "5";
-}
-
-/// This process's resident-set high-water mark in MiB (VmHWM); falls back
-/// to getrusage's whole-life peak where /proc is unavailable.
-double current_peak_rss_mb() {
-  std::ifstream status("/proc/self/status");
-  std::string line;
-  while (std::getline(status, line)) {
-    if (line.rfind("VmHWM:", 0) == 0) return std::stod(line.substr(6)) / 1024.0;
-  }
-  struct rusage usage {};
-  getrusage(RUSAGE_SELF, &usage);
-  return peak_rss_mb(usage);
-}
-
 // ---- Seeded ordering -------------------------------------------------------
 
 /// splitmix64: a portable stream, so a seed names the same order on every
@@ -152,7 +116,6 @@ std::vector<int> shuffled_stream(Rng& rng, int count, int repeats) {
 struct Args {
   seance::api::CorpusRequest recipe;
   std::uint64_t seed = 1;
-  int passes = 1;
   std::string rows_path;
   std::string work_dir;
 };
@@ -187,8 +150,6 @@ Args parse_args(int argc, char** argv) {
       args.recipe.hardest_count = count();
     } else if (flag == "--seed") {
       args.seed = std::stoull(value());
-    } else if (flag == "--passes") {
-      args.passes = std::max(1, std::stoi(value()));
     } else if (flag == "--rows") {
       args.rows_path = value();
     } else if (flag == "--work") {
@@ -198,6 +159,7 @@ Args parse_args(int argc, char** argv) {
     }
   }
   if (args.rows_path.empty()) throw std::runtime_error("--rows FILE is required");
+  if (args.work_dir.empty()) throw std::runtime_error("--work DIR is required");
   return args;
 }
 
@@ -209,16 +171,6 @@ class Json {
     char buf[64];
     std::snprintf(buf, sizeof(buf), "%.17g", value);
     field(key) += buf;
-  }
-  void array(const std::string& key, const std::vector<double>& values) {
-    std::string& out = field(key);
-    out += '[';
-    char buf[64];
-    for (std::size_t i = 0; i < values.size(); ++i) {
-      std::snprintf(buf, sizeof(buf), "%s%.9g", i == 0 ? "" : ",", values[i]);
-      out += buf;
-    }
-    out += ']';
   }
   void text(const std::string& key, const std::string& value) {
     std::string& out = field(key);
@@ -241,28 +193,6 @@ class Json {
   std::string body_;
 };
 
-/// Corpus build + table allocation: everything a batch does before its
-/// first job.  Returns the wall time of each of kMedianOf set-ups and
-/// keeps the last corpus.
-std::vector<double> timed_setups(const seance::api::CorpusRequest& recipe,
-                                 std::vector<JobSpec>& jobs,
-                                 std::shared_ptr<seance::search::TranspositionTable>& tt) {
-  std::vector<double> seconds;
-  for (int k = 0; k < kMedianOf; ++k) {
-    jobs.clear();
-    tt.reset();
-    malloc_trim(0);  // each set-up faults its memory in, as a new process does
-    const auto start = Clock::now();
-    jobs = seance::api::corpus_jobs(recipe);
-    const auto& synthesis = jobs.front().options;
-    if (synthesis.tt && synthesis.tt_mb > 0) {
-      tt = std::make_shared<seance::search::TranspositionTable>(synthesis.tt_mb << 20);
-    }
-    seconds.push_back(ms_since(start) / 1000.0);
-  }
-  return seconds;
-}
-
 /// The batch driver's per-job body at --jobs 1 with a watchdog.
 JobResult run_watched(const JobSpec& spec,
                       const std::shared_ptr<const seance::driver::BatchOptions>& checks,
@@ -273,60 +203,7 @@ JobResult run_watched(const JobSpec& spec,
       });
 }
 
-std::ofstream open_rows(const std::string& path) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) throw std::runtime_error("cannot write " + path);
-  return out;
-}
-
-// ---- batch -----------------------------------------------------------------
-
-int run_batch(const Args& args) {
-  std::vector<JobSpec> jobs;
-  std::shared_ptr<seance::search::TranspositionTable> tt;
-  const std::vector<double> setups = timed_setups(args.recipe, jobs, tt);
-  const auto checks =
-      std::make_shared<const seance::driver::BatchOptions>(args.recipe.options);
-  std::ofstream rows = open_rows(args.rows_path);
-
-  Rng rng(args.seed);
-  std::vector<double> latencies;
-  std::vector<double> pass_walls;
-  std::vector<double> pass_busy;  // summed job latency per pass
-  std::vector<double> pass_peak_mb;
-  for (int pass = 0; pass < args.passes; ++pass) {
-    const std::vector<int> order =
-        shuffled_stream(rng, static_cast<int>(jobs.size()), 1);
-    reset_peak_rss();
-    const auto pass_start = Clock::now();
-    double busy = 0;
-    for (const int i : order) {
-      const auto job_start = Clock::now();
-      const JobResult r = run_watched(jobs[static_cast<std::size_t>(i)], checks, tt);
-      const double ms = ms_since(job_start);
-      latencies.push_back(ms);
-      busy += ms;
-      rows << seance::driver::to_csv_row(r) << '\n';
-    }
-    pass_walls.push_back(ms_since(pass_start) / 1000.0);
-    pass_busy.push_back(busy / 1000.0);
-    pass_peak_mb.push_back(current_peak_rss_mb());
-  }
-  rows.flush();
-  if (!rows) throw std::runtime_error("cannot write " + args.rows_path);
-
-  Json out;
-  out.array("setup_s", setups);
-  out.array("latency_ms", latencies);
-  out.array("pass_wall_s", pass_walls);
-  out.array("pass_busy_s", pass_busy);
-  out.number("distinct", static_cast<double>(jobs.size()));
-  out.array("peak_rss_mb", pass_peak_mb);
-  std::printf("%s\n", out.str().c_str());
-  return 0;
-}
-
-// ---- trace -----------------------------------------------------------------
+// ---- Replay ----------------------------------------------------------------
 
 /// Per-layer sums over one replay of the workload's request stream:
 /// metric name -> summed value.
@@ -505,7 +382,6 @@ double time_store_merge(const seance::api::CorpusRequest& recipe,
 
 int run_trace(const Args& args) {
   namespace fs = std::filesystem;
-  if (args.work_dir.empty()) throw std::runtime_error("trace needs --work DIR");
   fs::create_directories(args.work_dir);
   const std::string cache_dir = args.work_dir + "/trace-cache";
   fs::remove_all(cache_dir);
@@ -532,7 +408,8 @@ int run_trace(const Args& args) {
   seance::api::CacheConfig config;
   config.dir = cache_dir;
   seance::api::ResultCache cache(config);
-  std::ofstream rows = open_rows(args.rows_path);
+  std::ofstream rows(args.rows_path, std::ios::binary | std::ios::trunc);
+  if (!rows) throw std::runtime_error("cannot write " + args.rows_path);
   std::vector<JobResult> results(jobs.size());
   double parse_us = 0;
   double key_us = 0;
@@ -628,16 +505,13 @@ int run_trace(const Args& args) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc < 2) {
-    std::fprintf(stderr, "usage: seance_perfbench batch|trace RECIPE [options]\n");
+  if (argc < 2 || std::string(argv[1]) != "trace") {
+    std::fprintf(stderr,
+                 "usage: seance_perfbench trace RECIPE --work DIR --seed N --rows FILE\n");
     return 2;
   }
   try {
-    const std::string mode = argv[1];
-    const Args args = parse_args(argc, argv);
-    if (mode == "batch") return run_batch(args);
-    if (mode == "trace") return run_trace(args);
-    std::fprintf(stderr, "unknown mode %s\n", mode.c_str());
+    return run_trace(parse_args(argc, argv));
   } catch (const std::exception& e) {
     std::fprintf(stderr, "seance_perfbench: %s\n", e.what());
   }

@@ -3,10 +3,11 @@
 
     python3 perfbench/run.py --workload NAME [--seed N] [--seconds S] [--trace 0|1]
 
-Builds the CLI and the measuring harness from source into .bench_build,
-runs one workload for S seconds, checks every produced row byte for byte
-against tests/data/golden_corpus.csv, and prints a metric table followed
-by one JSON line: {"correct", "attempted", "failed", "metrics"}.
+Builds seance_cli and the replay harness from source into .bench_build,
+runs one workload for S seconds as `seance_cli batch` processes timed
+from outside, checks every produced row byte for byte against
+tests/data/golden_corpus.csv, and prints a metric table followed by one
+JSON line: {"correct", "attempted", "failed", "metrics"}.
 
 --trace 0 reports the end-to-end metrics; --trace 1 runs the workload once
 untraced, replays it through the public function of every layer, and
@@ -37,27 +38,36 @@ OPTIMIZED_BUILDS = {"Release", "RelWithDebInfo", "MinSizeRel"}
 CHILD_TIMEOUT_S = 170
 BUILD_TIMEOUT_S = 880
 
-# The golden check set: every row of these runs has a golden reference.
-CLI_CHECKS = ["--gate-ternary", "--timeout", "120000"]
+# One job in flight per process, and the golden check set: every row of
+# these runs has a golden reference.
+CLI_CHECKS = ["--jobs", "1", "--gate-ternary", "--timeout", "120000"]
 
-# "pass_s" is the nominal length of one pass (batch) or CLI run (sharded)
-# on a 4-core container.  A run makes a fixed number of
+# "pass_s" is the nominal length of one `seance_cli batch` run of the
+# workload's corpus on a 4-core container.  A run makes a fixed number of
 # them, round(--seconds / pass_s), so every run of a workload times the
 # same work and the tail percentile always sits at the same rank.
 WORKLOADS = {
-    # Prefixes of the golden harder-12x5 and hardest-20x6 streams: 9
-    # equation-bound jobs.  The prefixes are chosen so the jobs at the
-    # median and tail ranks take several hundred ms (short jobs vary more
-    # from run to run) and are at least 40% away from their neighbours,
-    # so those ranks never flip between two jobs.
-    "deep": {"kind": "batch", "pass_s": 9.7,
-             "recipe": ["--no-suite", "--harder", "2", "--hardest", "7"]},
+    # Prefixes of the golden harder-12x5 and hardest-20x6 streams: 5
+    # equation-bound jobs in one process, 8 runs at --seconds 40.  The
+    # median rank falls on the 5th of 8 samples of hardest-20x6-0001
+    # (~0.5 s) and the tail rank on the 6th of 8 of hardest-20x6-0002
+    # (~1.5 s): long jobs, each at least 3x from its neighbours, so the
+    # ranks never flip between jobs.  A longer harder prefix is left out
+    # because harder-12x5-0001 running first made hardest-20x6-0001 vary
+    # by +-18% instead of +-4% from run to run.
+    "deep": {"pass_s": 5.0, "shards": 0,
+             "recipe": ["--no-suite", "--random", "0", "--harder", "1",
+                        "--hardest", "4"]},
     # The Table-1 suite + extra + golden gen-6x3 (200) + hard-8x4 (50):
-    # 256 short jobs through `batch --shards 2 --jobs 1`.
-    "sharded": {"kind": "sharded", "pass_s": 0.5,
+    # 256 short jobs over two re-exec'd worker processes.
+    "sharded": {"pass_s": 0.5, "shards": 2,
                 "recipe": ["--extra", "--random", "200", "--hard", "50"]},
 }
-SHARDS = 2
+# The traced run reads the fleet.* layers off a run with this many
+# shards; deep's own runs have no fleet, so its traced run adds one.
+FLEET_SHARDS = 2
+# --progress prints each job's time rounded to this step.
+PROGRESS_STEP_MS = 0.1
 
 # Printed with the end-to-end table but kept out of BENCHMARK.json: both
 # are zero by design (no failures; no certified gap outside deep), and a
@@ -67,8 +77,8 @@ REPORTED_ONLY = {
     "failed_share": ("share", "lower"),
     "cover_gap_total": ("count", "lower"),
 }
-# Per-layer metrics this script derives from the untraced reference run;
-# the harness (perfbench/harness.cpp) measures all the others.
+# Per-layer metrics this script derives from the traced run's own CLI
+# runs; the harness (perfbench/harness.cpp) measures all the others.
 DERIVED_LAYERS = ("fleet.slowest_unit_ms", "fleet.orchestration_ms",
                   "trace.overhead_ratio")
 
@@ -183,19 +193,20 @@ def cmake_cache_value(key):
     return ""
 
 
-def source_files(tops=("src", "tools", "perfbench"), suffixes=(".cpp", ".hpp", ".txt")):
+def source_files():
     files = []
-    for top in tops:
+    for top in ("src", "tools", "perfbench"):
         for dirpath, dirnames, filenames in os.walk(os.path.join(ROOT, top)):
             dirnames[:] = sorted(d for d in dirnames if d != "__pycache__")
             files.extend(os.path.join(dirpath, f) for f in sorted(filenames)
-                         if f.endswith(suffixes))
+                         if f.endswith((".cpp", ".hpp", ".txt")))
     return files
 
 
 def build():
     """Configures once, then builds the CLI and the harness.  Returns the
-    two executable paths."""
+    two executable paths.  `cmake --build` brings both up to date with
+    every source they depend on or fails, so no stale binary is timed."""
     build_dir = os.path.join(ROOT, BUILD)
     jobs = str(max(1, min(4, os.cpu_count() or 1)))
     started = time.monotonic()
@@ -213,11 +224,6 @@ def build():
     if build_type not in OPTIMIZED_BUILDS:
         raise BenchError(f"refusing to time a '{build_type or 'unset'}' build "
                          f"(need one of {sorted(OPTIMIZED_BUILDS)})")
-    code = (".cpp", ".hpp")
-    for exe, tops in ((cli, ("src", "tools")), (harness, ("src", "perfbench"))):
-        newest = max(os.path.getmtime(f) for f in source_files(tops, code))
-        if os.path.getmtime(exe) < newest:
-            raise BenchError(f"{exe} is older than the sources; rebuild failed")
     return cli, harness
 
 
@@ -267,29 +273,28 @@ def passes_for(workload, seconds):
     return max(1, round(seconds / WORKLOADS[workload]["pass_s"]))
 
 
-def harness_cmd(harness, mode, workload, seed, passes, rows, work):
-    return [harness, mode, *WORKLOADS[workload]["recipe"], "--seed", str(seed),
-            "--rows", rows, "--work", work, "--passes", str(passes)]
-
-
 SHARD_LINE = re.compile(r"^shards: \d+ workers, slowest ([\d.]+) ms$", re.M)
-PROGRESS_MS = re.compile(r"\(([\d.]+) ms\)\s*$")
+# One line per finished job on stderr: "[   3/ 128] lion9   ok (12.3 ms)".
+PROGRESS_MS = re.compile(r"^\[\s*\d+/\s*\d+\] .* \(([\d.]+) ms\)$", re.M)
 
 
-def sharded_run(cli, recipe, work, index):
-    """One `batch --shards 2 --jobs 1` run, timed from outside."""
-    shard_dir = os.path.join(work, f"shards-{index}")
-    merged = os.path.join(work, f"merged-{index}.csv")
-    cmd = [cli, "batch", *recipe, *CLI_CHECKS, "--shards", str(SHARDS),
-           "--jobs", "1", "--shard-dir", shard_dir, "--csv", merged,
+def cli_run(cli, recipe, shards, work, tag):
+    """One `seance_cli batch` run of the corpus, timed from outside: its
+    wall, its set-up, each job's time from its --progress line, the peak
+    RSS of its process tree from wait4, and its CSV rows."""
+    rows_path = os.path.join(work, f"rows-{tag}.csv")
+    shard_dir = os.path.join(work, f"shards-{tag}")
+    cmd = [cli, "batch", *recipe, *CLI_CHECKS, "--csv", rows_path,
            "--quiet", "--progress"]
+    if shards:
+        cmd += ["--shards", str(shards), "--shard-dir", shard_dir]
     start = time.perf_counter()
     proc = subprocess.Popen(cmd, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
                             text=True)
     try:
         first = proc.stderr.readline()
         first_at = time.perf_counter()
-        proc.stderr.read()
+        progress = first + proc.stderr.read()
         stdout = proc.stdout.read()
         _, status, usage = os.wait4(proc.pid, 0)
         wall = time.perf_counter() - start
@@ -301,19 +306,26 @@ def sharded_run(cli, recipe, work, index):
     finally:
         proc.stdout.close()
         proc.stderr.close()
-    progress = PROGRESS_MS.search(first)
-    shard = SHARD_LINE.search(stdout)
-    if proc.returncode != 0 or not progress or not shard:
-        raise BenchError(f"sharded batch failed (exit {proc.returncode}): "
-                         f"{stdout.strip()[-200:]}")
-    rows = read_rows(merged, skip_header=True)
     shutil.rmtree(shard_dir, ignore_errors=True)
-    os.remove(merged)
+    # Exit 1 with a CSV means some job failed; its row still goes to the
+    # golden check, which counts it.
+    if proc.returncode not in (0, 1) or not os.path.exists(rows_path):
+        raise BenchError(f"seance_cli batch failed (exit {proc.returncode}): "
+                         f"{stdout.strip()[-200:]}")
+    rows = read_rows(rows_path, skip_header=True)
+    os.remove(rows_path)
+    latency = [float(ms) for ms in PROGRESS_MS.findall(progress)]
+    first_job = PROGRESS_MS.findall(first)
+    shard = SHARD_LINE.search(stdout)
+    if not first_job or len(latency) != len(rows) or (shards and not shard):
+        raise BenchError(f"seance_cli batch printed {len(latency)} progress lines "
+                         f"for {len(rows)} rows")
     return {
         "wall_s": wall,
-        # First job ready: the first completion line, less that job's run.
-        "setup_s": first_at - start - float(progress.group(1)) / 1000.0,
-        "slowest_unit_ms": float(shard.group(1)),
+        # First job ready: its completion line's arrival, less its own run.
+        "setup_s": first_at - start - float(first_job[0]) / 1000.0,
+        "latency_ms": latency,
+        "slowest_unit_ms": float(shard.group(1)) if shard else None,
         "peak_rss_mb": usage.ru_maxrss / 1024.0,
         "rows": rows,
     }
@@ -321,44 +333,22 @@ def sharded_run(cli, recipe, work, index):
 
 # ---- workloads -------------------------------------------------------------------
 
-def measure(workload, seed, passes, cli, harness, work):
-    """Untraced run of `passes` passes: raw samples plus every row."""
-    kind = WORKLOADS[workload]["kind"]
-    rows_path = os.path.join(work, "rows.csv")
-    if kind == "sharded":
-        recipe = WORKLOADS[workload]["recipe"]
-        runs = [sharded_run(cli, recipe, work, i) for i in range(passes)]
-        rows = [row for run in runs for row in run["rows"]]
-        return {
-            "setup_s": [r["setup_s"] for r in runs],
-            # A sample is one whole sharded batch: merged reports carry no
-            # per-job wall time, so latency is the run's wall per job.
-            "latency_ms": [1000.0 * r["wall_s"] / len(r["rows"]) for r in runs],
-            "pass_wall_s": [r["wall_s"] for r in runs],
-            "jobs": len(rows),
-            "peak_rss_mb": [r["peak_rss_mb"] for r in runs],
-            "rows": rows,
-            "runs": runs,
-        }
-    result = run_json(harness_cmd(harness, kind, workload, seed, passes, rows_path, work))
-    result["rows"] = read_rows(rows_path)
-    result["jobs"] = len(result["latency_ms"])
-    return result
-
-
-def end_to_end(raw):
-    """End-to-end metrics from an untraced run's samples."""
-    latency = raw["latency_ms"]
+def end_to_end(runs):
+    """End-to-end metrics from an untraced run's CLI runs."""
+    latency = [ms for run in runs for ms in run["latency_ms"]]
     tail_ms, tail_pct, samples = tail(latency)
-    q = quality(raw["rows"])
+    q = quality([row for run in runs for row in run["rows"]])
     metrics = {
-        "setup_s": statistics.median(raw["setup_s"]),
-        "jobs_per_s": raw["jobs"] / sum(raw["pass_wall_s"]),
-        "job_p50_ms": statistics.median(latency),
+        "setup_s": statistics.median(run["setup_s"] for run in runs),
+        "jobs_per_s": len(latency) / sum(run["wall_s"] for run in runs),
+        # The printed job times are rounded, and short jobs tie on a few
+        # values; the grouped median interpolates inside the tied group
+        # instead of moving in whole steps.
+        "job_p50_ms": statistics.median_grouped(latency, PROGRESS_STEP_MS),
         "job_tail_ms": tail_ms,
         "gates_total": q["gate_count"],
         "state_vars_total": q["state_vars"],
-        "peak_rss_mb": statistics.median(raw["peak_rss_mb"]),
+        "peak_rss_mb": statistics.median(run["peak_rss_mb"] for run in runs),
     }
     extra = {"cover_gap_total": q["cover_gap"],
              "tail": f"p{tail_pct:.2f} of {samples} samples, "
@@ -367,27 +357,31 @@ def end_to_end(raw):
 
 
 def trace(workload, seed, cli, harness, work):
-    """Traced run: one untraced reference pass (or CLI run), then the
-    layer replay."""
-    kind = WORKLOADS[workload]["kind"]
-    reference = measure(workload, seed, 1, cli, harness, work)
-    if kind == "sharded":
-        run = reference["runs"][0]
-        unit_ms = run["slowest_unit_ms"]
-        wall_ms = 1000.0 * run["wall_s"]
-    else:
-        unit_ms = 1000.0 * reference["pass_busy_s"][0]
-        wall_ms = 1000.0 * reference["pass_wall_s"][0]
+    """Traced run: one untraced reference CLI run, then the layer replay."""
+    spec = WORKLOADS[workload]
+    reference = cli_run(cli, spec["recipe"], spec["shards"], work, "reference")
+    runs = [reference]
+    fleet = reference
+    if not spec["shards"]:
+        fleet = cli_run(cli, spec["recipe"], FLEET_SHARDS, work, "fleet")
+        runs.append(fleet)
     rows_path = os.path.join(work, "trace-rows.csv")
-    replay = run_json(harness_cmd(harness, "trace", workload, seed, 1, rows_path, work))
+    replay = run_json([harness, "trace", *spec["recipe"], "--seed", str(seed),
+                       "--rows", rows_path, "--work", work])
     layers = dict(replay["layers"])
-    layers["fleet.slowest_unit_ms"] = unit_ms
-    layers["fleet.orchestration_ms"] = wall_ms - unit_ms
-    layers["trace.overhead_ratio"] = replay["replay_wall_s"] / (wall_ms / 1000.0)
-    rows = reference["rows"] + read_rows(rows_path)
+    layers["fleet.slowest_unit_ms"] = fleet["slowest_unit_ms"]
+    layers["fleet.orchestration_ms"] = 1000.0 * fleet["wall_s"] - fleet["slowest_unit_ms"]
+    # The replay is serial, and a sharded run's wall is split over its
+    # workers, so the untraced side is the reference run's summed job time.
+    busy_s = sum(reference["latency_ms"]) / 1000.0
+    layers["trace.overhead_ratio"] = replay["replay_wall_s"] / busy_s
+    rows = [row for run in runs for row in run["rows"]] + read_rows(rows_path)
     notes = {
-        "untraced wall": f"{wall_ms / 1000.0:.3f} s",
+        "untraced summed job time": f"{busy_s:.3f} s",
         "traced replay wall": f"{replay['replay_wall_s']:.3f} s",
+        "fleet figures": (f"the reference run (--shards {spec['shards']})"
+                          if fleet is reference else
+                          f"one extra --shards {FLEET_SHARDS} run"),
         "replay fidelity": ("ok" if replay["fidelity_mismatches"] == 0 else
                             f"INVALID ({replay['fidelity_mismatches']} jobs; "
                             f"first {replay['first_mismatch']})"),
@@ -448,10 +442,12 @@ def main(argv=None):
                                                      harness, work)
             units = metric_units("per_layer")
         else:
-            raw = measure(args.workload, args.seed,
-                          passes_for(args.workload, args.seconds), cli, harness, work)
-            metrics, extra = end_to_end(raw)
-            rows, mismatches = raw["rows"], 0
+            spec = WORKLOADS[args.workload]
+            runs = [cli_run(cli, spec["recipe"], spec["shards"], work, str(i))
+                    for i in range(passes_for(args.workload, args.seconds))]
+            metrics, extra = end_to_end(runs)
+            rows = [row for run in runs for row in run["rows"]]
+            mismatches = 0
             units = metric_units("end_to_end")
         if set(metrics) != set(units):
             raise BenchError("measured metrics differ from BENCHMARK.json: "

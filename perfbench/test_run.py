@@ -76,6 +76,25 @@ class GoldenComparison(unittest.TestCase):
                                 "cover_gap": 0})
 
 
+class ProgressLines(unittest.TestCase):
+    """Job times come from seance_cli's --progress lines."""
+
+    def test_every_line_of_interleaved_workers_counts(self):
+        text = ("[   1/ 128] lion                         ok (1.4 ms)\n"
+                "[   1/ 128] hard-8x4-0003                ok (12.0 ms)\n"
+                "[   2/ 128] lion9                        timeout (120000.3 ms)\n")
+        self.assertEqual(run.PROGRESS_MS.findall(text), ["1.4", "12.0", "120000.3"])
+
+    def test_tied_rounded_times_give_an_interpolated_median(self):
+        # The median falls in the 2.1 group [2.05, 2.15): 2 samples lie
+        # below the group and 5 in it, so it sits 2/5 of the way in.
+        times = [2.0, 2.0, 2.1, 2.1, 2.1, 2.1, 2.1, 2.2]
+        runs = [{"setup_s": 0.1, "wall_s": 1.0, "peak_rss_mb": 1.0,
+                 "latency_ms": times, "rows": []}]
+        metrics, _ = run.end_to_end(runs)
+        self.assertAlmostEqual(metrics["job_p50_ms"], 2.05 + 0.1 * (4 - 2) / 5)
+
+
 class NamesMatchBenchmarkJson(unittest.TestCase):
     """The metrics the benchmark computes are exactly the ones declared."""
 
@@ -86,12 +105,14 @@ class NamesMatchBenchmarkJson(unittest.TestCase):
 
     def test_end_to_end_metrics(self):
         golden = run.load_golden(os.path.join(run.ROOT, run.GOLDEN))
-        raw = {"setup_s": [0.1, 0.2, 0.3], "latency_ms": [float(i) for i in range(1, 30)],
-               "pass_wall_s": [1.0, 2.0], "jobs": 29, "peak_rss_mb": [12.5, 13.0],
-               "rows": [golden["lion"], golden["lion9"]]}
-        metrics, _ = run.end_to_end(raw)
+        runs = [{"setup_s": 0.1, "wall_s": 1.0, "peak_rss_mb": 12.5,
+                 "latency_ms": [float(i) for i in range(1, 15)], "rows": [golden["lion"]]},
+                {"setup_s": 0.3, "wall_s": 2.0, "peak_rss_mb": 13.0,
+                 "latency_ms": [float(i) for i in range(15, 30)], "rows": [golden["lion9"]]}]
+        metrics, _ = run.end_to_end(runs)
         self.assertEqual(set(metrics), set(run.metric_units("end_to_end")))
         self.assertEqual(metrics["jobs_per_s"], 29 / 3.0)
+        self.assertAlmostEqual(metrics["job_p50_ms"], 15.0)
         self.assertTrue(all(v != 0 for v in metrics.values()))
 
     def test_per_layer_metrics(self):
