@@ -6,8 +6,6 @@
 // The factored form pins Y depth at <= 5 (the paper's constant column)
 // and removes complemented-input first-level gates.
 
-#include <benchmark/benchmark.h>
-
 #include <algorithm>
 #include <cstdio>
 
@@ -51,30 +49,9 @@ void print_ablation() {
   std::printf("(d = max depth, g = gates, l = literals; flat SOP uses input inverters)\n\n");
 }
 
-void BM_SynthFactored(benchmark::State& state) {
-  const auto table = seance::bench_suite::load(
-      table1_suite()[static_cast<std::size_t>(state.range(0))]);
-  for (auto _ : state) benchmark::DoNotOptimize(seance::core::synthesize(table));
-}
-BENCHMARK(BM_SynthFactored)->DenseRange(0, 4)->Unit(benchmark::kMillisecond);
-
-void BM_SynthFlat(benchmark::State& state) {
-  const auto table = seance::bench_suite::load(
-      table1_suite()[static_cast<std::size_t>(state.range(0))]);
-  seance::core::SynthesisOptions options;
-  options.factor = false;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(seance::core::synthesize(table, options));
-  }
-}
-BENCHMARK(BM_SynthFlat)->DenseRange(0, 4)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   print_ablation();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
   return 0;
 }

@@ -4,9 +4,7 @@
 // handshake) for each benchmark and drives long random-walk workloads
 // with multiple-input changes through the G/VOM protocol.  Reports the
 // hazard-freedom scoreboard (failures must be zero within the timing
-// assumptions) and the event-simulation throughput.
-
-#include <benchmark/benchmark.h>
+// assumptions).
 
 #include <cstdio>
 
@@ -38,33 +36,9 @@ void print_walks() {
   std::printf("\n");
 }
 
-void BM_HandshakeWalk(benchmark::State& state) {
-  const auto& bench = table1_suite()[static_cast<std::size_t>(state.range(0))];
-  const auto table = seance::bench_suite::load(bench);
-  const auto machine = seance::core::synthesize(table);
-  seance::sim::HarnessOptions options;
-  options.max_skew = 2;
-  std::int64_t steps = 0;
-  for (auto _ : state) {
-    seance::sim::FantomHarness harness(machine, options);
-    (void)harness.reset(0, machine.table.stable_columns(0).front());
-    const auto summary = harness.random_walk(200, 29);
-    steps += summary.applied;
-    benchmark::DoNotOptimize(summary);
-  }
-  state.counters["steps_per_s"] =
-      benchmark::Counter(static_cast<double>(steps), benchmark::Counter::kIsRate);
-  state.SetLabel(bench.name);
-}
-
-BENCHMARK(BM_HandshakeWalk)->DenseRange(0, 4)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   print_walks();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
   return 0;
 }

@@ -10,8 +10,6 @@
 // delay) it never fails.  The area overhead column quantifies §8's
 // "resultant state machine has some overhead".
 
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 
 #include "bench_suite/benchmarks.hpp"
@@ -82,34 +80,9 @@ void print_failure_sweep() {
               " baseline = consensus gates without fsv, naive = essential SOP only)\n\n");
 }
 
-void BM_FantomWalk(benchmark::State& state) {
-  const auto table = seance::bench_suite::load(
-      table1_suite()[static_cast<std::size_t>(state.range(0))]);
-  const auto machine = seance::core::synthesize(table);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(walk_failures(machine, 2, 5, 100));
-  }
-}
-BENCHMARK(BM_FantomWalk)->DenseRange(0, 4)->Unit(benchmark::kMillisecond);
-
-void BM_BaselineWalk(benchmark::State& state) {
-  const auto table = seance::bench_suite::load(
-      table1_suite()[static_cast<std::size_t>(state.range(0))]);
-  seance::core::SynthesisOptions options;
-  options.add_fsv = false;
-  const auto machine = seance::core::synthesize(table, options);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(walk_failures(machine, 2, 5, 100));
-  }
-}
-BENCHMARK(BM_BaselineWalk)->DenseRange(0, 4)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   print_failure_sweep();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
   return 0;
 }

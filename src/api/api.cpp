@@ -2,6 +2,8 @@
 
 #include <cstdio>
 #include <fstream>
+#include <iterator>
+#include <memory>
 #include <stdexcept>
 #include <utility>
 
@@ -32,37 +34,19 @@ bool cacheable_status(driver::JobStatus status) {
 
 }  // namespace
 
-std::uint64_t fnv64(std::string_view bytes) {
-  std::uint64_t hash = 1469598103934665603ull;
-  for (const char c : bytes) {
-    hash ^= static_cast<unsigned char>(c);
-    hash *= 1099511628211ull;
-  }
-  return hash;
-}
-
 std::string fnv64_hex(std::string_view bytes) {
   char hex[17];
   std::snprintf(hex, sizeof(hex), "%016llx",
-                static_cast<unsigned long long>(fnv64(bytes)));
+                static_cast<unsigned long long>(search::fnv64(bytes)));
   return hex;
 }
 
 std::string fnv64_file_hex(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   if (!in) return "unreadable";
-  std::uint64_t hash = 1469598103934665603ull;
-  char buffer[4096];
-  while (in.read(buffer, sizeof(buffer)) || in.gcount() > 0) {
-    for (std::streamsize i = 0; i < in.gcount(); ++i) {
-      hash ^= static_cast<unsigned char>(buffer[i]);
-      hash *= 1099511628211ull;
-    }
-  }
-  char hex[17];
-  std::snprintf(hex, sizeof(hex), "%016llx",
-                static_cast<unsigned long long>(hash));
-  return hex;
+  const std::string contents{std::istreambuf_iterator<char>(in),
+                             std::istreambuf_iterator<char>()};
+  return fnv64_hex(contents);
 }
 
 const char* to_string(CacheDisposition disposition) {
@@ -146,15 +130,22 @@ SynthesisResponse synthesize(const SynthesisRequest& request,
   if (parsed) {
     core::FantomMachine machine;
     if (request.timeout_ms > 0) {
-      // The watchdog body owns copies: an abandoned worker may outlive
-      // this call's stack frame.
+      // The watchdog body owns copies and co-owns the machine slot: an
+      // abandoned worker may outlive this call's stack frame.
+      const auto slot = request.want_machine
+                            ? std::make_shared<core::FantomMachine>()
+                            : nullptr;
       response.row = driver::run_with_deadline(
-          request.name, request.timeout_ms,
-          [spec, checks] { return driver::BatchRunner::run_job(spec, checks); });
+          request.name, request.timeout_ms, [spec, checks, slot] {
+            return driver::BatchRunner::run_job(spec, checks, slot.get());
+          });
       if (response.row.status == driver::JobStatus::kTimeout) {
         response.row.num_inputs = spec.table.num_inputs();
         response.row.num_outputs = spec.table.num_outputs();
         response.row.input_states = spec.table.num_states();
+      } else if (slot) {
+        // The job completed, so the worker is done writing the slot.
+        machine = std::move(*slot);
       }
     } else {
       response.row = driver::BatchRunner::run_job(

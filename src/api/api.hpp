@@ -39,12 +39,11 @@ namespace seance::api {
 
 class ResultCache;  // cache.hpp
 
-/// FNV-1a 64 over arbitrary bytes — the repo's content-fingerprint
-/// primitive (corpus `kiss:<path>@<fnv64>` identities use the same hash).
-[[nodiscard]] std::uint64_t fnv64(std::string_view bytes);
-/// fnv64 spelled as 16 lowercase hex digits.
+/// search::fnv64 (FNV-1a 64, the repo's content-fingerprint primitive)
+/// spelled as 16 lowercase hex digits.
 [[nodiscard]] std::string fnv64_hex(std::string_view bytes);
 /// fnv64_hex of a file's contents; "unreadable" when it cannot be opened.
+/// Corpus `kiss:<path>@<hex>` identities use it.
 [[nodiscard]] std::string fnv64_file_hex(const std::string& path);
 
 /// Where a response came from.

@@ -78,7 +78,7 @@ void ResultCache::warm_seal() {
   warm_mask_ = capacity - 1;
   std::size_t live = 0;
   for (std::size_t i = 0; i < warm_rows_.size(); ++i) {
-    const std::uint64_t hash = fnv64(warm_rows_[i].first);
+    const std::uint64_t hash = search::fnv64(warm_rows_[i].first);
     std::size_t slot = static_cast<std::size_t>(hash & warm_mask_);
     for (;;) {
       WarmSlot& s = warm_slots_[slot];
@@ -102,7 +102,7 @@ void ResultCache::warm_seal() {
 
 const driver::JobResult* ResultCache::warm_find(const std::string& key) const {
   if (warm_slots_.empty()) return nullptr;
-  const std::uint64_t hash = fnv64(key);
+  const std::uint64_t hash = search::fnv64(key);
   std::size_t slot = static_cast<std::size_t>(hash & warm_mask_);
   for (;;) {
     const WarmSlot& s = warm_slots_[slot];

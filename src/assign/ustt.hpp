@@ -25,10 +25,11 @@
 // at once, placed into the incumbent solution first (an exact solution
 // that absorbs them without a new class stays exact), and only otherwise
 // is the branch and bound re-entered — warm-started from that incumbent.
-// The seed implementation is retained in ustt_reference.hpp as the
-// differential oracle; tests/test_assign_equivalence.cpp holds the two
-// paths to the same dichotomy set, the same variable count, and
-// verify_ustt-valid codes on both sides.
+// The seed implementation is retained as the test-only oracle
+// tests/oracles/assign/ustt_reference.hpp;
+// tests/test_assign_equivalence.cpp holds the two paths to the same
+// dichotomy set, the same variable count, and verify_ustt-valid codes on
+// both sides.
 
 #pragma once
 

@@ -48,8 +48,6 @@ std::string options_to_string(const SynthesisOptions& options) {
   add_bool("consensus", options.consensus_repair);
   s += " cover=";
   s += to_string(options.cover_mode);
-  s += " cover-budget=" + std::to_string(options.cover_node_budget);
-  s += " cover-cells=" + std::to_string(options.cover_cell_limit);
   add_bool("unique", options.assign.ensure_unique);
   s += " assign-budget=" + std::to_string(options.assign.node_budget);
   s += " reduce-budget=" + std::to_string(options.reduce.node_budget);
@@ -133,10 +131,6 @@ SynthesisOptions options_from_string(std::string_view text) {
       const auto mode = cover_mode_from_string(value);
       if (!mode) fail("unknown cover mode '" + std::string(value) + "'");
       options.cover_mode = *mode;
-    } else if (key == "cover-budget") {
-      parse_budget(key, value, options.cover_node_budget);
-    } else if (key == "cover-cells") {
-      parse_budget(key, value, options.cover_cell_limit);
     } else if (key == "unique") {
       parse_bool(key, value, options.assign.ensure_unique);
     } else if (key == "assign-budget") {
@@ -273,8 +267,7 @@ FantomMachine synthesize(const FlowTable& input, const SynthesisOptions& options
                              std::span<const Minterm> dc) {
     logic::CoverStats cstats;
     Cover cover = select_cover(num_vars, on, dc, options.cover_mode, &cstats,
-                               options.cover_node_budget, memo,
-                               options.cover_cell_limit);
+                               logic::kDefaultExactNodeBudget, memo);
     machine.cover_bounds.cubes += cstats.cover_size;
     machine.cover_bounds.lower_bound += cstats.lower_bound;
     machine.cover_bounds.proven += cstats.exact ? 1 : 0;

@@ -67,7 +67,7 @@ struct SynthesisOptions {
   bool minimize_states = true;
   /// Add the fantom state variable and hazard protection.  Disabling
   /// yields the *baseline* classic USTT machine used by the ablation
-  /// benches — functionally the paper's comparison point.
+  /// examples — functionally the paper's comparison point.
   bool add_fsv = true;
   /// Step 7 factoring on/off (off leaves two-level SOP expressions).
   bool factor = true;
@@ -78,16 +78,9 @@ struct SynthesisOptions {
   /// (function M-hazards) from classic consensus fixes (logic hazards).
   bool consensus_repair = true;
   /// Cover policy for Y/Z/SSD (fsv always uses all primes when enabled).
+  /// Exact completions run under logic::kDefaultExactNodeBudget nodes and
+  /// logic::kExactCellLimit chart cells.
   logic::CoverMode cover_mode = logic::CoverMode::kEssentialSop;
-  /// Branch-and-bound node budget for each exact cover completion.
-  /// Exposed so the limit-tuning sweep (bench_primes --sweep-limits) can
-  /// drive the real pipeline; the default is the production setting.
-  std::size_t cover_node_budget = logic::kDefaultExactNodeBudget;
-  /// Ceiling on rows*columns of a reduced covering chart for attempting
-  /// the exact completion (see logic::kExactCellLimit).  Exposed so
-  /// cell-limit experiments (bench_search_tt) can drive the real
-  /// pipeline.
-  std::size_t cover_cell_limit = logic::kExactCellLimit;
   /// Consult the shared transposition table (when the caller provides an
   /// instance) in the three branch-and-bound searches.  Off forces every
   /// search to run cold, node-for-node identical to the memoization-free
@@ -107,8 +100,9 @@ struct SynthesisOptions {
 /// identity line at once instead of silently aliasing old entries.
 /// (v1 was the pre-codec store::describe spelling: unversioned and
 /// missing cover-budget.  v2 predates the shared search core: no
-/// cover-cells, tt, or tt-mb keys.)
-inline constexpr int kOptionsEncodingVersion = 3;
+/// cover-cells, tt, or tt-mb keys.  v3 still carried cover-budget and
+/// cover-cells, which are now the fixed logic:: constants.)
+inline constexpr int kOptionsEncodingVersion = 4;
 
 /// Canonical spelling of a cover policy ("essential-sop", "greedy",
 /// "all-primes"); inverse returns nullopt for unknown names.
@@ -117,9 +111,8 @@ inline constexpr int kOptionsEncodingVersion = 3;
     std::string_view name);
 
 /// Canonical, byte-stable encoding of every result-affecting knob:
-///   "v3 fsv=B minimize=B factor=B consensus=B cover=MODE
-///    cover-budget=N cover-cells=N unique=B assign-budget=N
-///    reduce-budget=N tt=B tt-mb=N"
+///   "v4 fsv=B minimize=B factor=B consensus=B cover=MODE unique=B
+///    assign-budget=N reduce-budget=N tt=B tt-mb=N"
 /// Equal options always produce equal bytes (field order is pinned by
 /// test), so the string can key a content-addressed cache and compare
 /// pipeline configurations across processes.

@@ -81,7 +81,7 @@ inline constexpr bench_suite::GeneratorOptions kHardShape{
 /// golden corpus batch exactly this shape — only the base seed varies.
 /// Its equations land at 12-14 variables (5 inputs + state variables +
 /// fsv), the range the retuned kExactCellLimit / exact node budget were
-/// swept on (bench/bench_primes.cpp --sweep-limits).
+/// swept on.
 inline constexpr bench_suite::GeneratorOptions kHarderShape{
     .num_states = 12,
     .num_inputs = 5,

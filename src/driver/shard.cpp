@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <numeric>
-#include <queue>
 #include <stdexcept>
 
 namespace seance::driver {
@@ -12,16 +10,6 @@ int ShardPlan::job_count() const {
   int n = 0;
   for (const auto& slice : slices) n += static_cast<int>(slice.size());
   return n;
-}
-
-int ShardPlan::shard_of(int job) const {
-  for (std::size_t s = 0; s < slices.size(); ++s) {
-    const auto& slice = slices[s];
-    if (std::binary_search(slice.begin(), slice.end(), job)) {
-      return static_cast<int>(s);
-    }
-  }
-  return -1;
 }
 
 ShardPlan ShardPlan::round_robin(int job_count, int num_shards) {
@@ -37,37 +25,6 @@ ShardPlan ShardPlan::round_robin(int job_count, int num_shards) {
   for (int i = 0; i < job_count; ++i) {
     plan.slices[static_cast<std::size_t>(i % num_shards)].push_back(i);
   }
-  return plan;
-}
-
-ShardPlan ShardPlan::cost_weighted(std::span<const double> costs,
-                                   int num_shards) {
-  if (num_shards < 1) {
-    throw std::invalid_argument("ShardPlan: num_shards must be >= 1");
-  }
-  ShardPlan plan;
-  plan.num_shards = num_shards;
-  plan.slices.resize(static_cast<std::size_t>(num_shards));
-
-  std::vector<int> order(costs.size());
-  std::iota(order.begin(), order.end(), 0);
-  std::stable_sort(order.begin(), order.end(), [&](int a, int b) {
-    return costs[static_cast<std::size_t>(a)] >
-           costs[static_cast<std::size_t>(b)];
-  });
-
-  // Min-heap of (load, shard id): the heaviest unassigned job always goes
-  // to the lightest slice, ties to the lowest shard id.
-  using Entry = std::pair<double, int>;
-  std::priority_queue<Entry, std::vector<Entry>, std::greater<Entry>> heap;
-  for (int s = 0; s < num_shards; ++s) heap.emplace(0.0, s);
-  for (const int job : order) {
-    auto [load, shard] = heap.top();
-    heap.pop();
-    plan.slices[static_cast<std::size_t>(shard)].push_back(job);
-    heap.emplace(load + costs[static_cast<std::size_t>(job)], shard);
-  }
-  for (auto& slice : plan.slices) std::sort(slice.begin(), slice.end());
   return plan;
 }
 

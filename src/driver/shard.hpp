@@ -8,22 +8,14 @@
 // re-exec'd worker compute the plan independently and must agree on it,
 // and `--resume` must map a stale shard file back to the same slice.
 //
-// Two strategies:
-//   * round_robin — job i lands in slice i % K.  The default and the
-//     worker-protocol contract: it needs no per-job information, so a
-//     worker can recover its slice from the corpus recipe alone.
-//   * cost_weighted — greedy LPT over caller-supplied cost estimates,
-//     for embedders whose corpora mix wildly uneven shapes.  Slices
-//     keep submission order internally, so per-slice runs stay
-//     deterministic.
-//
-// Either way the merge reassembles jobs by name into the original
-// submission order, so the choice of plan never changes the merged
-// report's bytes — only the per-worker wall clocks.
+// The plan is round robin — job i lands in slice i % K.  It needs no
+// per-job information, so a worker can recover its slice from the corpus
+// recipe alone.  The merge reassembles jobs by name into the original
+// submission order, so the slicing never changes the merged report's
+// bytes — only the per-worker wall clocks.
 
 #pragma once
 
-#include <span>
 #include <string>
 #include <vector>
 
@@ -40,19 +32,10 @@ struct ShardPlan {
 
   /// Total jobs across all slices.
   [[nodiscard]] int job_count() const;
-  /// The shard owning corpus index `job`; -1 when out of range.
-  [[nodiscard]] int shard_of(int job) const;
 
   /// Job i -> slice i % K.  Throws std::invalid_argument for
   /// num_shards < 1 or job_count < 0.
   [[nodiscard]] static ShardPlan round_robin(int job_count, int num_shards);
-
-  /// Greedy longest-processing-time split: jobs are assigned in
-  /// decreasing cost order (ties broken by lower index) to the least
-  /// loaded slice (ties broken by lower shard id), then each slice is
-  /// sorted back into submission order.  Deterministic for equal input.
-  [[nodiscard]] static ShardPlan cost_weighted(std::span<const double> costs,
-                                               int num_shards);
 
   // ---- Steal-safe slice naming (the fleet/lease currency) ----------------
   //
@@ -85,7 +68,7 @@ struct ShardPlan {
                                        int fallback);
 };
 
-/// A coarse per-job cost estimate for cost_weighted plans: the flow
+/// A coarse per-job cost estimate, the fleet's LPT ordering key: the flow
 /// chart area (states × input columns) that every pipeline stage walks.
 /// Integer-derived, so identical across platforms.
 [[nodiscard]] double estimate_cost(const JobSpec& spec);

@@ -138,9 +138,9 @@ bool DirBackend::lease_fresh(const std::string& path) const {
 std::string DirBackend::new_nonce() {
   const std::uint64_t ticks = static_cast<std::uint64_t>(
       std::chrono::steady_clock::now().time_since_epoch().count());
-  const std::uint64_t h =
-      fnv64(options_.runner_id + ":" + std::to_string(++nonce_counter_) + ":" +
-            std::to_string(ticks));
+  const std::uint64_t h = search::fnv64(
+      options_.runner_id + ":" + std::to_string(++nonce_counter_) + ":" +
+      std::to_string(ticks));
   char buf[17];
   std::snprintf(buf, sizeof(buf), "%016llx",
                 static_cast<unsigned long long>(h));

@@ -20,15 +20,6 @@ double ms_since(Clock::time_point start) {
 
 }  // namespace
 
-std::uint64_t fnv64(std::string_view bytes) {
-  std::uint64_t h = 1469598103934665603ull;
-  for (const char c : bytes) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
 std::vector<Slice> make_slices(const driver::ShardPlan& plan,
                                const std::vector<std::string>& names,
                                const std::vector<double>& costs,
@@ -83,7 +74,7 @@ FleetReport FleetRunner::run(const std::vector<Slice>& slices) {
                    });
   std::rotate(order.begin(),
               order.begin() + static_cast<std::ptrdiff_t>(
-                                  fnv64(options_.runner_id) % n),
+                                  search::fnv64(options_.runner_id) % n),
               order.end());
 
   struct Active {

@@ -43,7 +43,6 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "driver/shard.hpp"
@@ -56,10 +55,6 @@ namespace seance::fleet {
 /// without ballooning per-unit spawn overhead.  Local runs default to
 /// one unit per worker process instead (the PR 5 layout).
 inline constexpr int kDefaultFleetUnits = 16;
-
-/// FNV-1a over the bytes — stable across platforms.  Used for the
-/// per-runner LPT rotation and DirBackend lease nonces.
-[[nodiscard]] std::uint64_t fnv64(std::string_view bytes);
 
 /// One lease unit: a named slice of the corpus plan.  Everything here is
 /// a pure function of (index, total, corpus) — never of the runner — so
@@ -200,8 +195,8 @@ struct FleetReport {
 
 /// Drives one runner: poll running slices, heartbeat held leases, and
 /// greedily acquire pending units in LPT order (heaviest first, rotated
-/// by fnv64(runner_id) so concurrent runners fan out) until the fleet
-/// resolves.  An idle runner acquiring an expired lease *is* the work
+/// by search::fnv64(runner_id) so concurrent runners fan out) until the
+/// fleet resolves.  An idle runner acquiring an expired lease *is* the work
 /// stealing / dead-runner re-lease — no separate mechanism.
 class FleetRunner {
  public:

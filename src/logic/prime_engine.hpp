@@ -26,7 +26,7 @@
 //
 // Determinism contract: identical prime sets and identical canonical
 // order (fewest literals first, then Cube::key) as the retained
-// reference generator (qm_reference.hpp), checked by
+// reference generator (tests/oracles/logic/qm_reference.hpp), checked by
 // tests/test_prime_engine.cpp.
 
 #pragma once

@@ -29,8 +29,7 @@ std::vector<Cube> compute_primes(int num_vars, std::span<const Minterm> on,
 Cover select_cover(int num_vars, std::span<const Minterm> on,
                    std::span<const Minterm> dc, CoverMode mode,
                    CoverStats* stats, std::size_t exact_node_budget,
-                   search::TranspositionTable* tt,
-                   std::size_t exact_cell_limit) {
+                   search::TranspositionTable* tt) {
   const std::vector<Minterm> on_sorted = dedup(on);
 
   // The all-primes mode (every fsv cover) needs only the filtered prime
@@ -142,7 +141,7 @@ Cover select_cover(int num_vars, std::span<const Minterm> on,
 
     bool solved = false;
     if (mode == CoverMode::kEssentialSop &&
-        num_rows * cand_ids.size() <= exact_cell_limit) {
+        num_rows * cand_ids.size() <= kExactCellLimit) {
       const MinCoverResult result =
           solve_min_cover(candidates, exact_node_budget, tt);
       residual_lb = std::max(residual_lb, result.lower_bound);

@@ -61,10 +61,9 @@ struct CoverStats {
 };
 
 /// Default branch-and-bound node budget for the exact cover completion.
-/// Sweep-checked against the harder 12-state / 5-input corpus
-/// (bench/bench_primes.cpp --sweep-limits): every chart under
-/// kExactCellLimit proved its minimum within ~2'200 nodes, so 2M is
-/// ~1000x headroom; charts above the cell limit stayed unproven even at
+/// Sweep-checked against the harder 12-state / 5-input corpus: every
+/// chart under kExactCellLimit proved its minimum within ~2'200 nodes, so
+/// 2M is ~1000x headroom; charts above the cell limit stayed unproven even at
 /// 100'000'000 nodes, so raising this buys nothing.
 inline constexpr std::size_t kDefaultExactNodeBudget = 2'000'000;
 
@@ -77,13 +76,12 @@ inline constexpr std::size_t kDefaultExactNodeBudget = 2'000'000;
 /// 0.6s over 8 harder jobs) — so past this size the exact attempt is
 /// pure wall-time loss.  Every chart the corpus ever proved sits well
 /// below it (largest observed: ~391k cells, proven by reduction alone).
-/// Re-checked after the transposition-table memo landed
-/// (bench_search_tt's ceiling sweep over harder+hardest jobs): raising
-/// the ceiling 4x alone proves nothing new and costs +68% wall; the one
-/// chart that does newly prove needs a 4x node budget too, at 5.5x
-/// wall.  The ceiling therefore stays; callers chasing proofs raise
-/// cover_cell_limit / cover_node_budget explicitly, and the certified
-/// cover_gap column reports exactly what remains unproven either way.
+/// Re-checked after the transposition-table memo landed (a ceiling
+/// sweep over harder+hardest jobs): raising the ceiling 4x alone proves
+/// nothing new and costs +68% wall; the one chart that does newly prove
+/// needs a 4x node budget too, at 5.5x wall.  The ceiling therefore
+/// stays fixed, and the certified cover_gap column reports exactly what
+/// remains unproven.
 inline constexpr std::size_t kExactCellLimit = 524'288;
 
 /// Selects a cover of the ON-set from the function's primes.  The exact
@@ -95,15 +93,11 @@ inline constexpr std::size_t kExactCellLimit = 524'288;
 /// `tt` (optional) memoizes covering-chart subproblem bounds across
 /// calls; the caller decides how long entries live (core::synthesize
 /// scopes them to one synthesis — see its purity contract).
-/// `exact_cell_limit` overrides the rows*columns ceiling for
-/// attempting the exact completion (exposed so limit experiments can
-/// drive the real pipeline).
 [[nodiscard]] Cover select_cover(
     int num_vars, std::span<const Minterm> on, std::span<const Minterm> dc,
     CoverMode mode, CoverStats* stats = nullptr,
     std::size_t exact_node_budget = kDefaultExactNodeBudget,
-    search::TranspositionTable* tt = nullptr,
-    std::size_t exact_cell_limit = kExactCellLimit);
+    search::TranspositionTable* tt = nullptr);
 
 /// Convenience: minimum essential-SOP cover (paper's reduction for Z/SSD/Y).
 [[nodiscard]] Cover minimize_sop(int num_vars, std::span<const Minterm> on,

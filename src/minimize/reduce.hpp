@@ -16,10 +16,11 @@
 // classes computed lazily and memoized per candidate), and the
 // closed-cover search keeps an incremental obligation frontier instead of
 // rescanning its chosen set at every node.  The seed implementation is
-// retained verbatim (plus hot-path bugfixes) in reduce_reference.hpp as
-// the differential oracle; tests/test_minimize_equivalence.cpp holds the
-// two paths equal — same pair chart, same prime list, same search tree
-// (node counts), same class count.
+// retained verbatim (plus hot-path bugfixes) as the test-only oracle
+// tests/oracles/minimize/reduce_reference.hpp;
+// tests/test_minimize_equivalence.cpp holds the two paths equal — same
+// pair chart, same prime list, same search tree (node counts), same
+// class count.
 
 #pragma once
 

@@ -3,6 +3,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <optional>
+#include <string_view>
 #include <tuple>
 #include <vector>
 
@@ -60,9 +61,17 @@ constexpr bool has_upper(Bound b) {
           static_cast<std::uint8_t>(Bound::kUpper)) != 0;
 }
 
-/// FNV-1a over raw bytes. Kept local to this module: the search core
-/// sits below every other library, so it cannot borrow api's copy.
+/// FNV-1a over raw bytes: the repo's one content hash. The search core
+/// sits below every other library, so the api cache keys and corpus
+/// fingerprints and the fleet's runner rotation and lease nonces all use
+/// this copy. Its offset basis, 1469598103934665603, is one digit short
+/// of the published 14695981039346656037; it stays, because every
+/// persisted cache name and fingerprint was derived from it
+/// (tests/test_search.cpp pins the values).
 std::uint64_t fnv64(const void* data, std::size_t len);
+inline std::uint64_t fnv64(std::string_view bytes) {
+  return fnv64(bytes.data(), bytes.size());
+}
 
 /// FNV-1a over a packed word array (the natural signature input for
 /// the engines' bitset state).

@@ -5,8 +5,8 @@
 // this sorted-vector + binary_search implementation.  It is kept ONLY as
 // an oracle: the equivalence suite (tests/test_qm_equivalence.cpp)
 // asserts the bitset path selects covers of identical cardinality
-// whenever both solve exactly, and bench_qm reports the before/after
-// speedup against it.  Never call it from the pipeline.
+// whenever both solve exactly.  It is built only into the test-only
+// seance_oracles library, so the pipeline cannot call it.
 
 #pragma once
 

@@ -70,8 +70,6 @@ TEST(OptionsCodec, RoundTripsEveryField) {
   options.factor = false;
   options.consensus_repair = false;
   options.cover_mode = logic::CoverMode::kGreedy;
-  options.cover_node_budget = 123;
-  options.cover_cell_limit = 4096;
   options.assign.ensure_unique = false;
   options.assign.node_budget = 456;
   options.reduce.node_budget = 789;
@@ -82,8 +80,6 @@ TEST(OptionsCodec, RoundTripsEveryField) {
   EXPECT_EQ(core::options_to_string(back), encoded);
   EXPECT_FALSE(back.add_fsv);
   EXPECT_EQ(back.cover_mode, logic::CoverMode::kGreedy);
-  EXPECT_EQ(back.cover_node_budget, 123);
-  EXPECT_EQ(back.cover_cell_limit, 4096);
   EXPECT_FALSE(back.assign.ensure_unique);
   EXPECT_EQ(back.assign.node_budget, 456);
   EXPECT_EQ(back.reduce.node_budget, 789);
@@ -96,17 +92,15 @@ TEST(OptionsCodec, PinnedDefaultBytes) {
   // invalidates every cache entry and golden identity, so it must be a
   // deliberate version bump, never drift.
   EXPECT_EQ(core::options_to_string(core::SynthesisOptions{}),
-            "v3 fsv=1 minimize=1 factor=1 consensus=1 cover=essential-sop "
-            "cover-budget=2000000 cover-cells=524288 unique=1 "
-            "assign-budget=500000 reduce-budget=1000000 tt=1 tt-mb=16");
+            "v4 fsv=1 minimize=1 factor=1 consensus=1 cover=essential-sop "
+            "unique=1 assign-budget=500000 reduce-budget=1000000 tt=1 tt-mb=16");
 }
 
 TEST(OptionsCodec, AbsentKeysKeepDefaults) {
-  const core::SynthesisOptions back = core::options_from_string("v3 fsv=0");
+  const core::SynthesisOptions back = core::options_from_string("v4 fsv=0");
   EXPECT_FALSE(back.add_fsv);
   EXPECT_TRUE(back.minimize_states);
-  EXPECT_EQ(back.cover_node_budget, logic::kDefaultExactNodeBudget);
-  EXPECT_EQ(back.cover_cell_limit, logic::kExactCellLimit);
+  EXPECT_EQ(back.cover_mode, logic::CoverMode::kEssentialSop);
   EXPECT_TRUE(back.tt);
   EXPECT_EQ(back.tt_mb, 16);
 }
@@ -114,22 +108,44 @@ TEST(OptionsCodec, AbsentKeysKeepDefaults) {
 TEST(OptionsCodec, RejectsBadInput) {
   // Unknown keys are rejected, not skipped: a key this build does not
   // understand could alias two configurations under one cache key.
-  EXPECT_THROW((void)core::options_from_string("v3 warp=1"),
+  EXPECT_THROW((void)core::options_from_string("v4 warp=1"),
                std::runtime_error);
-  EXPECT_THROW((void)core::options_from_string("v2 fsv=1"),
+  EXPECT_THROW((void)core::options_from_string("v3 fsv=1"),
                std::runtime_error);
   EXPECT_THROW((void)core::options_from_string(""), std::runtime_error);
-  EXPECT_THROW((void)core::options_from_string("v3 fsv=2"),
+  EXPECT_THROW((void)core::options_from_string("v4 fsv=2"),
                std::runtime_error);
-  EXPECT_THROW((void)core::options_from_string("v3 fsv=1 fsv=1"),
+  EXPECT_THROW((void)core::options_from_string("v4 fsv=1 fsv=1"),
                std::runtime_error);
-  EXPECT_THROW((void)core::options_from_string("v3 cover=psychic"),
+  EXPECT_THROW((void)core::options_from_string("v4 cover=psychic"),
                std::runtime_error);
-  EXPECT_THROW((void)core::options_from_string("v3 tt=maybe"),
+  EXPECT_THROW((void)core::options_from_string("v4 tt=maybe"),
+               std::runtime_error);
+  // v3's cover-budget / cover-cells keys are gone, not silently ignored.
+  EXPECT_THROW((void)core::options_from_string("v4 cover-budget=2000000"),
                std::runtime_error);
 }
 
 // ---- cache keys ----------------------------------------------------------
+
+TEST(Fingerprint, HexSpellingsArePinnedAndFileMatchesBytes) {
+  // Cache entry names and `kiss:<path>@<hex>` corpus identities are
+  // spelled with these; a change here orphans every stored artifact.
+  EXPECT_EQ(fnv64_hex(""), "14650fb0739d0383");
+  EXPECT_EQ(fnv64_hex("a"), "44bd8ad473cd9906");
+
+  // Larger than one read buffer, with bytes above 0x7f.
+  std::string contents;
+  for (int i = 0; i < 10000; ++i) contents.push_back(static_cast<char>(i * 37));
+  const TempDir dir("seance_api_fingerprint");
+  const std::string path = dir.str() + "/blob.bin";
+  {
+    std::ofstream out(path, std::ios::binary);
+    out.write(contents.data(), static_cast<std::streamsize>(contents.size()));
+  }
+  EXPECT_EQ(fnv64_file_hex(path), fnv64_hex(contents));
+  EXPECT_EQ(fnv64_file_hex(dir.str() + "/missing.bin"), "unreadable");
+}
 
 TEST(CacheKey, NameIsNotPartOfTheKey) {
   EXPECT_EQ(cache_key(example_request("a")), cache_key(example_request("b")));
@@ -204,6 +220,27 @@ TEST(ApiSynthesize, UncachedWithoutCacheAndForMachineRequests) {
   EXPECT_EQ(response.cache, CacheDisposition::kUncached);
   ASSERT_TRUE(response.machine.has_value());
   EXPECT_EQ(cache.stats().hits + cache.stats().misses, 0u);
+}
+
+TEST(ApiSynthesize, MachineRequestUnderAWatchdogCarriesTheSynthesizedMachine) {
+  // The watchdog path runs the job on a worker thread; the machine it
+  // synthesizes must still reach the response, not a default-constructed
+  // one-state placeholder.
+  SynthesisRequest request;
+  request.name = "lion";
+  request.table = bench_suite::load(bench_suite::by_name("lion"));
+  request.want_machine = true;
+  request.timeout_ms = 120000;
+  const SynthesisResponse watched = synthesize(request);
+  ASSERT_EQ(watched.row.status, driver::JobStatus::kOk);
+  ASSERT_TRUE(watched.machine.has_value());
+  EXPECT_EQ(watched.machine->gate_count(), watched.row.gate_count);
+  EXPECT_EQ(watched.machine->table.num_states(), watched.row.synthesized_states);
+
+  request.timeout_ms = 0;
+  const SynthesisResponse inline_run = synthesize(request);
+  ASSERT_TRUE(inline_run.machine.has_value());
+  EXPECT_EQ(watched.machine->report(), inline_run.machine->report());
 }
 
 TEST(ApiSynthesize, UnparsableTableIsAJobFailureNotAThrow) {

@@ -67,6 +67,14 @@ TEST(Hashing, DeterministicAndInputSensitive) {
   EXPECT_EQ(fnv64(a, 3), fnv64(a, 3));
   EXPECT_NE(fnv64(a, 3), fnv64(b, 3));
   EXPECT_NE(fnv64(a, 3), fnv64(a, 2));
+  // Pinned values: cache entry names, corpus fingerprints, memo
+  // signatures and fleet lease nonces all depend on them.  The offset
+  // basis is one decimal digit short of the published FNV-1a 64 basis
+  // (0xcbf29ce484222325, which would give "a" -> 0xaf63dc4c8601ec8c);
+  // the prime is the published one.
+  EXPECT_EQ(fnv64(""), 0x14650fb0739d0383ull);
+  EXPECT_EQ(fnv64("a"), 0x44bd8ad473cd9906ull);
+  EXPECT_EQ(fnv64(a, 3), fnv64("abc"));
 
   const std::uint64_t w1[] = {1, 2};
   const std::uint64_t w2[] = {1, 3};

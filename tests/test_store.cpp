@@ -486,9 +486,8 @@ TEST(StoreDescribe, PinnedSpellings) {
   // cache; changing the synthesis spelling means bumping
   // core::kOptionsEncodingVersion and regenerating the golden corpus.
   EXPECT_EQ(describe(core::SynthesisOptions{}),
-            "v3 fsv=1 minimize=1 factor=1 consensus=1 cover=essential-sop "
-            "cover-budget=2000000 cover-cells=524288 unique=1 "
-            "assign-budget=500000 reduce-budget=1000000 tt=1 tt-mb=16");
+            "v4 fsv=1 minimize=1 factor=1 consensus=1 cover=essential-sop "
+            "unique=1 assign-budget=500000 reduce-budget=1000000 tt=1 tt-mb=16");
   EXPECT_EQ(describe(core::SynthesisOptions{}),
             core::options_to_string(core::SynthesisOptions{}));
   EXPECT_EQ(describe(bench_suite::GeneratorOptions{}),
