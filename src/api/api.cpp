@@ -78,9 +78,9 @@ std::string cache_key(const SynthesisRequest& request) {
          store::describe(checks_of(request));
 }
 
-SynthesisResponse synthesize(const SynthesisRequest& request,
-                             ResultCache* cache,
-                             search::TranspositionTable* tt) {
+SynthesisResponse synthesize(
+    const SynthesisRequest& request, ResultCache* cache,
+    const std::shared_ptr<search::TranspositionTable>& tt) {
   if (!request.table && request.table_text.empty()) {
     throw std::runtime_error(
         "api: request carries neither a table nor KISS2 text");
@@ -130,14 +130,15 @@ SynthesisResponse synthesize(const SynthesisRequest& request,
   if (parsed) {
     core::FantomMachine machine;
     if (request.timeout_ms > 0) {
-      // The watchdog body owns copies and co-owns the machine slot: an
-      // abandoned worker may outlive this call's stack frame.
+      // The watchdog body owns copies and co-owns the machine slot and
+      // the table: an abandoned worker may outlive this call's stack frame.
       const auto slot = request.want_machine
                             ? std::make_shared<core::FantomMachine>()
                             : nullptr;
       response.row = driver::run_with_deadline(
-          request.name, request.timeout_ms, [spec, checks, slot] {
-            return driver::BatchRunner::run_job(spec, checks, slot.get());
+          request.name, request.timeout_ms, [spec, checks, slot, tt] {
+            return driver::BatchRunner::run_job(spec, checks, slot.get(),
+                                                tt.get());
           });
       if (response.row.status == driver::JobStatus::kTimeout) {
         response.row.num_inputs = spec.table.num_inputs();
@@ -149,7 +150,7 @@ SynthesisResponse synthesize(const SynthesisRequest& request,
       }
     } else {
       response.row = driver::BatchRunner::run_job(
-          spec, checks, request.want_machine ? &machine : nullptr, tt);
+          spec, checks, request.want_machine ? &machine : nullptr, tt.get());
     }
     if (request.want_machine &&
         response.row.status != driver::JobStatus::kSynthesisError &&

@@ -24,6 +24,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -112,13 +113,12 @@ struct SynthesisResponse {
 /// table when it is absent or wrongly sized for the request's tt-mb —
 /// so the response is byte-identical with or without one; the
 /// allocation and stats counters are what persist across requests.
-/// Not handed to the watchdogged path (an abandoned worker may not
-/// share a table its owner keeps using, and with a raw pointer there
-/// is no co-ownership), which is row-neutral for the same reason.
-[[nodiscard]] SynthesisResponse synthesize(const SynthesisRequest& request,
-                                           ResultCache* cache = nullptr,
-                                           search::TranspositionTable* tt =
-                                               nullptr);
+/// Under a timeout the watchdog body co-owns the table, so after a
+/// kTimeout row the abandoned worker may still be writing it: the
+/// caller must replace it before the next request, as serve does.
+[[nodiscard]] SynthesisResponse synthesize(
+    const SynthesisRequest& request, ResultCache* cache = nullptr,
+    const std::shared_ptr<search::TranspositionTable>& tt = nullptr);
 
 // ---- Corpus service ------------------------------------------------------
 

@@ -38,11 +38,28 @@ void send_error(std::ostream& out, const std::string& why, ServeStats& stats) {
   ++stats.errors;
 }
 
+/// One transposition table per server process, handed to every request
+/// (and, for the socket listener, every connection).  Entries are
+/// request-scoped — core::synthesize clears the table on entry, so a
+/// served ROW is byte-identical to the batch row for the same request
+/// no matter what was served before — but the allocation is reused and
+/// the STATS counters accumulate until a timeout replaces it.  Null
+/// when the server's default options disable it; per-request OPT lines
+/// with tt=0 run cold, and an OPT tt-mb different from the server's
+/// makes synthesize substitute a correctly-sized local table (capacity
+/// decides evictions, so it is part of the request's identity).
+std::shared_ptr<search::TranspositionTable> make_tt(const ServeConfig& config) {
+  if (!config.options.tt || config.options.tt_mb == 0) return nullptr;
+  return std::make_shared<search::TranspositionTable>(config.options.tt_mb
+                                                      << 20);
+}
+
 /// One REQ exchange: the REQ line has been consumed, `name` is its
 /// payload.  Reads OPT/TABLE/END, answers RES/ROW/END or ERR/END.
 void handle_request(std::istream& in, std::ostream& out,
                     const std::string& name, const ServeConfig& config,
-                    ResultCache* cache, search::TranspositionTable* tt,
+                    ResultCache* cache,
+                    std::shared_ptr<search::TranspositionTable>& tt,
                     ServeStats& stats) {
   SynthesisRequest request;
   request.name = name;
@@ -112,6 +129,12 @@ void handle_request(std::istream& in, std::ostream& out,
   }
 
   const SynthesisResponse response = synthesize(request, cache, tt);
+  // A timed-out job's worker is abandoned, not stopped, and co-owns the
+  // table; the next request gets a fresh one instead of a data race
+  // (the STATS tt-* counters restart with it).
+  if (tt != nullptr && response.row.status == driver::JobStatus::kTimeout) {
+    tt = make_tt(config);
+  }
   out << "RES " << to_string(response.cache) << " " << response.row.name
       << "\nROW " << driver::to_csv_row(response.row) << "\nEND\n"
       << std::flush;
@@ -141,7 +164,8 @@ void send_stats(std::ostream& out, const ServeStats& stats,
 
 ServeStats serve_impl(std::istream& in, std::ostream& out,
                       const ServeConfig& config, ResultCache* cache,
-                      search::TranspositionTable* tt, bool* shutdown) {
+                      std::shared_ptr<search::TranspositionTable>& tt,
+                      bool* shutdown) {
   ServeStats stats;
   std::string line;
   while (std::getline(in, line)) {
@@ -152,7 +176,7 @@ ServeStats serve_impl(std::istream& in, std::ostream& out,
     } else if (line == "PING") {
       out << "PONG\n" << std::flush;
     } else if (line == "STATS") {
-      send_stats(out, stats, cache, tt);
+      send_stats(out, stats, cache, tt.get());
     } else if (line == "QUIT") {
       out << "BYE\n" << std::flush;
       break;
@@ -167,28 +191,12 @@ ServeStats serve_impl(std::istream& in, std::ostream& out,
   return stats;
 }
 
-/// One transposition table per server process, handed to every request
-/// (and, for the socket listener, every connection).  Entries are
-/// request-scoped — core::synthesize clears the table on entry, so a
-/// served ROW is byte-identical to the batch row for the same request
-/// no matter what was served before — but the allocation is reused and
-/// the STATS counters accumulate across the process lifetime.  Null
-/// when the server's default options disable it; per-request OPT lines
-/// with tt=0 run cold, and an OPT tt-mb different from the server's
-/// makes synthesize substitute a correctly-sized local table (capacity
-/// decides evictions, so it is part of the request's identity).
-std::unique_ptr<search::TranspositionTable> make_tt(const ServeConfig& config) {
-  if (!config.options.tt || config.options.tt_mb == 0) return nullptr;
-  return std::make_unique<search::TranspositionTable>(config.options.tt_mb
-                                                      << 20);
-}
-
 }  // namespace
 
 ServeStats serve(std::istream& in, std::ostream& out,
                  const ServeConfig& config, ResultCache* cache) {
-  const std::unique_ptr<search::TranspositionTable> tt = make_tt(config);
-  return serve_impl(in, out, config, cache, tt.get(), nullptr);
+  std::shared_ptr<search::TranspositionTable> tt = make_tt(config);
+  return serve_impl(in, out, config, cache, tt, nullptr);
 }
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -273,7 +281,7 @@ ServeStats serve_unix_socket(const std::string& path,
   }
 
   ServeStats total;
-  const std::unique_ptr<search::TranspositionTable> tt = make_tt(config);
+  std::shared_ptr<search::TranspositionTable> tt = make_tt(config);
   bool shutdown = false;
   while (!shutdown) {
     int conn;
@@ -291,7 +299,7 @@ ServeStats serve_unix_socket(const std::string& path,
       std::istream in(&buffer);
       std::ostream out(&buffer);
       const ServeStats stats =
-          serve_impl(in, out, config, cache, tt.get(), &shutdown);
+          serve_impl(in, out, config, cache, tt, &shutdown);
       total.requests += stats.requests;
       total.errors += stats.errors;
       total.gate_ternary += stats.gate_ternary;

@@ -425,11 +425,11 @@ BatchReport BatchRunner::run() const {
         options_.synthesis.tt_mb << 20);
   };
   auto worker = [&] {
-    // One transposition table per worker, persisting across its jobs:
-    // structurally similar corpus jobs warm each other, and worker-local
-    // ownership keeps probes lock-free.  Results do not depend on which
-    // jobs land on which worker — memoization only changes node counts —
-    // so the work-stealing schedule stays invisible in the report.
+    // One transposition table per worker, reused across its jobs: the
+    // allocation and the stats counters persist, but core::synthesize
+    // clears the entries on entry (an O(1) epoch bump), so jobs never
+    // warm each other and the work-stealing schedule stays invisible in
+    // the report.  Worker-local ownership keeps probes lock-free.
     std::shared_ptr<search::TranspositionTable> tt = fresh_tt();
     for (;;) {
       const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);

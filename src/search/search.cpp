@@ -6,7 +6,8 @@ namespace {
 constexpr std::uint64_t kFnvBasis = 1469598103934665603ull;
 constexpr std::uint64_t kFnvPrime = 1099511628211ull;
 
-// Replacement key for an incoming key of 0 (the empty-slot sentinel).
+// Replacement key for an incoming key of 0. It decides key 0's home
+// slot, and with it which entries key 0 evicts, so it is result-relevant.
 constexpr std::uint64_t kZeroKey = 0x9e3779b97f4a7c15ull;
 
 // Linear probe window. Short enough to stay in one or two cache
@@ -68,11 +69,11 @@ std::optional<TranspositionTable::Entry> TranspositionTable::probe(
   const std::size_t home = static_cast<std::size_t>(key & mask_);
   for (std::size_t i = 0; i < kProbeWindow; ++i) {
     const Slot& s = slots_[(home + i) & mask_];
+    if (!live(s)) break;  // never displaced past an empty slot
     if (s.key == key) {
       ++stats_.hits;
       return Entry{s.bound, s.value};
     }
-    if (s.key == 0) break;  // never displaced past an empty slot
   }
   ++stats_.misses;
   return std::nullopt;
@@ -86,6 +87,10 @@ void TranspositionTable::store(std::uint64_t key, Bound bound,
   Slot* empty = nullptr;
   for (std::size_t i = 0; i < kProbeWindow; ++i) {
     Slot& s = slots_[(home + i) & mask_];
+    if (!live(s)) {
+      if (empty == nullptr) empty = &s;
+      continue;
+    }
     if (s.key == key) {
       // Merge, keeping the most informative bound. Exact is sticky.
       if (s.bound == Bound::kExact) return;
@@ -108,7 +113,6 @@ void TranspositionTable::store(std::uint64_t key, Bound bound,
       ++stats_.stores;
       return;
     }
-    if (s.key == 0 && empty == nullptr) empty = &s;
   }
   Slot* target = empty;
   if (target == nullptr) {
@@ -120,12 +124,17 @@ void TranspositionTable::store(std::uint64_t key, Bound bound,
   target->key = key;
   target->bound = bound;
   target->value = value;
+  target->epoch = epoch_;
   ++stats_.stores;
 }
 
 void TranspositionTable::clear() {
-  slots_.assign(slots_.size(), Slot{});
   live_ = 0;
+  // A wrapped epoch would revive slots stamped 65535 clears ago.
+  if (++epoch_ == 0) {
+    slots_.assign(slots_.size(), Slot{});
+    epoch_ = 1;
+  }
 }
 
 std::vector<std::tuple<std::uint64_t, Bound, std::uint32_t>>
@@ -133,7 +142,7 @@ TranspositionTable::dump() const {
   std::vector<std::tuple<std::uint64_t, Bound, std::uint32_t>> out;
   out.reserve(live_);
   for (const Slot& s : slots_) {
-    if (s.key != 0) out.emplace_back(s.key, s.bound, s.value);
+    if (live(s)) out.emplace_back(s.key, s.bound, s.value);
   }
   return out;
 }

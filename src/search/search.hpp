@@ -135,12 +135,16 @@ class TranspositionTable {
   /// probe window is full.
   void store(std::uint64_t key, Bound bound, std::uint32_t value);
 
-  /// Drops every entry, keeping capacity and the cumulative stats.
-  /// Callers that must keep results reproducible clear at each result
-  /// boundary (one batch job, one serve request): a *truncated* search
-  /// legitimately returns a warmth-dependent incumbent, so entries may
-  /// never outlive the result computation that stored them — only the
-  /// allocation and the counters persist across jobs.
+  /// Drops every entry in O(1), keeping capacity and the cumulative
+  /// stats: it bumps the table's epoch, which turns every slot stamped
+  /// with an older one into an empty slot for probe, store and dump.
+  /// Only when the 16-bit epoch wraps does it wipe the slots, so a
+  /// stamp can never come back to life. Callers that must keep results
+  /// reproducible clear at each result boundary (one batch job, one
+  /// serve request): a *truncated* search legitimately returns a
+  /// warmth-dependent incumbent, so entries may never outlive the result
+  /// computation that stored them — only the allocation and the
+  /// counters persist across jobs.
   void clear();
 
   const TtStats& stats() const { return stats_; }
@@ -154,14 +158,23 @@ class TranspositionTable {
 
  private:
   struct Slot {
-    std::uint64_t key = 0;  // 0 == empty (incoming 0 keys are remapped)
+    std::uint64_t key = 0;
     std::uint32_t value = 0;
     Bound bound = Bound::kNone;
+    std::uint16_t epoch = 0;  // the clear() generation that wrote it
   };
+  // The epoch lives in padding: slot_count_for divides by sizeof(Slot),
+  // and capacity decides results, so a wider slot would move them.
+  static_assert(sizeof(Slot) == 16);
+
+  /// A slot holds an entry iff it was written since the last clear().
+  /// `epoch_` is never 0, so never-written and wiped slots are empty.
+  bool live(const Slot& s) const { return s.epoch == epoch_; }
 
   std::vector<Slot> slots_;
   std::uint64_t mask_ = 0;
   std::size_t live_ = 0;
+  std::uint16_t epoch_ = 1;
   TtStats stats_;
 };
 

@@ -8,6 +8,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <optional>
+#include <random>
 #include <tuple>
 #include <vector>
 
@@ -279,6 +281,131 @@ TEST(TranspositionTable, ClearDropsEntriesKeepsCapacityAndStats) {
   EXPECT_EQ(entry->value, 9u);
 }
 
+TEST(TranspositionTable, StaleSlotsNeitherBlockTheWindowNorCountAsEvictions) {
+  TranspositionTable tt(0);  // capacity 8 == one probe window
+  ASSERT_EQ(tt.capacity(), 8u);
+  for (std::uint64_t k = 8; k <= 64; k += 8) {
+    tt.store(k, Bound::kLower, static_cast<std::uint32_t>(k));
+  }
+  ASSERT_EQ(tt.size(), 8u);
+  tt.clear();
+  const std::uint64_t evictions = tt.stats().evictions;
+  // Eight new same-home keys land in the eight stale slots as if they
+  // were empty: nothing is displaced and every one of them stays.
+  for (std::uint64_t k = 72; k <= 128; k += 8) {
+    tt.store(k, Bound::kUpper, static_cast<std::uint32_t>(k));
+  }
+  EXPECT_EQ(tt.stats().evictions, evictions);
+  EXPECT_EQ(tt.size(), 8u);
+  for (std::uint64_t k = 72; k <= 128; k += 8) {
+    const auto e = tt.probe(k);
+    ASSERT_TRUE(e.has_value()) << k;
+    EXPECT_EQ(e->bound, Bound::kUpper);
+  }
+  for (std::uint64_t k = 8; k <= 64; k += 8) {
+    EXPECT_FALSE(tt.probe(k).has_value()) << k;
+  }
+}
+
+TEST(TranspositionTable, DumpAfterClearReturnsOnlyCurrentEpochEntries) {
+  TranspositionTable tt(1 << 16);
+  tt.store(11, Bound::kLower, 1);
+  tt.store(22, Bound::kUpper, 2);
+  tt.store(33, Bound::kExact, 3);
+  tt.clear();
+  EXPECT_TRUE(tt.dump().empty());
+  tt.store(22, Bound::kLower, 7);  // a key seen before the clear
+  tt.store(44, Bound::kExact, 4);
+  const auto entries = tt.dump();
+  ASSERT_EQ(entries.size(), 2u);
+  EXPECT_EQ(tt.size(), 2u);
+  for (const auto& [key, bound, value] : entries) {
+    if (key == 22) {
+      // Stored fresh, not merged into the stale Upper 2.
+      EXPECT_EQ(bound, Bound::kLower);
+      EXPECT_EQ(value, 7u);
+    } else {
+      EXPECT_EQ(key, 44u);
+      EXPECT_EQ(bound, Bound::kExact);
+      EXPECT_EQ(value, 4u);
+    }
+  }
+}
+
+TEST(TranspositionTable, EpochWrapNeverRevivesAStaleEntry) {
+  TranspositionTable tt(0);
+  tt.store(42, Bound::kExact, 5);
+  // Within 65536 clears the 16-bit epoch comes round to the value that
+  // stamped key 42; only the wipe on wrap keeps it dead.
+  for (int i = 0; i < 65536; ++i) {
+    tt.clear();
+    ASSERT_FALSE(tt.probe(42).has_value()) << "after clear " << i + 1;
+    ASSERT_TRUE(tt.dump().empty()) << "after clear " << i + 1;
+  }
+  EXPECT_EQ(tt.size(), 0u);
+  EXPECT_TRUE(tt.dump().empty());
+  tt.store(42, Bound::kLower, 9);
+  const auto e = tt.probe(42);
+  ASSERT_TRUE(e.has_value());
+  EXPECT_EQ(e->bound, Bound::kLower);
+  EXPECT_EQ(e->value, 9u);
+  EXPECT_EQ(tt.size(), 1u);
+}
+
+// The invariant that keeps results byte-identical: a reused table after
+// clear() behaves exactly like a freshly allocated one.  One seeded
+// trace of probes, stores and clears runs on a table that is cleared in
+// place and on a new table per clear-delimited segment.
+TEST(TranspositionTable, ClearedTableReplaysLikeAFreshOne) {
+  constexpr std::size_t kBytes = 1 << 9;  // 32 slots: evictions happen
+  std::mt19937_64 rng(20261016);
+  std::vector<std::uint64_t> keys(200);
+  for (std::uint64_t& k : keys) k = rng();
+  keys[0] = 0;  // the remapped key takes part too
+
+  TranspositionTable reused(kBytes);
+  std::optional<TranspositionTable> fresh(std::in_place, kBytes);
+  TtStats base;  // reused.stats() at the start of the segment
+  int segments = 0;
+  const auto end_segment = [&] {
+    const TtStats& r = reused.stats();
+    const TtStats& f = fresh->stats();
+    EXPECT_EQ(r.hits - base.hits, f.hits) << segments;
+    EXPECT_EQ(r.misses - base.misses, f.misses) << segments;
+    EXPECT_EQ(r.stores - base.stores, f.stores) << segments;
+    EXPECT_EQ(r.evictions - base.evictions, f.evictions) << segments;
+    EXPECT_EQ(reused.size(), fresh->size()) << segments;
+    EXPECT_EQ(reused.dump(), fresh->dump()) << segments;
+    ++segments;
+  };
+  for (int op = 0; op < 20000; ++op) {
+    const std::uint64_t key = keys[rng() % keys.size()];
+    const unsigned roll = static_cast<unsigned>(rng() % 100);
+    if (roll < 45) {
+      const auto r = reused.probe(key);
+      const auto f = fresh->probe(key);
+      ASSERT_EQ(r.has_value(), f.has_value()) << op;
+      if (r) {
+        EXPECT_EQ(r->bound, f->bound) << op;
+        EXPECT_EQ(r->value, f->value) << op;
+      }
+    } else if (roll < 99) {
+      const auto bound = static_cast<Bound>(rng() % 4);
+      const auto value = static_cast<std::uint32_t>(rng() % 16);
+      reused.store(key, bound, value);
+      fresh->store(key, bound, value);
+    } else {
+      end_segment();
+      reused.clear();
+      fresh.emplace(kBytes);
+      base = reused.stats();
+    }
+  }
+  end_segment();
+  EXPECT_GT(segments, 100);
+  EXPECT_GT(reused.stats().evictions, 0u);
+}
+
 TEST(TranspositionTable, SlotCountForMatchesTheConstructor) {
   for (const std::size_t bytes :
        {std::size_t{0}, std::size_t{1} << 10, std::size_t{1} << 16,
@@ -290,6 +417,9 @@ TEST(TranspositionTable, SlotCountForMatchesTheConstructor) {
   // check in core::synthesize depends on this being discriminating).
   EXPECT_NE(TranspositionTable::slot_count_for(1 << 16),
             TranspositionTable::slot_count_for(16 << 20));
+  // Pinned: slots are 16 bytes, so the default 16 MiB table holds 2^20.
+  // A wider slot would halve this and move every budget-truncated row.
+  EXPECT_EQ(TranspositionTable::slot_count_for(16 << 20), std::size_t{1} << 20);
 }
 
 TEST(TtStats, AccumulateAcrossWorkers) {

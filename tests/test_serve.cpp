@@ -37,10 +37,11 @@ std::string request_of(const std::string& name, const std::string& kiss,
 
 std::vector<std::string> run_session(const std::string& script,
                                      ResultCache* cache = nullptr,
-                                     ServeStats* stats = nullptr) {
+                                     ServeStats* stats = nullptr,
+                                     const ServeConfig& config = {}) {
   std::istringstream in(script);
   std::ostringstream out;
-  const ServeStats got = serve(in, out, ServeConfig{}, cache);
+  const ServeStats got = serve(in, out, config, cache);
   if (stats != nullptr) *stats = got;
   std::vector<std::string> lines;
   std::istringstream reply(out.str());
@@ -144,6 +145,28 @@ TEST(Serve, HostileTableIsAJobFailureRow) {
   ASSERT_EQ(lines.size(), 3u);
   EXPECT_EQ(lines[0], "RES uncached bad");
   EXPECT_NE(lines[1].find("synthesis-error"), std::string::npos);
+}
+
+TEST(Serve, TimeoutRequestsUseTheServerTable) {
+  const std::string lion = flowtable::to_kiss2(
+      bench_suite::load(bench_suite::by_name("lion")));
+  const std::string script = request_of("example", example_kiss()) +
+                             request_of("lion", lion) + "STATS\n";
+  ServeConfig watched;
+  watched.timeout_ms = 600000;  // generous: the watchdog must never fire
+  const auto timed = run_session(script, nullptr, nullptr, watched);
+  const auto plain = run_session(script);
+  ASSERT_EQ(timed.size(), 7u);
+  ASSERT_EQ(plain.size(), 7u);
+  // The watchdogged rows are the rows served without a watchdog...
+  EXPECT_EQ(timed[1], plain[1]);
+  EXPECT_EQ(timed[4], plain[4]);
+  EXPECT_EQ(timed[1].find("timeout"), std::string::npos);
+  // ...and they were computed in the server's table, not a local one.
+  const std::string& stats = timed[6];
+  const std::size_t at = stats.find(" tt-stores=");
+  ASSERT_NE(at, std::string::npos) << stats;
+  EXPECT_GT(std::stoull(stats.substr(at + 11)), 0u) << stats;
 }
 
 TEST(Serve, CrLineEndingsAreAccepted) {
