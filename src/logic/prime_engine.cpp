@@ -5,6 +5,8 @@
 #include <bit>
 #include <cstdint>
 #include <stdexcept>
+#include <type_traits>
+#include <utility>
 
 namespace seance::logic::prime_engine {
 
@@ -54,136 +56,226 @@ struct SharpCube {
   std::uint32_t value;
 };
 
-// Open-addressing set of packed (care << 24 | value) words — the inner
-// probe of the absorption index below, so it has to beat std::unordered
-// hashing by a wide margin: power-of-two capacity, splitmix64-finalizer
-// mix, linear probing, ~half load.  Keys stay under 2^48 (care and value
-// are kMaxVars-bit), so all-ones is a safe empty sentinel.
-class FlatCubeSet {
+struct NoPayload {};
+
+// Open-addressing table over 64-bit keys with an optional per-key
+// payload — the inner probe of the absorption index below, so it has to
+// beat std::unordered hashing by a wide margin: power-of-two capacity,
+// splitmix64-finalizer mix, linear probing, at most half full.  Keys
+// stay under 2^48 (care and value are kMaxVars-bit), so all-ones is a
+// safe empty sentinel.  erase() shifts the rest of the probe run back
+// over the hole instead of leaving a tombstone, so a lookup can still
+// stop at the first empty slot.
+template <typename Payload>
+class FlatTable {
  public:
   void reset(std::size_t expected) {
     std::size_t cap = 64;
     while (cap < expected * 2) cap <<= 1;
     if (cap != slots_.size()) {
-      slots_.assign(cap, kEmpty);
+      slots_.assign(cap, Slot{});
     } else {
-      std::fill(slots_.begin(), slots_.end(), kEmpty);
+      std::fill(slots_.begin(), slots_.end(), Slot{});
     }
     mask_ = cap - 1;
     count_ = 0;
   }
 
-  /// True when the key was not present yet.
-  bool insert(std::uint32_t care, std::uint32_t value) {
-    if ((count_ + 1) * 2 > slots_.size()) grow();
-    return insert_key(pack(care, value));
-  }
-
-  [[nodiscard]] bool contains(std::uint32_t care, std::uint32_t value) const {
-    const std::uint64_t key = pack(care, value);
-    for (std::size_t i = mix(key) & mask_;; i = (i + 1) & mask_) {
-      const std::uint64_t slot = slots_[i];
+  [[nodiscard]] bool contains(std::uint64_t key) const {
+    for (std::size_t i = home(key);; i = (i + 1) & mask_) {
+      const std::uint64_t slot = slots_[i].key;
       if (slot == key) return true;
       if (slot == kEmpty) return false;
     }
   }
 
+  /// The key's payload, or nullptr when the key is absent.
+  [[nodiscard]] Payload* find(std::uint64_t key) {
+    for (std::size_t i = home(key);; i = (i + 1) & mask_) {
+      if (slots_[i].key == key) return &slots_[i].payload;
+      if (slots_[i].key == kEmpty) return nullptr;
+    }
+  }
+
+  /// Adds the key if absent.  Returns its payload (value-initialized
+  /// when just added) and whether it was added.
+  std::pair<Payload*, bool> insert(std::uint64_t key) {
+    if ((count_ + 1) * 2 > slots_.size()) grow();
+    return insert_key(key);
+  }
+
+  [[nodiscard]] std::size_t size() const { return count_; }
+
+  /// True when the key was present.
+  bool erase(std::uint64_t key) {
+    std::size_t hole = home(key);
+    while (slots_[hole].key != key) {
+      if (slots_[hole].key == kEmpty) return false;
+      hole = (hole + 1) & mask_;
+    }
+    // A later run member may fill the hole iff its home does not lie
+    // cyclically in (hole, j]: then it is still reachable from home.
+    for (std::size_t j = (hole + 1) & mask_; slots_[j].key != kEmpty;
+         j = (j + 1) & mask_) {
+      if (((j - home(slots_[j].key)) & mask_) >= ((j - hole) & mask_)) {
+        slots_[hole] = slots_[j];
+        hole = j;
+      }
+    }
+    slots_[hole] = Slot{};
+    --count_;
+    return true;
+  }
+
  private:
   static constexpr std::uint64_t kEmpty = ~std::uint64_t{0};
-  static std::uint64_t pack(std::uint32_t care, std::uint32_t value) {
-    return (std::uint64_t{care} << 24) | value;
-  }
-  static std::uint64_t mix(std::uint64_t z) {
+  struct Slot {
+    std::uint64_t key = kEmpty;
+    [[no_unique_address]] Payload payload{};
+  };
+  static_assert(!std::is_empty_v<Payload> ||
+                sizeof(Slot) == sizeof(std::uint64_t));
+
+  [[nodiscard]] std::size_t home(std::uint64_t z) const {
     z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
     z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-    return z ^ (z >> 31);
+    return static_cast<std::size_t>(z ^ (z >> 31)) & mask_;
   }
-  bool insert_key(std::uint64_t key) {
-    for (std::size_t i = mix(key) & mask_;; i = (i + 1) & mask_) {
-      if (slots_[i] == key) return false;
-      if (slots_[i] == kEmpty) {
-        slots_[i] = key;
+  std::pair<Payload*, bool> insert_key(std::uint64_t key) {
+    for (std::size_t i = home(key);; i = (i + 1) & mask_) {
+      if (slots_[i].key == key) return {&slots_[i].payload, false};
+      if (slots_[i].key == kEmpty) {
+        slots_[i].key = key;
         ++count_;
-        return true;
+        return {&slots_[i].payload, true};
       }
     }
   }
   void grow() {
-    std::vector<std::uint64_t> old = std::move(slots_);
-    slots_.assign(old.size() * 2, kEmpty);
+    std::vector<Slot> old = std::move(slots_);
+    slots_.assign(old.size() * 2, Slot{});
     mask_ = slots_.size() - 1;
     count_ = 0;
-    for (const std::uint64_t key : old) {
-      if (key != kEmpty) (void)insert_key(key);
+    for (const Slot& s : old) {
+      if (s.key != kEmpty) *insert_key(s.key).first = s.payload;
     }
   }
 
-  std::vector<std::uint64_t> slots_;
+  std::vector<Slot> slots_;
   std::size_t mask_ = 0;
   std::size_t count_ = 0;
 };
 
-// Absorption index over the growing antichain.  A cube (c, v) absorbs a
+// Absorption index over the antichain.  A cube (c, v) absorbs a
 // fragment (fc, fv) iff c ⊆ fc and v == fv & c (values never carry bits
-// outside care), so the linear antichain sweep — quadratic in the prime
-// count, the hot spot on 14+-var high-DC charts (ROADMAP) — can become
-// a keyed lookup: an absorber's care is *derivable* from the fragment's.
-// Measured on those charts, ~85% of absorbers sit at most two care bits
-// below the fragment, so the probe enumerates every care submask at
-// distance 0, 1, and 2 directly against the flat set, then covers the
-// thin deep tail by scanning the distinct care masks bucketed at
-// popcount <= pc(fc) - 3 — by then a handful of buckets holding few
-// masks, each resolved with one probe at (care, fv & care).
+// outside care), so the linear antichain sweep, quadratic in the prime
+// count on 14+-var high-DC charts, becomes a keyed lookup: an
+// absorber's care is *derivable* from the fragment's.  Each candidate
+// care is first tested against a bitmap of the live cares, and only a
+// live one costs a probe at (care, fv & care).  A fragment whose care
+// has no more submasks than there are live cares walks all of them.  A
+// wider one walks the submasks at distance 0, 1 and 2, then covers the
+// deep tail by scanning the distinct live care masks bucketed at
+// popcount <= pc(fc) - 3.
 class AbsorbIndex {
  public:
+  explicit AbsorbIndex(std::uint32_t full)
+      : live_cares_(std::size_t{full} / 64 + 1, 0) {}
+
   void reset(std::size_t expected) {
     cubes_.reset(expected);
-    seen_cares_.reset(expected / 4 + 1);
-    for (int p = 0; p <= highest_pc_; ++p) cares_by_pc_[p].clear();
+    cares_.reset(expected / 4 + 1);
+    for (int p = 0; p <= highest_pc_; ++p) {
+      for (const std::uint32_t care : cares_by_pc_[p]) {
+        live_cares_[care / 64] &= ~(std::uint64_t{1} << (care % 64));
+      }
+      cares_by_pc_[p].clear();
+    }
     highest_pc_ = 0;
   }
 
   void insert(const SharpCube& c) {
-    (void)cubes_.insert(c.care, c.value);
-    // Care-only dedup through a second flat set (key (0, care) — cares
-    // are kMaxVars-bit, so they fit the value field): this runs once per
-    // antichain cube per OFF point, which is exactly the rebuild path
-    // the flat set exists to keep std-hashing out of.
-    if (seen_cares_.insert(0, c.care)) {
+    if (!cubes_.insert(pack(c.care, c.value)).second) return;
+    const auto [ref, added] = cares_.insert(c.care);
+    if (added) {
       const int pc = std::popcount(c.care);
-      cares_by_pc_[static_cast<std::size_t>(pc)].push_back(c.care);
+      std::vector<std::uint32_t>& bucket =
+          cares_by_pc_[static_cast<std::size_t>(pc)];
+      ref->pos = static_cast<std::uint32_t>(bucket.size());
+      bucket.push_back(c.care);
       highest_pc_ = pc > highest_pc_ ? pc : highest_pc_;
+      live_cares_[c.care / 64] |= std::uint64_t{1} << (c.care % 64);
     }
+    ++ref->cubes;
+  }
+
+  void erase(const SharpCube& c) {
+    if (!cubes_.erase(pack(c.care, c.value))) return;
+    CareRef* ref = cares_.find(c.care);
+    if (--ref->cubes != 0) return;
+    // The care's last cube is gone: swap-pop the care out of its bucket
+    // so the deep-tail scan never visits a dead care.
+    std::vector<std::uint32_t>& bucket =
+        cares_by_pc_[static_cast<std::size_t>(std::popcount(c.care))];
+    const std::uint32_t moved = bucket.back();
+    bucket[ref->pos] = moved;
+    cares_.find(moved)->pos = ref->pos;
+    bucket.pop_back();
+    (void)cares_.erase(c.care);
+    live_cares_[c.care / 64] &= ~(std::uint64_t{1} << (c.care % 64));
   }
 
   [[nodiscard]] bool absorbs(const SharpCube& f) const {
-    if (cubes_.contains(f.care, f.value)) return true;
+    const int pc = std::popcount(f.care);
+    if ((std::size_t{1} << pc) <= cares_.size()) {
+      for (std::uint32_t sub = f.care;; sub = (sub - 1) & f.care) {
+        if (holds(sub, f.value)) return true;
+        if (sub == 0) return false;
+      }
+    }
+    if (holds(f.care, f.value)) return true;
     for (std::uint32_t bits = f.care; bits != 0; bits &= bits - 1) {
       const std::uint32_t b1 = bits & (0u - bits);
-      if (cubes_.contains(f.care ^ b1, f.value & ~b1)) return true;
+      if (holds(f.care ^ b1, f.value)) return true;
       for (std::uint32_t bits2 = bits & (bits - 1); bits2 != 0;
            bits2 &= bits2 - 1) {
         const std::uint32_t b2 = bits2 & (0u - bits2);
-        if (cubes_.contains(f.care ^ b1 ^ b2, f.value & ~(b1 | b2))) {
-          return true;
-        }
+        if (holds(f.care ^ b1 ^ b2, f.value)) return true;
       }
     }
-    const int pc = std::popcount(f.care);
     const int top = pc - 3 < highest_pc_ ? pc - 3 : highest_pc_;
     for (int p = 0; p <= top; ++p) {
       for (const std::uint32_t care : cares_by_pc_[static_cast<std::size_t>(p)]) {
         if ((care & ~f.care) != 0) continue;
-        if (cubes_.contains(care, f.value & care)) return true;
+        if (cubes_.contains(pack(care, f.value & care))) return true;
       }
     }
     return false;
   }
 
  private:
-  FlatCubeSet cubes_;
-  FlatCubeSet seen_cares_;
+  /// How many indexed cubes share a care, and where the care sits in
+  /// its popcount bucket.
+  struct CareRef {
+    std::uint32_t cubes = 0;
+    std::uint32_t pos = 0;
+  };
+
+  static std::uint64_t pack(std::uint32_t care, std::uint32_t value) {
+    return (std::uint64_t{care} << 24) | value;
+  }
+
+  /// True when an indexed cube has exactly this care and agrees with
+  /// `value` on it.
+  [[nodiscard]] bool holds(std::uint32_t care, std::uint32_t value) const {
+    return ((live_cares_[care / 64] >> (care % 64)) & 1u) != 0 &&
+           cubes_.contains(pack(care, value & care));
+  }
+
+  FlatTable<NoPayload> cubes_;
+  FlatTable<CareRef> cares_;
   std::array<std::vector<std::uint32_t>, kMaxVars + 1> cares_by_pc_;
+  std::vector<std::uint64_t> live_cares_;  ///< bitmap over care masks
   int highest_pc_ = 0;
 };
 
@@ -203,23 +295,31 @@ std::vector<std::uint64_t> sharp_primes(std::uint32_t full,
   }
 
   // Small antichains absorb faster by brute scan than through hashing,
-  // so the index only takes over once the linear sweep would hurt.
+  // so the index only takes over once the linear sweep would hurt.  It
+  // is built from scratch only when the antichain reaches the threshold
+  // (first time, or again after dropping below); past that it stays
+  // live across OFF points, losing each split cube and gaining each
+  // accepted fragment, since splits are rare next to survivors.
   constexpr std::size_t kIndexThreshold = 64;
   std::vector<SharpCube> cubes{{0u, 0u}};
   std::vector<SharpCube> next;
   std::vector<SharpCube> fresh;
-  AbsorbIndex index;
+  AbsorbIndex index(full);
+  bool index_live = false;
   for (std::uint32_t o : off) {
     next.clear();
     fresh.clear();
     const bool use_index = cubes.size() >= kIndexThreshold;
-    if (use_index) index.reset(cubes.size() * 2);
+    const bool rebuild = use_index && !index_live;
+    index_live = use_index;
+    if (rebuild) index.reset(cubes.size() * 2);
     for (const SharpCube& c : cubes) {
       if (((o ^ c.value) & c.care) != 0) {
         next.push_back(c);
-        if (use_index) index.insert(c);
+        if (rebuild) index.insert(c);
         continue;
       }
+      if (use_index && !rebuild) index.erase(c);
       // c contains o: the fragments (one free variable fixed opposite
       // to o) cover exactly c minus the point o.
       for (std::uint32_t bits = full & ~c.care; bits != 0; bits &= bits - 1) {
@@ -230,6 +330,13 @@ std::vector<std::uint64_t> sharp_primes(std::uint32_t full,
     // One-directional absorption: a fragment sits inside its parent, so
     // no surviving cube can be inside a fragment — only fragments need
     // testing, against survivors and earlier-accepted fragments.
+    // Invariant at every absorbs() call: the live index holds exactly
+    // `next` (this round's survivors plus the fragments accepted before
+    // this one), the set the linear sweep scans.  No fragment can equal
+    // a split cube (it misses o), so the erases above never remove a
+    // key the round still needs.  absorbs() is a pure set query, so
+    // which fragments are accepted, and in what order, does not depend on
+    // whether the index or the sweep answers it.
     for (const SharpCube& f : fresh) {
       bool absorbed = false;
       if (use_index) {
@@ -467,20 +574,21 @@ std::vector<Cube> to_canonical_cubes(int num_vars,
                                      std::vector<std::uint64_t> keys) {
   // Canonical order: fewest literals first, then Cube::key — the
   // historical compute_primes contract, shared with the reference
-  // generator so downstream covers pick identical cubes.
-  std::sort(keys.begin(), keys.end(), [](std::uint64_t a, std::uint64_t b) {
-    const int la = std::popcount(care_of(a));
-    const int lb = std::popcount(care_of(b));
-    if (la != lb) return la < lb;
-    const std::uint64_t ka =
-        (static_cast<std::uint64_t>(care_of(a)) << 32) | value_of(a);
-    const std::uint64_t kb =
-        (static_cast<std::uint64_t>(care_of(b)) << 32) | value_of(b);
-    return ka < kb;
-  });
+  // generator so downstream covers pick identical cubes.  One packed
+  // word per prime, [popcount(care)][care:24][value:24], sorts in that
+  // order with plain <, since Cube::key orders by care, then value.
+  for (std::uint64_t& w : keys) {
+    const std::uint32_t care = care_of(w);
+    w = (static_cast<std::uint64_t>(std::popcount(care)) << 48) |
+        (static_cast<std::uint64_t>(care) << 24) | value_of(w);
+  }
+  std::sort(keys.begin(), keys.end());
   std::vector<Cube> out;
   out.reserve(keys.size());
-  for (std::uint64_t w : keys) out.emplace_back(num_vars, care_of(w), value_of(w));
+  for (std::uint64_t w : keys) {
+    out.emplace_back(num_vars, static_cast<std::uint32_t>(w >> 24) & kValueMask,
+                     value_of(w));
+  }
   return out;
 }
 

@@ -74,7 +74,9 @@ inline std::uint64_t fnv64(std::string_view bytes) {
 }
 
 /// FNV-1a over a packed word array (the natural signature input for
-/// the engines' bitset state).
+/// the engines' bitset state): the same value as `fnv64` over the
+/// words' little-endian bytes, computed with one multiply per zero word
+/// or zero half-word.
 std::uint64_t hash_words(const std::uint64_t* words, std::size_t count);
 
 /// Finalizing scramble of a single word (splitmix64 tail). Used to

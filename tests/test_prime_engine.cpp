@@ -1,6 +1,6 @@
 // Differential and regression suite for the word-parallel prime engine:
 // prime_engine::compute_primes against the retained hash-map oracle
-// (reference_compute_primes) over random functions at 4-12 variables —
+// (reference_compute_primes) over random functions at 4-14 variables —
 // covering both the level-merge path and the sharp (dense ON∪DC) path —
 // plus a regression pinning the canonical prime order and incidence
 // bitmatrix correctness against brute-force Cube::contains.
@@ -9,6 +9,8 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <random>
 #include <vector>
 
 #include "logic/qm.hpp"
@@ -25,18 +27,60 @@ struct DiffCase {
   double p_on;
   double p_dc;
   std::uint64_t seed;
+  int off_cubes = 0;  ///< see make_function
 };
 
 void PrintTo(const DiffCase& c, std::ostream* os) {
   *os << c.num_vars << "v on=" << c.p_on << " dc=" << c.p_dc
       << " seed=" << c.seed;
+  if (c.off_cubes != 0) *os << " off_cubes=" << c.off_cubes;
+}
+
+// The random function, except that with `off_cubes` > 0 the low half of
+// the minterm space (top variable 0) is OFF on exactly that many random
+// 5-variable subcubes and DC everywhere else.  The sharp path splits OFF
+// points in ascending order, so the subcubes first swell its antichain
+// and then collapse it, and the random high half grows it into the
+// thousands afterwards.  For the seeds in diff_cases() that drives the
+// absorption index through every state: built, dropped below its
+// threshold, rebuilt, grown, and erased from across the table's end.
+testutil::RandomFunction make_function(const DiffCase& p) {
+  testutil::RandomFunction f =
+      random_function(p.num_vars, p.p_on, p.p_dc, p.seed);
+  if (p.off_cubes == 0) return f;
+  const Minterm half = Minterm{1} << (p.num_vars - 1);
+  std::vector<char> off(half, 0);
+  std::mt19937_64 rng(p.seed + 1);
+  for (int c = 0; c < p.off_cubes; ++c) {
+    Minterm free = 0;
+    while (std::popcount(free) < 5) {
+      free |= Minterm{1}
+              << (rng() % static_cast<std::uint64_t>(p.num_vars - 1));
+    }
+    const Minterm base = static_cast<Minterm>(rng()) & (half - 1) & ~free;
+    Minterm s = 0;
+    do {
+      off[base | s] = 1;
+      s = (s - free) & free;
+    } while (s != 0);
+  }
+  const auto in_low_half = [&](Minterm m) { return m < half; };
+  std::erase_if(f.on, in_low_half);
+  std::erase_if(f.dc, in_low_half);
+  std::erase_if(f.off, in_low_half);
+  std::vector<Minterm> low_dc;
+  std::vector<Minterm> low_off;
+  for (Minterm m = 0; m < half; ++m) (off[m] ? low_off : low_dc).push_back(m);
+  f.dc.insert(f.dc.begin(), low_dc.begin(), low_dc.end());
+  f.off.insert(f.off.begin(), low_off.begin(), low_off.end());
+  return f;
 }
 
 class PrimeEngineDiff : public ::testing::TestWithParam<DiffCase> {};
 
 TEST_P(PrimeEngineDiff, MatchesReferencePrimesExactly) {
   const auto& p = GetParam();
-  const auto f = random_function(p.num_vars, p.p_on, p.p_dc, p.seed);
+  const auto f = make_function(p);
 
   const std::vector<Cube> engine =
       prime_engine::compute_primes(p.num_vars, f.on, f.dc);
@@ -51,7 +95,7 @@ TEST_P(PrimeEngineDiff, MatchesReferencePrimesExactly) {
 
 TEST_P(PrimeEngineDiff, IncidenceMatchesBruteForceContains) {
   const auto& p = GetParam();
-  const auto f = random_function(p.num_vars, p.p_on, p.p_dc, p.seed);
+  const auto f = make_function(p);
 
   const prime_engine::PrimeIncidence pi =
       prime_engine::compute_incidence(p.num_vars, f.on, f.dc);
@@ -74,7 +118,7 @@ TEST_P(PrimeEngineDiff, OnPrimesMatchIncidencePrimes) {
   // The table-free all-primes filter (used by fsv covers) must keep
   // exactly the primes the incidence path keeps, in the same order.
   const auto& p = GetParam();
-  const auto f = random_function(p.num_vars, p.p_on, p.p_dc, p.seed);
+  const auto f = make_function(p);
   const std::vector<Cube> on_primes =
       prime_engine::compute_on_primes(p.num_vars, f.on, f.dc);
   const prime_engine::PrimeIncidence pi =
@@ -109,6 +153,16 @@ std::vector<DiffCase> diff_cases() {
   // care-submask index).  Still oracle-covered: the reference generator
   // handles it in seconds, just not in bulk.
   cases.push_back({14, 0.01, 0.95, 99});
+  // Dense 11-13-var charts whose sharp-path antichain crosses the
+  // absorption index's threshold both ways before growing large (see
+  // make_function): the live index's erase, rebuild and growth paths.
+  for (const std::uint64_t seed : {2, 10}) {
+    cases.push_back({11, 0.05, 0.9, seed, 4});
+  }
+  for (const std::uint64_t seed : {2, 5, 6}) {
+    cases.push_back({12, 0.05, 0.92, seed, 4});
+  }
+  cases.push_back({13, 0.03, 0.94, 3, 5});
   return cases;
 }
 

@@ -5,6 +5,8 @@
 
 #include "search/search.hpp"
 
+#include "logic/cover_engine.hpp"
+
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -90,6 +92,65 @@ TEST(Hashing, DeterministicAndInputSensitive) {
   // (root, state) from (state, root).
   EXPECT_NE(hash_mix(1, 2), hash_mix(2, 1));
   EXPECT_EQ(hash_mix(1, 2), hash_mix(1, 2));
+}
+
+// Byte-at-a-time FNV-1a over the little-endian bytes of each word, with
+// the repo's offset basis: the definition hash_words must reproduce.
+std::uint64_t reference_hash_words(const std::vector<std::uint64_t>& words) {
+  std::uint64_t h = 1469598103934665603ull;
+  for (std::uint64_t w : words) {
+    for (int b = 0; b < 8; ++b) {
+      h ^= (w >> (8 * b)) & 0xff;
+      h *= 1099511628211ull;
+    }
+  }
+  return h;
+}
+
+TEST(Hashing, HashWordsIsByteAtATimeFnv1a) {
+  // hash_words keys the memo, so its value is result-relevant: it must
+  // stay bit-for-bit FNV-1a however it skips zero bytes.
+  const std::vector<std::uint64_t> empty;
+  EXPECT_EQ(hash_words(empty.data(), 0), 1469598103934665603ull);
+  std::mt19937_64 rng(2024);
+  for (std::size_t n = 1; n <= 64; ++n) {
+    std::vector<std::vector<std::uint64_t>> arrays;
+    arrays.emplace_back(n, 0);  // all zero
+    std::vector<std::uint64_t> sparse(n, 0);  // one set bit
+    sparse[rng() % n] = std::uint64_t{1} << (rng() % 64);
+    arrays.push_back(sparse);
+    std::vector<std::uint64_t> dense(n);  // every byte nonzero
+    for (std::uint64_t& w : dense) w = rng() | 0x0101010101010101ull;
+    arrays.push_back(dense);
+    std::vector<std::uint64_t> mixed(n);  // zero words, half-words, bytes
+    for (std::uint64_t& w : mixed) {
+      switch (rng() % 4) {
+        case 0: w = 0; break;
+        case 1: w = rng() & 0xffffffffull; break;
+        case 2: w = rng() & 0xff000000ff0000ffull; break;
+        default: w = rng(); break;
+      }
+    }
+    arrays.push_back(mixed);
+    for (const std::vector<std::uint64_t>& a : arrays) {
+      EXPECT_EQ(hash_words(a.data(), a.size()), reference_hash_words(a))
+          << "n=" << n << " first word " << a.front();
+    }
+  }
+}
+
+TEST(Hashing, CoverNodeSignatureIsPinned) {
+  // Memo keys decide probes and evictions, and through them the covers
+  // of budget-truncated searches; a change here moves golden rows.
+  logic::CoverTable table(70, 3);
+  for (std::size_t r = 0; r < 70; ++r) table.set(r, r % 3);
+  table.set(5, 1);
+  table.set(69, 0);
+  const std::uint64_t uncovered[] = {0x0000000000100001ull, 0x20ull};
+  const std::uint64_t root = logic::cover_root_signature(table);
+  EXPECT_EQ(root, 0x28c1ef5bf9ad823dull);
+  EXPECT_EQ(logic::cover_node_signature(root, uncovered, 2),
+            0x1b804278d75fa1e3ull);
 }
 
 TEST(TranspositionTable, CapacityIsPowerOfTwoWithAProbeWindowFloor) {
