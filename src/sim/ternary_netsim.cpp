@@ -1,40 +1,43 @@
 #include "sim/ternary_netsim.hpp"
 
+#include <algorithm>
 #include <cstddef>
-#include <sstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
-
-#include "logic/ternary.hpp"
 
 namespace seance::sim {
 
-using logic::Val3;
 using netlist::Gate;
 using netlist::GateKind;
 using netlist::Netlist;
 
 namespace {
 
-using detail::update_slot;
-
-Val3 to_val3(bool b) { return b ? Val3::k1 : Val3::k0; }
-
-/// Where the iteration cuts the gate graph: the primary inputs it
-/// drives and the feedback nets it holds as explicit ternary slots.
+/// Where the iteration cuts the gate graph, as the value slot each net
+/// reads from inside a cone: inputs x0..x{j-1} and the feedback cuts
+/// read their variable (layout numbering), other inputs the constant 0,
+/// every other net -1 (it is computed).
 struct CutPlan {
-  std::vector<int> x;  ///< nets of inputs x0..x{j-1}
+  std::vector<int> slot;
   std::vector<int> y;  ///< state cut nets (the y placeholder BUFs)
   int fsv = -1;        ///< fsv cut net, -1 when the layout has no fsv
 };
 
+/// Value slots of a compiled cone: the variables, then the constants.
+int const_slot(const core::VariableLayout& layout, bool value) {
+  return layout.y_space_vars() + (value ? 1 : 0);
+}
+
 CutPlan locate_cuts(const Netlist& net, const core::VariableLayout& layout) {
   CutPlan plan;
+  plan.slot.assign(static_cast<std::size_t>(net.size()), -1);
   std::vector<int> input_of_name(static_cast<std::size_t>(layout.num_inputs), -1);
   for (int i = 0; i < net.size(); ++i) {
     const Gate& g = net.gates()[static_cast<std::size_t>(i)];
     if (g.kind != GateKind::kInput) continue;
+    plan.slot[static_cast<std::size_t>(i)] = const_slot(layout, false);
     for (int k = 0; k < layout.num_inputs; ++k) {
       if (g.name == "x" + std::to_string(k)) input_of_name[static_cast<std::size_t>(k)] = i;
     }
@@ -45,7 +48,7 @@ CutPlan locate_cuts(const Netlist& net, const core::VariableLayout& layout) {
       throw std::invalid_argument("gate_ternary_verify: netlist has no input x" +
                                   std::to_string(k));
     }
-    plan.x.push_back(n);
+    plan.slot[static_cast<std::size_t>(n)] = layout.input_var(k);
   }
   for (int n = 0; n < layout.num_state_vars; ++n) {
     const int cut = net.output("y" + std::to_string(n));
@@ -53,12 +56,11 @@ CutPlan locate_cuts(const Netlist& net, const core::VariableLayout& layout) {
       throw std::invalid_argument("gate_ternary_verify: state output y" +
                                   std::to_string(n) + " is an input net");
     }
-    for (const int prev : plan.y) {
-      if (prev == cut) {
-        throw std::invalid_argument(
-            "gate_ternary_verify: state outputs share net n" + std::to_string(cut));
-      }
+    if (plan.slot[static_cast<std::size_t>(cut)] >= 0) {
+      throw std::invalid_argument(
+          "gate_ternary_verify: state outputs share net n" + std::to_string(cut));
     }
+    plan.slot[static_cast<std::size_t>(cut)] = layout.state_var(n);
     plan.y.push_back(cut);
   }
   if (layout.has_fsv) {
@@ -69,232 +71,145 @@ CutPlan locate_cuts(const Netlist& net, const core::VariableLayout& layout) {
           "gate_ternary_verify: fsv net n" + std::to_string(plan.fsv) +
           " is an input — pinning it low would drive a primary input");
     }
-    for (const int y : plan.y) {
-      if (y == plan.fsv) {
-        throw std::invalid_argument(
-            "gate_ternary_verify: fsv net n" + std::to_string(plan.fsv) +
-            " aliases a state cut — pinning it low would freeze a state "
-            "variable (build_fantom anchors fsv behind a BUF to prevent this)");
-      }
+    if (plan.slot[static_cast<std::size_t>(plan.fsv)] >= 0) {
+      throw std::invalid_argument(
+          "gate_ternary_verify: fsv net n" + std::to_string(plan.fsv) +
+          " aliases a state cut — pinning it low would freeze a state "
+          "variable (build_fantom anchors fsv behind a BUF to prevent this)");
     }
+    plan.slot[static_cast<std::size_t>(plan.fsv)] = layout.fsv_var();
   }
   return plan;
 }
 
-/// Ternary evaluation of cut cones.  Slots hold the current cut values;
-/// every "next value" computation re-walks the cone with a fresh memo so
-/// Gauss-Seidel updates made earlier in the same pass are visible, which
-/// is exactly what the cover-level iterate_once does by evaluating
-/// covers against the in-place state vector.
-class GateEval {
+/// Gate-level next values.  Each cut's cone (the gates its function
+/// reaches without crossing another cut) is compiled once into a flat
+/// op list in postorder with a CSR operand array, and every next value
+/// is one linear sweep of it over the current variable planes, so the
+/// Gauss-Seidel updates made earlier in the same pass are visible.
+/// Every op is an AND over its operands, each optionally negated, with
+/// the result optionally negated: OR and NOR are ANDs of negated
+/// operands (De Morgan), NOT a one-operand NOR.  BUFs compile away.
+class GateFeedback final : public detail::Feedback {
  public:
-  GateEval(const Netlist& net, const CutPlan& plan)
+  GateFeedback(const Netlist& net, const core::VariableLayout& layout, CutPlan plan)
       : net_(net),
-        input_val_(static_cast<std::size_t>(net.size()), Val3::k0),
-        cut_slot_(static_cast<std::size_t>(net.size()), Val3::k0),
-        is_cut_(static_cast<std::size_t>(net.size()), 0),
-        memo_(static_cast<std::size_t>(net.size()), kUnset),
-        on_stack_(static_cast<std::size_t>(net.size()), 0) {
-    for (const int y : plan.y) is_cut_[static_cast<std::size_t>(y)] = 1;
-    if (plan.fsv >= 0) is_cut_[static_cast<std::size_t>(plan.fsv)] = 1;
+        layout_(layout),
+        plan_(std::move(plan)),
+        base_(const_slot(layout, true) + 1),
+        root_(static_cast<std::size_t>(layout.y_space_vars())),
+        cone_(static_cast<std::size_t>(layout.y_space_vars())) {}
+
+  /// Compiles the cones in the order the first pass evaluates them (fsv
+  /// unless pinned, then y0..yN-1), so an uncut cycle or a malformed
+  /// BUF/NOT is reported on the first net that pass would reach.
+  void prepare(bool fsv_low) override {
+    if (plan_.fsv >= 0 && !fsv_low) compile_cone(layout_.fsv_var(), plan_.fsv);
+    for (int n = 0; n < layout_.num_state_vars; ++n) {
+      compile_cone(layout_.state_var(n), plan_.y[static_cast<std::size_t>(n)]);
+    }
+    values_.resize(static_cast<std::size_t>(base_) + ops_.size());
+    values_[static_cast<std::size_t>(const_slot(layout_, true))] = {~std::uint64_t{0}, 0};
   }
 
-  void set_input(int net, Val3 v) { input_val_[static_cast<std::size_t>(net)] = v; }
-  void set_slot(int net, Val3 v) { cut_slot_[static_cast<std::size_t>(net)] = v; }
-  [[nodiscard]] Val3 slot(int net) const {
-    return cut_slot_[static_cast<std::size_t>(net)];
-  }
-
-  /// The gate function of `net` over the current input values and cut
-  /// slots — for a cut net this is its *next* value, not its slot.
-  [[nodiscard]] Val3 next_value(int net) {
-    std::fill(memo_.begin(), memo_.end(), kUnset);
-    return eval_function(net);
+  detail::Planes next(int var, std::span<const detail::Planes> vars) override {
+    std::copy(vars.begin(), vars.end(), values_.begin());
+    detail::Planes* value = values_.data();
+    const auto [begin, end] = cone_[static_cast<std::size_t>(var)];
+    for (int o = begin; o < end; ++o) {
+      const Op& op = ops_[static_cast<std::size_t>(o)];
+      detail::Planes v{~std::uint64_t{0}, 0};
+      for (int a = op.begin; a < op.end; ++a) {
+        const detail::Planes& in = value[operands_[static_cast<std::size_t>(a)]];
+        v.one &= op.negate_in ? in.zero : in.one;
+        v.zero |= op.negate_in ? in.one : in.zero;
+      }
+      value[base_ + o] = op.negate_out ? detail::Planes{v.zero, v.one} : v;
+    }
+    return value[root_[static_cast<std::size_t>(var)]];
   }
 
  private:
-  static constexpr signed char kUnset = -1;
+  struct Op {
+    int begin;  ///< operand range in operands_
+    int end;
+    bool negate_in;
+    bool negate_out;
+  };
+  static constexpr int kOnStack = -2;
 
-  Val3 eval_net(int i) {
-    if (is_cut_[static_cast<std::size_t>(i)] != 0) {
-      return cut_slot_[static_cast<std::size_t>(i)];
-    }
-    const signed char cached = memo_[static_cast<std::size_t>(i)];
-    if (cached != kUnset) return static_cast<Val3>(cached);
-    if (on_stack_[static_cast<std::size_t>(i)] != 0) {
+  void compile_cone(int var, int cut) {
+    memo_.assign(static_cast<std::size_t>(net_.size()), -1);
+    const int begin = static_cast<int>(ops_.size());
+    // The cut's own gate is its function, not its slot.
+    root_[static_cast<std::size_t>(var)] = compile_function(cut);
+    cone_[static_cast<std::size_t>(var)] = {begin, static_cast<int>(ops_.size())};
+  }
+
+  /// The value slot of net `i` as seen from inside a cone.
+  int compile_net(int i) {
+    const std::size_t at = static_cast<std::size_t>(i);
+    if (plan_.slot[at] >= 0) return plan_.slot[at];
+    if (memo_[at] == kOnStack) {
       throw std::logic_error("gate_ternary_verify: feedback cycle through net n" +
                              std::to_string(i) + " is not broken by a cut");
     }
-    on_stack_[static_cast<std::size_t>(i)] = 1;
-    const Val3 v = eval_function(i);
-    on_stack_[static_cast<std::size_t>(i)] = 0;
-    memo_[static_cast<std::size_t>(i)] = static_cast<signed char>(v);
-    return v;
+    if (memo_[at] < 0) {
+      memo_[at] = kOnStack;
+      memo_[at] = compile_function(i);
+    }
+    return memo_[at];
   }
 
-  Val3 eval_function(int i) {
+  int compile_function(int i) {
     const Gate& g = net_.gates()[static_cast<std::size_t>(i)];
     switch (g.kind) {
       case GateKind::kInput:
-        return input_val_[static_cast<std::size_t>(i)];
+        return plan_.slot[static_cast<std::size_t>(i)];
       case GateKind::kConst:
-        return to_val3(g.const_value);
+        return const_slot(layout_, g.const_value);
       case GateKind::kBuf:
-      case GateKind::kNot: {
+      case GateKind::kNot:
         if (g.fanin.size() != 1) {
           throw std::logic_error("gate_ternary_verify: gate n" + std::to_string(i) +
                                  " needs exactly one fanin");
         }
-        const Val3 v = eval_net(g.fanin[0]);
-        return g.kind == GateKind::kBuf ? v : not3(v);
-      }
-      case GateKind::kAnd: {
-        Val3 v = Val3::k1;
-        for (const int f : g.fanin) v = and3(v, eval_net(f));
-        return v;
-      }
+        if (g.kind == GateKind::kBuf) return compile_net(g.fanin[0]);
+        [[fallthrough]];
+      case GateKind::kAnd:
       case GateKind::kOr:
       case GateKind::kNor: {
-        Val3 v = Val3::k0;
-        for (const int f : g.fanin) v = or3(v, eval_net(f));
-        return g.kind == GateKind::kOr ? v : not3(v);
+        std::vector<int> in;
+        for (const int f : g.fanin) in.push_back(compile_net(f));
+        ops_.push_back({static_cast<int>(operands_.size()), 0, g.kind != GateKind::kAnd,
+                        g.kind == GateKind::kOr});
+        operands_.insert(operands_.end(), in.begin(), in.end());
+        ops_.back().end = static_cast<int>(operands_.size());
+        return base_ + static_cast<int>(ops_.size()) - 1;
       }
     }
     throw std::logic_error("gate_ternary_verify: unknown gate kind");
   }
 
   const Netlist& net_;
-  std::vector<Val3> input_val_;
-  std::vector<Val3> cut_slot_;
-  std::vector<char> is_cut_;
-  std::vector<signed char> memo_;
-  std::vector<char> on_stack_;
+  const core::VariableLayout& layout_;
+  const CutPlan plan_;
+  const int base_;         ///< value slot of the first op
+  std::vector<int> root_;  ///< per cut variable: the slot of its next value
+  std::vector<std::pair<int, int>> cone_;  ///< per cut variable: op range
+  std::vector<Op> ops_;
+  std::vector<int> operands_;
+  std::vector<detail::Planes> values_;
+  std::vector<int> memo_;  ///< per net: its slot, -1 unvisited, kOnStack
 };
-
-/// One Gauss-Seidel pass over the cut slots, mirroring the cover-level
-/// iterate_once: fsv first (it feeds the Y cones), then y0..yN-1.
-bool iterate_once(GateEval& eval, const CutPlan& plan, bool widen_only,
-                  bool fsv_low) {
-  bool changed = false;
-  if (plan.fsv >= 0) {
-    const Val3 next = fsv_low ? Val3::k0 : eval.next_value(plan.fsv);
-    Val3 slot = eval.slot(plan.fsv);
-    changed |= update_slot(slot, next, widen_only);
-    eval.set_slot(plan.fsv, slot);
-  }
-  for (const int y : plan.y) {
-    const Val3 next = eval.next_value(y);
-    Val3 slot = eval.slot(y);
-    changed |= update_slot(slot, next, widen_only);
-    eval.set_slot(y, slot);
-  }
-  return changed;
-}
-
-/// Same bound and convergence contract as the cover-level verifier.
-[[nodiscard]] bool run_to_fixpoint(GateEval& eval, const CutPlan& plan,
-                                   int num_state_vars, bool widen_only,
-                                   bool fsv_low) {
-  const int bound = 4 * (num_state_vars + 2);
-  for (int i = 0; i < bound; ++i) {
-    if (!iterate_once(eval, plan, widen_only, fsv_low)) return true;
-  }
-  return false;
-}
 
 }  // namespace
 
 TernaryReport gate_ternary_verify(const Netlist& netlist,
                                   const core::FantomMachine& machine,
                                   bool fsv_low) {
-  TernaryReport report;
-  const flowtable::FlowTable& table = machine.table;
-  const core::VariableLayout& layout = machine.layout;
-  const CutPlan plan = locate_cuts(netlist, layout);
-  GateEval eval(netlist, plan);
-
-  for (int s_a = 0; s_a < table.num_states(); ++s_a) {
-    const std::uint32_t code_a = machine.codes[static_cast<std::size_t>(s_a)];
-    for (const int col_a : table.stable_columns(s_a)) {
-      for (int col_b = 0; col_b < table.num_columns(); ++col_b) {
-        if (col_b == col_a || !table.entry(s_a, col_b).specified()) continue;
-        const int s_b = table.entry(s_a, col_b).next;
-        const std::uint32_t code_b = machine.codes[static_cast<std::size_t>(s_b)];
-        ++report.transitions_checked;
-
-        // ---- Procedure A: changing inputs at X, widen to fixpoint ----
-        const std::uint32_t diff =
-            static_cast<std::uint32_t>(col_a) ^ static_cast<std::uint32_t>(col_b);
-        for (int i = 0; i < layout.num_inputs; ++i) {
-          const std::uint32_t bit = 1u << i;
-          eval.set_input(plan.x[static_cast<std::size_t>(i)],
-                         (diff & bit) ? Val3::kX : to_val3((col_a & bit) != 0));
-        }
-        for (int n = 0; n < layout.num_state_vars; ++n) {
-          eval.set_slot(plan.y[static_cast<std::size_t>(n)],
-                        to_val3((code_a >> n) & 1u));
-        }
-        if (plan.fsv >= 0) eval.set_slot(plan.fsv, Val3::k0);
-        if (!run_to_fixpoint(eval, plan, layout.num_state_vars,
-                             /*widen_only=*/true, fsv_low)) {
-          ++report.fixpoint_overruns;
-          if (report.first_failure.empty()) {
-            std::ostringstream msg;
-            msg << "procedure A: widening did not converge on "
-                << table.state_name(s_a) << " col " << col_a << " -> " << col_b;
-            report.first_failure = msg.str();
-          }
-        }
-
-        for (int n = 0; n < layout.num_state_vars; ++n) {
-          const std::uint32_t bit = 1u << n;
-          if ((code_a & bit) != (code_b & bit)) continue;  // allowed to move
-          if (eval.slot(plan.y[static_cast<std::size_t>(n)]) == Val3::kX) {
-            ++report.procedure_a_violations;
-            if (report.first_failure.empty()) {
-              std::ostringstream msg;
-              msg << "procedure A: y" << n << " went X on " << table.state_name(s_a)
-                  << " col " << col_a << " -> " << col_b;
-              report.first_failure = msg.str();
-            }
-          }
-        }
-
-        // ---- Procedure B: final inputs, narrow to fixpoint -----------
-        for (int i = 0; i < layout.num_inputs; ++i) {
-          eval.set_input(plan.x[static_cast<std::size_t>(i)],
-                         to_val3((static_cast<std::uint32_t>(col_b) >> i) & 1u));
-        }
-        if (!run_to_fixpoint(eval, plan, layout.num_state_vars,
-                             /*widen_only=*/false, fsv_low)) {
-          ++report.fixpoint_overruns;
-          if (report.first_failure.empty()) {
-            std::ostringstream msg;
-            msg << "procedure B: settling did not converge on "
-                << table.state_name(s_a) << " col " << col_a << " -> " << col_b;
-            report.first_failure = msg.str();
-          }
-        }
-        bool resolved = true;
-        for (int n = 0; n < layout.num_state_vars; ++n) {
-          if (eval.slot(plan.y[static_cast<std::size_t>(n)]) !=
-              to_val3((code_b >> n) & 1u)) {
-            resolved = false;
-          }
-        }
-        if (!resolved) {
-          ++report.procedure_b_violations;
-          if (report.first_failure.empty()) {
-            std::ostringstream msg;
-            msg << "procedure B: unresolved settling on " << table.state_name(s_a)
-                << " col " << col_a << " -> " << col_b;
-            report.first_failure = msg.str();
-          }
-        }
-      }
-    }
-  }
-  return report;
+  GateFeedback feedback(netlist, machine.layout, locate_cuts(netlist, machine.layout));
+  return detail::run_procedures(machine, fsv_low, feedback);
 }
 
 TernaryReport gate_ternary_verify(const core::FantomMachine& machine,

@@ -5,14 +5,17 @@
 // the same procedures against the structural *gate network* that
 // build_fantom assembles and to_verilog exports — the artifact a
 // downstream tool actually elaborates.  Feedback is cut exactly where
-// the netlist cuts it: at the y placeholder BUFs and at the fsv net,
-// and each pass re-evaluates the cut cones Gauss-Seidel style in the
-// same order as the cover-level iteration (fsv first, then y0..yN-1),
-// so a machine whose factored gate forms are Kleene-equivalent to its
-// covers produces an identical TernaryReport.  Running both and
-// diffing the reports is the round-trip oracle: cover-level verdict,
-// gate-level verdict on the built netlist, and gate-level verdict on
-// the re-imported parse_verilog(to_verilog(...)) netlist must agree.
+// the netlist cuts it: at the y placeholder BUFs and at the fsv net.
+// Each cut's cone is compiled once per call into a flat postorder op
+// list, and the shared 64-lane driver (detail::run_procedures) sweeps
+// it on Kleene bitplanes in the same Gauss-Seidel order as the
+// cover-level iteration (fsv first, then y0..yN-1), with the same
+// per-lane fixpoint and overrun rule.  So a machine whose factored gate
+// forms are Kleene-equivalent to its covers produces an identical
+// TernaryReport.  Running both and diffing the reports is the
+// round-trip oracle: cover-level verdict, gate-level verdict on the
+// built netlist, and gate-level verdict on the re-imported
+// parse_verilog(to_verilog(...)) netlist must agree.
 
 #pragma once
 
@@ -31,7 +34,10 @@ namespace seance::sim {
 /// to 0 (the paper's protection window), matching the cover-level
 /// verifier.  Throws std::invalid_argument when the netlist lacks the
 /// expected nets or the fsv net aliases an input or state cut, and
-/// std::logic_error on a feedback cycle not broken by a cut.
+/// std::logic_error naming the net on a feedback cycle not broken by a
+/// cut or a BUF/NOT without exactly one fanin — the latter two only
+/// when at least one transition is checked, and (with `fsv_low`) not
+/// for the fsv cone, which is then never evaluated.
 [[nodiscard]] TernaryReport gate_ternary_verify(const netlist::Netlist& netlist,
                                                 const core::FantomMachine& machine,
                                                 bool fsv_low = true);

@@ -1120,10 +1120,14 @@ int run_single(int argc, char** argv) {
                   "(procedure A/B)\n",
                   gate.transitions_checked, gate.procedure_a_violations,
                   gate.procedure_b_violations);
-      if (gate.procedure_a_violations != ternary.procedure_a_violations ||
-          gate.procedure_b_violations != ternary.procedure_b_violations) {
+      // The whole report must agree: transitions, overruns and the
+      // first failure as well as the A/B counts.
+      if (gate != ternary) {
         std::printf("gate ternary: FAIL (disagrees with the cover-level "
-                    "verdict)\n");
+                    "report: %d/%d overruns, first failure \"%s\" vs "
+                    "\"%s\")\n",
+                    gate.fixpoint_overruns, ternary.fixpoint_overruns,
+                    gate.first_failure.c_str(), ternary.first_failure.c_str());
         return 1;
       }
     }
