@@ -226,6 +226,94 @@ TEST(SearchProperty, CoverOverrunReportsInexactWithOrWithoutTheMemo) {
   EXPECT_EQ(warm.lower_bound, cold.lower_bound);  // TT-independent bound
 }
 
+// Seeded random chart: each cell is set with probability permille/1000,
+// and a row left empty gets column (row % cols).
+logic::CoverTable sparse_random_table(std::size_t rows, std::size_t cols,
+                                      std::uint64_t permille,
+                                      std::uint64_t seed) {
+  logic::CoverTable t(rows, cols);
+  std::uint64_t state = seed;
+  const auto next = [&state] {
+    state = state * 6364136223846793005ull + 1442695040888963407ull;
+    return state >> 33;
+  };
+  for (std::size_t r = 0; r < rows; ++r) {
+    bool covered = false;
+    for (std::size_t c = 0; c < cols; ++c) {
+      if (next() % 1000 < permille) {
+        t.set(r, c);
+        covered = true;
+      }
+    }
+    if (!covered) t.set(r, r % cols);
+  }
+  return t;
+}
+
+struct TruncatedRun {
+  std::vector<std::size_t> columns;
+  std::size_t nodes;
+  std::size_t lower_bound;
+  search::TtStats stats;
+};
+
+// The memo-on traversal of a budget-truncated search, pinned: keys,
+// probe order, stores and evictions decide which incumbent a truncated
+// search returns, so any change to how the engine walks or memoizes
+// shows up here as a changed count (the golden corpus's deep jobs are
+// truncated the same way).  The 64 KiB table evicts; the 16 MiB one is
+// the default size.
+TEST(SearchProperty, MemoOnTruncatedTraversalIsPinned) {
+  constexpr std::size_t kBudget = 20000;
+  const struct {
+    std::uint64_t seed;
+    std::size_t bytes;
+    TruncatedRun want;
+  } cases[] = {
+      {1, 64 << 10,
+       {{2, 16, 21, 22, 24, 25, 26, 27, 28, 29, 41, 48, 49, 51, 54, 57, 58,
+         59, 61, 64, 65, 67, 70, 73, 75, 82, 87},
+        20001, 13, {9751, 10249, 5348, 711}}},
+      {1, 16 << 20,
+       {{2, 16, 21, 22, 24, 25, 26, 27, 28, 29, 41, 48, 49, 51, 54, 57, 58,
+         59, 61, 64, 65, 67, 70, 73, 75, 82, 87},
+        20001, 13, {9717, 10283, 5348, 0}}},
+      {2, 64 << 10,
+       {{3, 4, 5, 6, 7, 11, 14, 20, 23, 24, 33, 35, 36, 41, 46, 53, 54, 59,
+         61, 66, 69, 71, 72, 73, 74, 75, 79, 82, 89},
+        20001, 16, {6831, 13169, 6025, 1883}}},
+      {2, 16 << 20,
+       {{3, 4, 5, 6, 7, 11, 14, 20, 23, 24, 33, 35, 36, 41, 46, 53, 54, 59,
+         61, 66, 69, 71, 72, 73, 74, 75, 79, 82, 89},
+        20001, 16, {6805, 13195, 6023, 0}}},
+      {3, 64 << 10,
+       {{2, 3, 5, 12, 14, 15, 19, 23, 29, 32, 35, 38, 42, 44, 46, 47, 49,
+         51, 53, 60, 61, 62, 69, 74, 77, 79, 81, 87},
+        20001, 18, {5576, 14424, 7228, 2223}}},
+      {3, 16 << 20,
+       {{2, 3, 5, 12, 14, 15, 19, 23, 29, 32, 35, 38, 42, 44, 46, 47, 49,
+         51, 53, 60, 61, 62, 69, 74, 77, 79, 81, 87},
+        20001, 18, {5639, 14361, 7233, 0}}},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(testing::Message() << "seed " << c.seed << ", "
+                                    << c.bytes << " bytes");
+    const logic::CoverTable t = sparse_random_table(120, 90, 50, c.seed);
+    search::TranspositionTable tt(c.bytes);
+    const logic::MinCoverResult r = logic::solve_min_cover(t, kBudget, &tt);
+    ASSERT_TRUE(r.found);
+    ASSERT_FALSE(r.exact);  // the budget really truncates
+    EXPECT_EQ(r.columns, c.want.columns);
+    EXPECT_EQ(r.nodes, c.want.nodes);
+    EXPECT_EQ(r.lower_bound, c.want.lower_bound);
+    EXPECT_EQ(tt.stats().hits, c.want.stats.hits);
+    EXPECT_EQ(tt.stats().misses, c.want.stats.misses);
+    EXPECT_EQ(tt.stats().stores, c.want.stats.stores);
+    EXPECT_EQ(tt.stats().evictions, c.want.stats.evictions);
+    if (c.bytes < (1u << 20)) EXPECT_GT(tt.stats().evictions, 0u);
+  }
+}
+
 TEST(SearchProperty, MinimizeOverrunReportsInexact) {
   // Any table whose closed-cover search expands at least one node must
   // come back inexact (with a still-valid greedy cover) under a zero
