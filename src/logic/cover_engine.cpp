@@ -57,8 +57,12 @@ class Solver {
       return result;
     }
     prepare_residual();
-    if (tt_ != nullptr) root_sig_ = cover_root_signature(t_);
-    recurse(uncovered_count(), 0);
+    std::uint64_t sig = 0;
+    if (tt_ != nullptr) {
+      root_sig_ = cover_root_signature(t_);
+      sig = cover_node_signature(root_sig_, uncovered_.data(), words_);
+    }
+    recurse(uncovered_count(), 0, sig, 0);
     result.nodes = budget_.nodes();
     result.exact = budget_.exact();
     if (have_best_) {
@@ -245,6 +249,7 @@ class Solver {
     row_col_list_.assign(t_.num_rows(), {});
     std::vector<std::size_t> options(t_.num_rows(), 0);
     max_col_gain_ = 1;
+    std::size_t max_options = 0;
     for (std::size_t r : active_rows) {
       const std::uint64_t* rc = &row_cols_[r * col_words_];
       for (std::size_t w = 0; w < col_words_; ++w) {
@@ -256,6 +261,7 @@ class Solver {
         }
       }
       options[r] = row_col_list_[r].size();
+      max_options = std::max(max_options, options[r]);
     }
     // Try high-yield columns first inside each row so the first dive
     // lands a strong incumbent for the bound.
@@ -277,10 +283,19 @@ class Solver {
     std::stable_sort(row_order_.begin(), row_order_.end(),
                      [&](std::size_t a, std::size_t b) { return options[a] < options[b]; });
     scratch_.assign((active_rows.size() + 1) * words_, 0);
+    if (tt_ != nullptr) {
+      child_sigs_stride_ = max_options;
+      child_sigs_.assign((active_rows.size() + 1) * max_options, 0);
+      child_.assign(words_, 0);
+    }
     root_lb_ = (uncovered_count() + max_col_gain_ - 1) / max_col_gain_;
   }
 
-  void recurse(std::size_t uncovered_count, std::size_t depth) {
+  // `sig` is this node's memo key, hashed by its parent (run() hashes
+  // the root); `cursor` is the parent's position in row_order_, before
+  // which every row is already covered.
+  void recurse(std::size_t uncovered_count, std::size_t depth,
+               std::uint64_t sig, std::size_t cursor) {
     if (uncovered_count == 0) {
       if (!have_best_ || chosen_.size() < best_.size()) {
         best_ = chosen_;
@@ -289,9 +304,7 @@ class Solver {
       return;
     }
     if (budget_.charge()) return;
-    std::uint64_t sig = 0;
     if (tt_ != nullptr) {
-      sig = cover_node_signature(root_sig_, uncovered_.data(), words_);
       if (const auto e = tt_->probe(sig)) {
         // A certified completion bound that cannot strictly improve the
         // incumbent prunes exactly like the gain bound below.
@@ -306,17 +319,32 @@ class Solver {
       const std::size_t lb = (uncovered_count + max_col_gain_ - 1) / max_col_gain_;
       if (chosen_.size() + lb >= best_.size()) return;
     }
-    std::size_t pick = kNone;
-    for (std::size_t r : row_order_) {
-      if (row_uncovered(r)) {
-        pick = r;
-        break;
+    std::size_t at = cursor;
+    while (at < row_order_.size() && !row_uncovered(row_order_[at])) ++at;
+    if (at == row_order_.size()) return;  // unreachable: uncovered_count > 0
+    const std::vector<std::uint32_t>& branch = row_col_list_[row_order_[at]];
+    std::uint64_t* child_sig = nullptr;
+    if (tt_ != nullptr) {
+      // Hash every child that will probe, and prefetch its home slot, so
+      // the slot's line is in cache by the time the child reads it.
+      // Leaves (nothing left uncovered) never probe and are not hashed.
+      child_sig = &child_sigs_[depth * child_sigs_stride_];
+      for (std::size_t i = 0; i < branch.size(); ++i) {
+        const std::uint64_t* col = t_.column(branch[i]);
+        std::uint64_t left = 0;
+        for (std::size_t w = 0; w < words_; ++w) {
+          child_[w] = uncovered_[w] & ~col[w];
+          left |= child_[w];
+        }
+        if (left == 0) continue;
+        child_sig[i] = cover_node_signature(root_sig_, child_.data(), words_);
+        tt_->prefetch(child_sig[i]);
       }
     }
-    if (pick == kNone) return;  // unreachable: uncovered_count > 0
     const std::size_t best_in = have_best_ ? best_.size() : kNone;
     std::uint64_t* newly = &scratch_[depth * words_];
-    for (std::uint32_t c : row_col_list_[pick]) {
+    for (std::size_t i = 0; i < branch.size(); ++i) {
+      const std::uint32_t c = branch[i];
       const std::uint64_t* col = t_.column(c);
       std::size_t gained = 0;
       for (std::size_t w = 0; w < words_; ++w) {
@@ -325,7 +353,8 @@ class Solver {
         uncovered_[w] ^= newly[w];
       }
       chosen_.push_back(c);
-      recurse(uncovered_count - gained, depth + 1);
+      recurse(uncovered_count - gained, depth + 1,
+              child_sig != nullptr ? child_sig[i] : 0, at);
       chosen_.pop_back();
       for (std::size_t w = 0; w < words_; ++w) uncovered_[w] |= newly[w];
       if (budget_.exhausted()) break;
@@ -367,6 +396,9 @@ class Solver {
   std::vector<std::vector<std::uint32_t>> row_col_list_;
   std::vector<std::size_t> row_order_;
   std::vector<std::uint64_t> scratch_;   ///< per-depth newly-covered words
+  std::vector<std::uint64_t> child_sigs_;  ///< per-depth child memo keys
+  std::size_t child_sigs_stride_ = 0;    ///< longest row_col_list_ entry
+  std::vector<std::uint64_t> child_;     ///< one child's uncovered words
   std::size_t max_col_gain_ = 1;
   std::vector<std::size_t> chosen_;
   std::vector<std::size_t> best_;

@@ -1,5 +1,13 @@
 #include "search/search.hpp"
 
+#include <algorithm>
+#include <cstdlib>
+#include <new>
+
+#if __has_include(<sys/mman.h>)
+#include <sys/mman.h>
+#endif
+
 namespace seance::search {
 namespace {
 
@@ -16,13 +24,15 @@ constexpr std::uint64_t fnv_prime_pow(int n) {
 constexpr std::uint64_t kFnvPrimeHalf = fnv_prime_pow(4);
 constexpr std::uint64_t kFnvPrimeWord = fnv_prime_pow(8);
 
-// Replacement key for an incoming key of 0. It decides key 0's home
-// slot, and with it which entries key 0 evicts, so it is result-relevant.
-constexpr std::uint64_t kZeroKey = 0x9e3779b97f4a7c15ull;
-
 // Linear probe window. Short enough to stay in one or two cache
 // lines, long enough that deterministic home-slot eviction is rare.
 constexpr std::size_t kProbeWindow = 8;
+
+// Tables this large get huge-page-aligned storage; smaller ones (unit
+// tests, --tt-mb 1) are only cache-line aligned, so they never reserve
+// a whole huge page.
+constexpr std::size_t kHugePage = std::size_t{2} << 20;
+constexpr std::size_t kCacheLine = 64;
 
 }  // namespace
 
@@ -84,18 +94,32 @@ std::size_t TranspositionTable::slot_count_for(std::size_t bytes) {
   return slots;
 }
 
-TranspositionTable::TranspositionTable(std::size_t bytes) {
-  const std::size_t slots = slot_count_for(bytes);
-  slots_.assign(slots, Slot{});
-  mask_ = slots - 1;
+void TranspositionTable::FreeStorage::operator()(Slot* p) const {
+  std::free(p);
+}
+
+TranspositionTable::TranspositionTable(std::size_t bytes)
+    : capacity_(slot_count_for(bytes)), mask_(capacity_ - 1) {
+  // The size is a power of two of at least one probe window, so it is
+  // already a whole number of either alignment unit.
+  const std::size_t size = capacity_ * sizeof(Slot);
+  const bool huge = size >= kHugePage;
+  void* storage = std::aligned_alloc(huge ? kHugePage : kCacheLine, size);
+  if (storage == nullptr) throw std::bad_alloc();
+#ifdef MADV_HUGEPAGE
+  // Advice only, before the first touch: when the kernel keeps 4 KiB
+  // pages the table behaves the same, just slower.
+  if (huge) (void)madvise(storage, size, MADV_HUGEPAGE);
+#endif
+  slots_.reset(static_cast<Slot*>(storage));
+  std::uninitialized_value_construct_n(slots_.get(), capacity_);
 }
 
 std::optional<TranspositionTable::Entry> TranspositionTable::probe(
     std::uint64_t key) {
-  if (key == 0) key = kZeroKey;
-  const std::size_t home = static_cast<std::size_t>(key & mask_);
+  const std::size_t h = home(key);
   for (std::size_t i = 0; i < kProbeWindow; ++i) {
-    const Slot& s = slots_[(home + i) & mask_];
+    const Slot& s = slots_[(h + i) & mask_];
     if (!live(s)) break;  // never displaced past an empty slot
     if (s.key == key) {
       ++stats_.hits;
@@ -109,11 +133,10 @@ std::optional<TranspositionTable::Entry> TranspositionTable::probe(
 void TranspositionTable::store(std::uint64_t key, Bound bound,
                                std::uint32_t value) {
   if (bound == Bound::kNone) return;
-  if (key == 0) key = kZeroKey;
-  const std::size_t home = static_cast<std::size_t>(key & mask_);
+  const std::size_t h = home(key);
   Slot* empty = nullptr;
   for (std::size_t i = 0; i < kProbeWindow; ++i) {
-    Slot& s = slots_[(home + i) & mask_];
+    Slot& s = slots_[(h + i) & mask_];
     if (!live(s)) {
       if (empty == nullptr) empty = &s;
       continue;
@@ -143,7 +166,7 @@ void TranspositionTable::store(std::uint64_t key, Bound bound,
   }
   Slot* target = empty;
   if (target == nullptr) {
-    target = &slots_[home];  // deterministic replacement
+    target = &slots_[h];  // deterministic replacement
     ++stats_.evictions;
   } else {
     ++live_;
@@ -159,7 +182,7 @@ void TranspositionTable::clear() {
   live_ = 0;
   // A wrapped epoch would revive slots stamped 65535 clears ago.
   if (++epoch_ == 0) {
-    slots_.assign(slots_.size(), Slot{});
+    std::fill_n(slots_.get(), capacity_, Slot{});
     epoch_ = 1;
   }
 }
@@ -168,7 +191,8 @@ std::vector<std::tuple<std::uint64_t, Bound, std::uint32_t>>
 TranspositionTable::dump() const {
   std::vector<std::tuple<std::uint64_t, Bound, std::uint32_t>> out;
   out.reserve(live_);
-  for (const Slot& s : slots_) {
+  for (std::size_t i = 0; i < capacity_; ++i) {
+    const Slot& s = slots_[i];
     if (live(s)) out.emplace_back(s.key, s.bound, s.value);
   }
   return out;

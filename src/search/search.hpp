@@ -2,6 +2,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <string_view>
 #include <tuple>
@@ -106,6 +107,18 @@ struct TtStats {
 /// warm-tier idiom: power-of-two capacity, short linear probe window,
 /// deterministic replacement). Not thread-safe — one instance per
 /// worker.
+///
+/// Storage: a table of 2 MiB or more sits in a 2 MiB-aligned buffer
+/// that is advised for transparent huge pages, so the random probes of
+/// a deep search miss the TLB far less often. Where THP is off (or the
+/// kernel declines) the same buffer lives on 4 KiB pages and every
+/// result is the same; only the speed differs. Smaller tables take a
+/// plain cache-line-aligned allocation.
+///
+/// `prefetch(key)` pulls the slot `probe(key)` would read first into
+/// cache. It places nothing and counts nothing, so issuing it early —
+/// say, for every child of a node before descending — moves no probe,
+/// store or statistic.
 class TranspositionTable {
  public:
   struct Entry {
@@ -128,6 +141,11 @@ class TranspositionTable {
 
   /// Looks up `key`; counts a hit or a miss.
   std::optional<Entry> probe(std::uint64_t key);
+
+  /// Hints the cache line of `key`'s home slot; no stats, no placement.
+  void prefetch(std::uint64_t key) const {
+    __builtin_prefetch(&slots_[home(key)]);
+  }
 
   /// Inserts or merges an entry for `key`. Merge rules keep the most
   /// informative bound: Exact wins; Lower keeps the max value; Upper
@@ -152,11 +170,14 @@ class TranspositionTable {
   const TtStats& stats() const { return stats_; }
   void reset_stats() { stats_ = TtStats{}; }
 
-  std::size_t capacity() const { return slots_.size(); }
+  std::size_t capacity() const { return capacity_; }
   std::size_t size() const { return live_; }
 
   /// Every live entry, for the bound-soundness audit in tests.
   std::vector<std::tuple<std::uint64_t, Bound, std::uint32_t>> dump() const;
+
+  /// Start of the slot storage (its alignment is tested).
+  const void* storage() const { return slots_.get(); }
 
  private:
   struct Slot {
@@ -169,11 +190,28 @@ class TranspositionTable {
   // and capacity decides results, so a wider slot would move them.
   static_assert(sizeof(Slot) == 16);
 
+  struct FreeStorage {
+    void operator()(Slot* p) const;
+  };
+
+  /// Replacement key for an incoming key of 0. It decides key 0's home
+  /// slot, and with it which entries key 0 evicts, so it is
+  /// result-relevant.
+  static constexpr std::uint64_t kZeroKey = 0x9e3779b97f4a7c15ull;
+
+  /// Remaps key 0 in place and returns the key's home slot index: the
+  /// one rule probe, store and prefetch share.
+  std::size_t home(std::uint64_t& key) const {
+    if (key == 0) key = kZeroKey;
+    return static_cast<std::size_t>(key & mask_);
+  }
+
   /// A slot holds an entry iff it was written since the last clear().
   /// `epoch_` is never 0, so never-written and wiped slots are empty.
   bool live(const Slot& s) const { return s.epoch == epoch_; }
 
-  std::vector<Slot> slots_;
+  std::unique_ptr<Slot[], FreeStorage> slots_;
+  std::size_t capacity_ = 0;
   std::uint64_t mask_ = 0;
   std::size_t live_ = 0;
   std::uint16_t epoch_ = 1;

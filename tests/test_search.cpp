@@ -394,23 +394,30 @@ TEST(TranspositionTable, DumpAfterClearReturnsOnlyCurrentEpochEntries) {
 }
 
 TEST(TranspositionTable, EpochWrapNeverRevivesAStaleEntry) {
-  TranspositionTable tt(0);
-  tt.store(42, Bound::kExact, 5);
-  // Within 65536 clears the 16-bit epoch comes round to the value that
-  // stamped key 42; only the wipe on wrap keeps it dead.
-  for (int i = 0; i < 65536; ++i) {
-    tt.clear();
-    ASSERT_FALSE(tt.probe(42).has_value()) << "after clear " << i + 1;
-    ASSERT_TRUE(tt.dump().empty()) << "after clear " << i + 1;
+  // The plain and the huge-page storage both wipe on wrap.
+  for (const std::size_t bytes : {std::size_t{0}, std::size_t{2} << 20}) {
+    SCOPED_TRACE(bytes);
+    TranspositionTable tt(bytes);
+    tt.store(42, Bound::kExact, 5);
+    // Within 65536 clears the 16-bit epoch comes round to the value that
+    // stamped key 42; only the wipe on wrap keeps it dead.  A dump scans
+    // every slot, so the big table dumps only around the wrap.
+    for (int i = 0; i < 65536; ++i) {
+      tt.clear();
+      ASSERT_FALSE(tt.probe(42).has_value()) << "after clear " << i + 1;
+      if (tt.capacity() <= 8 || i >= 65530) {
+        ASSERT_TRUE(tt.dump().empty()) << "after clear " << i + 1;
+      }
+    }
+    EXPECT_EQ(tt.size(), 0u);
+    EXPECT_TRUE(tt.dump().empty());
+    tt.store(42, Bound::kLower, 9);
+    const auto e = tt.probe(42);
+    ASSERT_TRUE(e.has_value());
+    EXPECT_EQ(e->bound, Bound::kLower);
+    EXPECT_EQ(e->value, 9u);
+    EXPECT_EQ(tt.size(), 1u);
   }
-  EXPECT_EQ(tt.size(), 0u);
-  EXPECT_TRUE(tt.dump().empty());
-  tt.store(42, Bound::kLower, 9);
-  const auto e = tt.probe(42);
-  ASSERT_TRUE(e.has_value());
-  EXPECT_EQ(e->bound, Bound::kLower);
-  EXPECT_EQ(e->value, 9u);
-  EXPECT_EQ(tt.size(), 1u);
 }
 
 // The invariant that keeps results byte-identical: a reused table after
@@ -468,11 +475,15 @@ TEST(TranspositionTable, ClearedTableReplaysLikeAFreshOne) {
 }
 
 TEST(TranspositionTable, SlotCountForMatchesTheConstructor) {
+  // Both storage paths: below 2 MiB a plain allocation, from 2 MiB up a
+  // huge-page one, which must not round the slot count up with it.
   for (const std::size_t bytes :
        {std::size_t{0}, std::size_t{1} << 10, std::size_t{1} << 16,
+        std::size_t{1} << 20, std::size_t{2} << 20, std::size_t{3} << 20,
         std::size_t{16} << 20}) {
     EXPECT_EQ(TranspositionTable(bytes).capacity(),
-              TranspositionTable::slot_count_for(bytes));
+              TranspositionTable::slot_count_for(bytes))
+        << bytes;
   }
   // Different sizes really produce different capacities (the mismatch
   // check in core::synthesize depends on this being discriminating).
@@ -481,6 +492,95 @@ TEST(TranspositionTable, SlotCountForMatchesTheConstructor) {
   // Pinned: slots are 16 bytes, so the default 16 MiB table holds 2^20.
   // A wider slot would halve this and move every budget-truncated row.
   EXPECT_EQ(TranspositionTable::slot_count_for(16 << 20), std::size_t{1} << 20);
+}
+
+TEST(TranspositionTable, StorageIsAlignedForItsPageSize) {
+  const auto address = [](const TranspositionTable& tt) {
+    return reinterpret_cast<std::uintptr_t>(tt.storage());
+  };
+  constexpr std::uintptr_t kHugePage = std::uintptr_t{2} << 20;
+  for (const std::size_t bytes :
+       {std::size_t{2} << 20, std::size_t{3} << 20, std::size_t{16} << 20}) {
+    const TranspositionTable tt(bytes);
+    EXPECT_EQ(address(tt) % kHugePage, 0u) << bytes;
+  }
+  for (const std::size_t bytes : {std::size_t{0}, std::size_t{1} << 10,
+                                  std::size_t{1} << 20}) {
+    const TranspositionTable tt(bytes);
+    EXPECT_EQ(address(tt) % 64, 0u) << bytes;  // one cache line
+  }
+}
+
+// One seeded stream of probes and stores.  Key 0 and keys sharing a
+// home slot take part, so the remap and the probe window are exercised.
+void replay_key_stream(TranspositionTable& tt) {
+  std::mt19937_64 rng(16);
+  std::vector<std::uint64_t> keys(300);
+  for (std::uint64_t& k : keys) k = rng();
+  keys[0] = 0;
+  for (std::size_t i = 1; i < 40; ++i) keys[i] = keys[i - 1] + (1u << 20);
+  for (int op = 0; op < 5000; ++op) {
+    const std::uint64_t key = keys[rng() % keys.size()];
+    if (rng() % 2 == 0) {
+      (void)tt.probe(key);
+    } else {
+      tt.store(key, static_cast<Bound>(rng() % 4),
+               static_cast<std::uint32_t>(rng() % 16));
+    }
+  }
+}
+
+std::uint64_t dump_fingerprint(const TranspositionTable& tt) {
+  std::uint64_t h = 0;
+  for (const auto& [key, bound, value] : tt.dump()) {
+    h = hash_mix(h, key);
+    h = hash_mix(h, static_cast<std::uint64_t>(bound) << 32 | value);
+  }
+  return h;
+}
+
+TEST(TranspositionTable, KeyStreamReplayIsPinnedOnBothStoragePaths) {
+  // Capacity, placement and eviction are result-relevant: these counts
+  // and the slot-order dump may not move when the storage does.
+  const struct {
+    std::size_t bytes;
+    TtStats stats;
+    std::size_t size;
+    std::uint64_t dump;
+  } cases[] = {
+      {1 << 10, {508, 2053, 1700, 1387}, 64, 0x2c40897c9481f9dbull},
+      {16 << 20, {1909, 652, 886, 191}, 268, 0x89bcedc7ddc57027ull},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.bytes);
+    TranspositionTable tt(c.bytes);
+    replay_key_stream(tt);
+    EXPECT_EQ(tt.stats().hits, c.stats.hits);
+    EXPECT_EQ(tt.stats().misses, c.stats.misses);
+    EXPECT_EQ(tt.stats().stores, c.stats.stores);
+    EXPECT_EQ(tt.stats().evictions, c.stats.evictions);
+    EXPECT_EQ(tt.size(), c.size);
+    EXPECT_EQ(dump_fingerprint(tt), c.dump);
+  }
+}
+
+TEST(TranspositionTable, PrefetchChangesNoStatsAndNoEntries) {
+  for (const std::size_t bytes : {std::size_t{1} << 10, std::size_t{16} << 20}) {
+    SCOPED_TRACE(bytes);
+    TranspositionTable tt(bytes);
+    replay_key_stream(tt);
+    const TtStats before = tt.stats();
+    const auto entries = tt.dump();
+    ASSERT_FALSE(entries.empty());
+    tt.prefetch(0);
+    for (const auto& [key, bound, value] : entries) tt.prefetch(key);
+    for (std::uint64_t key = 1; key < 1000; ++key) tt.prefetch(key * 7919);
+    EXPECT_EQ(tt.stats().hits, before.hits);
+    EXPECT_EQ(tt.stats().misses, before.misses);
+    EXPECT_EQ(tt.stats().stores, before.stores);
+    EXPECT_EQ(tt.stats().evictions, before.evictions);
+    EXPECT_EQ(tt.dump(), entries);
+  }
 }
 
 TEST(TtStats, AccumulateAcrossWorkers) {

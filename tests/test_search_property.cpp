@@ -310,7 +310,9 @@ TEST(SearchProperty, MemoOnTruncatedTraversalIsPinned) {
     EXPECT_EQ(tt.stats().misses, c.want.stats.misses);
     EXPECT_EQ(tt.stats().stores, c.want.stats.stores);
     EXPECT_EQ(tt.stats().evictions, c.want.stats.evictions);
-    if (c.bytes < (1u << 20)) EXPECT_GT(tt.stats().evictions, 0u);
+    if (c.bytes < (1u << 20)) {
+      EXPECT_GT(tt.stats().evictions, 0u);
+    }
   }
 }
 
