@@ -11,10 +11,12 @@
 
 #include <bit>
 #include <random>
+#include <string>
 #include <vector>
 
 #include "logic/qm.hpp"
 #include "logic/qm_reference.hpp"
+#include "search/search.hpp"
 #include "testutil.hpp"
 
 namespace seance::logic {
@@ -192,6 +194,25 @@ TEST(PrimeEngineRegression, CanonicalOrderWithDontCaresIsPinned) {
   for (std::size_t i = 0; i < primes.size(); ++i) {
     EXPECT_EQ(primes[i].to_string(), expected[i]);
   }
+}
+
+// The dense sharp path at the size where its absorption step dominates:
+// 14 variables, ~8% ON, ~3% OFF, the rest DC.  Too slow for the
+// reference oracle in a fast test, so the prime count and an fnv64
+// fingerprint of the canonical (care, value) list are pinned instead.
+TEST(PrimeEngineRegression, DenseFourteenVariableSharpPathIsPinned) {
+  const auto f = random_function(14, 0.08, 0.89, 1414);
+  const std::vector<Cube> primes = prime_engine::compute_primes(14, f.on, f.dc);
+  std::string bytes;
+  for (const Cube& c : primes) {
+    for (const std::uint32_t word : {c.care(), c.value()}) {
+      for (int i = 0; i < 4; ++i) {
+        bytes.push_back(static_cast<char>((word >> (8 * i)) & 0xffu));
+      }
+    }
+  }
+  EXPECT_EQ(primes.size(), 46223u);
+  EXPECT_EQ(search::fnv64(bytes), 7947353723911761570ull);
 }
 
 TEST(PrimeEngineRegression, EveryEmittedCubeIsAPrimeImplicant) {
