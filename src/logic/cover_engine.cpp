@@ -291,6 +291,15 @@ class Solver {
     root_lb_ = (uncovered_count() + max_col_gain_ - 1) / max_col_gain_;
   }
 
+  /// True when a node with `chosen` columns and `uncovered` rows left
+  /// cannot strictly improve the incumbent: each further column gains
+  /// at most max_col_gain_ rows.
+  [[nodiscard]] bool gain_bound_prunes(std::size_t chosen,
+                                       std::size_t uncovered) const {
+    return have_best_ &&
+           chosen + (uncovered + max_col_gain_ - 1) / max_col_gain_ >= best_.size();
+  }
+
   // `sig` is this node's memo key, hashed by its parent (run() hashes
   // the root); `cursor` is the parent's position in row_order_, before
   // which every row is already covered.
@@ -304,20 +313,16 @@ class Solver {
       return;
     }
     if (budget_.charge()) return;
+    if (gain_bound_prunes(chosen_.size(), uncovered_count)) return;
     if (tt_ != nullptr) {
       if (const auto e = tt_->probe(sig)) {
         // A certified completion bound that cannot strictly improve the
-        // incumbent prunes exactly like the gain bound below.
+        // incumbent prunes exactly like the gain bound above.
         if (search::has_lower(e->bound) && have_best_ &&
             chosen_.size() + e->value >= best_.size()) {
           return;
         }
       }
-    }
-    if (have_best_) {
-      // Lower bound: each further column gains at most max_col_gain_ rows.
-      const std::size_t lb = (uncovered_count + max_col_gain_ - 1) / max_col_gain_;
-      if (chosen_.size() + lb >= best_.size()) return;
     }
     std::size_t at = cursor;
     while (at < row_order_.size() && !row_uncovered(row_order_[at])) ++at;
@@ -327,16 +332,19 @@ class Solver {
     if (tt_ != nullptr) {
       // Hash every child that will probe, and prefetch its home slot, so
       // the slot's line is in cache by the time the child reads it.
-      // Leaves (nothing left uncovered) never probe and are not hashed.
+      // Leaves (nothing left uncovered) never probe and are not hashed,
+      // and neither are children the gain bound already rejects: the
+      // incumbent only shrinks and the child runs with one more chosen
+      // column than now, so it returns at that bound before probing.
       child_sig = &child_sigs_[depth * child_sigs_stride_];
       for (std::size_t i = 0; i < branch.size(); ++i) {
         const std::uint64_t* col = t_.column(branch[i]);
-        std::uint64_t left = 0;
+        std::size_t left = 0;
         for (std::size_t w = 0; w < words_; ++w) {
           child_[w] = uncovered_[w] & ~col[w];
-          left |= child_[w];
+          left += static_cast<std::size_t>(std::popcount(child_[w]));
         }
-        if (left == 0) continue;
+        if (left == 0 || gain_bound_prunes(chosen_.size() + 1, left)) continue;
         child_sig[i] = cover_node_signature(root_sig_, child_.data(), words_);
         tt_->prefetch(child_sig[i]);
       }

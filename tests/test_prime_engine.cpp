@@ -43,9 +43,11 @@ void PrintTo(const DiffCase& c, std::ostream* os) {
 // 5-variable subcubes and DC everywhere else.  The sharp path splits OFF
 // points in ascending order, so the subcubes first swell its antichain
 // and then collapse it, and the random high half grows it into the
-// thousands afterwards.  For the seeds in diff_cases() that drives the
-// absorption index through every state: built, dropped below its
-// threshold, rebuilt, grown, and erased from across the table's end.
+// thousands afterwards.  A fragment's absorbers are the cubes at
+// distance one from the OFF point: survivors of the round, and the
+// fragments accepted earlier in it.  The antichain keeps nested cubes
+// smaller first, so an earlier fragment is scanned but never absorbs;
+// the last cases of diff_cases() pin both sides of that.
 testutil::RandomFunction make_function(const DiffCase& p) {
   testutil::RandomFunction f =
       random_function(p.num_vars, p.p_on, p.p_dc, p.seed);
@@ -150,14 +152,12 @@ std::vector<DiffCase> diff_cases() {
   cases.push_back({12, 0.3, 0.2, 97});
   cases.push_back({12, 0.02, 0.95, 98});
   // 14-var high-DC chart: deep enough that the sharp path's antichain
-  // reaches thousands of cubes — the regime where absorption used to go
-  // quadratic (ROADMAP item; now served by the popcount-bucketed
-  // care-submask index).  Still oracle-covered: the reference generator
-  // handles it in seconds, just not in bulk.
+  // reaches thousands of cubes — the regime where absorption by a linear
+  // sweep over the antichain went quadratic.  Still oracle-covered: the
+  // reference generator handles it in seconds, just not in bulk.
   cases.push_back({14, 0.01, 0.95, 99});
-  // Dense 11-13-var charts whose sharp-path antichain crosses the
-  // absorption index's threshold both ways before growing large (see
-  // make_function): the live index's erase, rebuild and growth paths.
+  // Dense 11-13-var charts whose sharp-path antichain swells, collapses
+  // and then grows large (see make_function).
   for (const std::uint64_t seed : {2, 10}) {
     cases.push_back({11, 0.05, 0.9, seed, 4});
   }
@@ -165,6 +165,18 @@ std::vector<DiffCase> diff_cases() {
     cases.push_back({12, 0.05, 0.92, seed, 4});
   }
   cases.push_back({13, 0.03, 0.94, 3, 5});
+  // The two absorber kinds of the sharp path (see make_function).
+  // - Survivor entries only: ~400 fragments are absorbed by survivors
+  //   and no accepted fragment's entry is ever scanned.  Dropping the
+  //   survivor entries, or letting them match too much, fails it.
+  cases.push_back({10, 0.05, 0.95, 5, 2});
+  // - Accepted-fragment entries only: nested cubes split in one round,
+  //   so a fragment's query scans the entry of a fragment accepted
+  //   before it.  That entry must not pass for an absorber; letting it
+  //   match too much fails this case and no survivor-only case.
+  cases.push_back({9, 0.05, 0.95, 3, 2});
+  // - Both kinds, hundreds of scans each.
+  cases.push_back({9, 0.05, 0.9, 3, 1});
   return cases;
 }
 
