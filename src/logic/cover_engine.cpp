@@ -302,7 +302,8 @@ class Solver {
 
   // `sig` is this node's memo key, hashed by its parent (run() hashes
   // the root); `cursor` is the parent's position in row_order_, before
-  // which every row is already covered.
+  // which every row is already covered.  The parent has already checked
+  // the gain bound: a child that fails it is charged but not entered.
   void recurse(std::size_t uncovered_count, std::size_t depth,
                std::uint64_t sig, std::size_t cursor) {
     if (uncovered_count == 0) {
@@ -313,11 +314,10 @@ class Solver {
       return;
     }
     if (budget_.charge()) return;
-    if (gain_bound_prunes(chosen_.size(), uncovered_count)) return;
     if (tt_ != nullptr) {
       if (const auto e = tt_->probe(sig)) {
         // A certified completion bound that cannot strictly improve the
-        // incumbent prunes exactly like the gain bound above.
+        // incumbent prunes exactly like the gain bound.
         if (search::has_lower(e->bound) && have_best_ &&
             chosen_.size() + e->value >= best_.size()) {
           return;
@@ -330,12 +330,11 @@ class Solver {
     const std::vector<std::uint32_t>& branch = row_col_list_[row_order_[at]];
     std::uint64_t* child_sig = nullptr;
     if (tt_ != nullptr) {
-      // Hash every child that will probe, and prefetch its home slot, so
+      // Hash every child that may probe, and prefetch its home slot, so
       // the slot's line is in cache by the time the child reads it.
       // Leaves (nothing left uncovered) never probe and are not hashed,
       // and neither are children the gain bound already rejects: the
-      // incumbent only shrinks and the child runs with one more chosen
-      // column than now, so it returns at that bound before probing.
+      // incumbent only shrinks, so the loop below rejects them too.
       child_sig = &child_sigs_[depth * child_sigs_stride_];
       for (std::size_t i = 0; i < branch.size(); ++i) {
         const std::uint64_t* col = t_.column(branch[i]);
@@ -358,11 +357,17 @@ class Solver {
       for (std::size_t w = 0; w < words_; ++w) {
         newly[w] = col[w] & uncovered_[w];
         gained += static_cast<std::size_t>(std::popcount(newly[w]));
-        uncovered_[w] ^= newly[w];
       }
+      const std::size_t left = uncovered_count - gained;
+      if (left != 0 && gain_bound_prunes(chosen_.size() + 1, left)) {
+        // Counted as an expanded node, as when the child checked the
+        // bound itself, so node counts and truncation do not move.
+        if (budget_.charge()) break;
+        continue;
+      }
+      for (std::size_t w = 0; w < words_; ++w) uncovered_[w] ^= newly[w];
       chosen_.push_back(c);
-      recurse(uncovered_count - gained, depth + 1,
-              child_sig != nullptr ? child_sig[i] : 0, at);
+      recurse(left, depth + 1, child_sig != nullptr ? child_sig[i] : 0, at);
       chosen_.pop_back();
       for (std::size_t w = 0; w < words_; ++w) uncovered_[w] |= newly[w];
       if (budget_.exhausted()) break;
