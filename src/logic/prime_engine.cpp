@@ -69,37 +69,38 @@ std::vector<std::uint64_t> sharp_primes(int num_vars, std::uint32_t full,
     if (!((allowed[m / 64] >> (m % 64)) & 1u)) off.push_back(m);
   }
 
-  // Absorption by distance-1 neighbours.  Every cube of `next` avoids
-  // the OFF point o, so it contains the fragment of a split cube c at
-  // free bit b iff it disagrees with o on exactly one care bit, namely
-  // b, and its other care bits lie inside c's care (on those it agrees
-  // with o, as the fragment does).  near[b] holds that "other care"
-  // mask for every cube of `next` at distance exactly {b} from o, so a
-  // fragment is absorbed iff some entry of near[b] is a submask of
-  // c.care.  That is the set query "does some cube of `next` contain
-  // the fragment", asked in fragment order, so the antichain evolves
-  // exactly as under a sweep over `next`.  Nested cubes keep the smaller
-  // one first, so in practice only survivors absorb; the entries of
-  // accepted fragments keep the query whole without leaning on that.
+  // Absorption by distance-1 neighbours.  Every cube kept for the next
+  // round (survivors, then accepted fragments) avoids the OFF point o,
+  // so it contains the fragment of a split cube c at free bit b iff it
+  // disagrees with o on exactly one care bit, namely b, and its other
+  // care bits lie inside c's care (on those it agrees with o, as the
+  // fragment does).  near[b] holds that "other care" mask for every kept
+  // cube at distance exactly {b} from o, so a fragment is absorbed iff
+  // some entry of near[b] is a submask of c.care.  That is the set query
+  // "does some kept cube contain the fragment", asked in fragment order,
+  // so the antichain evolves exactly as under a sweep over the kept
+  // cubes.  Nested cubes keep the smaller one first, so in practice only
+  // survivors absorb; the entries of accepted fragments keep the query
+  // whole without leaning on that.
   std::array<std::vector<std::uint32_t>, kMaxVars> near;
   std::vector<SharpCube> cubes{{0u, 0u}};
-  std::vector<SharpCube> next;
   std::vector<SharpCube> split;
   for (std::uint32_t o : off) {
-    next.clear();
     split.clear();
     for (int b = 0; b < num_vars; ++b) near[static_cast<std::size_t>(b)].clear();
-    for (const SharpCube& c : cubes) {
+    std::size_t kept = 0;
+    for (const SharpCube c : cubes) {
       const std::uint32_t d = (o ^ c.value) & c.care;
       if (d == 0) {
         split.push_back(c);
         continue;
       }
-      next.push_back(c);
+      cubes[kept++] = c;
       if ((d & (d - 1)) == 0) {
         near[static_cast<std::size_t>(std::countr_zero(d))].push_back(c.care & ~d);
       }
     }
+    cubes.resize(kept);
     // c contains o: the fragments (one free variable fixed opposite to
     // o) cover exactly c minus the point o.  A fragment sits inside its
     // parent, so no surviving cube can be inside a fragment; only
@@ -114,11 +115,10 @@ std::vector<std::uint64_t> sharp_primes(int num_vars, std::uint32_t full,
             std::any_of(absorbers.begin(), absorbers.end(),
                         [&](std::uint32_t rest) { return (rest & ~c.care) == 0; });
         if (absorbed) continue;
-        next.push_back({c.care | b, c.value | (~o & b)});
+        cubes.push_back({c.care | b, c.value | (~o & b)});
         absorbers.push_back(c.care);
       }
     }
-    cubes.swap(next);
   }
 
   // Maximality filter: keep a cube only if no single freed literal
