@@ -89,11 +89,13 @@ struct MinCoverResult {
 /// pruned.  A warm table can change `nodes` but never the returned
 /// columns of a search that completes within budget; with `tt ==
 /// nullptr` the traversal is node-for-node identical to the
-/// memoization-free engine.  Children are hashed at the parent: once a
-/// node picks its branching row it computes every non-leaf child's
-/// `cover_node_signature` and prefetches that child's home slot, then
-/// descends, so each probe finds its line already on the way.  Keys,
-/// probe order and stores are those of hashing each node on entry.
+/// memoization-free engine.  The gain bound is applied at the parent: a
+/// child it rejects is charged as a node but never entered, so only
+/// children that pass the bound probe.  Children are hashed at the
+/// parent too: once a node picks its branching row it computes the
+/// `cover_node_signature` of every non-leaf child the bound does not
+/// already reject and prefetches that child's home slot, then descends,
+/// so each probe finds its line already on the way.
 [[nodiscard]] MinCoverResult solve_min_cover(
     const CoverTable& table, std::size_t node_budget,
     search::TranspositionTable* tt = nullptr);

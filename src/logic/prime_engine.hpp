@@ -14,8 +14,12 @@
 // >90% don't-care) would still drown the level merge in their implicant
 // lattice, so when the OFF-set is small the engine switches to an
 // output-sensitive sharp construction instead: primes as maximal cubes
-// avoiding OFF, built by iterated cube splitting with absorption.  Both
-// paths produce the identical canonical prime list.
+// avoiding OFF, built by iterated cube splitting with absorption.  A
+// fragment's possible absorbers are the kept cubes that disagree with
+// the OFF point on exactly its free bit, so absorption scans short
+// per-bit neighbour lists filled by the same pass that finds the cubes
+// to split, with no index.  Both paths produce the identical canonical
+// prime list.
 //
 // The second half of the job is the prime×minterm incidence: instead of
 // testing every (prime, minterm) pair with Cube::contains, each prime
