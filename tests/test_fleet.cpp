@@ -306,6 +306,23 @@ TEST_F(DirBackendTest, BindRejectsAMismatchedFleet) {
   EXPECT_THROW(second.bind(test_identity(), 8), std::runtime_error);  // units
 }
 
+TEST_F(DirBackendTest, RunnerIdMustBeAPlainFileNameToken) {
+  // The id is spliced into temp-file names; a '/' used to make every
+  // claim fail as a lost race, so a joiner spun forever.
+  for (const std::string bad : {"", "a/b", "a\nb"}) {
+    try {
+      DirBackend backend(dir_, {.runner_id = bad});
+      ADD_FAILURE() << "accepted runner id '" << bad << "'";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("'" + bad + "'"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  EXPECT_NO_THROW(DirBackend(dir_, {.runner_id = "host-1.lab_A"}));
+  EXPECT_NO_THROW(DirBackend(dir_, {.runner_id = default_runner_id()}));
+}
+
 // --------------------------------------------------------- FleetRunner
 
 /// Executor stub: "runs" a slice by writing its complete store file.

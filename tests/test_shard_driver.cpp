@@ -343,6 +343,36 @@ TEST_F(ShardCliTest, DeadFleetRunnerIsReLeasedByTheSurvivor) {
   EXPECT_EQ(read_file(csv), read_file(unsharded));
 }
 
+TEST_F(ShardCliTest, RunnerIdWithASlashIsRejectedByName) {
+  // A helper creates fleet-config first; the joiner's id cannot be
+  // spliced into a lease file name.  It must exit 1 naming the id, not
+  // spin forever on claims it can never write (`timeout` turns a hang
+  // into exit 124).
+  const std::string base = cli_ +
+                           " batch --no-suite --random 2 --jobs 1 --quiet "
+                           "--lease-units 2 --fleet-dir " +
+                           quoted(work_ / "fleet");
+  ASSERT_EQ(run_command(base + " --runner-id helper --fleet-max-units 1 "
+                        "> /dev/null 2>&1"),
+            0);
+  const auto log = work_ / "joiner.log";
+  EXPECT_EQ(run_command("timeout 20 " + base + " --runner-id a/b > " +
+                        quoted(log) + " 2>&1"),
+            1);
+  EXPECT_NE(read_file(log).find("'a/b'"), std::string::npos) << read_file(log);
+
+  // As the first runner of a fresh fleet the same id gets the same error.
+  const auto first_log = work_ / "first.log";
+  EXPECT_EQ(run_command("timeout 20 " + cli_ +
+                        " batch --no-suite --random 2 --jobs 1 --quiet "
+                        "--fleet-dir " +
+                        quoted(work_ / "fresh") + " --runner-id a/b > " +
+                        quoted(first_log) + " 2>&1"),
+            1);
+  EXPECT_NE(read_file(first_log).find("'a/b'"), std::string::npos)
+      << read_file(first_log);
+}
+
 #endif  // SEANCE_SHARD_CLI_TESTS
 
 }  // namespace
