@@ -1,5 +1,6 @@
 #include "fleet/dir.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
@@ -59,6 +60,15 @@ std::string render_lease(const std::string& runner, const std::string& nonce,
          std::to_string(attempts) + "\n";
 }
 
+/// Runner ids are spliced into temp-file names: keep them to one plain
+/// path component.
+bool plain_token(const std::string& id) {
+  return !id.empty() && std::all_of(id.begin(), id.end(), [](char c) {
+    return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
+           (c >= '0' && c <= '9') || c == '.' || c == '_' || c == '-';
+  });
+}
+
 std::string render_config(const store::CorpusIdentity& id, int units) {
   return "units " + std::to_string(units) + "\nschema " +
          std::to_string(id.schema_version) + "\nseed " +
@@ -71,6 +81,10 @@ std::string render_config(const store::CorpusIdentity& id, int units) {
 
 DirBackend::DirBackend(std::string dir, Options options)
     : dir_(std::move(dir)), options_(std::move(options)) {
+  if (!plain_token(options_.runner_id)) {
+    throw std::runtime_error("runner id '" + options_.runner_id +
+                             "' must be a non-empty name of [A-Za-z0-9._-]");
+  }
   std::error_code ec;
   fs::create_directories(dir_, ec);
   if (ec) {

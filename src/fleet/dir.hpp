@@ -1,8 +1,10 @@
-// Directory backend: lease files in a shared directory.
+// The lease backend: lease files in one directory.
 //
-// The simplest transport that lets independent runner processes — on one
-// box or many, via any shared filesystem — coordinate a corpus run.  All
-// state is plain files under one directory, one name per artifact:
+// Independent runner processes — on one box or many, via any shared
+// filesystem — coordinate a corpus run through it (`--fleet-dir`), and a
+// local `--shards K` run is a one-runner fleet over a private mkdtemp
+// directory with max_attempts = 1 (no retry after a failed worker).  All
+// state is plain files under the directory, one name per artifact:
 //
 //   fleet-config          corpus identity + unit count, written once by
 //                         the first runner (atomic hard-link publish) and
@@ -15,7 +17,9 @@
 //   done-u-of-U           completion marker (the slice store passed
 //                         slice_file_complete on the holder)
 //   shard-u-of-U.csv      the slice store itself (written by workers;
-//                         named by driver::ShardPlan::slice_file)
+//                         named by driver::ShardPlan::slice_file).  Slice
+//                         paths are the caller's: a local run keeps them
+//                         in --shard-dir, outside the lease directory
 //
 // Protocol:
 //   * claim free      — publish the lease file via hard-link (atomic
@@ -47,9 +51,12 @@
 
 namespace seance::fleet {
 
-class DirBackend final : public ShardLease {
+/// One instance per runner process; all calls are made from the runner's
+/// driving thread.
+class DirBackend {
  public:
   struct Options {
+    /// Spliced into file names, so only [A-Za-z0-9._-] and non-empty.
     std::string runner_id = "runner-0";
     /// A lease not heartbeaten for this long is expired (stealable).
     double lease_ttl_ms = 10000;
@@ -58,7 +65,9 @@ class DirBackend final : public ShardLease {
     int max_attempts = 3;
   };
 
-  /// Creates `dir` if needed; throws std::runtime_error when it cannot.
+  /// Creates `dir` if needed.  Throws std::runtime_error naming the
+  /// problem when it cannot, or when the runner id is not a plain
+  /// file-name token (see Options::runner_id).
   DirBackend(std::string dir, Options options);
 
   /// Publishes (first runner) or byte-verifies (joiners) the fleet
@@ -68,11 +77,19 @@ class DirBackend final : public ShardLease {
   /// join, its workers would compute a different plan.
   void bind(const store::CorpusIdentity& identity, int units);
 
-  [[nodiscard]] AcquireResult acquire(const Slice& slice) override;
-  [[nodiscard]] bool heartbeat(const Slice& slice) override;
-  [[nodiscard]] bool complete(const Slice& slice) override;
-  void abandon(const Slice& slice, const std::string& why) override;
-  [[nodiscard]] LeaseState status(const Slice& slice) override;
+  /// Try to take the slice: claims a free lease, or steals an expired
+  /// one.  Never blocks.
+  [[nodiscard]] AcquireResult acquire(const Slice& slice);
+  /// Refresh a held lease; false means the lease was lost (stolen after
+  /// expiry) and the caller must stop working on the slice.
+  [[nodiscard]] bool heartbeat(const Slice& slice);
+  /// Mark the slice done (its store file is complete), whoever holds
+  /// the lease now.  False when the done marker could not be written.
+  [[nodiscard]] bool complete(const Slice& slice);
+  /// Give the slice up after a failed run: release it for another
+  /// attempt, or retire it (kDead) once max_attempts is spent.
+  void abandon(const Slice& slice, const std::string& why);
+  [[nodiscard]] LeaseState status(const Slice& slice);
 
  private:
   struct LeaseFile {

@@ -1,18 +1,16 @@
-// Transport-agnostic fleet layer: leased shard execution.
+// Fleet layer: leased shard execution.
 //
 // PR 5's sharding welded the whole orchestrator — worker spawn, the reap
 // loop, resume logic, store merging — into the CLI, capping a corpus run
-// at one process tree on one box.  This module lifts that machinery
-// behind two small interfaces so any entry point (CLI, serve, a future
-// daemon) and any number of cooperating machines can drive a batch:
+// at one process tree on one box.  This module lifts that machinery out
+// so any entry point (CLI, serve, a future daemon) and any number of
+// cooperating machines can drive a batch:
 //
-//   * ShardLease — who may run a slice right now.  acquire / heartbeat /
-//     complete / abandon over named slices ("u/U" of a round-robin
-//     ShardPlan).  ProcessBackend (fleet/process.hpp) is the local
-//     single-orchestrator table; DirBackend (fleet/dir.hpp) coordinates
-//     independent runner processes through atomic lease files in a
-//     shared directory — the stepping stone to SSH/object-store
-//     transports, which need only reimplement this interface.
+//   * DirBackend (fleet/dir.hpp) — who may run a slice right now:
+//     acquire / heartbeat / complete / abandon over named slices ("u/U"
+//     of a round-robin ShardPlan), through atomic lease files in one
+//     directory.  A `--fleet-dir` fleet shares that directory; a local
+//     `--shards K` run is a one-runner fleet over a private one.
 //
 //   * SliceExecutor — how a slice actually runs.  The production
 //     executor (fleet/process.hpp) re-execs the CLI as a worker process
@@ -27,8 +25,8 @@
 // done only when its file holds a complete, identity-matching report
 // (slice_file_complete), never merely because a process exited 0 — so
 // the merged report stays byte-identical to the single-process run for
-// every backend, runner count, and steal schedule: store::merge reorders
-// rows by name into submission order, and the worker protocol itself
+// every runner count and steal schedule: store::merge reorders rows by
+// name into submission order, and the worker protocol itself
 // ("--shard-worker u/U" over the shared corpus recipe) never varies.
 //
 // Known best-effort window: a runner wrongly declared dead (e.g. paused
@@ -49,6 +47,8 @@
 #include "store/store.hpp"
 
 namespace seance::fleet {
+
+class DirBackend;
 
 /// Default lease-unit count for directory fleets: enough granularity
 /// that a handful of runners can steal meaningful work from each other
@@ -93,27 +93,6 @@ struct AcquireResult {
   std::string detail;  ///< why not, or whom it was re-leased from
 };
 
-/// Who may run a slice right now.  One instance per runner process; the
-/// backend owns whatever shared state coordinates the fleet.  All calls
-/// are made from the runner's driving thread.
-class ShardLease {
- public:
-  virtual ~ShardLease() = default;
-  /// Try to take the slice: claims a free lease, or steals an expired
-  /// one.  Never blocks.
-  [[nodiscard]] virtual AcquireResult acquire(const Slice& slice) = 0;
-  /// Refresh a held lease; false means the lease was lost (stolen after
-  /// expiry) and the caller must stop working on the slice.
-  [[nodiscard]] virtual bool heartbeat(const Slice& slice) = 0;
-  /// Mark the slice done (its store file is complete).  False when the
-  /// lease was no longer ours and the completion did not register.
-  [[nodiscard]] virtual bool complete(const Slice& slice) = 0;
-  /// Give the slice up after a failed run: release it for another
-  /// attempt, or retire it when the backend's attempt budget is spent.
-  virtual void abandon(const Slice& slice, const std::string& why) = 0;
-  [[nodiscard]] virtual LeaseState status(const Slice& slice) = 0;
-};
-
 /// A slice execution in flight.
 class SliceRun {
  public:
@@ -141,7 +120,7 @@ struct FleetOptions {
   /// Simultaneous slice runs this runner drives (the local worker-process
   /// budget).
   int max_concurrent = 1;
-  /// Heartbeat cadence for held leases; pick well under the backend TTL
+  /// Heartbeat cadence for held leases; pick well under the lease TTL
   /// (the CLI uses TTL/3).
   double heartbeat_ms = 2000;
   /// Idle delay between scheduling rounds.
@@ -200,11 +179,11 @@ struct FleetReport {
 /// stealing / dead-runner re-lease — no separate mechanism.
 class FleetRunner {
  public:
-  FleetRunner(ShardLease& lease, SliceExecutor& executor, FleetOptions options);
+  FleetRunner(DirBackend& lease, SliceExecutor& executor, FleetOptions options);
   [[nodiscard]] FleetReport run(const std::vector<Slice>& slices);
 
  private:
-  ShardLease& lease_;
+  DirBackend& lease_;
   SliceExecutor& executor_;
   FleetOptions options_;
 };

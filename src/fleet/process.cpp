@@ -1,5 +1,6 @@
 #include "fleet/process.hpp"
 
+#include <cctype>
 #include <cstdlib>
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -25,51 +26,17 @@ std::string default_runner_id() {
 #ifdef SEANCE_FLEET_UNIX
   char buf[256] = {};
   if (gethostname(buf, sizeof(buf) - 1) == 0 && buf[0] != '\0') host = buf;
+  // Hostnames are [A-Za-z0-9.-] by convention only; keep the id a valid
+  // DirBackend runner id whatever the kernel reports.
+  for (char& c : host) {
+    if (!std::isalnum(static_cast<unsigned char>(c)) && c != '.' && c != '-') {
+      c = '_';
+    }
+  }
   return host + "-" + std::to_string(static_cast<long>(getpid()));
 #else
   return host;
 #endif
-}
-
-AcquireResult ProcessBackend::acquire(const Slice& slice) {
-  Slot& slot = slots_[slice.tag];  // default-inserts kFree
-  switch (slot) {
-    case Slot::kFree:
-      slot = Slot::kHeld;
-      return {true, false, {}};
-    case Slot::kHeld:
-      return {false, false, "already held"};
-    case Slot::kDone:
-      return {false, false, "already complete"};
-    case Slot::kDead:
-      return {false, false, "no local retry after a failed run"};
-  }
-  return {false, false, "unreachable"};
-}
-
-bool ProcessBackend::heartbeat(const Slice& slice) {
-  return slots_[slice.tag] == Slot::kHeld;
-}
-
-bool ProcessBackend::complete(const Slice& slice) {
-  Slot& slot = slots_[slice.tag];
-  if (slot != Slot::kHeld) return false;
-  slot = Slot::kDone;
-  return true;
-}
-
-void ProcessBackend::abandon(const Slice& slice, const std::string& /*why*/) {
-  slots_[slice.tag] = Slot::kDead;
-}
-
-LeaseState ProcessBackend::status(const Slice& slice) {
-  switch (slots_[slice.tag]) {
-    case Slot::kFree: return LeaseState::kFree;
-    case Slot::kHeld: return LeaseState::kHeld;
-    case Slot::kDone: return LeaseState::kDone;
-    case Slot::kDead: return LeaseState::kDead;
-  }
-  return LeaseState::kFree;
 }
 
 #ifdef SEANCE_FLEET_UNIX

@@ -1,22 +1,15 @@
-// Local backend: in-process lease table + subprocess slice execution.
+// Subprocess slice execution.
 //
-// ProcessBackend is the ShardLease a single orchestrator uses for a
-// plain `--shards K` run: leases live in this process's memory, nothing
-// contends, and an abandoned slice is immediately dead — PR 5's
-// no-retry crash isolation (one rogue job loses only its slice's
-// unflushed rows, never triggers a re-run loop).
-//
-// ProcessExecutor is the production SliceExecutor for every backend:
-// fork + execvp of a caller-built argv (the CLI re-execing itself as a
-// `--shard-worker u/U` worker), polled with per-pid waitpid(WNOHANG) —
-// only tracked children are ever reaped, so a foreign child of the
-// embedding process is never swallowed.
+// ProcessExecutor is the production SliceExecutor, for local `--shards`
+// runs and `--fleet-dir` runners alike: fork + execvp of a caller-built
+// argv (the CLI re-execing itself as a `--shard-worker u/U` worker),
+// polled with per-pid waitpid(WNOHANG) — only tracked children are ever
+// reaped, so a foreign child of the embedding process is never swallowed.
 
 #pragma once
 
 #include <functional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "fleet/fleet.hpp"
@@ -36,21 +29,8 @@ inline constexpr bool kHasProcessExec = false;
 [[nodiscard]] std::string self_exe_path(const char* argv0);
 
 /// "host-pid" — a runner id unique enough for a directory fleet when the
-/// user does not name the runner.
+/// user does not name the runner.  Always a valid DirBackend runner id.
 [[nodiscard]] std::string default_runner_id();
-
-class ProcessBackend final : public ShardLease {
- public:
-  [[nodiscard]] AcquireResult acquire(const Slice& slice) override;
-  [[nodiscard]] bool heartbeat(const Slice& slice) override;
-  [[nodiscard]] bool complete(const Slice& slice) override;
-  void abandon(const Slice& slice, const std::string& why) override;
-  [[nodiscard]] LeaseState status(const Slice& slice) override;
-
- private:
-  enum class Slot : std::uint8_t { kFree, kHeld, kDone, kDead };
-  std::unordered_map<std::string, Slot> slots_;  ///< by slice tag
-};
 
 class ProcessExecutor final : public SliceExecutor {
  public:

@@ -1,9 +1,9 @@
 // Fleet-layer unit tests: steal-safe slice naming, the slice-store
-// completion authority (slice_file_complete), both lease backends, and
-// FleetRunner driven by stub lease/executor implementations that write
-// real store files.  The end-to-end CLI fleet paths (re-exec workers,
-// killed runners, byte-identical merges) live in test_shard_driver.cpp;
-// everything here runs in-process and fast.
+// completion authority (slice_file_complete), the DirBackend lease
+// protocol, and FleetRunner over a real DirBackend with a stub executor
+// that writes real store files.  The end-to-end CLI fleet paths (re-exec
+// workers, killed runners, byte-identical merges) live in
+// test_shard_driver.cpp; everything here runs in-process and fast.
 
 #include <gtest/gtest.h>
 
@@ -177,40 +177,6 @@ TEST_F(SliceFileComplete, ForeignIdentityIsIncomplete) {
                                    s.job_names));
 }
 
-// ----------------------------------------------------- ProcessBackend
-
-using ProcessBackendTest = FleetTest;
-
-TEST_F(ProcessBackendTest, LeaseLifecycle) {
-  const auto slices = make_corpus(4, 2);
-  ProcessBackend lease;
-  EXPECT_EQ(lease.status(slices[0]), LeaseState::kFree);
-
-  const AcquireResult first = lease.acquire(slices[0]);
-  EXPECT_TRUE(first.ok);
-  EXPECT_FALSE(first.stolen);
-  EXPECT_EQ(lease.status(slices[0]), LeaseState::kHeld);
-  EXPECT_FALSE(lease.acquire(slices[0]).ok);  // held: no double-issue
-  EXPECT_TRUE(lease.heartbeat(slices[0]));
-
-  EXPECT_TRUE(lease.complete(slices[0]));
-  EXPECT_EQ(lease.status(slices[0]), LeaseState::kDone);
-  EXPECT_EQ(lease.acquire(slices[0]).detail, "already complete");
-}
-
-TEST_F(ProcessBackendTest, AbandonMeansNoLocalRetry) {
-  // The PR 5 contract: a crashed worker's jobs are reported as crashed,
-  // never silently re-run in the same orchestration.
-  const auto slices = make_corpus(4, 2);
-  ProcessBackend lease;
-  ASSERT_TRUE(lease.acquire(slices[1]).ok);
-  lease.abandon(slices[1], "killed by signal 9");
-  EXPECT_EQ(lease.status(slices[1]), LeaseState::kDead);
-  const AcquireResult again = lease.acquire(slices[1]);
-  EXPECT_FALSE(again.ok);
-  EXPECT_FALSE(lease.heartbeat(slices[1]));
-}
-
 // --------------------------------------------------------- DirBackend
 
 using DirBackendTest = FleetTest;
@@ -279,20 +245,28 @@ TEST_F(DirBackendTest, AbandonReleasesImmediately) {
 }
 
 TEST_F(DirBackendTest, AttemptBudgetRetiresASlice) {
+  // max_attempts 3 is the fleet default; 1 is a local run, where one
+  // abandon retires the slice at once (PR 5's contract: a crashed
+  // worker's jobs are reported as crashed, never silently re-run).
   const auto slices = make_corpus(4, 2);
-  DirBackend::Options opts{.runner_id = "r", .lease_ttl_ms = 60000,
-                           .max_attempts = 3};
-  DirBackend r(dir_, opts);
-  ASSERT_TRUE(r.acquire(slices[0]).ok);          // attempt 1
-  r.abandon(slices[0], "boom");
-  EXPECT_TRUE(r.acquire(slices[0]).stolen);      // attempt 2
-  r.abandon(slices[0], "boom");
-  EXPECT_TRUE(r.acquire(slices[0]).stolen);      // attempt 3
-  r.abandon(slices[0], "boom");
-  EXPECT_EQ(r.status(slices[0]), LeaseState::kDead);
-  const AcquireResult spent = r.acquire(slices[0]);
-  EXPECT_FALSE(spent.ok);
-  EXPECT_EQ(spent.detail, "attempts exhausted");
+  for (const int budget : {3, 1}) {
+    SCOPED_TRACE("max_attempts " + std::to_string(budget));
+    const Slice& slice = slices[budget == 3 ? 0 : 1];
+    DirBackend r(dir_, {.runner_id = "r", .lease_ttl_ms = 60000,
+                        .max_attempts = budget});
+    ASSERT_TRUE(r.acquire(slice).ok);  // attempt 1
+    r.abandon(slice, "boom");
+    for (int attempt = 2; attempt <= budget; ++attempt) {
+      EXPECT_EQ(r.status(slice), LeaseState::kExpired);
+      EXPECT_TRUE(r.acquire(slice).stolen) << "attempt " << attempt;
+      r.abandon(slice, "boom");
+    }
+    EXPECT_EQ(r.status(slice), LeaseState::kDead);
+    const AcquireResult spent = r.acquire(slice);
+    EXPECT_FALSE(spent.ok);
+    EXPECT_EQ(spent.detail, "attempts exhausted");
+    EXPECT_FALSE(r.heartbeat(slice));
+  }
 }
 
 TEST_F(DirBackendTest, BindRejectsAMismatchedFleet) {
@@ -374,7 +348,7 @@ using FleetRunnerTest = FleetTest;
 
 TEST_F(FleetRunnerTest, SingleRunnerResolvesEverythingAndMergesByteIdentically) {
   const auto slices = make_corpus(7, 3);
-  ProcessBackend lease;
+  DirBackend lease(dir_, {.runner_id = "solo"});
   StubExecutor exec(test_identity());
   FleetRunner runner(lease, exec, runner_options("solo"));
   const FleetReport fleet = runner.run(slices);
@@ -396,7 +370,7 @@ TEST_F(FleetRunnerTest, ReuseCompleteSkipsFinishedSlices) {
   // Slice 1's file is already complete from a previous run.
   store::save(slices[1].store_path,
               report_for(test_identity(), slices[1].tag, slices[1].job_names));
-  ProcessBackend lease;
+  DirBackend lease(dir_, {.runner_id = "resume"});
   StubExecutor exec(test_identity());
   FleetOptions opts = runner_options("resume");
   opts.reuse_complete = true;
@@ -414,7 +388,8 @@ TEST_F(FleetRunnerTest, ReuseCompleteSkipsFinishedSlices) {
 
 TEST_F(FleetRunnerTest, FailedSlicesDieAndMergeAsCrashedRows) {
   const auto slices = make_corpus(4, 2);
-  ProcessBackend lease;  // abandon -> kDead: no local retry
+  // One attempt, as in a local run: abandon -> kDead, no retry.
+  DirBackend lease(dir_, {.runner_id = "doomed", .max_attempts = 1});
   StubExecutor exec(test_identity(), /*succeed=*/false);
   const FleetReport fleet =
       FleetRunner(lease, exec, runner_options("doomed")).run(slices);
@@ -422,6 +397,7 @@ TEST_F(FleetRunnerTest, FailedSlicesDieAndMergeAsCrashedRows) {
   EXPECT_TRUE(fleet.all_resolved());
   EXPECT_EQ(fleet.dead, 2);
   EXPECT_EQ(fleet.executed, 0);
+  EXPECT_EQ(exec.started(), 2);
 
   const store::StoredReport merged =
       merge_units(test_identity(), slices, fleet, names_);

@@ -2,12 +2,14 @@
 // shard-then-merge byte identity against the single-process run for many
 // shard counts, and — through the real seance_cli orchestrator/worker
 // re-exec — crash isolation (a killed worker loses only its own
-// unflushed jobs) and --resume healing.
+// unflushed jobs), --resume healing, and the local run's private lease
+// directory.
 
 #include "driver/shard.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -262,9 +264,9 @@ TEST_F(ShardCliTest, ShardedBatchCsvMatchesUnshardedAcrossThreadCounts) {
 // ---- Fleet-mode tests: the leased orchestration through the CLI. ----
 
 TEST_F(ShardCliTest, LocalLeaseUnitsKeepByteIdentityAcrossShardCounts) {
-  // ProcessBackend with more lease units than worker processes: workers
-  // drain units dynamically instead of owning one fixed slice each.  The
-  // merged CSV must not depend on the worker count or the drain order.
+  // More lease units than worker processes: workers drain units
+  // dynamically instead of owning one fixed slice each.  The merged CSV
+  // must not depend on the worker count or the drain order.
   const auto unsharded = work_ / "unsharded.csv";
   const std::string corpus = " batch --no-suite --random 10 --jobs 2 --quiet ";
   ASSERT_EQ(run_command(cli_ + corpus + "--csv " + quoted(unsharded) +
@@ -341,6 +343,41 @@ TEST_F(ShardCliTest, DeadFleetRunnerIsReLeasedByTheSurvivor) {
   // The survivor's summary names the re-leased unit.
   EXPECT_NE(read_file(m2_log).find("(re-leased)"), std::string::npos);
   EXPECT_EQ(read_file(csv), read_file(unsharded));
+}
+
+TEST_F(ShardCliTest, LocalLeasesLiveInAPrivateDirOutsideTheShardDir) {
+  // A local run is a one-runner fleet over a private mkdtemp lease
+  // directory under TMPDIR: it is gone after the run, --shard-dir holds
+  // nothing but slice stores, and a changed recipe reuses that shard dir
+  // without tripping over lease state left by the first run.
+  const auto tmp = work_ / "tmp";
+  const auto shard_dir = work_ / "shards";
+  std::filesystem::create_directories(tmp);
+  for (const std::string seed : {"1", "2"}) {
+    SCOPED_TRACE("seed " + seed);
+    const std::string corpus =
+        " batch --no-suite --random 6 --jobs 2 --quiet --seed " + seed + " ";
+    const auto unsharded = work_ / ("unsharded-" + seed + ".csv");
+    const auto sharded = work_ / ("sharded-" + seed + ".csv");
+    ASSERT_EQ(run_command(cli_ + corpus + "--csv " + quoted(unsharded) +
+                          " > /dev/null 2>&1"),
+              0);
+    ASSERT_EQ(run_command("TMPDIR=" + quoted(tmp) + " " + cli_ + corpus +
+                          "--shards 2 --shard-dir " + quoted(shard_dir) +
+                          " --csv " + quoted(sharded) + " > /dev/null 2>&1"),
+              0);
+    EXPECT_TRUE(std::filesystem::is_empty(tmp));
+    std::vector<std::string> files;
+    for (const auto& entry : std::filesystem::directory_iterator(shard_dir)) {
+      files.push_back(entry.path().filename().string());
+    }
+    std::sort(files.begin(), files.end());
+    EXPECT_EQ(files, (std::vector<std::string>{"shard-0-of-2.csv",
+                                               "shard-1-of-2.csv"}));
+    const std::string want = read_file(unsharded);
+    ASSERT_FALSE(want.empty());
+    EXPECT_EQ(read_file(sharded), want);
+  }
 }
 
 TEST_F(ShardCliTest, RunnerIdWithASlashIsRejectedByName) {

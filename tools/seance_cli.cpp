@@ -29,11 +29,13 @@
 //
 // Sharded runs (batch and baseline, `--shards K`): the corpus is cut
 // into lease units (driver::ShardPlan round-robin; `--lease-units`) and
-// driven through fleet::FleetRunner — this file contains no process
-// orchestration of its own.  Each acquired unit re-execs this binary as
-// a worker (`--shard-worker u/U`, hidden) that rebuilds the corpus from
-// the forwarded recipe flags, runs only its slice, and streams rows into
-// a per-unit store file, flushing after every job.  The runner loads
+// driven through fleet::FleetRunner as a one-runner fleet over a private
+// lease directory (fleet::DirBackend, one attempt per unit) — this file
+// contains no process orchestration of its own.  Each acquired unit
+// re-execs this binary as a worker (`--shard-worker u/U`, hidden) that
+// rebuilds the corpus from the forwarded recipe flags, runs only its
+// slice, and streams rows into a per-unit store file in `--shard-dir`,
+// flushing after every job.  The runner loads
 // each unit file (tolerating the torn tail a crashed worker leaves) and
 // store::merge stitches the rows back into submission order —
 // byte-identical to the single-process report.  A worker that dies loses
@@ -43,10 +45,10 @@
 //
 // Fleet mode (`--fleet-dir DIR`): the same run coordinated across any
 // number of independent runner processes — one box or many, via a shared
-// directory of lease files (fleet::DirBackend).  Runners self-balance by
-// work stealing, heal dead runners by re-leasing their expired units,
-// and every waiting runner merges the identical report once the fleet
-// resolves.  See README "Fleet mode".
+// directory of lease files (the same fleet::DirBackend, 3 attempts per
+// unit).  Runners self-balance by work stealing, heal dead runners by
+// re-leasing their expired units, and every waiting runner merges the
+// identical report once the fleet resolves.  See README "Fleet mode".
 //
 // Diff exit code: 0 clean, 1 drift or identity mismatch, 2 usage/IO error.
 // Other exit codes: 0 on success (and, with --verify, zero failures), 1
@@ -55,10 +57,13 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <cerrno>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <optional>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -410,14 +415,35 @@ int run_shard_worker(const CorpusFlags& flags) {
   return out ? 0 : 2;
 }
 
+/// A fresh mkdtemp directory under the system temp dir (TMPDIR), removed
+/// with its contents when the guard goes out of scope.
+struct PrivateDir {
+  std::string path =
+      (std::filesystem::temp_directory_path() / "seance-leases-XXXXXX")
+          .string();
+  PrivateDir() {
+#if defined(__unix__) || defined(__APPLE__)
+    if (mkdtemp(path.data()) != nullptr) return;
+#endif
+    throw std::runtime_error("cannot create private lease dir " + path +
+                             ": " + std::strerror(errno));
+  }
+  ~PrivateDir() {
+    std::error_code ec;
+    std::filesystem::remove_all(path, ec);
+  }
+  PrivateDir(const PrivateDir&) = delete;
+  PrivateDir& operator=(const PrivateDir&) = delete;
+};
+
 /// Orchestrator half, now one fleet::FleetRunner invocation: cut the
-/// corpus into lease units, acquire and execute them through the lease
-/// backend (local in-memory table, or a shared lease directory in fleet
-/// mode — the CLI owns no process machinery of its own), and merge the
-/// unit stores back into one report in submission order.  Fills `merged`
-/// and sets `report_ready` when the fleet resolved and a merged report
-/// exists (a bounded --fleet-max-units helper exits clean without one);
-/// returns 0, or nonzero after printing why.
+/// corpus into lease units, acquire and execute them through
+/// fleet::DirBackend (a private lease directory locally, the shared one
+/// in fleet mode — the CLI owns no process machinery of its own), and
+/// merge the unit stores back into one report in submission order.
+/// Fills `merged` and sets `report_ready` when the fleet resolved and a
+/// merged report exists (a bounded --fleet-max-units helper exits clean
+/// without one); returns 0, or nonzero after printing why.
 int run_leased(const char* argv0, const char* subcommand,
                const std::vector<std::string>& recipe, const CorpusFlags& flags,
                seance::store::StoredReport& merged, bool& report_ready) {
@@ -480,21 +506,22 @@ int run_leased(const char* argv0, const char* subcommand,
                                     ? seance::fleet::default_runner_id()
                                     : flags.runner_id;
 
-  // Lease coordination varies by backend; execution is always one worker
-  // subprocess per unit, so a rogue job keeps losing only its own slice.
-  std::unique_ptr<seance::fleet::ShardLease> lease;
+  // A fleet shares --fleet-dir.  A local run is a one-runner fleet over a
+  // private lease dir, never --shard-dir (stale done markers or
+  // fleet-config there would change a later run), and one attempt per
+  // unit: a crashed worker's slice is never re-run.
+  std::optional<PrivateDir> private_leases;
+  std::optional<seance::fleet::DirBackend> lease;
   try {
-    if (fleet_mode) {
-      seance::fleet::DirBackend::Options dir_options;
-      dir_options.runner_id = runner_id;
-      dir_options.lease_ttl_ms = flags.lease_ttl_ms;
-      auto backend =
-          std::make_unique<seance::fleet::DirBackend>(dir, dir_options);
-      backend->bind(identity, units);
-      lease = std::move(backend);
-    } else {
-      lease = std::make_unique<seance::fleet::ProcessBackend>();
+    seance::fleet::DirBackend::Options lease_options;
+    lease_options.runner_id = runner_id;
+    lease_options.lease_ttl_ms = flags.lease_ttl_ms;
+    if (!fleet_mode) {
+      private_leases.emplace();
+      lease_options.max_attempts = 1;
     }
+    lease.emplace(fleet_mode ? dir : private_leases->path, lease_options);
+    lease->bind(identity, units);
   } catch (const std::exception& e) {
     std::printf("error: %s\n", e.what());
     return 1;
