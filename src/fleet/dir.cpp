@@ -226,7 +226,7 @@ bool DirBackend::complete(const Slice& slice) {
   return ok;
 }
 
-void DirBackend::abandon(const Slice& slice, const std::string& /*why*/) {
+void DirBackend::abandon(const Slice& slice) {
   const auto it = held_.find(slice.tag);
   if (it == held_.end()) return;
   const std::string path = lease_path(slice);

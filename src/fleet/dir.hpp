@@ -88,7 +88,7 @@ class DirBackend {
   [[nodiscard]] bool complete(const Slice& slice);
   /// Give the slice up after a failed run: release it for another
   /// attempt, or retire it (kDead) once max_attempts is spent.
-  void abandon(const Slice& slice, const std::string& why);
+  void abandon(const Slice& slice);
   [[nodiscard]] LeaseState status(const Slice& slice);
 
  private:

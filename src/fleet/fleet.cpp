@@ -138,7 +138,7 @@ FleetReport FleetRunner::run(const std::vector<Slice>& slices) {
       // another attempt is allowed (a fleet re-lease) or the slice is dead
       // (a local run's single attempt keeps PR 5's no-retry crash
       // isolation).
-      lease_.abandon(slice, detail);
+      lease_.abandon(slice);
     }
 
     // 2. Heartbeat held leases; a lost lease cancels its worker so a
@@ -196,7 +196,7 @@ FleetReport FleetRunner::run(const std::vector<Slice>& slices) {
         auto run = executor_.start(slice);
         if (run == nullptr) {
           unit.exit_detail = "spawn failed";
-          lease_.abandon(slice, "spawn failed");
+          lease_.abandon(slice);
           continue;
         }
         Active entry;

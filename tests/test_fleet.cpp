@@ -237,7 +237,7 @@ TEST_F(DirBackendTest, AbandonReleasesImmediately) {
   DirBackend quitter(dir_, {.runner_id = "quitter", .lease_ttl_ms = 60000});
   DirBackend next(dir_, {.runner_id = "next", .lease_ttl_ms = 60000});
   ASSERT_TRUE(quitter.acquire(slices[0]).ok);
-  quitter.abandon(slices[0], "worker failed");
+  quitter.abandon(slices[0]);
   // No TTL wait: the backdated lease is instantly stealable.
   const AcquireResult retry = next.acquire(slices[0]);
   EXPECT_TRUE(retry.ok);
@@ -255,11 +255,11 @@ TEST_F(DirBackendTest, AttemptBudgetRetiresASlice) {
     DirBackend r(dir_, {.runner_id = "r", .lease_ttl_ms = 60000,
                         .max_attempts = budget});
     ASSERT_TRUE(r.acquire(slice).ok);  // attempt 1
-    r.abandon(slice, "boom");
+    r.abandon(slice);
     for (int attempt = 2; attempt <= budget; ++attempt) {
       EXPECT_EQ(r.status(slice), LeaseState::kExpired);
       EXPECT_TRUE(r.acquire(slice).stolen) << "attempt " << attempt;
-      r.abandon(slice, "boom");
+      r.abandon(slice);
     }
     EXPECT_EQ(r.status(slice), LeaseState::kDead);
     const AcquireResult spent = r.acquire(slice);
@@ -281,8 +281,8 @@ TEST_F(DirBackendTest, BindRejectsAMismatchedFleet) {
 }
 
 TEST_F(DirBackendTest, RunnerIdMustBeAPlainFileNameToken) {
-  // The id is spliced into temp-file names; a '/' used to make every
-  // claim fail as a lost race, so a joiner spun forever.
+  // The id is spliced into temp-file names: with a '/' every claim
+  // would fail as a lost race and a joiner would spin forever.
   for (const std::string bad : {"", "a/b", "a\nb"}) {
     try {
       DirBackend backend(dir_, {.runner_id = bad});

@@ -380,6 +380,27 @@ TEST_F(ShardCliTest, LocalLeasesLiveInAPrivateDirOutsideTheShardDir) {
   }
 }
 
+TEST_F(ShardCliTest, LocalCrashedUnitRunsExactlyOnce) {
+  // A local run gives each unit one lease attempt.  The crash hook kills
+  // unit 0's worker after its first row on every attempt, and --progress
+  // (forwarded to the workers) prints that row once per attempt.
+  const auto log = work_ / "progress.log";
+  ASSERT_EQ(run_command(cli_ +
+                        " batch --no-suite --random 6 --jobs 1 --quiet "
+                        "--progress --shards 2 --shard-dir " +
+                        quoted(work_ / "shards") +
+                        " --shard-worker-die-after 1 > /dev/null 2> " +
+                        quoted(log)),
+            1);
+  const std::string text = read_file(log);
+  int runs = 0;
+  for (std::size_t at = text.find("gen-6x3-0000 "); at != std::string::npos;
+       at = text.find("gen-6x3-0000 ", at + 1)) {
+    ++runs;
+  }
+  EXPECT_EQ(runs, 1) << text;
+}
+
 TEST_F(ShardCliTest, RunnerIdWithASlashIsRejectedByName) {
   // A helper creates fleet-config first; the joiner's id cannot be
   // spliced into a lease file name.  It must exit 1 naming the id, not
