@@ -35,13 +35,13 @@
 // re-execs this binary as a worker (`--shard-worker u/U`, hidden) that
 // rebuilds the corpus from the forwarded recipe flags, runs only its
 // slice, and streams rows into a per-unit store file in `--shard-dir`,
-// flushing after every job.  The runner loads
-// each unit file (tolerating the torn tail a crashed worker leaves) and
-// store::merge stitches the rows back into submission order —
-// byte-identical to the single-process report.  A worker that dies loses
-// only the unflushed jobs of its own slice (recorded as `crashed` with
-// the exit detail), and `--resume` re-runs only units whose store file
-// is missing or partial.
+// flushing after every job.  The runner loads each unit file (tolerating
+// the torn tail a crashed worker leaves) and store::merge stitches the
+// rows back into submission order — byte-identical to the
+// single-process report.  A worker that dies loses only the unflushed
+// jobs of its own slice (recorded as `crashed` with the exit detail),
+// and `--resume` re-runs only units whose store file is missing or
+// partial.
 //
 // Fleet mode (`--fleet-dir DIR`): the same run coordinated across any
 // number of independent runner processes — one box or many, via a shared
@@ -55,9 +55,9 @@
 // otherwise.
 
 #include <algorithm>
+#include <cerrno>
 #include <chrono>
 #include <cstdio>
-#include <cerrno>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
