@@ -283,8 +283,9 @@ class Solver {
     std::stable_sort(row_order_.begin(), row_order_.end(),
                      [&](std::size_t a, std::size_t b) { return options[a] < options[b]; });
     scratch_.assign((active_rows.size() + 1) * words_, 0);
+    child_stride_ = max_options;
+    gained_.assign((active_rows.size() + 1) * max_options, 0);
     if (tt_ != nullptr) {
-      child_sigs_stride_ = max_options;
       child_sigs_.assign((active_rows.size() + 1) * max_options, 0);
       child_.assign(words_, 0);
     }
@@ -328,44 +329,51 @@ class Solver {
     while (at < row_order_.size() && !row_uncovered(row_order_[at])) ++at;
     if (at == row_order_.size()) return;  // unreachable: uncovered_count > 0
     const std::vector<std::uint32_t>& branch = row_col_list_[row_order_[at]];
-    std::uint64_t* child_sig = nullptr;
-    if (tt_ != nullptr) {
-      // Hash every child that may probe, and prefetch its home slot, so
-      // the slot's line is in cache by the time the child reads it.
-      // Leaves (nothing left uncovered) never probe and are not hashed,
-      // and neither are children the gain bound already rejects: the
-      // incumbent only shrinks, so the loop below rejects them too.
-      child_sig = &child_sigs_[depth * child_sigs_stride_];
-      for (std::size_t i = 0; i < branch.size(); ++i) {
-        const std::uint64_t* col = t_.column(branch[i]);
-        std::size_t left = 0;
-        for (std::size_t w = 0; w < words_; ++w) {
-          child_[w] = uncovered_[w] & ~col[w];
-          left += static_cast<std::size_t>(std::popcount(child_[w]));
-        }
-        if (left == 0 || gain_bound_prunes(chosen_.size() + 1, left)) continue;
-        child_sig[i] = cover_node_signature(root_sig_, child_.data(), words_);
-        tt_->prefetch(child_sig[i]);
+    // One pass over the children counts the rows each one covers. With
+    // a memo it also hashes every child that may probe and prefetches
+    // its home slot, so the slot's line is in cache by the time the
+    // child reads it. Leaves (nothing left uncovered) never probe and
+    // are not hashed, and neither are children the gain bound already
+    // rejects: the incumbent only shrinks, so the loop below rejects
+    // them too.
+    std::uint32_t* gained = &gained_[depth * child_stride_];
+    std::uint64_t* child_sig =
+        tt_ != nullptr ? &child_sigs_[depth * child_stride_] : nullptr;
+    for (std::size_t i = 0; i < branch.size(); ++i) {
+      const std::uint64_t* col = t_.column(branch[i]);
+      if (tt_ == nullptr) {
+        gained[i] = static_cast<std::uint32_t>(
+            popcount_and(col, uncovered_.data(), words_));
+        continue;
       }
+      std::size_t left = 0;
+      for (std::size_t w = 0; w < words_; ++w) {
+        child_[w] = uncovered_[w] & ~col[w];
+        left += static_cast<std::size_t>(std::popcount(child_[w]));
+      }
+      gained[i] = static_cast<std::uint32_t>(uncovered_count - left);
+      if (left == 0 || gain_bound_prunes(chosen_.size() + 1, left)) continue;
+      child_sig[i] = cover_node_signature(root_sig_, child_.data(), words_);
+      tt_->prefetch(child_sig[i]);
     }
     const std::size_t best_in = have_best_ ? best_.size() : kNone;
     std::uint64_t* newly = &scratch_[depth * words_];
     for (std::size_t i = 0; i < branch.size(); ++i) {
-      const std::uint32_t c = branch[i];
-      const std::uint64_t* col = t_.column(c);
-      std::size_t gained = 0;
-      for (std::size_t w = 0; w < words_; ++w) {
-        newly[w] = col[w] & uncovered_[w];
-        gained += static_cast<std::size_t>(std::popcount(newly[w]));
-      }
-      const std::size_t left = uncovered_count - gained;
+      const std::size_t left = uncovered_count - gained[i];
+      // Re-checked against the incumbent of this moment: an earlier
+      // sibling may have shrunk it since the pass above.
       if (left != 0 && gain_bound_prunes(chosen_.size() + 1, left)) {
         // Counted as an expanded node, as when the child checked the
         // bound itself, so node counts and truncation do not move.
         if (budget_.charge()) break;
         continue;
       }
-      for (std::size_t w = 0; w < words_; ++w) uncovered_[w] ^= newly[w];
+      const std::uint32_t c = branch[i];
+      const std::uint64_t* col = t_.column(c);
+      for (std::size_t w = 0; w < words_; ++w) {
+        newly[w] = col[w] & uncovered_[w];
+        uncovered_[w] ^= newly[w];
+      }
       chosen_.push_back(c);
       recurse(left, depth + 1, child_sig != nullptr ? child_sig[i] : 0, at);
       chosen_.pop_back();
@@ -409,8 +417,9 @@ class Solver {
   std::vector<std::vector<std::uint32_t>> row_col_list_;
   std::vector<std::size_t> row_order_;
   std::vector<std::uint64_t> scratch_;   ///< per-depth newly-covered words
+  std::vector<std::uint32_t> gained_;    ///< per-depth child gains
   std::vector<std::uint64_t> child_sigs_;  ///< per-depth child memo keys
-  std::size_t child_sigs_stride_ = 0;    ///< longest row_col_list_ entry
+  std::size_t child_stride_ = 0;         ///< longest row_col_list_ entry
   std::vector<std::uint64_t> child_;     ///< one child's uncovered words
   std::size_t max_col_gain_ = 1;
   std::vector<std::size_t> chosen_;

@@ -138,8 +138,8 @@ void TranspositionTable::store(std::uint64_t key, Bound bound,
   for (std::size_t i = 0; i < kProbeWindow; ++i) {
     Slot& s = slots_[(h + i) & mask_];
     if (!live(s)) {
-      if (empty == nullptr) empty = &s;
-      continue;
+      empty = &s;  // never displaced past an empty slot, as in probe
+      break;
     }
     if (s.key == key) {
       // Merge, keeping the most informative bound. Exact is sticky.
