@@ -23,6 +23,12 @@ std::size_t popcount_and(const std::uint64_t* a, const std::uint64_t* b,
   return n;
 }
 
+// Zobrist key of row r: a node's signature is the root signature XOR
+// the keys of its uncovered rows.
+std::uint64_t row_key(std::uint64_t root_signature, std::size_t r) {
+  return search::hash_mix(root_signature, r);
+}
+
 class Solver {
  public:
   Solver(const CoverTable& t, std::size_t node_budget,
@@ -59,8 +65,12 @@ class Solver {
     prepare_residual();
     std::uint64_t sig = 0;
     if (tt_ != nullptr) {
-      root_sig_ = cover_root_signature(t_);
-      sig = cover_node_signature(root_sig_, uncovered_.data(), words_);
+      const std::uint64_t root_sig = cover_root_signature(t_);
+      row_key_.resize(t_.num_rows());
+      for (std::size_t r = 0; r < t_.num_rows(); ++r) {
+        row_key_[r] = row_key(root_sig, r);
+      }
+      sig = cover_node_signature(root_sig, uncovered_.data(), words_);
     }
     recurse(uncovered_count(), 0, sig, 0);
     result.nodes = budget_.nodes();
@@ -287,7 +297,6 @@ class Solver {
     gained_.assign((active_rows.size() + 1) * max_options, 0);
     if (tt_ != nullptr) {
       child_sigs_.assign((active_rows.size() + 1) * max_options, 0);
-      child_.assign(words_, 0);
     }
     root_lb_ = (uncovered_count() + max_col_gain_ - 1) / max_col_gain_;
   }
@@ -330,31 +339,32 @@ class Solver {
     if (at == row_order_.size()) return;  // unreachable: uncovered_count > 0
     const std::vector<std::uint32_t>& branch = row_col_list_[row_order_[at]];
     // One pass over the children counts the rows each one covers. With
-    // a memo it also hashes every child that may probe and prefetches
-    // its home slot, so the slot's line is in cache by the time the
-    // child reads it. Leaves (nothing left uncovered) never probe and
-    // are not hashed, and neither are children the gain bound already
-    // rejects: the incumbent only shrinks, so the loop below rejects
-    // them too.
+    // a memo it also keys every child that may probe (this node's key
+    // XOR the keys of the rows the child covers) and prefetches its home
+    // slot, so the slot's line is in cache by the time the child reads
+    // it. Leaves (nothing left uncovered) never probe and are not keyed,
+    // and neither are children the gain bound already rejects: the
+    // incumbent only shrinks, so the loop below rejects them too.
     std::uint32_t* gained = &gained_[depth * child_stride_];
     std::uint64_t* child_sig =
         tt_ != nullptr ? &child_sigs_[depth * child_stride_] : nullptr;
     for (std::size_t i = 0; i < branch.size(); ++i) {
       const std::uint64_t* col = t_.column(branch[i]);
-      if (tt_ == nullptr) {
-        gained[i] = static_cast<std::uint32_t>(
-            popcount_and(col, uncovered_.data(), words_));
-        continue;
-      }
-      std::size_t left = 0;
-      for (std::size_t w = 0; w < words_; ++w) {
-        child_[w] = uncovered_[w] & ~col[w];
-        left += static_cast<std::size_t>(std::popcount(child_[w]));
-      }
-      gained[i] = static_cast<std::uint32_t>(uncovered_count - left);
+      const std::size_t g = popcount_and(col, uncovered_.data(), words_);
+      gained[i] = static_cast<std::uint32_t>(g);
+      if (tt_ == nullptr) continue;
+      const std::size_t left = uncovered_count - g;
       if (left == 0 || gain_bound_prunes(chosen_.size() + 1, left)) continue;
-      child_sig[i] = cover_node_signature(root_sig_, child_.data(), words_);
-      tt_->prefetch(child_sig[i]);
+      std::uint64_t key = sig;
+      for (std::size_t w = 0; w < words_; ++w) {
+        std::uint64_t bits = col[w] & uncovered_[w];
+        while (bits != 0) {
+          key ^= row_key_[w * 64 + static_cast<std::size_t>(std::countr_zero(bits))];
+          bits &= bits - 1;
+        }
+      }
+      child_sig[i] = key;
+      tt_->prefetch(key);
     }
     const std::size_t best_in = have_best_ ? best_.size() : kNone;
     std::uint64_t* newly = &scratch_[depth * words_];
@@ -408,7 +418,6 @@ class Solver {
   std::size_t col_words_;
   search::NodeBudget budget_;
   search::TranspositionTable* tt_;
-  std::uint64_t root_sig_ = 0;
   std::size_t root_lb_ = 0;
   std::vector<std::uint64_t> uncovered_;
   std::vector<std::uint64_t> col_mask_;
@@ -420,7 +429,7 @@ class Solver {
   std::vector<std::uint32_t> gained_;    ///< per-depth child gains
   std::vector<std::uint64_t> child_sigs_;  ///< per-depth child memo keys
   std::size_t child_stride_ = 0;         ///< longest row_col_list_ entry
-  std::vector<std::uint64_t> child_;     ///< one child's uncovered words
+  std::vector<std::uint64_t> row_key_;   ///< per-row Zobrist keys
   std::size_t max_col_gain_ = 1;
   std::vector<std::size_t> chosen_;
   std::vector<std::size_t> best_;
@@ -447,7 +456,16 @@ std::uint64_t cover_root_signature(const CoverTable& table) {
 std::uint64_t cover_node_signature(std::uint64_t root_signature,
                                    const std::uint64_t* uncovered,
                                    std::size_t words) {
-  return search::hash_mix(root_signature, search::hash_words(uncovered, words));
+  std::uint64_t sig = root_signature;
+  for (std::size_t w = 0; w < words; ++w) {
+    std::uint64_t bits = uncovered[w];
+    while (bits != 0) {
+      sig ^= row_key(root_signature,
+                     w * 64 + static_cast<std::size_t>(std::countr_zero(bits)));
+      bits &= bits - 1;
+    }
+  }
+  return sig;
 }
 
 std::optional<std::vector<std::size_t>> greedy_cover(const CoverTable& table) {

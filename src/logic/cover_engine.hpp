@@ -89,13 +89,15 @@ struct MinCoverResult {
 /// pruned.  A warm table can change `nodes` but never the returned
 /// columns of a search that completes within budget; with `tt ==
 /// nullptr` the traversal is node-for-node identical to the
-/// memoization-free engine.  The gain bound is applied at the parent: a
-/// child it rejects is charged as a node but never entered, so only
-/// children that pass the bound probe.  Children are hashed at the
-/// parent too: once a node picks its branching row it computes the
-/// `cover_node_signature` of every non-leaf child the bound does not
-/// already reject and prefetches that child's home slot, then descends,
-/// so each probe finds its line already on the way.
+/// memoization-free engine.  Once a node picks its branching row, one
+/// pass over the row's columns counts each child's gain.  The gain bound
+/// is applied at the parent from those counts: a child it rejects is
+/// charged as a node but never entered, so only children that pass the
+/// bound probe.  With a memo the same pass keys every non-leaf child the
+/// bound does not already reject and prefetches its home slot, so each
+/// probe finds its line already on the way.  A child's key is its
+/// parent's XOR the row keys of the rows it covers (see
+/// `cover_node_signature`), so no node hashes a bitset.
 [[nodiscard]] MinCoverResult solve_min_cover(
     const CoverTable& table, std::size_t node_budget,
     search::TranspositionTable* tt = nullptr);
@@ -106,7 +108,11 @@ struct MinCoverResult {
 [[nodiscard]] std::uint64_t cover_root_signature(const CoverTable& table);
 
 /// Signature of the subproblem "cover exactly the rows set in
-/// `uncovered` (table.words() packed words) using any columns".
+/// `uncovered` (table.words() packed words) using any columns": a
+/// Zobrist key, `root_signature` XOR `hash_mix(root_signature, r)` over
+/// every set row r.  Covering rows XORs their keys out, which is how the
+/// search keys a child from its parent in time linear in the rows the
+/// child covers.
 [[nodiscard]] std::uint64_t cover_node_signature(std::uint64_t root_signature,
                                                  const std::uint64_t* uncovered,
                                                  std::size_t words);

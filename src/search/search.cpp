@@ -14,16 +14,6 @@ namespace {
 constexpr std::uint64_t kFnvBasis = 1469598103934665603ull;
 constexpr std::uint64_t kFnvPrime = 1099511628211ull;
 
-// kFnvPrime^n mod 2^64: n FNV-1a steps over zero bytes, because xoring
-// in a zero byte leaves the state as it was.
-constexpr std::uint64_t fnv_prime_pow(int n) {
-  std::uint64_t p = 1;
-  for (int i = 0; i < n; ++i) p *= kFnvPrime;
-  return p;
-}
-constexpr std::uint64_t kFnvPrimeHalf = fnv_prime_pow(4);
-constexpr std::uint64_t kFnvPrimeWord = fnv_prime_pow(8);
-
 // Linear probe window. Short enough to stay in one or two cache
 // lines, long enough that deterministic home-slot eviction is rare.
 constexpr std::size_t kProbeWindow = 8;
@@ -47,30 +37,12 @@ std::uint64_t fnv64(const void* data, std::size_t len) {
 }
 
 std::uint64_t hash_words(const std::uint64_t* words, std::size_t count) {
-  // Bit for bit the byte-at-a-time FNV-1a value: it is the memo key, so
-  // a different value would move probes, evictions and the incumbents of
-  // truncated searches.  The steps over a run of zero bytes are plain
-  // multiplies, so a zero word folds exactly into one multiply by
-  // kFnvPrimeWord and a zero half-word into one by kFnvPrimeHalf.  Deep
-  // in a cover search most words of `uncovered` are zero and most of the
-  // rest hold one or two nonzero bytes; finer zero-run folding measured
-  // slower than this (its branches mispredict).
+  // The words' little-endian bytes, whatever the host byte order.
   std::uint64_t h = kFnvBasis;
   for (std::size_t i = 0; i < count; ++i) {
-    std::uint64_t w = words[i];
-    if (w == 0) {
-      h *= kFnvPrimeWord;
-      continue;
-    }
-    for (int half = 0; half < 2; ++half, w >>= 32) {
-      if ((w & 0xffffffffu) == 0) {
-        h *= kFnvPrimeHalf;
-        continue;
-      }
-      for (int b = 0; b < 4; ++b) {
-        h ^= (w >> (8 * b)) & 0xff;
-        h *= kFnvPrime;
-      }
+    for (int b = 0; b < 8; ++b) {
+      h ^= (words[i] >> (8 * b)) & 0xff;
+      h *= kFnvPrime;
     }
   }
   return h;

@@ -23,7 +23,7 @@
 ///    (`++nodes > budget` charges and truncates; `nodes <= budget`
 ///    after the search means the result is a proof).
 ///  * `TranspositionTable` — a bounded open-addressed memo over
-///    `fnv64` signatures of reduced subproblems, storing a
+///    64-bit signatures of reduced subproblems, storing a
 ///    `Bound{None,Lower,Upper,Exact}` kind plus a value (the
 ///    additional cost to complete from that subproblem). Engines
 ///    consult it before expanding a node and prune subtrees whose
@@ -74,10 +74,10 @@ inline std::uint64_t fnv64(std::string_view bytes) {
   return fnv64(bytes.data(), bytes.size());
 }
 
-/// FNV-1a over a packed word array (the natural signature input for
-/// the engines' bitset state): the same value as `fnv64` over the
-/// words' little-endian bytes, computed with one multiply per zero word
-/// or zero half-word.
+/// FNV-1a over a packed word array: the same value as `fnv64` over the
+/// words' little-endian bytes.  It hashes a whole cover table once per
+/// chart (`logic::cover_root_signature`); search nodes are keyed
+/// incrementally and never hash a bitset.
 std::uint64_t hash_words(const std::uint64_t* words, std::size_t count);
 
 /// Finalizing scramble of a single word (splitmix64 tail). Used to
@@ -151,8 +151,11 @@ class TranspositionTable {
   /// informative bound: Exact wins; Lower keeps the max value; Upper
   /// keeps the min; a Lower meeting an Upper at the same value
   /// promotes to Exact; otherwise the Lower side is preferred (it is
-  /// the pruning side). Evicts deterministically (home slot) when the
-  /// probe window is full.
+  /// the pruning side). A new key takes the first empty slot of its
+  /// window, and the scan stops there as probe's does: slots are never
+  /// emptied between clears and eviction writes the home slot, so no
+  /// entry for the key can lie past an empty one. Evicts
+  /// deterministically (home slot) when the probe window is full.
   void store(std::uint64_t key, Bound bound, std::uint32_t value);
 
   /// Drops every entry in O(1), keeping capacity and the cumulative

@@ -150,7 +150,36 @@ TEST(Hashing, CoverNodeSignatureIsPinned) {
   const std::uint64_t root = logic::cover_root_signature(table);
   EXPECT_EQ(root, 0x28c1ef5bf9ad823dull);
   EXPECT_EQ(logic::cover_node_signature(root, uncovered, 2),
-            0x1b804278d75fa1e3ull);
+            0x0e752aa3deb57377ull);
+}
+
+TEST(Hashing, CoverNodeSignatureIsAnXorOfRowKeys) {
+  // Node keys are Zobrist sums: the search derives a child's key from its
+  // parent's by XORing out the rows the child covers, so the signature of
+  // a set must split over any subset, and every single row must move it.
+  std::mt19937_64 rng(19);
+  for (std::size_t n = 1; n <= 40; ++n) {
+    SCOPED_TRACE(testing::Message() << n << " words");
+    const std::uint64_t root = rng();
+    std::vector<std::uint64_t> s(n), r(n), rest(n);
+    for (std::size_t w = 0; w < n; ++w) {
+      s[w] = rng() & rng();
+      r[w] = s[w] & rng();
+      rest[w] = s[w] & ~r[w];
+    }
+    const auto sig = [&](const std::vector<std::uint64_t>& set) {
+      return logic::cover_node_signature(root, set.data(), n);
+    };
+    const std::uint64_t whole = sig(s);
+    EXPECT_EQ(whole ^ sig(rest) ^ root, sig(r));
+    std::size_t unmoved = 0;
+    for (std::size_t row = 0; row < 64 * n; ++row) {
+      s[row / 64] ^= std::uint64_t{1} << (row % 64);
+      if (sig(s) == whole) ++unmoved;
+      s[row / 64] ^= std::uint64_t{1} << (row % 64);
+    }
+    EXPECT_EQ(unmoved, 0u);
+  }
 }
 
 TEST(TranspositionTable, CapacityIsPowerOfTwoWithAProbeWindowFloor) {

@@ -274,7 +274,7 @@ TEST(SearchProperty, MemoOnTruncatedTraversalIsPinned) {
       {1, 64 << 10,
        {{2, 16, 21, 22, 24, 25, 26, 27, 28, 29, 41, 48, 49, 51, 54, 57, 58,
          59, 61, 64, 65, 67, 70, 73, 75, 82, 87},
-        20001, 13, {6854, 4378, 5348, 711}}},
+        20001, 13, {6865, 4367, 5349, 612}}},
       {1, 16 << 20,
        {{2, 16, 21, 22, 24, 25, 26, 27, 28, 29, 41, 48, 49, 51, 54, 57, 58,
          59, 61, 64, 65, 67, 70, 73, 75, 82, 87},
@@ -282,7 +282,7 @@ TEST(SearchProperty, MemoOnTruncatedTraversalIsPinned) {
       {2, 64 << 10,
        {{3, 4, 5, 6, 7, 11, 14, 20, 23, 24, 33, 35, 36, 41, 46, 53, 54, 59,
          61, 66, 69, 71, 72, 73, 74, 75, 79, 82, 89},
-        20001, 16, {4093, 5917, 6025, 1883}}},
+        20001, 16, {4115, 5914, 6025, 1880}}},
       {2, 16 << 20,
        {{3, 4, 5, 6, 7, 11, 14, 20, 23, 24, 33, 35, 36, 41, 46, 53, 54, 59,
          61, 66, 69, 71, 72, 73, 74, 75, 79, 82, 89},
@@ -290,7 +290,7 @@ TEST(SearchProperty, MemoOnTruncatedTraversalIsPinned) {
       {3, 64 << 10,
        {{2, 3, 5, 12, 14, 15, 19, 23, 29, 32, 35, 38, 42, 44, 46, 47, 49,
          51, 53, 60, 61, 62, 69, 74, 77, 79, 81, 87},
-        20001, 18, {3203, 6295, 7228, 2223}}},
+        20001, 18, {3192, 6298, 7228, 2243}}},
       {3, 16 << 20,
        {{2, 3, 5, 12, 14, 15, 19, 23, 29, 32, 35, 38, 42, 44, 46, 47, 49,
          51, 53, 60, 61, 62, 69, 74, 77, 79, 81, 87},
