@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cerrno>
 #include <cstdlib>
 #include <memory>
 #include <sstream>
@@ -100,8 +101,11 @@ SynthesisOptions options_from_string(std::string_view text) {
                                 std::size_t& out) {
     const std::string v(value);
     char* end = nullptr;
+    errno = 0;
+    // strtoull accepts a sign and negates: "-1" would wrap to ULLONG_MAX.
     const unsigned long long n = std::strtoull(v.c_str(), &end, 10);
-    if (v.empty() || end != v.c_str() + v.size()) {
+    if (v.empty() || v.find('-') != std::string::npos ||
+        end != v.c_str() + v.size() || errno == ERANGE) {
       fail(std::string(key) + " needs an unsigned integer, got '" + v + "'");
     }
     out = static_cast<std::size_t>(n);
@@ -141,6 +145,9 @@ SynthesisOptions options_from_string(std::string_view text) {
       parse_bool(key, value, options.tt);
     } else if (key == "tt-mb") {
       parse_budget(key, value, options.tt_mb);
+      if (options.tt_mb > kMaxTtMb) {
+        fail("tt-mb " + std::string(value) + " MiB overflows the table's byte size");
+      }
     } else {
       // Unknown keys are rejected, not skipped: a key this build does not
       // know could change results in the build that wrote it, so treating

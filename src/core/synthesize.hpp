@@ -86,7 +86,8 @@ struct SynthesisOptions {
   /// search to run cold, node-for-node identical to the memoization-free
   /// engines.
   bool tt = true;
-  /// Transposition-table size in MiB (one table per batch worker).
+  /// Transposition-table size in MiB (one table per batch worker), at
+  /// most kMaxTtMb.
   std::size_t tt_mb = 16;
   assign::AssignOptions assign;
   minimize::ReduceOptions reduce;
@@ -103,6 +104,9 @@ struct SynthesisOptions {
 /// cover-cells, tt, or tt-mb keys.  v3 still carried cover-budget and
 /// cover-cells, which are now the fixed logic:: constants.)
 inline constexpr int kOptionsEncodingVersion = 4;
+
+/// The largest tt-mb whose size in bytes fits in std::size_t.
+inline constexpr std::size_t kMaxTtMb = SIZE_MAX >> 20;
 
 /// Canonical spelling of a cover policy ("essential-sop", "greedy",
 /// "all-primes"); inverse returns nullopt for unknown names.

@@ -126,6 +126,32 @@ TEST(OptionsCodec, RejectsBadInput) {
                std::runtime_error);
 }
 
+TEST(OptionsCodec, RejectsSignedAndOverflowingCounts) {
+  // strtoull would wrap "-1" to ULLONG_MAX, and a tt-mb past kMaxTtMb
+  // overflows the table's byte size; both once spun the table sizing
+  // forever.  Each error names its key.
+  const struct {
+    const char* text;
+    const char* key;
+  } cases[] = {{"v4 tt-mb=-1", "tt-mb"},
+               {"v4 tt-mb=18446744073709551615", "tt-mb"},
+               {"v4 tt-mb=99999999999999999999999", "tt-mb"},
+               {"v4 assign-budget=-5", "assign-budget"},
+               {"v4 reduce-budget=-0", "reduce-budget"}};
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.text);
+    try {
+      (void)core::options_from_string(c.text);
+      ADD_FAILURE() << "accepted";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(c.key), std::string::npos)
+          << e.what();
+    }
+  }
+  const std::string largest = "v4 tt-mb=" + std::to_string(core::kMaxTtMb);
+  EXPECT_EQ(core::options_from_string(largest).tt_mb, core::kMaxTtMb);
+}
+
 // ---- cache keys ----------------------------------------------------------
 
 TEST(Fingerprint, HexSpellingsArePinnedAndFileMatchesBytes) {

@@ -9,9 +9,13 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdint>
+#include <future>
+#include <memory>
 #include <optional>
 #include <random>
+#include <thread>
 #include <tuple>
 #include <vector>
 
@@ -193,6 +197,25 @@ TEST(TranspositionTable, CapacityIsPowerOfTwoWithAProbeWindowFloor) {
     EXPECT_EQ(cap & (cap - 1), 0u) << cap;
   }
   EXPECT_GT(big.capacity(), small.capacity());
+}
+
+TEST(TranspositionTable, SlotCountTerminatesForEveryByteCount) {
+  // Doubling `slots` until slots * 2 * sizeof(Slot) > bytes wrapped to 0
+  // near SIZE_MAX and spun forever (a --tt-mb of -1 got here).  The call
+  // runs on a detached thread so that a regression fails instead of
+  // stalling the suite.
+  auto count = std::make_shared<std::promise<std::size_t>>();
+  std::future<std::size_t> got = count->get_future();
+  std::thread([count] {
+    count->set_value(TranspositionTable::slot_count_for(SIZE_MAX));
+  }).detach();
+  ASSERT_EQ(got.wait_for(std::chrono::seconds(10)), std::future_status::ready);
+  // The largest power of two whose slots fit: 16-byte slots.
+  EXPECT_EQ(got.get(), SIZE_MAX / 32 + 1);
+  // 2^59 slots need exactly SIZE_MAX / 2 + 1 bytes.
+  EXPECT_EQ(TranspositionTable::slot_count_for(SIZE_MAX / 2 + 1),
+            SIZE_MAX / 32 + 1);
+  EXPECT_EQ(TranspositionTable::slot_count_for(SIZE_MAX / 2), SIZE_MAX / 64 + 1);
 }
 
 TEST(TranspositionTable, MissThenStoreThenHit) {

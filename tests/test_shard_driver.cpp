@@ -431,6 +431,64 @@ TEST_F(ShardCliTest, RunnerIdWithASlashIsRejectedByName) {
       << read_file(first_log);
 }
 
+// ---- Option validation through the real CLI. ----
+
+class CliOptionTest : public ShardCliTest {};
+
+TEST_F(CliOptionTest, SignedOrOverflowingTtMbExitsOneNamingTheOption) {
+  // "-1" once wrapped to ULLONG_MAX and the table sizing spun forever
+  // (`timeout` turns such a hang into exit 124).
+  for (const char* value : {"-1", "18446744073709551615"}) {
+    SCOPED_TRACE(value);
+    const auto log = work_ / "cli.log";
+    EXPECT_EQ(run_command("timeout 20 " + cli_ + " test_example --tt-mb " +
+                          value + " > " + quoted(log) + " 2>&1"),
+              1);
+    EXPECT_NE(read_file(log).find("--tt-mb"), std::string::npos)
+        << read_file(log);
+  }
+}
+
+TEST_F(CliOptionTest, ServeAnswersErrToABadTtMbAndKeepsServing) {
+  const auto emitted = work_ / "one.txt";
+  ASSERT_EQ(run_command(cli_ + " batch --no-suite --random 1 --quiet "
+                               "--emit-requests " +
+                        quoted(emitted) + " > /dev/null"),
+            0);
+  const std::string request = read_file(emitted);
+  const std::string good = "tt-mb=16";
+  ASSERT_NE(request.find(good), std::string::npos) << request;
+  std::string script;
+  for (const char* bad : {"tt-mb=-1", "tt-mb=18446744073709551615"}) {
+    std::string r = request;
+    r.replace(r.find(good), good.size(), bad);
+    script += r;
+  }
+  script += request;
+  const auto in = work_ / "requests.txt";
+  std::ofstream(in) << script;
+  const auto out = work_ / "replies.txt";
+  ASSERT_EQ(run_command("timeout 20 " + cli_ +
+                        " serve --no-disk-cache --quiet < " + quoted(in) +
+                        " > " + quoted(out) + " 2>&1"),
+            0);
+  // A rejected OPT ends its exchange, so the rest of that request's lines
+  // each get an ERR of their own before the good request is answered.
+  const std::string replies = read_file(out);
+  std::istringstream lines(replies);
+  std::string line;
+  std::vector<std::string> tt_errors;
+  std::string last_res;
+  while (std::getline(lines, line)) {
+    if (line.rfind("ERR options: tt-mb", 0) == 0) tt_errors.push_back(line);
+    if (line.rfind("RES ", 0) == 0) last_res = line;
+  }
+  ASSERT_EQ(tt_errors.size(), 2u) << replies;
+  EXPECT_NE(tt_errors[0].find("'-1'"), std::string::npos) << tt_errors[0];
+  EXPECT_NE(tt_errors[1].find("overflows"), std::string::npos) << tt_errors[1];
+  EXPECT_EQ(last_res.rfind("RES miss ", 0), 0u) << replies;
+}
+
 #endif  // SEANCE_SHARD_CLI_TESTS
 
 }  // namespace

@@ -24,6 +24,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <functional>
+#include <limits>
 #include <string>
 #include <type_traits>
 #include <utility>
@@ -82,12 +83,15 @@ class OptionTable {
                });
   }
 
+  /// Numeric option.  An unsigned target rejects a sign, a value past
+  /// ULLONG_MAX, and one above `max`.
   template <typename T>
   OptionTable& number(const std::string& name, std::string placeholder,
-                      std::string help, T* out) {
+                      std::string help, T* out,
+                      T max = std::numeric_limits<T>::max()) {
     static_assert(std::is_arithmetic_v<T>);
     return add(name, std::move(placeholder), std::move(help),
-               /*takes_value=*/true, [name, out](const std::string& v) {
+               /*takes_value=*/true, [name, out, max](const std::string& v) {
                  char* end = nullptr;
                  errno = 0;
                  if constexpr (std::is_floating_point_v<T>) {
@@ -97,9 +101,17 @@ class OptionTable {
                    }
                    *out = static_cast<T>(n);
                  } else if constexpr (std::is_unsigned_v<T>) {
+                   // strtoull negates a signed value: "-1" would wrap.
                    const unsigned long long n = std::strtoull(v.c_str(), &end, 10);
-                   if (end == v.c_str() || *end != '\0') {
+                   if (end == v.c_str() || *end != '\0' ||
+                       v.find('-') != std::string::npos || errno == ERANGE) {
                      return bad_number(name, v);
+                   }
+                   if (n > max) {
+                     std::printf("option %s must be at most %llu, got '%s'\n",
+                                 name.c_str(), static_cast<unsigned long long>(max),
+                                 v.c_str());
+                     return false;
                    }
                    *out = static_cast<T>(n);
                  } else {

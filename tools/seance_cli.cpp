@@ -234,10 +234,12 @@ void add_synthesis_options(OptionTable& table,
   table.flag("--flat", "skip step 7 factoring (two-level SOP)",
              &options.factor, false);
   table.flag("--tt-off",
-             "disable search memoization (results identical, searches cold)",
+             "disable search memoization (searches run cold; completed "
+             "searches give identical results, budget-truncated ones may "
+             "differ)",
              &options.tt, false);
   table.number("--tt-mb", "N", "transposition-table MiB per worker (default 16)",
-               &options.tt_mb);
+               &options.tt_mb, seance::core::kMaxTtMb);
 }
 
 void add_run_options(OptionTable& table, CorpusFlags& flags) {
