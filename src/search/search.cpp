@@ -61,8 +61,8 @@ std::uint64_t hash_mix(std::uint64_t a, std::uint64_t b) {
 }
 
 std::size_t TranspositionTable::slot_count_for(std::size_t bytes) {
-  // slots * 2 * sizeof(Slot) <= bytes, divided through so that it cannot
-  // overflow: near SIZE_MAX the product wrapped and the loop never ended.
+  // slots * 2 * sizeof(Slot) <= bytes, divided through: the product
+  // wraps near SIZE_MAX, and the doubling would then never end.
   std::size_t slots = kProbeWindow;
   while (slots <= bytes / (2 * sizeof(Slot))) slots *= 2;
   return slots;
