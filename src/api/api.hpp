@@ -110,7 +110,7 @@ struct SynthesisResponse {
 /// `tt` (optional) is a caller-owned transposition table (the serve
 /// loop keeps one per process).  Entries are request-scoped —
 /// core::synthesize clears it on entry and substitutes a fresh local
-/// table when it is absent or wrongly sized for the request's tt-mb —
+/// table when it is absent or not core::SynthesisOptions::tt_mb in size —
 /// so the response is byte-identical with or without one; the
 /// allocation and stats counters are what persist across requests.
 /// Under a timeout the watchdog body co-owns the table, so after a

@@ -45,13 +45,12 @@ void send_error(std::ostream& out, const std::string& why, ServeStats& stats) {
 /// no matter what was served before — but the allocation is reused and
 /// the STATS counters accumulate until a timeout replaces it.  Null
 /// when the server's default options disable it; per-request OPT lines
-/// with tt=0 run cold, and an OPT tt-mb different from the server's
-/// makes synthesize substitute a correctly-sized local table (capacity
-/// decides evictions, so it is part of the request's identity).
+/// with tt=0 run cold.  The table size is the fixed
+/// core::SynthesisOptions::tt_mb, so no request needs another one.
 std::shared_ptr<search::TranspositionTable> make_tt(const ServeConfig& config) {
-  if (!config.options.tt || config.options.tt_mb == 0) return nullptr;
-  return std::make_shared<search::TranspositionTable>(config.options.tt_mb
-                                                      << 20);
+  if (!config.options.tt) return nullptr;
+  return std::make_shared<search::TranspositionTable>(
+      core::SynthesisOptions::tt_mb << 20);
 }
 
 /// One REQ exchange: the REQ line has been consumed, `name` is its

@@ -58,7 +58,6 @@ std::string options_to_string(const SynthesisOptions& options) {
   // that frontier.  Equal bytes iff equal configuration, so both stay in
   // the identity string.
   add_bool("tt", options.tt);
-  s += " tt-mb=" + std::to_string(options.tt_mb);
   return s;
 }
 
@@ -143,11 +142,6 @@ SynthesisOptions options_from_string(std::string_view text) {
       parse_budget(key, value, options.reduce.node_budget);
     } else if (key == "tt") {
       parse_bool(key, value, options.tt);
-    } else if (key == "tt-mb") {
-      parse_budget(key, value, options.tt_mb);
-      if (options.tt_mb > kMaxTtMb) {
-        fail("tt-mb " + std::string(value) + " MiB overflows the table's byte size");
-      }
     } else {
       // Unknown keys are rejected, not skipped: a key this build does not
       // know could change results in the build that wrote it, so treating
@@ -253,12 +247,12 @@ FantomMachine synthesize(const FlowTable& input, const SynthesisOptions& options
   // identity string promises it — so a supplied table is cleared here
   // (entries from other inputs would steer budget-truncated searches)
   // and a missing or wrongly-sized one (capacity is result-relevant via
-  // evictions) is replaced by a fresh local table of the requested size.
+  // evictions) is replaced by a fresh local table of the fixed size.
   // Callers share the allocation and the stats counters, never warmth.
   search::TranspositionTable* memo = nullptr;
   std::unique_ptr<search::TranspositionTable> local_tt;
   if (options.tt) {
-    const std::size_t bytes = static_cast<std::size_t>(options.tt_mb) << 20;
+    constexpr std::size_t bytes = SynthesisOptions::tt_mb << 20;
     if (tt != nullptr &&
         tt->capacity() == search::TranspositionTable::slot_count_for(bytes)) {
       tt->clear();

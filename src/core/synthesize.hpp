@@ -86,9 +86,11 @@ struct SynthesisOptions {
   /// search to run cold, node-for-node identical to the memoization-free
   /// engines.
   bool tt = true;
-  /// Transposition-table size in MiB (one table per batch worker), at
-  /// most kMaxTtMb.
-  std::size_t tt_mb = 16;
+  /// Transposition-table size in MiB (one table per batch worker).  Fixed,
+  /// not a knob: capacity decides which entries are evicted, and evictions
+  /// steer budget-truncated searches, so a second size would be a second
+  /// configuration whose rows can differ.
+  static constexpr std::size_t tt_mb = 16;
   assign::AssignOptions assign;
   minimize::ReduceOptions reduce;
 };
@@ -101,12 +103,10 @@ struct SynthesisOptions {
 /// identity line at once instead of silently aliasing old entries.
 /// (v1 was the pre-codec store::describe spelling: unversioned and
 /// missing cover-budget.  v2 predates the shared search core: no
-/// cover-cells, tt, or tt-mb keys.  v3 still carried cover-budget and
-/// cover-cells, which are now the fixed logic:: constants.)
-inline constexpr int kOptionsEncodingVersion = 4;
-
-/// The largest tt-mb whose size in bytes fits in std::size_t.
-inline constexpr std::size_t kMaxTtMb = SIZE_MAX >> 20;
+/// cover-cells, tt, or table-size keys.  v3 still carried cover-budget
+/// and cover-cells, which are now the fixed logic:: constants.  v4 still
+/// carried the table size, which is now the fixed SynthesisOptions::tt_mb.)
+inline constexpr int kOptionsEncodingVersion = 5;
 
 /// Canonical spelling of a cover policy ("essential-sop", "greedy",
 /// "all-primes"); inverse returns nullopt for unknown names.
@@ -115,8 +115,8 @@ inline constexpr std::size_t kMaxTtMb = SIZE_MAX >> 20;
     std::string_view name);
 
 /// Canonical, byte-stable encoding of every result-affecting knob:
-///   "v4 fsv=B minimize=B factor=B consensus=B cover=MODE unique=B
-///    assign-budget=N reduce-budget=N tt=B tt-mb=N"
+///   "v5 fsv=B minimize=B factor=B consensus=B cover=MODE unique=B
+///    assign-budget=N reduce-budget=N tt=B"
 /// Equal options always produce equal bytes (field order is pinned by
 /// test), so the string can key a content-addressed cache and compare
 /// pipeline configurations across processes.

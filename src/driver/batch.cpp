@@ -420,9 +420,9 @@ BatchReport BatchRunner::run() const {
   std::mutex progress_m;
   int completed = 0;
   const auto fresh_tt = [&]() -> std::shared_ptr<search::TranspositionTable> {
-    if (!options_.synthesis.tt || options_.synthesis.tt_mb == 0) return nullptr;
+    if (!options_.synthesis.tt) return nullptr;
     return std::make_shared<search::TranspositionTable>(
-        options_.synthesis.tt_mb << 20);
+        core::SynthesisOptions::tt_mb << 20);
   };
   auto worker = [&] {
     // One transposition table per worker, reused across its jobs: the

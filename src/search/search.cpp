@@ -18,9 +18,9 @@ constexpr std::uint64_t kFnvPrime = 1099511628211ull;
 // lines, long enough that deterministic home-slot eviction is rare.
 constexpr std::size_t kProbeWindow = 8;
 
-// Tables this large get huge-page-aligned storage; smaller ones (unit
-// tests, --tt-mb 1) are only cache-line aligned, so they never reserve
-// a whole huge page.
+// Tables this large get huge-page-aligned storage; smaller ones (the
+// unit tests' eviction-pressure tables) are only cache-line aligned, so
+// they never reserve a whole huge page.
 constexpr std::size_t kHugePage = std::size_t{2} << 20;
 constexpr std::size_t kCacheLine = 64;
 

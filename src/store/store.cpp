@@ -95,36 +95,28 @@ struct MetricRow {
   const char* name;
   int baseline;
   int current;
-  int tolerance;
 };
 
 std::vector<MetricRow> metric_rows(const driver::JobResult& b,
-                                   const driver::JobResult& c,
-                                   const DiffOptions& options) {
+                                   const driver::JobResult& c) {
   return {
-      {"fl_hazards", b.fl_hazards, c.fl_hazards, options.fl_tolerance},
-      {"var_hazards", b.var_hazards, c.var_hazards, options.var_tolerance},
-      {"fsv_depth", b.depth.fsv_depth, c.depth.fsv_depth,
-       options.depth_tolerance},
-      {"y_depth", b.depth.y_depth, c.depth.y_depth, options.depth_tolerance},
-      {"total_depth", b.depth.total_depth, c.depth.total_depth,
-       options.depth_tolerance},
-      {"gate_count", b.gate_count, c.gate_count, options.gate_tolerance},
-      {"state_vars", b.state_vars, c.state_vars, options.state_var_tolerance},
-      {"synthesized_states", b.synthesized_states, c.synthesized_states,
-       options.state_var_tolerance},
-      {"cover_cubes", b.cover_cubes, c.cover_cubes, options.cover_tolerance},
-      {"cover_gap", b.cover_gap, c.cover_gap, options.cover_tolerance},
-      {"ternary_transitions", b.ternary_transitions, c.ternary_transitions,
-       options.ternary_tolerance},
-      {"ternary_a", b.ternary_a_violations, c.ternary_a_violations,
-       options.ternary_tolerance},
-      {"ternary_b", b.ternary_b_violations, c.ternary_b_violations,
-       options.ternary_tolerance},
+      {"fl_hazards", b.fl_hazards, c.fl_hazards},
+      {"var_hazards", b.var_hazards, c.var_hazards},
+      {"fsv_depth", b.depth.fsv_depth, c.depth.fsv_depth},
+      {"y_depth", b.depth.y_depth, c.depth.y_depth},
+      {"total_depth", b.depth.total_depth, c.depth.total_depth},
+      {"gate_count", b.gate_count, c.gate_count},
+      {"state_vars", b.state_vars, c.state_vars},
+      {"synthesized_states", b.synthesized_states, c.synthesized_states},
+      {"cover_cubes", b.cover_cubes, c.cover_cubes},
+      {"cover_gap", b.cover_gap, c.cover_gap},
+      {"ternary_transitions", b.ternary_transitions, c.ternary_transitions},
+      {"ternary_a", b.ternary_a_violations, c.ternary_a_violations},
+      {"ternary_b", b.ternary_b_violations, c.ternary_b_violations},
       {"gate_ternary_a", b.gate_ternary_a_violations,
-       c.gate_ternary_a_violations, options.ternary_tolerance},
+       c.gate_ternary_a_violations},
       {"gate_ternary_b", b.gate_ternary_b_violations,
-       c.gate_ternary_b_violations, options.ternary_tolerance},
+       c.gate_ternary_b_violations},
   };
 }
 
@@ -395,8 +387,7 @@ const char* to_string(DeltaKind kind) {
   return "unknown";
 }
 
-DiffReport diff(const StoredReport& baseline, const StoredReport& current,
-                const DiffOptions& options) {
+DiffReport diff(const StoredReport& baseline, const StoredReport& current) {
   DiffReport out;
 
   for (const std::string& mismatch :
@@ -446,11 +437,10 @@ DiffReport diff(const StoredReport& baseline, const StoredReport& current,
     d.baseline_status = b.status;
     d.current_status = c.status;
     d.improvement = true;
-    for (const MetricRow& m : metric_rows(b, c, options)) {
-      const int delta = m.current - m.baseline;
-      if (delta > m.tolerance || -delta > m.tolerance) {
+    for (const MetricRow& m : metric_rows(b, c)) {
+      if (m.current != m.baseline) {
         d.metrics.push_back({m.name, m.baseline, m.current});
-        if (delta > 0) d.improvement = false;
+        if (m.current > m.baseline) d.improvement = false;
       }
     }
     if (!d.metrics.empty()) out.deltas.push_back(std::move(d));

@@ -11,8 +11,9 @@
 //     checked into the repo and diffed textually too;
 //   * diff(baseline, current): per-job classification into added/removed
 //     jobs, status transitions, and metric drift (|FL|, HL sums, depths,
-//     gate count, state variables) under configurable absolute
-//     tolerances, with a deterministic human summary and a machine CSV.
+//     gate count, state variables), with a deterministic human summary
+//     and a machine CSV.  The comparison is exact: every row is a pure
+//     function of (table, options), so there is no noise to tolerate.
 //
 // Corpus identity (base seed, generator shape, synthesis options, corpus
 // composition) rides along so a diff between incomparable runs fails
@@ -113,26 +114,11 @@ void save(const std::string& path, const StoredReport& stored);
                                  const std::vector<StoredReport>& shards,
                                  const std::vector<std::string>& job_order);
 
-/// Absolute per-metric drift tolerances: |current - baseline| above the
-/// tolerance is drift.  Zero (the default) pins the metric exactly.
-struct DiffOptions {
-  int fl_tolerance = 0;         ///< fl_hazards
-  int var_tolerance = 0;        ///< var_hazards
-  int depth_tolerance = 0;      ///< fsv/y/total depth
-  int gate_tolerance = 0;       ///< gate_count
-  int state_var_tolerance = 0;  ///< state_vars, synthesized_states
-  int cover_tolerance = 0;      ///< cover_cubes, cover_gap
-  /// ternary_transitions, ternary_a/b, gate_ternary_a/b — the cover- and
-  /// gate-level Eichelberger columns drift together or not at all on a
-  /// healthy corpus, so one knob covers all five.
-  int ternary_tolerance = 0;
-};
-
 enum class DeltaKind : std::uint8_t {
   kAdded,          ///< job in current only
   kRemoved,        ///< job in baseline only
   kStatusChanged,  ///< verdict transition (metrics not compared)
-  kMetricDrift,    ///< same status, >= 1 metric outside tolerance
+  kMetricDrift,    ///< same status, >= 1 metric differs
 };
 
 [[nodiscard]] const char* to_string(DeltaKind kind);
@@ -174,7 +160,6 @@ struct DiffReport {
 };
 
 [[nodiscard]] DiffReport diff(const StoredReport& baseline,
-                              const StoredReport& current,
-                              const DiffOptions& options = {});
+                              const StoredReport& current);
 
 }  // namespace seance::store

@@ -10,6 +10,7 @@
 
 #include <unistd.h>
 
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -74,7 +75,6 @@ TEST(OptionsCodec, RoundTripsEveryField) {
   options.assign.node_budget = 456;
   options.reduce.node_budget = 789;
   options.tt = false;
-  options.tt_mb = 64;
   const std::string encoded = core::options_to_string(options);
   const core::SynthesisOptions back = core::options_from_string(encoded);
   EXPECT_EQ(core::options_to_string(back), encoded);
@@ -84,7 +84,6 @@ TEST(OptionsCodec, RoundTripsEveryField) {
   EXPECT_EQ(back.assign.node_budget, 456);
   EXPECT_EQ(back.reduce.node_budget, 789);
   EXPECT_FALSE(back.tt);
-  EXPECT_EQ(back.tt_mb, 64);
 }
 
 TEST(OptionsCodec, PinnedDefaultBytes) {
@@ -92,52 +91,74 @@ TEST(OptionsCodec, PinnedDefaultBytes) {
   // invalidates every cache entry and golden identity, so it must be a
   // deliberate version bump, never drift.
   EXPECT_EQ(core::options_to_string(core::SynthesisOptions{}),
-            "v4 fsv=1 minimize=1 factor=1 consensus=1 cover=essential-sop "
-            "unique=1 assign-budget=500000 reduce-budget=1000000 tt=1 tt-mb=16");
+            "v5 fsv=1 minimize=1 factor=1 consensus=1 cover=essential-sop "
+            "unique=1 assign-budget=500000 reduce-budget=1000000 tt=1");
 }
 
 TEST(OptionsCodec, AbsentKeysKeepDefaults) {
-  const core::SynthesisOptions back = core::options_from_string("v4 fsv=0");
+  const core::SynthesisOptions back = core::options_from_string("v5 fsv=0");
   EXPECT_FALSE(back.add_fsv);
   EXPECT_TRUE(back.minimize_states);
   EXPECT_EQ(back.cover_mode, logic::CoverMode::kEssentialSop);
   EXPECT_TRUE(back.tt);
-  EXPECT_EQ(back.tt_mb, 16);
 }
 
 TEST(OptionsCodec, RejectsBadInput) {
   // Unknown keys are rejected, not skipped: a key this build does not
   // understand could alias two configurations under one cache key.
-  EXPECT_THROW((void)core::options_from_string("v4 warp=1"),
+  EXPECT_THROW((void)core::options_from_string("v5 warp=1"),
                std::runtime_error);
   EXPECT_THROW((void)core::options_from_string("v3 fsv=1"),
                std::runtime_error);
   EXPECT_THROW((void)core::options_from_string(""), std::runtime_error);
-  EXPECT_THROW((void)core::options_from_string("v4 fsv=2"),
+  EXPECT_THROW((void)core::options_from_string("v5 fsv=2"),
                std::runtime_error);
-  EXPECT_THROW((void)core::options_from_string("v4 fsv=1 fsv=1"),
+  EXPECT_THROW((void)core::options_from_string("v5 fsv=1 fsv=1"),
                std::runtime_error);
-  EXPECT_THROW((void)core::options_from_string("v4 cover=psychic"),
+  EXPECT_THROW((void)core::options_from_string("v5 cover=psychic"),
                std::runtime_error);
-  EXPECT_THROW((void)core::options_from_string("v4 tt=maybe"),
+  EXPECT_THROW((void)core::options_from_string("v5 tt=maybe"),
                std::runtime_error);
   // v3's cover-budget / cover-cells keys are gone, not silently ignored.
-  EXPECT_THROW((void)core::options_from_string("v4 cover-budget=2000000"),
+  EXPECT_THROW((void)core::options_from_string("v5 cover-budget=2000000"),
                std::runtime_error);
 }
 
+TEST(OptionsCodec, RejectsTheRetiredTtMbKey) {
+  // v4's tt-mb is the fixed SynthesisOptions::tt_mb now: a v5 string
+  // carrying it is an unknown key, and a whole v4 string is a version
+  // mismatch, so neither aliases a current configuration.
+  try {
+    (void)core::options_from_string("v5 tt-mb=16");
+    ADD_FAILURE() << "accepted tt-mb";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("unknown key 'tt-mb'"),
+              std::string::npos)
+        << e.what();
+  }
+  try {
+    (void)core::options_from_string(
+        "v4 fsv=1 minimize=1 factor=1 consensus=1 cover=essential-sop "
+        "unique=1 assign-budget=500000 reduce-budget=1000000 tt=1 tt-mb=16");
+    ADD_FAILURE() << "accepted a v4 string";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("expected version tag 'v5'"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(OptionsCodec, RejectsSignedAndOverflowingCounts) {
-  // strtoull would wrap "-1" to ULLONG_MAX, and a tt-mb past kMaxTtMb
-  // overflows the table's byte size; both once spun the table sizing
-  // forever.  Each error names its key.
+  // strtoull would wrap "-1" to ULLONG_MAX, and a count past it sets
+  // ERANGE; neither may reach a budget.  Each error names its key.
   const struct {
     const char* text;
     const char* key;
-  } cases[] = {{"v4 tt-mb=-1", "tt-mb"},
-               {"v4 tt-mb=18446744073709551615", "tt-mb"},
-               {"v4 tt-mb=99999999999999999999999", "tt-mb"},
-               {"v4 assign-budget=-5", "assign-budget"},
-               {"v4 reduce-budget=-0", "reduce-budget"}};
+  } cases[] = {{"v5 assign-budget=-1", "assign-budget"},
+               {"v5 assign-budget=18446744073709551616", "assign-budget"},
+               {"v5 reduce-budget=99999999999999999999999", "reduce-budget"},
+               {"v5 assign-budget=-5", "assign-budget"},
+               {"v5 reduce-budget=-0", "reduce-budget"}};
   for (const auto& c : cases) {
     SCOPED_TRACE(c.text);
     try {
@@ -148,8 +169,9 @@ TEST(OptionsCodec, RejectsSignedAndOverflowingCounts) {
           << e.what();
     }
   }
-  const std::string largest = "v4 tt-mb=" + std::to_string(core::kMaxTtMb);
-  EXPECT_EQ(core::options_from_string(largest).tt_mb, core::kMaxTtMb);
+  const std::string largest =
+      "v5 assign-budget=" + std::to_string(SIZE_MAX);
+  EXPECT_EQ(core::options_from_string(largest).assign.node_budget, SIZE_MAX);
 }
 
 // ---- cache keys ----------------------------------------------------------

@@ -104,7 +104,9 @@ TEST(MalformedKiss, ConflictingNextStates) {
 }
 
 TEST(MalformedKiss, BinaryGarbageThrowsCleanly) {
-  const std::string garbage("\x01\x02\xff\xfe zz\n\x00.i\n", 14);
+  // The 12 bytes of the literal, embedded NUL included; the terminator
+  // is not part of the input.
+  const std::string garbage("\x01\x02\xff\xfe zz\n\x00.i\n", 12);
   const std::string msg = parse_error(garbage);
   EXPECT_FALSE(msg.empty()) << "binary garbage parsed without error";
 }

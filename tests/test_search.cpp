@@ -201,9 +201,9 @@ TEST(TranspositionTable, CapacityIsPowerOfTwoWithAProbeWindowFloor) {
 
 TEST(TranspositionTable, SlotCountTerminatesForEveryByteCount) {
   // Doubling `slots` until slots * 2 * sizeof(Slot) > bytes wrapped to 0
-  // near SIZE_MAX and spun forever (a --tt-mb of -1 got here).  The call
-  // runs on a detached thread so that a regression fails instead of
-  // stalling the suite.
+  // near SIZE_MAX and spun forever (a table size of -1 MiB once got
+  // here).  The call runs on a detached thread so that a regression
+  // fails instead of stalling the suite.
   auto count = std::make_shared<std::promise<std::size_t>>();
   std::future<std::size_t> got = count->get_future();
   std::thread([count] {

@@ -435,33 +435,76 @@ TEST_F(ShardCliTest, RunnerIdWithASlashIsRejectedByName) {
 
 class CliOptionTest : public ShardCliTest {};
 
-TEST_F(CliOptionTest, SignedOrOverflowingTtMbExitsOneNamingTheOption) {
-  // "-1" once wrapped to ULLONG_MAX and the table sizing spun forever
-  // (`timeout` turns such a hang into exit 124).
-  for (const char* value : {"-1", "18446744073709551615"}) {
-    SCOPED_TRACE(value);
+TEST_F(CliOptionTest, TtMbIsAnUnknownOption) {
+  // The memo size is fixed (core::SynthesisOptions::tt_mb); the flag that
+  // once set it is gone, not silently ignored.
+  const auto log = work_ / "cli.log";
+  EXPECT_EQ(run_command("timeout 20 " + cli_ + " test_example --tt-mb 16 > " +
+                        quoted(log) + " 2>&1"),
+            1);
+  EXPECT_NE(read_file(log).find("unknown option --tt-mb"), std::string::npos)
+      << read_file(log);
+}
+
+TEST_F(CliOptionTest, IntegerOptionsRejectValuesPastTheirType) {
+  // Both values once wrapped through a cast to int: --random 4294967298
+  // ran 2 jobs and --jobs 4294967297 ran 1 thread.  `timeout` turns a
+  // run that got past parsing into a distinct exit code.
+  const struct {
+    const char* args;
+    const char* option;
+  } cases[] = {{"batch --no-suite --random 4294967298", "--random"},
+               {"batch --jobs 4294967297", "--jobs"},
+               {"batch --no-suite --random -4294967295", "--random"},
+               {"batch --no-suite --seed -1", "--seed"}};
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.args);
     const auto log = work_ / "cli.log";
-    EXPECT_EQ(run_command("timeout 20 " + cli_ + " test_example --tt-mb " +
-                          value + " > " + quoted(log) + " 2>&1"),
+    EXPECT_EQ(run_command("timeout 20 " + cli_ + " " + c.args + " > " +
+                          quoted(log) + " 2>&1"),
               1);
-    EXPECT_NE(read_file(log).find("--tt-mb"), std::string::npos)
+    EXPECT_NE(read_file(log).find(std::string("option ") + c.option),
+              std::string::npos)
         << read_file(log);
   }
 }
 
-TEST_F(CliOptionTest, ServeAnswersErrToABadTtMbAndKeepsServing) {
+TEST_F(CliOptionTest, CacheMemMbRejectsNonFiniteAndOversizedValues) {
+  // inf once cast to 0 bytes (the LRU silently off), nan to 2^63 bytes;
+  // 2^44 MiB is 2^64 bytes, one past SIZE_MAX.  Each exits 1 naming the
+  // option before serving anything.
+  for (const char* value : {"inf", "nan", "-inf", "1e300", "17592186044416"}) {
+    SCOPED_TRACE(value);
+    const auto log = work_ / "cli.log";
+    EXPECT_EQ(run_command("timeout 20 " + cli_ +
+                          " serve --no-disk-cache --cache-mem-mb " + value +
+                          " < /dev/null > " + quoted(log) + " 2>&1"),
+              1);
+    EXPECT_NE(read_file(log).find("option --cache-mem-mb"), std::string::npos)
+        << read_file(log);
+  }
+}
+
+TEST_F(CliOptionTest, ServeAnswersErrToABadOptKeyAndKeepsServing) {
   const auto emitted = work_ / "one.txt";
   ASSERT_EQ(run_command(cli_ + " batch --no-suite --random 1 --quiet "
                                "--emit-requests " +
                         quoted(emitted) + " > /dev/null"),
             0);
   const std::string request = read_file(emitted);
-  const std::string good = "tt-mb=16";
+  const std::string good = "assign-budget=500000";
   ASSERT_NE(request.find(good), std::string::npos) << request;
+  // A signed count, one past ULLONG_MAX, and the retired tt-mb key.
+  const struct {
+    const char* replacement;
+    const char* key;
+  } bad[] = {{"assign-budget=-1", "assign-budget"},
+             {"assign-budget=18446744073709551616", "assign-budget"},
+             {"assign-budget=500000 tt-mb=16", "'tt-mb'"}};
   std::string script;
-  for (const char* bad : {"tt-mb=-1", "tt-mb=18446744073709551615"}) {
+  for (const auto& b : bad) {
     std::string r = request;
-    r.replace(r.find(good), good.size(), bad);
+    r.replace(r.find(good), good.size(), b.replacement);
     script += r;
   }
   script += request;
@@ -477,15 +520,17 @@ TEST_F(CliOptionTest, ServeAnswersErrToABadTtMbAndKeepsServing) {
   const std::string replies = read_file(out);
   std::istringstream lines(replies);
   std::string line;
-  std::vector<std::string> tt_errors;
+  std::vector<std::string> option_errors;
   std::string last_res;
   while (std::getline(lines, line)) {
-    if (line.rfind("ERR options: tt-mb", 0) == 0) tt_errors.push_back(line);
+    if (line.rfind("ERR options: ", 0) == 0) option_errors.push_back(line);
     if (line.rfind("RES ", 0) == 0) last_res = line;
   }
-  ASSERT_EQ(tt_errors.size(), 2u) << replies;
-  EXPECT_NE(tt_errors[0].find("'-1'"), std::string::npos) << tt_errors[0];
-  EXPECT_NE(tt_errors[1].find("overflows"), std::string::npos) << tt_errors[1];
+  ASSERT_EQ(option_errors.size(), 3u) << replies;
+  for (std::size_t i = 0; i < 3; ++i) {
+    EXPECT_NE(option_errors[i].find(bad[i].key), std::string::npos)
+        << option_errors[i];
+  }
   EXPECT_EQ(last_res.rfind("RES miss ", 0), 0u) << replies;
 }
 

@@ -1,6 +1,6 @@
 // Regression-store contract tests: byte-stable serialization round-trips,
-// the diff classification table (status flips, metric drift against
-// tolerances, added/removed jobs, identity mismatches), and the parse
+// the diff classification table (status flips, exact metric drift,
+// added/removed jobs, identity mismatches), and the parse
 // errors that keep a corrupt golden file from passing silently.
 
 #include "store/store.hpp"
@@ -137,46 +137,20 @@ TEST(StoreDiff, StatusRecoveryIsAnImprovementButStillDrift) {
   EXPECT_FALSE(d.clean());  // the golden file is stale either way
 }
 
-TEST(StoreDiff, MetricDriftRespectsTolerances) {
+TEST(StoreDiff, MetricDriftIsExact) {
   const StoredReport base = make_stored({make_job("a")});
   StoredReport cur = make_stored({make_job("a")});
   cur.report.jobs[0].gate_count += 3;
   cur.report.jobs[0].depth.total_depth += 1;
 
-  // Zero tolerance: both columns drift.
-  DiffReport d = diff(base, cur);
+  // Any difference is drift: both columns are reported.
+  const DiffReport d = diff(base, cur);
   ASSERT_EQ(d.deltas.size(), 1u);
   EXPECT_EQ(d.deltas[0].kind, DeltaKind::kMetricDrift);
   ASSERT_EQ(d.deltas[0].metrics.size(), 2u);
   EXPECT_STREQ(d.deltas[0].metrics[0].metric, "total_depth");
   EXPECT_STREQ(d.deltas[0].metrics[1].metric, "gate_count");
   EXPECT_FALSE(d.deltas[0].improvement);
-
-  // Tolerance at the drift magnitude swallows it (inclusive bound)...
-  DiffOptions tol;
-  tol.gate_tolerance = 3;
-  tol.depth_tolerance = 1;
-  EXPECT_TRUE(diff(base, cur, tol).clean());
-
-  // ...one below does not.
-  tol.gate_tolerance = 2;
-  const DiffReport tight = diff(base, cur, tol);
-  ASSERT_EQ(tight.deltas.size(), 1u);
-  ASSERT_EQ(tight.deltas[0].metrics.size(), 1u);
-  EXPECT_STREQ(tight.deltas[0].metrics[0].metric, "gate_count");
-}
-
-TEST(StoreDiff, TolerancesAreSymmetric) {
-  const StoredReport base = make_stored({make_job("a")});
-  StoredReport cur = make_stored({make_job("a")});
-  cur.report.jobs[0].fl_hazards -= 2;  // improvement is still drift
-
-  const DiffReport d = diff(base, cur);
-  ASSERT_EQ(d.deltas.size(), 1u);
-  EXPECT_TRUE(d.deltas[0].improvement);
-  DiffOptions tol;
-  tol.fl_tolerance = 2;
-  EXPECT_TRUE(diff(base, cur, tol).clean());
 }
 
 TEST(StoreDiff, AddedAndRemovedJobs) {
@@ -462,7 +436,7 @@ TEST(StoreMerge, MissingJobsBecomeCrashedPlaceholders) {
   EXPECT_EQ(reread.report.jobs[1].status, driver::JobStatus::kCrashed);
 }
 
-TEST(StoreMerge, TolerancesSurviveMergeAndDiff) {
+TEST(StoreMerge, MergedReportDiffsLikeTheInProcessOne) {
   const StoredReport baseline = make_stored({make_job("a"), make_job("b")});
   StoredReport drifted = make_stored({make_job("a"), make_job("b")});
   drifted.report.jobs[1].gate_count += 2;
@@ -471,14 +445,14 @@ TEST(StoreMerge, TolerancesSurviveMergeAndDiff) {
       merge(drifted.identity,
             {shard_of(drifted, "0/2", {0}), shard_of(drifted, "1/2", {1})},
             order);
-  // The merged report diffs exactly like the in-process one: drift at
-  // zero tolerance, clean once the tolerance covers the delta.
-  const DiffReport tight = diff(baseline, merged);
-  ASSERT_EQ(tight.deltas.size(), 1u);
-  EXPECT_EQ(tight.deltas[0].kind, DeltaKind::kMetricDrift);
-  DiffOptions tol;
-  tol.gate_tolerance = 2;
-  EXPECT_TRUE(diff(baseline, merged, tol).clean());
+  // The merged report diffs exactly like the in-process one: the one
+  // drifted job, and only its one drifted column.
+  const DiffReport d = diff(baseline, merged);
+  ASSERT_EQ(d.deltas.size(), 1u);
+  EXPECT_EQ(d.deltas[0].kind, DeltaKind::kMetricDrift);
+  EXPECT_EQ(d.deltas[0].name, "b");
+  ASSERT_EQ(d.deltas[0].metrics.size(), 1u);
+  EXPECT_STREQ(d.deltas[0].metrics[0].metric, "gate_count");
 }
 
 TEST(StoreDescribe, PinnedSpellings) {
@@ -486,8 +460,8 @@ TEST(StoreDescribe, PinnedSpellings) {
   // cache; changing the synthesis spelling means bumping
   // core::kOptionsEncodingVersion and regenerating the golden corpus.
   EXPECT_EQ(describe(core::SynthesisOptions{}),
-            "v4 fsv=1 minimize=1 factor=1 consensus=1 cover=essential-sop "
-            "unique=1 assign-budget=500000 reduce-budget=1000000 tt=1 tt-mb=16");
+            "v5 fsv=1 minimize=1 factor=1 consensus=1 cover=essential-sop "
+            "unique=1 assign-budget=500000 reduce-budget=1000000 tt=1");
   EXPECT_EQ(describe(core::SynthesisOptions{}),
             core::options_to_string(core::SynthesisOptions{}));
   EXPECT_EQ(describe(bench_suite::GeneratorOptions{}),

@@ -10,6 +10,8 @@
 //   * unknown option        ->  "unknown <cmd> option --x"
 //   * missing value         ->  "option --x requires a value"
 //   * non-numeric value     ->  "option --x needs a number, got 'v'"
+//   * out-of-range value    ->  "option --x needs an integer in [lo, hi],
+//                                got 'v'" (or "a finite number")
 //   * --help                ->  the generated table, kHelp (exit 0)
 //
 // Hidden entries (the shard worker protocol) parse normally but stay out
@@ -20,6 +22,7 @@
 #pragma once
 
 #include <cerrno>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -83,15 +86,16 @@ class OptionTable {
                });
   }
 
-  /// Numeric option.  An unsigned target rejects a sign, a value past
-  /// ULLONG_MAX, and one above `max`.
+  /// Numeric option.  Every target type takes the same rule: the whole
+  /// value must parse and land inside the type's range, so an integer
+  /// never wraps and a float is finite.  Out of range is an error naming
+  /// the option, never a silent cast.
   template <typename T>
   OptionTable& number(const std::string& name, std::string placeholder,
-                      std::string help, T* out,
-                      T max = std::numeric_limits<T>::max()) {
+                      std::string help, T* out) {
     static_assert(std::is_arithmetic_v<T>);
     return add(name, std::move(placeholder), std::move(help),
-               /*takes_value=*/true, [name, out, max](const std::string& v) {
+               /*takes_value=*/true, [name, out](const std::string& v) {
                  char* end = nullptr;
                  errno = 0;
                  if constexpr (std::is_floating_point_v<T>) {
@@ -99,25 +103,30 @@ class OptionTable {
                    if (end == v.c_str() || *end != '\0') {
                      return bad_number(name, v);
                    }
+                   if (!std::isfinite(n) ||
+                       std::fabs(n) > std::numeric_limits<T>::max()) {
+                     return out_of_range(name, v, "a finite number");
+                   }
                    *out = static_cast<T>(n);
                  } else if constexpr (std::is_unsigned_v<T>) {
                    // strtoull negates a signed value: "-1" would wrap.
                    const unsigned long long n = std::strtoull(v.c_str(), &end, 10);
-                   if (end == v.c_str() || *end != '\0' ||
-                       v.find('-') != std::string::npos || errno == ERANGE) {
+                   if (end == v.c_str() || *end != '\0') {
                      return bad_number(name, v);
                    }
-                   if (n > max) {
-                     std::printf("option %s must be at most %llu, got '%s'\n",
-                                 name.c_str(), static_cast<unsigned long long>(max),
-                                 v.c_str());
-                     return false;
+                   if (v.find('-') != std::string::npos || errno == ERANGE ||
+                       n > std::numeric_limits<T>::max()) {
+                     return out_of_range(name, v, range_text<T>());
                    }
                    *out = static_cast<T>(n);
                  } else {
-                   const long n = std::strtol(v.c_str(), &end, 10);
+                   const long long n = std::strtoll(v.c_str(), &end, 10);
                    if (end == v.c_str() || *end != '\0') {
                      return bad_number(name, v);
+                   }
+                   if (errno == ERANGE || n < std::numeric_limits<T>::min() ||
+                       n > std::numeric_limits<T>::max()) {
+                     return out_of_range(name, v, range_text<T>());
                    }
                    *out = static_cast<T>(n);
                  }
@@ -246,6 +255,19 @@ class OptionTable {
     std::printf("option %s needs a number, got '%s'\n", name.c_str(),
                 value.c_str());
     return false;
+  }
+
+  static bool out_of_range(const std::string& name, const std::string& value,
+                           const std::string& range) {
+    std::printf("option %s needs %s, got '%s'\n", name.c_str(), range.c_str(),
+                value.c_str());
+    return false;
+  }
+
+  template <typename T>
+  static std::string range_text() {
+    return "an integer in [" + std::to_string(std::numeric_limits<T>::min()) +
+           ", " + std::to_string(std::numeric_limits<T>::max()) + "]";
   }
 
   OptionTable& add(const std::string& name, std::string placeholder,

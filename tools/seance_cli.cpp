@@ -57,6 +57,7 @@
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -238,8 +239,6 @@ void add_synthesis_options(OptionTable& table,
              "searches give identical results, budget-truncated ones may "
              "differ)",
              &options.tt, false);
-  table.number("--tt-mb", "N", "transposition-table MiB per worker (default 16)",
-               &options.tt_mb, seance::core::kMaxTtMb);
 }
 
 void add_run_options(OptionTable& table, CorpusFlags& flags) {
@@ -792,7 +791,6 @@ int run_baseline(int argc, char** argv) {
 }
 
 int run_diff(int argc, char** argv) {
-  seance::store::DiffOptions options;
   std::string csv_path;
   bool quiet = false;
   std::vector<std::string> paths;
@@ -801,22 +799,6 @@ int run_diff(int argc, char** argv) {
   table.synopsis("usage: seance diff BASELINE CURRENT [diff options]");
   table.text("--csv", "FILE", "write the machine-readable delta table",
              &csv_path);
-  table.number("--tol-fl", "N", "absolute fl_hazards drift tolerance",
-               &options.fl_tolerance);
-  table.number("--tol-var", "N", "absolute var_hazards drift tolerance",
-               &options.var_tolerance);
-  table.number("--tol-depth", "N", "absolute depth drift tolerance",
-               &options.depth_tolerance);
-  table.number("--tol-gates", "N", "absolute gate-count drift tolerance",
-               &options.gate_tolerance);
-  table.number("--tol-states", "N", "absolute state-var drift tolerance",
-               &options.state_var_tolerance);
-  table.number("--tol-cover", "N",
-               "absolute cover_cubes / cover_gap drift tolerance",
-               &options.cover_tolerance);
-  table.number("--tol-ternary", "N",
-               "absolute ternary / gate_ternary column drift tolerance",
-               &options.ternary_tolerance);
   table.flag("--quiet", "verdict line only", &quiet);
   switch (table.parse(argc, argv, 2, &paths)) {
     case ParseResult::kHelp: return 0;
@@ -833,7 +815,7 @@ int run_diff(int argc, char** argv) {
   try {
     const auto baseline = seance::store::load(paths[0]);
     const auto current = seance::store::load(paths[1]);
-    report = seance::store::diff(baseline, current, options);
+    report = seance::store::diff(baseline, current);
   } catch (const std::exception& e) {
     std::printf("error: %s\n", e.what());
     return 2;
@@ -959,15 +941,19 @@ int run_serve(int argc, char** argv) {
     case ParseResult::kError: usage(); return 1;
     case ParseResult::kOk: break;
   }
-  if (cache_mem_mb < 0) {
-    std::printf("option --cache-mem-mb needs a non-negative number\n");
+  // The parser guarantees a finite value; the byte count must also fit
+  // in size_t, or the cast below is undefined.
+  const double cache_mem_bytes = cache_mem_mb * 1024.0 * 1024.0;
+  if (cache_mem_mb < 0 ||
+      cache_mem_bytes >= static_cast<double>(SIZE_MAX)) {
+    std::printf("option --cache-mem-mb needs a non-negative MiB count whose "
+                "bytes fit in size_t\n");
     return 1;
   }
 
   seance::api::CacheConfig cache_config;
   cache_config.dir = no_disk ? std::string() : cache_dir;
-  cache_config.mem_limit_bytes =
-      static_cast<std::size_t>(cache_mem_mb * 1024.0 * 1024.0);
+  cache_config.mem_limit_bytes = static_cast<std::size_t>(cache_mem_bytes);
   seance::api::ResultCache cache(cache_config);
   if (!warm_path.empty()) {
     const int rc = load_warm_tier(cache, flags, warm_path, quiet);
@@ -1031,8 +1017,6 @@ int run_single(int argc, char** argv) {
 
   OptionTable table("");
   table.synopsis("usage: seance <table.kiss2 | benchmark-name> [options]");
-  table.flag("--report", "print codes, equations, hazard lists (default)",
-             [] {});
   table.text("--verilog", "FILE",
              "write structural Verilog of the FANTOM network", &verilog_path);
   table.text("--kiss", "FILE", "write the (reduced) flow table back as KISS2",
