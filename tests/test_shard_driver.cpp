@@ -485,7 +485,7 @@ TEST_F(CliOptionTest, CacheMemMbRejectsNonFiniteAndOversizedValues) {
   }
 }
 
-TEST_F(CliOptionTest, ServeAnswersErrToABadOptKeyAndKeepsServing) {
+TEST_F(CliOptionTest, ServeAnswersErrToABadTtMbAndKeepsServing) {
   const auto emitted = work_ / "one.txt";
   ASSERT_EQ(run_command(cli_ + " batch --no-suite --random 1 --quiet "
                                "--emit-requests " +

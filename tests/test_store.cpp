@@ -151,6 +151,17 @@ TEST(StoreDiff, MetricDriftIsExact) {
   EXPECT_STREQ(d.deltas[0].metrics[0].metric, "total_depth");
   EXPECT_STREQ(d.deltas[0].metrics[1].metric, "gate_count");
   EXPECT_FALSE(d.deltas[0].improvement);
+
+  // A decrease of one is drift too: an improvement, but the golden file
+  // is stale either way.
+  StoredReport better = make_stored({make_job("a")});
+  better.report.jobs[0].fl_hazards -= 1;
+  const DiffReport up = diff(base, better);
+  ASSERT_EQ(up.deltas.size(), 1u);
+  ASSERT_EQ(up.deltas[0].metrics.size(), 1u);
+  EXPECT_STREQ(up.deltas[0].metrics[0].metric, "fl_hazards");
+  EXPECT_TRUE(up.deltas[0].improvement);
+  EXPECT_FALSE(up.clean());
 }
 
 TEST(StoreDiff, AddedAndRemovedJobs) {

@@ -88,12 +88,14 @@ class OptionTable {
 
   /// Numeric option.  Every target type takes the same rule: the whole
   /// value must parse and land inside the type's range, so an integer
-  /// never wraps and a float is finite.  Out of range is an error naming
-  /// the option, never a silent cast.
+  /// never wraps and a floating value is finite.  Out of range is an
+  /// error naming the option, never a silent cast.
   template <typename T>
   OptionTable& number(const std::string& name, std::string placeholder,
                       std::string help, T* out) {
     static_assert(std::is_arithmetic_v<T>);
+    // A finite double may still overflow a narrower floating type.
+    static_assert(!std::is_floating_point_v<T> || std::is_same_v<T, double>);
     return add(name, std::move(placeholder), std::move(help),
                /*takes_value=*/true, [name, out](const std::string& v) {
                  char* end = nullptr;
@@ -103,8 +105,7 @@ class OptionTable {
                    if (end == v.c_str() || *end != '\0') {
                      return bad_number(name, v);
                    }
-                   if (!std::isfinite(n) ||
-                       std::fabs(n) > std::numeric_limits<T>::max()) {
+                   if (!std::isfinite(n)) {
                      return out_of_range(name, v, "a finite number");
                    }
                    *out = static_cast<T>(n);
