@@ -91,14 +91,8 @@ int parse_int(const std::string& field, std::size_t line_no) {
 }
 
 /// Metric columns compared by diff(); lower is better for every one.
-struct MetricRow {
-  const char* name;
-  int baseline;
-  int current;
-};
-
-std::vector<MetricRow> metric_rows(const driver::JobResult& b,
-                                   const driver::JobResult& c) {
+std::vector<MetricDelta> metric_rows(const driver::JobResult& b,
+                                     const driver::JobResult& c) {
   return {
       {"fl_hazards", b.fl_hazards, c.fl_hazards},
       {"var_hazards", b.var_hazards, c.var_hazards},
@@ -437,9 +431,9 @@ DiffReport diff(const StoredReport& baseline, const StoredReport& current) {
     d.baseline_status = b.status;
     d.current_status = c.status;
     d.improvement = true;
-    for (const MetricRow& m : metric_rows(b, c)) {
+    for (const MetricDelta& m : metric_rows(b, c)) {
       if (m.current != m.baseline) {
-        d.metrics.push_back({m.name, m.baseline, m.current});
+        d.metrics.push_back(m);
         if (m.current > m.baseline) d.improvement = false;
       }
     }

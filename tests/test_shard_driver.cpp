@@ -448,8 +448,8 @@ TEST_F(CliOptionTest, TtMbIsAnUnknownOption) {
 
 TEST_F(CliOptionTest, IntegerOptionsRejectValuesPastTheirType) {
   // Both values once wrapped through a cast to int: --random 4294967298
-  // ran 2 jobs and --jobs 4294967297 ran 1 thread.  `timeout` turns a
-  // run that got past parsing into a distinct exit code.
+  // ran 2 jobs and --jobs 4294967297 ran 1 thread.  A run that gets past
+  // parsing exits 0 (or 124 from `timeout`), never 1.
   const struct {
     const char* args;
     const char* option;

@@ -944,8 +944,7 @@ int run_serve(int argc, char** argv) {
   // The parser guarantees a finite value; the byte count must also fit
   // in size_t, or the cast below is undefined.
   const double cache_mem_bytes = cache_mem_mb * 1024.0 * 1024.0;
-  if (cache_mem_mb < 0 ||
-      cache_mem_bytes >= static_cast<double>(SIZE_MAX)) {
+  if (cache_mem_mb < 0 || cache_mem_bytes >= static_cast<double>(SIZE_MAX)) {
     std::printf("option --cache-mem-mb needs a non-negative MiB count whose "
                 "bytes fit in size_t\n");
     return 1;
