@@ -348,7 +348,7 @@ class PartitionSearch {
 
 Assignment assign_ustt(const FlowTable& table, const AssignOptions& options,
                        search::TranspositionTable* tt) {
-  if (table.num_states() > minimize::kMaxStates) {
+  if (table.num_states() > flowtable::kMaxStates) {
     throw std::invalid_argument("assign_ustt: too many states");
   }
   const int n = table.num_states();
@@ -361,10 +361,6 @@ Assignment assign_ustt(const FlowTable& table, const AssignOptions& options,
       throw std::runtime_error("assign_ustt: uniqueness completion did not converge");
     }
     std::vector<std::uint32_t> codes = detail::codes_from_partitions(n, parts);
-    if (!options.ensure_unique) {
-      return Assignment{std::move(codes), static_cast<int>(parts.size()),
-                        std::move(parts), exact, round};
-    }
     // Collect EVERY colliding pair of this round (the seed path added only
     // the first and paid one full re-solve per pair), then resume the
     // search with the whole batch of separation requirements at once.
@@ -386,21 +382,19 @@ Assignment assign_ustt(const FlowTable& table, const AssignOptions& options,
 }
 
 bool verify_ustt(const FlowTable& table, const std::vector<std::uint32_t>& codes,
-                 int num_vars, bool require_unique, std::string* why) {
+                 int num_vars, std::string* why) {
   if (static_cast<int>(codes.size()) != table.num_states()) {
     if (why != nullptr) *why = "code vector size mismatch";
     return false;
   }
-  if (require_unique) {
-    for (int s = 0; s < table.num_states(); ++s) {
-      for (int t = s + 1; t < table.num_states(); ++t) {
-        if (codes[static_cast<std::size_t>(s)] == codes[static_cast<std::size_t>(t)]) {
-          if (why != nullptr) {
-            *why = "states " + table.state_name(s) + " and " + table.state_name(t) +
-                   " share a code";
-          }
-          return false;
+  for (int s = 0; s < table.num_states(); ++s) {
+    for (int t = s + 1; t < table.num_states(); ++t) {
+      if (codes[static_cast<std::size_t>(s)] == codes[static_cast<std::size_t>(t)]) {
+        if (why != nullptr) {
+          *why = "states " + table.state_name(s) + " and " + table.state_name(t) +
+                 " share a code";
         }
+        return false;
       }
     }
   }

@@ -73,9 +73,6 @@ struct Partition {
 [[nodiscard]] bool separates(const Partition& p, const Dichotomy& d);
 
 struct AssignOptions {
-  /// Require all state codes distinct (the "unicode" in USTT).  On by
-  /// default per the paper.
-  bool ensure_unique = true;
   /// Node budget for the exact cover search.
   std::size_t node_budget = 500'000;
 };
@@ -107,13 +104,12 @@ struct Assignment {
 
 /// Verifies USTT critical-race freedom of an arbitrary code assignment:
 /// for every input column and every pair of non-interacting transitions,
-/// some variable separates them; and (if `require_unique`) codes are
-/// distinct.  Fills `why` on failure.  Exposed for tests and as a
-/// cross-check inside the synthesis pipeline.
+/// some variable separates them; and codes are distinct.  Fills `why` on
+/// failure.  Exposed for tests and as a cross-check inside the synthesis
+/// pipeline.
 [[nodiscard]] bool verify_ustt(const flowtable::FlowTable& table,
                                const std::vector<std::uint32_t>& codes,
-                               int num_vars, bool require_unique = true,
-                               std::string* why = nullptr);
+                               int num_vars, std::string* why = nullptr);
 
 namespace detail {
 

@@ -77,10 +77,6 @@ struct SynthesisOptions {
   /// Independent of add_fsv so ablations can isolate fsv's contribution
   /// (function M-hazards) from classic consensus fixes (logic hazards).
   bool consensus_repair = true;
-  /// Cover policy for Y/Z/SSD (fsv always uses all primes when enabled).
-  /// Exact completions run under logic::kDefaultExactNodeBudget nodes and
-  /// logic::kExactCellLimit chart cells.
-  logic::CoverMode cover_mode = logic::CoverMode::kEssentialSop;
   /// Consult the shared transposition table (when the caller provides an
   /// instance) in the three branch-and-bound searches.  Off forces every
   /// search to run cold, node-for-node identical to the memoization-free
@@ -91,8 +87,14 @@ struct SynthesisOptions {
   /// steer budget-truncated searches, so a second size would be a second
   /// configuration whose rows can differ.
   static constexpr std::size_t tt_mb = 16;
-  assign::AssignOptions assign;
-  minimize::ReduceOptions reduce;
+  /// Node budgets of the partition and state-minimization cover searches.
+  /// Fixed for the same reason as tt_mb: a budget decides where a
+  /// truncated search stops, so a second value is a second configuration.
+  /// Y/Z/SSD covers are minimum essential SOP (logic::select_cover under
+  /// logic::kDefaultExactNodeBudget and logic::kExactCellLimit), fsv is all
+  /// primes, and state codes are always unique.
+  static constexpr assign::AssignOptions assign{};
+  static constexpr minimize::ReduceOptions reduce{};
 };
 
 /// Version of the canonical SynthesisOptions encoding below.  The encoded
@@ -105,18 +107,14 @@ struct SynthesisOptions {
 /// missing cover-budget.  v2 predates the shared search core: no
 /// cover-cells, tt, or table-size keys.  v3 still carried cover-budget
 /// and cover-cells, which are now the fixed logic:: constants.  v4 still
-/// carried the table size, which is now the fixed SynthesisOptions::tt_mb.)
-inline constexpr int kOptionsEncodingVersion = 5;
-
-/// Canonical spelling of a cover policy ("essential-sop", "greedy",
-/// "all-primes"); inverse returns nullopt for unknown names.
-[[nodiscard]] const char* to_string(logic::CoverMode mode);
-[[nodiscard]] std::optional<logic::CoverMode> cover_mode_from_string(
-    std::string_view name);
+/// carried the table size, which is now the fixed SynthesisOptions::tt_mb.
+/// v5 still carried the cover policy, the code-uniqueness switch and the
+/// assign/reduce node budgets, which are now the fixed SynthesisOptions
+/// members above.)
+inline constexpr int kOptionsEncodingVersion = 6;
 
 /// Canonical, byte-stable encoding of every result-affecting knob:
-///   "v5 fsv=B minimize=B factor=B consensus=B cover=MODE unique=B
-///    assign-budget=N reduce-budget=N tt=B"
+///   "v6 fsv=B minimize=B factor=B consensus=B tt=B"
 /// Equal options always produce equal bytes (field order is pinned by
 /// test), so the string can key a content-addressed cache and compare
 /// pipeline configurations across processes.

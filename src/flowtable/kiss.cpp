@@ -132,6 +132,14 @@ FlowTable parse_kiss2(std::string_view text, KissInfo* info) {
     // Not fatal — some benchmark headers are sloppy — but worth surfacing.
     // We size by the states actually referenced.
   }
+  // Checked before the table is built: it holds states x 2^inputs entries,
+  // so a few hundred hostile lines would otherwise allocate gigabytes for
+  // a table every later stage rejects anyway.
+  if (state_order.size() > static_cast<std::size_t>(kMaxStates)) {
+    throw std::runtime_error("kiss2: " + std::to_string(state_order.size()) +
+                             " states exceeds the limit of " +
+                             std::to_string(kMaxStates));
+  }
 
   FlowTable table(num_inputs, num_outputs, static_cast<int>(state_order.size()));
   for (std::size_t s = 0; s < state_order.size(); ++s) {

@@ -36,6 +36,11 @@ struct Entry {
 
 inline constexpr int kUnspecifiedNext = -1;
 
+/// Most states any pipeline stage accepts: state sets are 64-bit masks
+/// (minimize::StateSet), far beyond anything the paper's flow uses.
+/// parse_kiss2 enforces it before it allocates the table.
+inline constexpr int kMaxStates = 64;
+
 class FlowTable {
  public:
   FlowTable(int num_inputs, int num_outputs, int num_states);

@@ -26,27 +26,18 @@ std::vector<Cube> compute_primes(int num_vars, std::span<const Minterm> on,
   return prime_engine::compute_primes(num_vars, on, dc);
 }
 
+Cover all_primes_cover(int num_vars, std::span<const Minterm> on,
+                       std::span<const Minterm> dc) {
+  // Needs only the filtered prime list — no incidence bitmatrix.
+  return Cover(num_vars,
+               prime_engine::compute_on_primes(num_vars, dedup(on), dc));
+}
+
 Cover select_cover(int num_vars, std::span<const Minterm> on,
-                   std::span<const Minterm> dc, CoverMode mode,
-                   CoverStats* stats, std::size_t exact_node_budget,
+                   std::span<const Minterm> dc, CoverStats* stats,
+                   std::size_t exact_node_budget,
                    search::TranspositionTable* tt) {
   const std::vector<Minterm> on_sorted = dedup(on);
-
-  // The all-primes mode (every fsv cover) needs only the filtered prime
-  // list — skip the incidence bitmatrix entirely.
-  if (mode == CoverMode::kAllPrimes) {
-    std::vector<Cube> primes =
-        prime_engine::compute_on_primes(num_vars, on_sorted, dc);
-    if (stats != nullptr) {
-      *stats = CoverStats{};
-      stats->prime_count = primes.size();
-      // All-primes covers are hazard-driven, not minimized: ub == lb by
-      // definition so they never contribute optimality gap.
-      stats->cover_size = primes.size();
-      stats->lower_bound = primes.size();
-    }
-    return Cover(num_vars, std::move(primes));
-  }
 
   // Primes restricted to the ON-set plus the prime×minterm incidence,
   // emitted directly as a packed bitmatrix by the word-parallel engine;
@@ -140,8 +131,7 @@ Cover select_cover(int num_vars, std::span<const Minterm> on,
     residual_lb = (num_rows + max_gain - 1) / max_gain;
 
     bool solved = false;
-    if (mode == CoverMode::kEssentialSop &&
-        num_rows * cand_ids.size() <= kExactCellLimit) {
+    if (num_rows * cand_ids.size() <= kExactCellLimit) {
       const MinCoverResult result =
           solve_min_cover(candidates, exact_node_budget, tt);
       residual_lb = std::max(residual_lb, result.lower_bound);
@@ -173,16 +163,6 @@ Cover select_cover(int num_vars, std::span<const Minterm> on,
         stats->exact ? chosen.size() : essential_count + residual_lb;
   }
   return Cover(num_vars, std::move(chosen));
-}
-
-Cover minimize_sop(int num_vars, std::span<const Minterm> on,
-                   std::span<const Minterm> dc) {
-  return select_cover(num_vars, on, dc, CoverMode::kEssentialSop);
-}
-
-Cover all_primes_cover(int num_vars, std::span<const Minterm> on,
-                       std::span<const Minterm> dc) {
-  return select_cover(num_vars, on, dc, CoverMode::kAllPrimes);
 }
 
 bool is_prime_implicant(const Cube& c, int num_vars,

@@ -29,18 +29,6 @@ namespace seance::logic {
                                                std::span<const Minterm> on,
                                                std::span<const Minterm> dc);
 
-/// Cover-selection policy.
-enum class CoverMode {
-  /// Essential primes plus an exact branch-and-bound completion —
-  /// minimum-cardinality cover (falls back to greedy past a work bound).
-  kEssentialSop,
-  /// Greedy set-cover completion after essential primes.
-  kGreedy,
-  /// Every prime implicant that covers at least one ON-set minterm.
-  /// Hazard-free for single-input changes (used for fsv, paper step 7).
-  kAllPrimes,
-};
-
 struct CoverStats {
   std::size_t prime_count = 0;      ///< primes generated
   std::size_t essential_count = 0;  ///< essential primes found
@@ -84,26 +72,24 @@ inline constexpr std::size_t kDefaultExactNodeBudget = 2'000'000;
 /// remains unproven.
 inline constexpr std::size_t kExactCellLimit = 524'288;
 
-/// Selects a cover of the ON-set from the function's primes.  The exact
-/// completion (kEssentialSop) expands at most `exact_node_budget` search
-/// nodes; on overrun the best cover found so far is kept (see
-/// CoverStats::exact), and greedy fills in only when no complete cover
-/// was reached at all.
+/// Minimum essential-SOP cover (paper's reduction for Z/SSD/Y): the
+/// essential primes plus an exact branch-and-bound completion that
+/// expands at most `exact_node_budget` search nodes; on overrun the best
+/// cover found so far is kept (see CoverStats::exact), and greedy fills
+/// in only when no complete cover was reached at all or the reduced chart
+/// exceeds kExactCellLimit cells.
 ///
 /// `tt` (optional) memoizes covering-chart subproblem bounds across
 /// calls; the caller decides how long entries live (core::synthesize
 /// scopes them to one synthesis — see its purity contract).
 [[nodiscard]] Cover select_cover(
     int num_vars, std::span<const Minterm> on, std::span<const Minterm> dc,
-    CoverMode mode, CoverStats* stats = nullptr,
+    CoverStats* stats = nullptr,
     std::size_t exact_node_budget = kDefaultExactNodeBudget,
     search::TranspositionTable* tt = nullptr);
 
-/// Convenience: minimum essential-SOP cover (paper's reduction for Z/SSD/Y).
-[[nodiscard]] Cover minimize_sop(int num_vars, std::span<const Minterm> on,
-                                 std::span<const Minterm> dc);
-
-/// Convenience: all-primes cover (paper's reduction for fsv).
+/// Every prime implicant that covers at least one ON-set minterm (paper's
+/// reduction for fsv, step 7): hazard-free for single-input changes.
 [[nodiscard]] Cover all_primes_cover(int num_vars, std::span<const Minterm> on,
                                      std::span<const Minterm> dc);
 

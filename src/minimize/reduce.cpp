@@ -90,7 +90,7 @@ void bron_kerbosch(const std::vector<StateSet>& adj, StateSet r, StateSet p,
 
 std::vector<StateSet> compatibility_rows(const FlowTable& table) {
   const int n = table.num_states();
-  if (n > kMaxStates) throw std::invalid_argument("compatible_pairs: too many states");
+  if (n > flowtable::kMaxStates) throw std::invalid_argument("compatible_pairs: too many states");
   const int cols = table.num_columns();
   const StateSet all = (n >= 64) ? ~StateSet{0} : ((StateSet{1} << n) - 1);
   std::vector<StateSet> rows(static_cast<std::size_t>(n), all);

@@ -33,11 +33,9 @@
 
 namespace seance::minimize {
 
-/// Set of states as a bitmask (state i = bit i).  Bounds tables to 64 rows,
-/// far beyond anything the paper's flow (or our benches) uses.
+/// Set of states as a bitmask (state i = bit i); bounds tables to
+/// flowtable::kMaxStates rows.
 using StateSet = std::uint64_t;
-
-inline constexpr int kMaxStates = 64;
 
 /// Pair-compatibility chart as per-state adjacency rows: bit t of row s is
 /// set iff states s and t are compatible (the diagonal is set — every

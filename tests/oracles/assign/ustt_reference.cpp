@@ -123,7 +123,7 @@ class ReferencePartitionSearch {
 }  // namespace
 
 Assignment reference_assign_ustt(const FlowTable& table, const AssignOptions& options) {
-  if (table.num_states() > minimize::kMaxStates) {
+  if (table.num_states() > flowtable::kMaxStates) {
     throw std::invalid_argument("assign_ustt: too many states");
   }
   std::vector<Dichotomy> dichotomies = reference_transition_dichotomies(table);
@@ -139,10 +139,6 @@ Assignment reference_assign_ustt(const FlowTable& table, const AssignOptions& op
     std::vector<std::uint32_t> codes =
         detail::codes_from_partitions(table.num_states(), parts);
 
-    if (!options.ensure_unique) {
-      return Assignment{std::move(codes), static_cast<int>(parts.size()),
-                        std::move(parts), exact, completion_rounds};
-    }
     // Find ONE colliding pair; add a separating requirement and re-solve
     // from scratch (seed behavior: one pair per round).
     bool collision = false;

@@ -169,24 +169,34 @@ std::vector<Cube> reference_compute_primes(int num_vars,
   return primes;
 }
 
-Cover reference_select_cover(int num_vars, std::span<const Minterm> on,
-                             std::span<const Minterm> dc, CoverMode mode,
-                             CoverStats* stats) {
-  const std::vector<Minterm> on_sorted = dedup(on);
-  std::vector<Cube> primes = reference_compute_primes(num_vars, on_sorted, dc);
+namespace {
 
+/// Reference primes that cover at least one of the sorted ON minterms.
+std::vector<Cube> on_primes(int num_vars, std::span<const Minterm> on_sorted,
+                            std::span<const Minterm> dc) {
+  std::vector<Cube> primes = reference_compute_primes(num_vars, on_sorted, dc);
   std::erase_if(primes, [&](const Cube& p) {
     return std::none_of(on_sorted.begin(), on_sorted.end(),
                         [&p](Minterm m) { return p.contains(m); });
   });
+  return primes;
+}
+
+}  // namespace
+
+Cover reference_all_primes_cover(int num_vars, std::span<const Minterm> on,
+                                 std::span<const Minterm> dc) {
+  return Cover(num_vars, on_primes(num_vars, dedup(on), dc));
+}
+
+Cover reference_select_cover(int num_vars, std::span<const Minterm> on,
+                             std::span<const Minterm> dc, CoverStats* stats) {
+  const std::vector<Minterm> on_sorted = dedup(on);
+  std::vector<Cube> primes = on_primes(num_vars, on_sorted, dc);
 
   if (stats != nullptr) {
     *stats = CoverStats{};
     stats->prime_count = primes.size();
-  }
-
-  if (mode == CoverMode::kAllPrimes) {
-    return Cover(num_vars, std::move(primes));
   }
 
   const std::size_t num_minterms = on_sorted.size();
@@ -240,8 +250,7 @@ Cover reference_select_cover(int num_vars, std::span<const Minterm> on,
     }
 
     bool solved_exactly = false;
-    if (mode == CoverMode::kEssentialSop &&
-        remaining_rows.size() * cand_cols.size() <= 200'000) {
+    if (remaining_rows.size() * cand_cols.size() <= 200'000) {
       ReferenceExactCover solver(remaining_rows.size(), cand_cols);
       if (auto solution = solver.solve()) {
         for (std::size_t c : *solution) selected[cand_ids[c]] = 1;

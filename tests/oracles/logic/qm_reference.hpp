@@ -34,7 +34,12 @@ namespace seance::logic {
 [[nodiscard]] Cover reference_select_cover(int num_vars,
                                            std::span<const Minterm> on,
                                            std::span<const Minterm> dc,
-                                           CoverMode mode,
                                            CoverStats* stats = nullptr);
+
+/// Seed-behavior all-primes cover: the reference primes that cover at
+/// least one ON minterm.  Same contract as all_primes_cover.
+[[nodiscard]] Cover reference_all_primes_cover(int num_vars,
+                                               std::span<const Minterm> on,
+                                               std::span<const Minterm> dc);
 
 }  // namespace seance::logic

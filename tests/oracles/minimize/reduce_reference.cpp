@@ -28,7 +28,7 @@ std::vector<int> set_members(StateSet s) {
 
 std::vector<std::vector<char>> reference_compatible_pairs(const FlowTable& table) {
   const int n = table.num_states();
-  if (n > kMaxStates) throw std::invalid_argument("compatible_pairs: too many states");
+  if (n > flowtable::kMaxStates) throw std::invalid_argument("compatible_pairs: too many states");
   std::vector<std::vector<char>> compat(static_cast<std::size_t>(n),
                                         std::vector<char>(static_cast<std::size_t>(n), 1));
   // Seed: output conflicts.

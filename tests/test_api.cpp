@@ -70,19 +70,14 @@ TEST(OptionsCodec, RoundTripsEveryField) {
   options.minimize_states = false;
   options.factor = false;
   options.consensus_repair = false;
-  options.cover_mode = logic::CoverMode::kGreedy;
-  options.assign.ensure_unique = false;
-  options.assign.node_budget = 456;
-  options.reduce.node_budget = 789;
   options.tt = false;
   const std::string encoded = core::options_to_string(options);
   const core::SynthesisOptions back = core::options_from_string(encoded);
   EXPECT_EQ(core::options_to_string(back), encoded);
   EXPECT_FALSE(back.add_fsv);
-  EXPECT_EQ(back.cover_mode, logic::CoverMode::kGreedy);
-  EXPECT_FALSE(back.assign.ensure_unique);
-  EXPECT_EQ(back.assign.node_budget, 456);
-  EXPECT_EQ(back.reduce.node_budget, 789);
+  EXPECT_FALSE(back.minimize_states);
+  EXPECT_FALSE(back.factor);
+  EXPECT_FALSE(back.consensus_repair);
   EXPECT_FALSE(back.tt);
 }
 
@@ -91,45 +86,59 @@ TEST(OptionsCodec, PinnedDefaultBytes) {
   // invalidates every cache entry and golden identity, so it must be a
   // deliberate version bump, never drift.
   EXPECT_EQ(core::options_to_string(core::SynthesisOptions{}),
-            "v5 fsv=1 minimize=1 factor=1 consensus=1 cover=essential-sop "
-            "unique=1 assign-budget=500000 reduce-budget=1000000 tt=1");
+            "v6 fsv=1 minimize=1 factor=1 consensus=1 tt=1");
+}
+
+TEST(OptionsCodec, FixedConstantsArePinnedToTheCodecVersion) {
+  // These values decide rows but are not spelled in the encoding, so no
+  // cache key or golden identity line moves when one changes.  Pinning
+  // them beside the version makes a change here fail until the version
+  // is bumped and this test updated with it.
+  constexpr const char* kWhy =
+      "changing tt_mb, a node budget or the exact-cover cell limit moves "
+      "rows without moving any cache key: bump "
+      "core::kOptionsEncodingVersion, regenerate the golden corpus, and "
+      "update this pin";
+  EXPECT_EQ(core::kOptionsEncodingVersion, 6) << kWhy;
+  EXPECT_EQ(core::SynthesisOptions::tt_mb, 16u) << kWhy;
+  EXPECT_EQ(core::SynthesisOptions::assign.node_budget, 500'000u) << kWhy;
+  EXPECT_EQ(core::SynthesisOptions::reduce.node_budget, 1'000'000u) << kWhy;
+  EXPECT_EQ(logic::kDefaultExactNodeBudget, 2'000'000u) << kWhy;
+  EXPECT_EQ(logic::kExactCellLimit, 524'288u) << kWhy;
 }
 
 TEST(OptionsCodec, AbsentKeysKeepDefaults) {
-  const core::SynthesisOptions back = core::options_from_string("v5 fsv=0");
+  const core::SynthesisOptions back = core::options_from_string("v6 fsv=0");
   EXPECT_FALSE(back.add_fsv);
   EXPECT_TRUE(back.minimize_states);
-  EXPECT_EQ(back.cover_mode, logic::CoverMode::kEssentialSop);
   EXPECT_TRUE(back.tt);
 }
 
 TEST(OptionsCodec, RejectsBadInput) {
   // Unknown keys are rejected, not skipped: a key this build does not
   // understand could alias two configurations under one cache key.
-  EXPECT_THROW((void)core::options_from_string("v5 warp=1"),
+  EXPECT_THROW((void)core::options_from_string("v6 warp=1"),
                std::runtime_error);
   EXPECT_THROW((void)core::options_from_string("v3 fsv=1"),
                std::runtime_error);
   EXPECT_THROW((void)core::options_from_string(""), std::runtime_error);
-  EXPECT_THROW((void)core::options_from_string("v5 fsv=2"),
+  EXPECT_THROW((void)core::options_from_string("v6 fsv=2"),
                std::runtime_error);
-  EXPECT_THROW((void)core::options_from_string("v5 fsv=1 fsv=1"),
+  EXPECT_THROW((void)core::options_from_string("v6 fsv=1 fsv=1"),
                std::runtime_error);
-  EXPECT_THROW((void)core::options_from_string("v5 cover=psychic"),
-               std::runtime_error);
-  EXPECT_THROW((void)core::options_from_string("v5 tt=maybe"),
+  EXPECT_THROW((void)core::options_from_string("v6 tt=maybe"),
                std::runtime_error);
   // v3's cover-budget / cover-cells keys are gone, not silently ignored.
-  EXPECT_THROW((void)core::options_from_string("v5 cover-budget=2000000"),
+  EXPECT_THROW((void)core::options_from_string("v6 cover-budget=2000000"),
                std::runtime_error);
 }
 
 TEST(OptionsCodec, RejectsTheRetiredTtMbKey) {
-  // v4's tt-mb is the fixed SynthesisOptions::tt_mb now: a v5 string
+  // v4's tt-mb is the fixed SynthesisOptions::tt_mb now: a v6 string
   // carrying it is an unknown key, and a whole v4 string is a version
   // mismatch, so neither aliases a current configuration.
   try {
-    (void)core::options_from_string("v5 tt-mb=16");
+    (void)core::options_from_string("v6 tt-mb=16");
     ADD_FAILURE() << "accepted tt-mb";
   } catch (const std::runtime_error& e) {
     EXPECT_NE(std::string(e.what()).find("unknown key 'tt-mb'"),
@@ -142,36 +151,40 @@ TEST(OptionsCodec, RejectsTheRetiredTtMbKey) {
         "unique=1 assign-budget=500000 reduce-budget=1000000 tt=1 tt-mb=16");
     ADD_FAILURE() << "accepted a v4 string";
   } catch (const std::runtime_error& e) {
-    EXPECT_NE(std::string(e.what()).find("expected version tag 'v5'"),
+    EXPECT_NE(std::string(e.what()).find("expected version tag 'v6'"),
               std::string::npos)
         << e.what();
   }
 }
 
-TEST(OptionsCodec, RejectsSignedAndOverflowingCounts) {
-  // strtoull would wrap "-1" to ULLONG_MAX, and a count past it sets
-  // ERANGE; neither may reach a budget.  Each error names its key.
-  const struct {
-    const char* text;
-    const char* key;
-  } cases[] = {{"v5 assign-budget=-1", "assign-budget"},
-               {"v5 assign-budget=18446744073709551616", "assign-budget"},
-               {"v5 reduce-budget=99999999999999999999999", "reduce-budget"},
-               {"v5 assign-budget=-5", "assign-budget"},
-               {"v5 reduce-budget=-0", "reduce-budget"}};
-  for (const auto& c : cases) {
-    SCOPED_TRACE(c.text);
+TEST(OptionsCodec, RejectsTheRetiredV5Keys) {
+  // v5's cover policy, uniqueness switch and node budgets are fixed
+  // SynthesisOptions members now: each key is unknown to v6, even at its
+  // old default, and a whole v5 string is a version mismatch.
+  for (const char* token : {"cover=essential-sop", "unique=1",
+                            "assign-budget=500000", "reduce-budget=1000000"}) {
+    SCOPED_TRACE(token);
+    const std::string token_text(token);
+    const std::string key = token_text.substr(0, token_text.find('='));
     try {
-      (void)core::options_from_string(c.text);
+      (void)core::options_from_string(std::string("v6 ") + token);
       ADD_FAILURE() << "accepted";
     } catch (const std::runtime_error& e) {
-      EXPECT_NE(std::string(e.what()).find(c.key), std::string::npos)
+      EXPECT_NE(std::string(e.what()).find("unknown key '" + key + "'"),
+                std::string::npos)
           << e.what();
     }
   }
-  const std::string largest =
-      "v5 assign-budget=" + std::to_string(SIZE_MAX);
-  EXPECT_EQ(core::options_from_string(largest).assign.node_budget, SIZE_MAX);
+  try {
+    (void)core::options_from_string(
+        "v5 fsv=1 minimize=1 factor=1 consensus=1 cover=essential-sop "
+        "unique=1 assign-budget=500000 reduce-budget=1000000 tt=1");
+    ADD_FAILURE() << "accepted a v5 string";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("expected version tag 'v6'"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 // ---- cache keys ----------------------------------------------------------

@@ -62,7 +62,7 @@ TEST(Assign, CrossingTableNeedsTwoVariables) {
   // (four distinct codes).
   EXPECT_GE(a.num_vars, 2);
   std::string why;
-  EXPECT_TRUE(verify_ustt(t, a.codes, a.num_vars, true, &why)) << why;
+  EXPECT_TRUE(verify_ustt(t, a.codes, a.num_vars, &why)) << why;
 }
 
 TEST(Assign, CodesAreUnique) {
@@ -76,7 +76,7 @@ TEST(Assign, VerifyRejectsSharedCodes) {
   const FlowTable t = crossing_table();
   const std::vector<std::uint32_t> bad = {0, 0, 1, 2};
   std::string why;
-  EXPECT_FALSE(verify_ustt(t, bad, 2, true, &why));
+  EXPECT_FALSE(verify_ustt(t, bad, 2, &why));
   EXPECT_NE(why.find("share a code"), std::string::npos);
 }
 
@@ -87,7 +87,7 @@ TEST(Assign, VerifyRejectsUnseparatedTransitions) {
   // variable changes in both transitions, no separation.
   const std::vector<std::uint32_t> bad = {0b00, 0b11, 0b01, 0b10};
   std::string why;
-  EXPECT_FALSE(verify_ustt(t, bad, 2, true, &why));
+  EXPECT_FALSE(verify_ustt(t, bad, 2, &why));
   EXPECT_NE(why.find("not separated"), std::string::npos);
 }
 
@@ -113,7 +113,7 @@ TEST(Assign, StableParkedStatesSeparatedFromTransitions) {
   const FlowTable t = b.build();
   const Assignment a = assign_ustt(t);
   std::string why;
-  ASSERT_TRUE(verify_ustt(t, a.codes, a.num_vars, true, &why)) << why;
+  ASSERT_TRUE(verify_ustt(t, a.codes, a.num_vars, &why)) << why;
   // Explicit check of the {a,b}|{c} separation.
   bool separated = false;
   for (int v = 0; v < a.num_vars; ++v) {
@@ -144,8 +144,8 @@ TEST(Assign, UniquenessCompletionBatchesCollisions) {
   const Assignment fast = assign_ustt(t);
   const Assignment ref = reference_assign_ustt(t);
   std::string why;
-  EXPECT_TRUE(verify_ustt(t, fast.codes, fast.num_vars, true, &why)) << why;
-  EXPECT_TRUE(verify_ustt(t, ref.codes, ref.num_vars, true, &why)) << why;
+  EXPECT_TRUE(verify_ustt(t, fast.codes, fast.num_vars, &why)) << why;
+  EXPECT_TRUE(verify_ustt(t, ref.codes, ref.num_vars, &why)) << why;
   EXPECT_EQ(fast.completion_rounds, 1);
   EXPECT_GE(ref.completion_rounds, 3);
   EXPECT_LT(fast.completion_rounds, ref.completion_rounds);
@@ -156,7 +156,7 @@ TEST(Assign, Table1SuiteAssignsRaceFree) {
     const FlowTable t = bench_suite::load(bench);
     const Assignment a = assign_ustt(t);
     std::string why;
-    EXPECT_TRUE(verify_ustt(t, a.codes, a.num_vars, true, &why))
+    EXPECT_TRUE(verify_ustt(t, a.codes, a.num_vars, &why))
         << bench.name << ": " << why;
     EXPECT_LE(a.num_vars, t.num_states());  // sanity bound
   }
@@ -180,7 +180,7 @@ TEST_P(AssignRandom, RandomTablesVerify) {
   const FlowTable t = bench_suite::generate(gen);
   const Assignment a = assign_ustt(t);
   std::string why;
-  EXPECT_TRUE(verify_ustt(t, a.codes, a.num_vars, true, &why)) << why;
+  EXPECT_TRUE(verify_ustt(t, a.codes, a.num_vars, &why)) << why;
   // Enough variables for unicode at minimum.
   EXPECT_GE(1 << a.num_vars, t.num_states());
 }

@@ -55,8 +55,8 @@ TEST_P(AssignEnginesAgree, IdenticalDominanceAndValidCodes) {
   const Assignment a = assign_ustt(table);
   const Assignment b = reference_assign_ustt(table);
   std::string why;
-  EXPECT_TRUE(verify_ustt(table, a.codes, a.num_vars, true, &why)) << why;
-  EXPECT_TRUE(verify_ustt(table, b.codes, b.num_vars, true, &why)) << why;
+  EXPECT_TRUE(verify_ustt(table, a.codes, a.num_vars, &why)) << why;
+  EXPECT_TRUE(verify_ustt(table, b.codes, b.num_vars, &why)) << why;
 
   if (b.completion_rounds == 0) {
     // No uniqueness completion: round 0 of the production path is the

@@ -150,7 +150,7 @@ class ExprEquivalence : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(ExprEquivalence, BothSopFormsMatchRandomCovers) {
   const auto f = random_function(5, 0.35, 0.1, GetParam());
-  const Cover cover = minimize_sop(5, f.on, f.dc);
+  const Cover cover = select_cover(5, f.on, f.dc);
   EXPECT_TRUE(equivalent_to_cover(sop_expr(cover), cover));
   const ExprPtr flg = first_level_sop_expr(cover);
   EXPECT_TRUE(equivalent_to_cover(flg, cover));

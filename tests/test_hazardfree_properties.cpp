@@ -40,7 +40,7 @@ TEST(ConsensusRepair, PreservesTheFunction) {
     for (Minterm m = 0; m < 64; ++m) {
       if (rng() % 3 == 0) on.push_back(m);
     }
-    Cover cover = logic::minimize_sop(6, on, {});
+    Cover cover = logic::select_cover(6, on, {});
     const auto before = cover.on_set();
     (void)logic::make_sic_static1_hazard_free(cover);
     EXPECT_EQ(cover.on_set(), before) << "seed " << seed;

@@ -71,15 +71,6 @@ TEST(Pipeline, OptionsComposeOnLion9) {
   }
 }
 
-TEST(Pipeline, GreedyCoverModeStillVerifies) {
-  const auto table = bench_suite::load(bench_suite::by_name("traffic"));
-  core::SynthesisOptions options;
-  options.cover_mode = logic::CoverMode::kGreedy;
-  const core::FantomMachine m = core::synthesize(table, options);
-  std::string why;
-  EXPECT_TRUE(core::verify_equations(m, &why)) << why;
-}
-
 TEST(Pipeline, Train4DegeneratesGracefully) {
   // train4 minimizes to very few states; the pipeline must survive tiny
   // state spaces (possibly zero state variables).

@@ -65,6 +65,31 @@ TEST(MalformedKiss, HostileHeaderValues) {
                "num_inputs out of range");
 }
 
+/// `states` distinct stable states, each named once as a current state.
+std::string kiss_with_states(int states, int inputs) {
+  std::string text = ".i " + std::to_string(inputs) + "\n.o 1\n";
+  const std::string pattern(static_cast<std::size_t>(inputs), '-');
+  for (int s = 0; s < states; ++s) {
+    const std::string name = "s" + std::to_string(s);
+    text += pattern + " " + name + " " + name + " 0\n";
+  }
+  return text;
+}
+
+TEST(MalformedKiss, TooManyStatesFailsBeforeTheTableIsBuilt) {
+  // 65 states at .i 16 would be 65 x 65536 entries; the parser refuses
+  // by count before allocating any of them.
+  expect_error(parse_error(kiss_with_states(65, 16)),
+               "65 states exceeds the limit of 64");
+  // Next-only states count too: `y` is the 65th.
+  expect_error(parse_error(kiss_with_states(63, 1) + "0 x y 0\n1 x x 0\n"),
+               "65 states exceeds the limit of 64");
+  // The limit itself still parses.
+  const flowtable::FlowTable table =
+      flowtable::parse_kiss2(kiss_with_states(64, 1));
+  EXPECT_EQ(table.num_states(), 64);
+}
+
 TEST(MalformedKiss, UnknownDirective) {
   expect_error(parse_error(".q 3\n"), "unknown directive '.q'");
   expect_error(parse_error(".\n"), "unknown directive '.'");

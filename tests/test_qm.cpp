@@ -15,7 +15,7 @@ TEST(Qm, TextbookFourVariable) {
   // f = Σm(4,8,10,11,12,15) + d(9,14): the classic QM example.
   const std::vector<Minterm> on = {4, 8, 10, 11, 12, 15};
   const std::vector<Minterm> dc = {9, 14};
-  const Cover cover = minimize_sop(4, on, dc);
+  const Cover cover = select_cover(4, on, dc);
   EXPECT_TRUE(cover.equals_function(on, dc));
   // Known minimal solution has 3 product terms.
   EXPECT_EQ(cover.size(), 3u);
@@ -23,7 +23,7 @@ TEST(Qm, TextbookFourVariable) {
 
 TEST(Qm, SingleMinterm) {
   const std::vector<Minterm> on = {5};
-  const Cover cover = minimize_sop(3, on, {});
+  const Cover cover = select_cover(3, on, {});
   EXPECT_EQ(cover.size(), 1u);
   EXPECT_TRUE(cover.equals_function(on, {}));
 }
@@ -31,13 +31,13 @@ TEST(Qm, SingleMinterm) {
 TEST(Qm, TautologyCollapsesToUniversalCube) {
   std::vector<Minterm> on;
   for (Minterm m = 0; m < 16; ++m) on.push_back(m);
-  const Cover cover = minimize_sop(4, on, {});
+  const Cover cover = select_cover(4, on, {});
   ASSERT_EQ(cover.size(), 1u);
   EXPECT_EQ(cover.cubes()[0].literal_count(), 0);
 }
 
 TEST(Qm, EmptyOnSetGivesEmptyCover) {
-  const Cover cover = minimize_sop(3, {}, {});
+  const Cover cover = select_cover(3, {}, {});
   EXPECT_TRUE(cover.empty());
 }
 
@@ -45,7 +45,7 @@ TEST(Qm, DontCaresEnlargePrimes) {
   // on = {0}, dc = {1}: prime can drop variable 0.
   const std::vector<Minterm> on = {0};
   const std::vector<Minterm> dc = {1};
-  const Cover cover = minimize_sop(1, on, dc);
+  const Cover cover = select_cover(1, on, dc);
   ASSERT_EQ(cover.size(), 1u);
   EXPECT_EQ(cover.cubes()[0].literal_count(), 0);
 }
@@ -53,7 +53,7 @@ TEST(Qm, DontCaresEnlargePrimes) {
 TEST(Qm, XorNeedsAllMinterms) {
   // XOR has no mergeable adjacent minterms: cover = the minterms.
   const std::vector<Minterm> on = {0b01, 0b10};
-  const Cover cover = minimize_sop(2, on, {});
+  const Cover cover = select_cover(2, on, {});
   EXPECT_EQ(cover.size(), 2u);
   EXPECT_TRUE(cover.equals_function(on, {}));
 }
@@ -79,7 +79,7 @@ TEST(Qm, PrimesOfConsensusFunction) {
   EXPECT_EQ(all.size(), 3u);
   EXPECT_TRUE(all.equals_function(on, {}));
   // Essential cover drops the consensus term.
-  const Cover essential = minimize_sop(3, on, {});
+  const Cover essential = select_cover(3, on, {});
   EXPECT_EQ(essential.size(), 2u);
 }
 
@@ -100,7 +100,7 @@ TEST(Qm, CoverStatsReportEssentials) {
   const std::vector<Minterm> on = {4, 8, 10, 11, 12, 15};
   const std::vector<Minterm> dc = {9, 14};
   CoverStats stats;
-  (void)select_cover(4, on, dc, CoverMode::kEssentialSop, &stats);
+  (void)select_cover(4, on, dc, &stats);
   EXPECT_GT(stats.prime_count, 0u);
   EXPECT_TRUE(stats.exact);
 }
@@ -112,14 +112,12 @@ TEST(Qm, TinyNodeBudgetStillYieldsValidCovers) {
   // and report exactness honestly.
   const auto f = testutil::random_function(6, 0.35, 0.15, 99);
   CoverStats full_stats;
-  const Cover full = select_cover(6, f.on, f.dc, CoverMode::kEssentialSop,
-                                  &full_stats);
+  const Cover full = select_cover(6, f.on, f.dc, &full_stats);
   ASSERT_TRUE(full_stats.exact);
   for (std::size_t budget : {std::size_t{1}, std::size_t{2}, std::size_t{8},
                              std::size_t{64}}) {
     CoverStats stats;
-    const Cover cover = select_cover(6, f.on, f.dc, CoverMode::kEssentialSop,
-                                     &stats, budget);
+    const Cover cover = select_cover(6, f.on, f.dc, &stats, budget);
     EXPECT_TRUE(cover.equals_function(f.on, f.dc)) << "budget " << budget;
     EXPECT_GE(cover.size(), full.size()) << "budget " << budget;
     if (cover.size() > full.size()) {
@@ -140,7 +138,7 @@ class QmRandom : public ::testing::TestWithParam<QmRandomCase> {};
 TEST_P(QmRandom, EssentialCoverMatchesFunction) {
   const auto& p = GetParam();
   const auto f = random_function(p.num_vars, p.p_on, p.p_dc, p.seed);
-  const Cover cover = minimize_sop(p.num_vars, f.on, f.dc);
+  const Cover cover = select_cover(p.num_vars, f.on, f.dc);
   EXPECT_TRUE(cover.equals_function(f.on, f.dc));
   EXPECT_TRUE(is_irredundant(cover, f.on));
 }
@@ -189,7 +187,7 @@ TEST_P(QmExactMinimality, BranchAndBoundBeatsNothingSmaller) {
   // and compare with the solver's result.
   const auto f = random_function(4, 0.4, 0.1, GetParam());
   const std::vector<Cube> primes = compute_primes(4, f.on, f.dc);
-  const Cover cover = minimize_sop(4, f.on, f.dc);
+  const Cover cover = select_cover(4, f.on, f.dc);
   if (f.on.empty()) {
     EXPECT_TRUE(cover.empty());
     return;

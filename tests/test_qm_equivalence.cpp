@@ -36,10 +36,9 @@ TEST_P(QmEquivalence, EssentialSopMatchesReference) {
 
   CoverStats ref_stats;
   const Cover reference = reference_select_cover(
-      p.num_vars, f.on, f.dc, CoverMode::kEssentialSop, &ref_stats);
+      p.num_vars, f.on, f.dc, &ref_stats);
   CoverStats new_stats;
-  const Cover bitset = select_cover(p.num_vars, f.on, f.dc,
-                                    CoverMode::kEssentialSop, &new_stats);
+  const Cover bitset = select_cover(p.num_vars, f.on, f.dc, &new_stats);
 
   EXPECT_TRUE(reference.equals_function(f.on, f.dc));
   EXPECT_TRUE(bitset.equals_function(f.on, f.dc));
@@ -58,10 +57,8 @@ TEST_P(QmEquivalence, EssentialSopMatchesReference) {
 TEST_P(QmEquivalence, AllPrimesPathsAreIdentical) {
   const auto& p = GetParam();
   const auto f = random_function(p.num_vars, p.p_on, p.p_dc, p.seed);
-  const Cover reference =
-      reference_select_cover(p.num_vars, f.on, f.dc, CoverMode::kAllPrimes);
-  const Cover bitset =
-      select_cover(p.num_vars, f.on, f.dc, CoverMode::kAllPrimes);
+  const Cover reference = reference_all_primes_cover(p.num_vars, f.on, f.dc);
+  const Cover bitset = all_primes_cover(p.num_vars, f.on, f.dc);
   ASSERT_EQ(bitset.size(), reference.size());
   for (std::size_t i = 0; i < bitset.size(); ++i) {
     EXPECT_EQ(bitset.cubes()[i].key(), reference.cubes()[i].key());
@@ -145,8 +142,7 @@ TEST(QmEquivalenceCorpus, HardShapeCoversAreIrredundantAndExact) {
   for (std::uint64_t seed = 1; seed <= 4; ++seed) {
     const auto f = random_function(10, 0.15, 0.5, seed * 17);
     CoverStats stats;
-    const Cover cover =
-        select_cover(10, f.on, f.dc, CoverMode::kEssentialSop, &stats);
+    const Cover cover = select_cover(10, f.on, f.dc, &stats);
     EXPECT_TRUE(cover.equals_function(f.on, f.dc)) << "seed " << seed;
     EXPECT_TRUE(is_irredundant(cover, f.on)) << "seed " << seed;
     EXPECT_TRUE(stats.exact) << "seed " << seed;

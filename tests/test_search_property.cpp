@@ -359,7 +359,7 @@ TEST(SearchProperty, AssignmentOverrunReportsInexact) {
     saw_inexact = saw_inexact || !a.exact;
     std::string why;
     EXPECT_TRUE(
-        assign::verify_ustt(table, a.codes, a.num_vars, true, &why))
+        assign::verify_ustt(table, a.codes, a.num_vars, &why))
         << why;
   }
   EXPECT_TRUE(saw_inexact);

@@ -83,8 +83,7 @@ TEST(Serve, RepeatRequestHitsTheCache) {
 TEST(Serve, OptLineSelectsDistinctCacheEntries) {
   ResultCache cache(CacheConfig{"", 1 << 20});
   const std::string baseline =
-      "v5 fsv=0 minimize=1 factor=1 consensus=1 cover=essential-sop "
-      "unique=1 assign-budget=500000 reduce-budget=1000000 tt=1";
+      "v6 fsv=0 minimize=1 factor=1 consensus=1 tt=1";
   const auto lines = run_session(request_of("a", example_kiss()) +
                                      request_of("b", example_kiss(), baseline),
                                  &cache);

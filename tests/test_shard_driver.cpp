@@ -485,22 +485,23 @@ TEST_F(CliOptionTest, CacheMemMbRejectsNonFiniteAndOversizedValues) {
   }
 }
 
-TEST_F(CliOptionTest, ServeAnswersErrToABadTtMbAndKeepsServing) {
+TEST_F(CliOptionTest, ServeAnswersErrToBadOptLinesAndKeepsServing) {
   const auto emitted = work_ / "one.txt";
   ASSERT_EQ(run_command(cli_ + " batch --no-suite --random 1 --quiet "
                                "--emit-requests " +
                         quoted(emitted) + " > /dev/null"),
             0);
   const std::string request = read_file(emitted);
-  const std::string good = "assign-budget=500000";
+  const std::string good = "tt=1";
   ASSERT_NE(request.find(good), std::string::npos) << request;
-  // A signed count, one past ULLONG_MAX, and the retired tt-mb key.
+  // A value outside 0/1, a retired v5 budget key, and the retired v4
+  // tt-mb key.
   const struct {
     const char* replacement;
     const char* key;
-  } bad[] = {{"assign-budget=-1", "assign-budget"},
-             {"assign-budget=18446744073709551616", "assign-budget"},
-             {"assign-budget=500000 tt-mb=16", "'tt-mb'"}};
+  } bad[] = {{"tt=2", "tt must be 0 or 1"},
+             {"tt=1 assign-budget=500000", "'assign-budget'"},
+             {"tt=1 tt-mb=16", "'tt-mb'"}};
   std::string script;
   for (const auto& b : bad) {
     std::string r = request;

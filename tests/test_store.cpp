@@ -471,8 +471,7 @@ TEST(StoreDescribe, PinnedSpellings) {
   // cache; changing the synthesis spelling means bumping
   // core::kOptionsEncodingVersion and regenerating the golden corpus.
   EXPECT_EQ(describe(core::SynthesisOptions{}),
-            "v5 fsv=1 minimize=1 factor=1 consensus=1 cover=essential-sop "
-            "unique=1 assign-budget=500000 reduce-budget=1000000 tt=1");
+            "v6 fsv=1 minimize=1 factor=1 consensus=1 tt=1");
   EXPECT_EQ(describe(core::SynthesisOptions{}),
             core::options_to_string(core::SynthesisOptions{}));
   EXPECT_EQ(describe(bench_suite::GeneratorOptions{}),
@@ -481,7 +480,6 @@ TEST(StoreDescribe, PinnedSpellings) {
             "verify=1 ternary=1 gate=0 strict=0 timeout-ms=0");
   core::SynthesisOptions baseline;
   baseline.add_fsv = false;
-  baseline.cover_mode = logic::CoverMode::kGreedy;
   EXPECT_NE(describe(baseline), describe(core::SynthesisOptions{}));
 }
 
