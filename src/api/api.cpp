@@ -3,7 +3,6 @@
 #include <cstdio>
 #include <fstream>
 #include <iterator>
-#include <memory>
 #include <stdexcept>
 #include <utility>
 
@@ -78,9 +77,9 @@ std::string cache_key(const SynthesisRequest& request) {
          store::describe(checks_of(request));
 }
 
-SynthesisResponse synthesize(
-    const SynthesisRequest& request, ResultCache* cache,
-    const std::shared_ptr<search::TranspositionTable>& tt) {
+SynthesisResponse synthesize(const SynthesisRequest& request,
+                             ResultCache* cache,
+                             search::TranspositionTable* tt) {
   if (!request.table && request.table_text.empty()) {
     throw std::runtime_error(
         "api: request carries neither a table nor KISS2 text");
@@ -129,29 +128,14 @@ SynthesisResponse synthesize(
   }
   if (parsed) {
     core::FantomMachine machine;
-    if (request.timeout_ms > 0) {
-      // The watchdog body owns copies and co-owns the machine slot and
-      // the table: an abandoned worker may outlive this call's stack frame.
-      const auto slot = request.want_machine
-                            ? std::make_shared<core::FantomMachine>()
-                            : nullptr;
-      response.row = driver::run_with_deadline(
-          request.name, request.timeout_ms, [spec, checks, slot, tt] {
-            return driver::BatchRunner::run_job(spec, checks, slot.get(),
-                                                tt.get());
-          });
-      if (response.row.status == driver::JobStatus::kTimeout) {
-        response.row.num_inputs = spec.table.num_inputs();
-        response.row.num_outputs = spec.table.num_outputs();
-        response.row.input_states = spec.table.num_states();
-      } else if (slot) {
-        // The job completed, so the worker is done writing the slot.
-        machine = std::move(*slot);
-      }
-    } else {
-      response.row = driver::BatchRunner::run_job(
-          spec, checks, request.want_machine ? &machine : nullptr, tt.get());
-    }
+    const auto job = [&] {
+      return driver::BatchRunner::run_job(
+          spec, checks, request.want_machine ? &machine : nullptr, tt);
+    };
+    response.row =
+        request.timeout_ms > 0
+            ? driver::run_with_deadline(request.name, request.timeout_ms, job)
+            : job();
     if (request.want_machine &&
         response.row.status != driver::JobStatus::kSynthesisError &&
         response.row.status != driver::JobStatus::kTimeout) {

@@ -24,7 +24,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -73,7 +72,7 @@ struct SynthesisRequest {
   /// Gate-level ternary over the Verilog round trip (BatchOptions::
   /// gate_ternary); fills the gate_ternary_a/b columns of the row.
   bool gate_ternary = false;
-  double timeout_ms = 0;  ///< per-job watchdog; 0 = none
+  double timeout_ms = 0;  ///< per-job deadline; 0 = none
 
   /// Keep the synthesized FantomMachine in the response (report text,
   /// Verilog export, harness simulation need it).  Machine requests
@@ -112,13 +111,11 @@ struct SynthesisResponse {
 /// core::synthesize clears it on entry and substitutes a fresh local
 /// table when it is absent or not core::SynthesisOptions::tt_mb in size —
 /// so the response is byte-identical with or without one; the
-/// allocation and stats counters are what persist across requests.
-/// Under a timeout the watchdog body co-owns the table, so after a
-/// kTimeout row the abandoned worker may still be writing it: the
-/// caller must replace it before the next request, as serve does.
+/// allocation and stats counters are what persist across requests,
+/// timed-out ones included.
 [[nodiscard]] SynthesisResponse synthesize(
     const SynthesisRequest& request, ResultCache* cache = nullptr,
-    const std::shared_ptr<search::TranspositionTable>& tt = nullptr);
+    search::TranspositionTable* tt = nullptr);
 
 // ---- Corpus service ------------------------------------------------------
 
@@ -149,7 +146,7 @@ struct CorpusRequest {
     const CorpusRequest& request);
 
 /// Runs `jobs` across the thread pool configured by `options` (threads,
-/// checks, watchdog, on_result streaming) and returns the report.
+/// checks, deadline, on_result streaming) and returns the report.
 [[nodiscard]] driver::BatchReport run_jobs(std::vector<driver::JobSpec> jobs,
                                            const driver::BatchOptions& options);
 

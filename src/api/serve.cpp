@@ -40,16 +40,13 @@ void send_error(std::ostream& out, const std::string& why, ServeStats& stats) {
 
 /// One transposition table per server process, handed to every request
 /// (and, for the socket listener, every connection).  Entries are
-/// request-scoped — core::synthesize clears the table on entry, so a
-/// served ROW is byte-identical to the batch row for the same request
-/// no matter what was served before — but the allocation is reused and
-/// the STATS counters accumulate until a timeout replaces it.  Null
-/// when the server's default options disable it; per-request OPT lines
-/// with tt=0 run cold.  The table size is the fixed
-/// core::SynthesisOptions::tt_mb, so no request needs another one.
-std::shared_ptr<search::TranspositionTable> make_tt(const ServeConfig& config) {
+/// request-scoped (see api::synthesize); the allocation is reused and the
+/// STATS counters accumulate over every request, timed-out ones
+/// included.  Null when the server's default options disable it;
+/// per-request OPT lines with tt=0 run cold.
+std::unique_ptr<search::TranspositionTable> make_tt(const ServeConfig& config) {
   if (!config.options.tt) return nullptr;
-  return std::make_shared<search::TranspositionTable>(
+  return std::make_unique<search::TranspositionTable>(
       core::SynthesisOptions::tt_mb << 20);
 }
 
@@ -57,8 +54,7 @@ std::shared_ptr<search::TranspositionTable> make_tt(const ServeConfig& config) {
 /// payload.  Reads OPT/TABLE/END, answers RES/ROW/END or ERR/END.
 void handle_request(std::istream& in, std::ostream& out,
                     const std::string& name, const ServeConfig& config,
-                    ResultCache* cache,
-                    std::shared_ptr<search::TranspositionTable>& tt,
+                    ResultCache* cache, search::TranspositionTable* tt,
                     ServeStats& stats) {
   SynthesisRequest request;
   request.name = name;
@@ -128,12 +124,6 @@ void handle_request(std::istream& in, std::ostream& out,
   }
 
   const SynthesisResponse response = synthesize(request, cache, tt);
-  // A timed-out job's worker is abandoned, not stopped, and co-owns the
-  // table; the next request gets a fresh one instead of a data race
-  // (the STATS tt-* counters restart with it).
-  if (tt != nullptr && response.row.status == driver::JobStatus::kTimeout) {
-    tt = make_tt(config);
-  }
   out << "RES " << to_string(response.cache) << " " << response.row.name
       << "\nROW " << driver::to_csv_row(response.row) << "\nEND\n"
       << std::flush;
@@ -163,8 +153,7 @@ void send_stats(std::ostream& out, const ServeStats& stats,
 
 ServeStats serve_impl(std::istream& in, std::ostream& out,
                       const ServeConfig& config, ResultCache* cache,
-                      std::shared_ptr<search::TranspositionTable>& tt,
-                      bool* shutdown) {
+                      search::TranspositionTable* tt, bool* shutdown) {
   ServeStats stats;
   std::string line;
   while (std::getline(in, line)) {
@@ -175,7 +164,7 @@ ServeStats serve_impl(std::istream& in, std::ostream& out,
     } else if (line == "PING") {
       out << "PONG\n" << std::flush;
     } else if (line == "STATS") {
-      send_stats(out, stats, cache, tt.get());
+      send_stats(out, stats, cache, tt);
     } else if (line == "QUIT") {
       out << "BYE\n" << std::flush;
       break;
@@ -194,8 +183,8 @@ ServeStats serve_impl(std::istream& in, std::ostream& out,
 
 ServeStats serve(std::istream& in, std::ostream& out,
                  const ServeConfig& config, ResultCache* cache) {
-  std::shared_ptr<search::TranspositionTable> tt = make_tt(config);
-  return serve_impl(in, out, config, cache, tt, nullptr);
+  const std::unique_ptr<search::TranspositionTable> tt = make_tt(config);
+  return serve_impl(in, out, config, cache, tt.get(), nullptr);
 }
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -280,7 +269,7 @@ ServeStats serve_unix_socket(const std::string& path,
   }
 
   ServeStats total;
-  std::shared_ptr<search::TranspositionTable> tt = make_tt(config);
+  const std::unique_ptr<search::TranspositionTable> tt = make_tt(config);
   bool shutdown = false;
   while (!shutdown) {
     int conn;
@@ -298,7 +287,7 @@ ServeStats serve_unix_socket(const std::string& path,
       std::istream in(&buffer);
       std::ostream out(&buffer);
       const ServeStats stats =
-          serve_impl(in, out, config, cache, tt, &shutdown);
+          serve_impl(in, out, config, cache, tt.get(), &shutdown);
       total.requests += stats.requests;
       total.errors += stats.errors;
       total.gate_ternary += stats.gate_ternary;

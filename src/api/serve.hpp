@@ -44,7 +44,7 @@ struct ServeConfig {
   bool ternary_strict = false;
   /// Gate-level ternary over the Verilog round trip for every request.
   bool gate_ternary = false;
-  double timeout_ms = 0;  ///< per-job watchdog; 0 = none
+  double timeout_ms = 0;  ///< per-job deadline; 0 = none
 };
 
 struct ServeStats {

@@ -451,6 +451,7 @@ bool verify_equations(const FantomMachine& machine, std::string* why) {
 
   for (int s = 0; s < table.num_states(); ++s) {
     for (int c = 0; c < table.num_columns(); ++c) {
+      search::poll_deadline();
       const Entry& e = table.entry(s, c);
       if (!e.specified()) continue;
       const int d = e.next;

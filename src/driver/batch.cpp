@@ -3,7 +3,6 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
-#include <condition_variable>
 #include <cstdio>
 #include <exception>
 #include <memory>
@@ -264,60 +263,41 @@ void BatchRunner::add_hardest_generated(int count, std::uint64_t base_seed) {
 
 JobResult run_with_deadline(std::string name, double timeout_ms,
                             std::function<JobResult()> body) {
-  // The worker publishes into shared state it co-owns: on timeout we walk
-  // away and the abandoned thread still has somewhere valid to write.
-  struct Slot {
-    std::mutex m;
-    std::condition_variable cv;
-    bool done = false;
-    JobResult result;
-  };
   const auto start = Clock::now();
-  auto slot = std::make_shared<Slot>();
-  std::thread([slot, body = std::move(body), name] {
-    JobResult r;
-    try {
-      r = body();
-    } catch (const std::exception& e) {
-      r.name = name;
-      r.status = JobStatus::kSynthesisError;
-      r.detail = e.what();
-    } catch (...) {
-      r.name = name;
-      r.status = JobStatus::kSynthesisError;
-      r.detail = "unknown exception";
-    }
-    const std::lock_guard<std::mutex> lock(slot->m);
-    slot->result = std::move(r);
-    slot->done = true;
-    slot->cv.notify_all();
-  }).detach();
-
-  std::unique_lock<std::mutex> lock(slot->m);
-  if (slot->cv.wait_for(lock, std::chrono::duration<double, std::milli>(timeout_ms),
-                        [&] { return slot->done; })) {
-    return std::move(slot->result);
-  }
+  const search::DeadlineScope deadline(timeout_ms);
   JobResult r;
-  r.name = std::move(name);
-  r.status = JobStatus::kTimeout;
-  r.detail = "exceeded " + format_fixed(timeout_ms, 0) + " ms (worker abandoned)";
-  // Measured elapsed time, not the nominal budget: wait_for can overshoot
-  // (scheduling, clock granularity), and hiding that skews perf reports.
-  r.wall_ms = ms_since(start);
-  return r;
+  r.name = name;
+  try {
+    r = body();
+  } catch (const std::exception& e) {
+    r.status = JobStatus::kSynthesisError;
+    r.detail = e.what();
+  } catch (...) {
+    r.status = JobStatus::kSynthesisError;
+    r.detail = "unknown exception";
+  }
+  if (!deadline.expired()) return r;
+  // Over budget, whether the body stopped at a checkpoint or finished
+  // late: only the job's identity and table shape survive.  wall_ms is
+  // measured, not the nominal budget, so checkpoint overshoot shows.
+  JobResult timed_out;
+  timed_out.name = std::move(name);
+  timed_out.status = JobStatus::kTimeout;
+  timed_out.detail = "exceeded " + format_fixed(timeout_ms, 0) + " ms";
+  timed_out.num_inputs = r.num_inputs;
+  timed_out.num_outputs = r.num_outputs;
+  timed_out.input_states = r.input_states;
+  timed_out.wall_ms = ms_since(start);
+  return timed_out;
 }
 
 JobResult BatchRunner::run_job(const JobSpec& spec, const BatchOptions& options,
                                core::FantomMachine* machine_out,
                                search::TranspositionTable* tt) {
   // `tt` is the worker's reusable allocation, nothing more:
-  // core::synthesize clears it on entry (and substitutes a local table
-  // on a capacity mismatch), so entries never outlive one job and every
-  // row is a pure function of (spec.table, spec.options) no matter
-  // which jobs this worker ran first — the property behind
-  // byte-identical reports across thread counts, shard splits, and the
-  // serve/batch row equivalence.
+  // core::synthesize clears it on entry, so entries never outlive one
+  // job (a timed-out one included) and every row is a pure function of
+  // (spec.table, spec.options), whatever this worker ran first.
   JobResult r;
   r.name = spec.name;
   r.num_inputs = spec.table.num_inputs();
@@ -401,61 +381,31 @@ BatchReport BatchRunner::run() const {
   report.threads_used = threads;
   const auto start = Clock::now();
 
-  // One sanitized options copy per run, shared by every watchdog body:
-  // BatchOptions carries std::function members, so copying it per job
-  // was real work, and the progress callback must not leak into
-  // abandoned workers.  Shared ownership (not a reference) because an
-  // abandoned worker may outlive this runner and this run() call.
-  std::shared_ptr<const BatchOptions> sanitized;
-  if (options_.job_timeout_ms > 0) {
-    auto opts = std::make_shared<BatchOptions>(options_);
-    opts->on_result = nullptr;
-    sanitized = std::move(opts);
-  }
-
   // Work-stealing by atomic index: workers write disjoint slots of
   // report.jobs; the counter, the progress channel, and the tt-stats
   // accumulator are the only shared state.
   std::atomic<std::size_t> next{0};
   std::mutex progress_m;
   int completed = 0;
-  const auto fresh_tt = [&]() -> std::shared_ptr<search::TranspositionTable> {
-    if (!options_.synthesis.tt) return nullptr;
-    return std::make_shared<search::TranspositionTable>(
-        core::SynthesisOptions::tt_mb << 20);
-  };
   auto worker = [&] {
     // One transposition table per worker, reused across its jobs: the
     // allocation and the stats counters persist, but core::synthesize
     // clears the entries on entry (an O(1) epoch bump), so jobs never
     // warm each other and the work-stealing schedule stays invisible in
     // the report.  Worker-local ownership keeps probes lock-free.
-    std::shared_ptr<search::TranspositionTable> tt = fresh_tt();
+    const auto tt = options_.synthesis.tt
+                        ? std::make_unique<search::TranspositionTable>(
+                              core::SynthesisOptions::tt_mb << 20)
+                        : nullptr;
     for (;;) {
       const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
       if (i >= jobs_.size()) break;
       const JobSpec& spec = jobs_[i];
-      if (options_.job_timeout_ms > 0) {
-        // The watchdog body owns a copy of the spec (an abandoned worker
-        // may outlive the runner) but shares the one sanitized options —
-        // and co-owns the table, so on timeout the detached thread still
-        // has a live table to write into.
-        report.jobs[i] = run_with_deadline(
-            spec.name, options_.job_timeout_ms,
-            [spec, sanitized, tt] { return run_job(spec, *sanitized, nullptr,
-                                                   tt.get()); });
-        if (report.jobs[i].status == JobStatus::kTimeout) {
-          report.jobs[i].num_inputs = spec.table.num_inputs();
-          report.jobs[i].num_outputs = spec.table.num_outputs();
-          report.jobs[i].input_states = spec.table.num_states();
-          // The abandoned worker may still be probing/storing its table;
-          // replace rather than share a data race with it (its stats are
-          // forfeited along with the warmth).
-          if (tt != nullptr) tt = fresh_tt();
-        }
-      } else {
-        report.jobs[i] = run_job(spec, options_, nullptr, tt.get());
-      }
+      const auto job = [&] { return run_job(spec, options_, nullptr, tt.get()); };
+      report.jobs[i] =
+          options_.job_timeout_ms > 0
+              ? run_with_deadline(spec.name, options_.job_timeout_ms, job)
+              : job();
       if (options_.on_result) {
         const std::lock_guard<std::mutex> lock(progress_m);
         options_.on_result(report.jobs[i], ++completed,

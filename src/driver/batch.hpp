@@ -38,8 +38,8 @@ enum class JobStatus : std::uint8_t {
                     ///< BatchOptions::ternary_strict (Eichelberger is
                     ///< conservative for MIC transitions, so flags are
                     ///< recorded as metrics by default)
-  kTimeout,         ///< exceeded BatchOptions::job_timeout_ms; the worker
-                    ///< is abandoned so the rest of the batch proceeds
+  kTimeout,         ///< exceeded BatchOptions::job_timeout_ms; stopped
+                    ///< at a deadline checkpoint, the batch proceeds
   kCrashed,         ///< the job's shard worker process died before
                     ///< reporting it (sharded runs only — recorded by the
                     ///< orchestrator, never by an in-process BatchRunner)
@@ -213,12 +213,9 @@ struct BatchOptions {
   /// byte-identical (kVerifyFailed otherwise), and under ternary_strict
   /// gate-level flags gate exactly like cover-level ones.
   bool gate_ternary = false;
-  /// Per-job wall-clock budget in milliseconds; 0 disables the watchdog.
-  /// A job that overruns is recorded as kTimeout and its worker thread is
-  /// abandoned (synthesis has no cancellation points), so one pathological
-  /// table cannot hang a CI gate.  Timeout verdicts depend on machine
-  /// speed — pick budgets far above normal job times when reports must be
-  /// reproducible.
+  /// Per-job wall-clock budget in milliseconds (run_with_deadline); 0
+  /// means none.  Timeout verdicts depend on machine speed — pick budgets
+  /// far above normal job times when reports must be reproducible.
   double job_timeout_ms = 0;
   /// Streaming progress: called once per finished job, serialized, in
   /// completion (not submission) order.  `completed` counts calls so far,
@@ -229,11 +226,11 @@ struct BatchOptions {
   core::SynthesisOptions synthesis;
 };
 
-/// Runs `body` on a watchdog thread and waits at most `timeout_ms`: on
-/// time, returns body's result; otherwise returns a kTimeout JobResult
-/// and abandons the (detached) worker.  A body that throws yields a
-/// kSynthesisError result; timeout and error results carry `name`.
-/// Exposed so tests can drive the timeout path with a deterministic body.
+/// Runs `body` on the calling thread inside a search::DeadlineScope of
+/// `timeout_ms`.  Within budget: body's result, or kSynthesisError if it
+/// threw.  Over budget, whether body returned or unwound: kTimeout with
+/// body's table-shape fields, the measured wall_ms and the detail
+/// "exceeded N ms".  Timeout and error results carry `name`.
 [[nodiscard]] JobResult run_with_deadline(std::string name, double timeout_ms,
                                           std::function<JobResult()> body);
 

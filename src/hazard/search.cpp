@@ -5,6 +5,8 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "search/search.hpp"
+
 namespace seance::hazard {
 
 using flowtable::Entry;
@@ -63,6 +65,7 @@ HazardLists find_hazards(const EncodedTable& encoded) {
   const std::uint32_t* codes = encoded.codes.data();
 
   for (int s_a = 0; s_a < table.num_states(); ++s_a) {
+    search::poll_deadline();
     const std::uint32_t code_a = codes[static_cast<std::size_t>(s_a)];
     for (const int col_a : table.stable_columns(s_a)) {
       for (int col_b = 0; col_b < table.num_columns(); ++col_b) {

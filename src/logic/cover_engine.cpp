@@ -501,6 +501,7 @@ std::optional<std::vector<std::size_t>> greedy_cover(const CoverTable& table) {
 
   std::vector<std::size_t> chosen;
   while (left > 0) {
+    search::poll_deadline();
     if (heap.empty()) return std::nullopt;
     std::pop_heap(heap.begin(), heap.end(), worse);
     const Entry top = heap.back();

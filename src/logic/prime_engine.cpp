@@ -6,6 +6,8 @@
 #include <cstdint>
 #include <stdexcept>
 
+#include "search/search.hpp"
+
 namespace seance::logic::prime_engine {
 
 namespace {
@@ -86,6 +88,7 @@ std::vector<std::uint64_t> sharp_primes(int num_vars, std::uint32_t full,
   std::vector<SharpCube> cubes{{0u, 0u}};
   std::vector<SharpCube> split;
   for (std::uint32_t o : off) {
+    search::poll_deadline();
     split.clear();
     for (int b = 0; b < num_vars; ++b) near[static_cast<std::size_t>(b)].clear();
     std::size_t kept = 0;
@@ -145,6 +148,7 @@ std::vector<std::uint64_t> sharp_primes(int num_vars, std::uint32_t full,
   std::vector<std::uint64_t> primes;
   primes.reserve(cubes.size());
   for (const SharpCube& c : cubes) {
+    search::poll_deadline();
     bool maximal = true;
     for (std::uint32_t bits = c.care; bits != 0 && maximal; bits &= bits - 1) {
       const std::uint32_t b = bits & (0u - bits);
@@ -198,6 +202,7 @@ std::vector<std::uint64_t> merge_levels(int num_vars,
     next.clear();
     std::size_t group = 0;
     while (group < level.size()) {
+      search::poll_deadline();
       const std::uint32_t care = care_of(level[group]);
       std::size_t group_end = group;
       while (group_end < level.size() && care_of(level[group_end]) == care) {
@@ -432,6 +437,7 @@ PrimeIncidence compute_incidence(int num_vars,
   std::vector<std::vector<std::uint32_t>> kept_rows;
   std::vector<std::uint32_t> rows;
   for (const Cube& p : all) {
+    search::poll_deadline();
     rows.clear();
     const std::uint32_t free = full & ~p.care();
     std::uint32_t s = 0;

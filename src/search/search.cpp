@@ -24,7 +24,35 @@ constexpr std::size_t kProbeWindow = 8;
 constexpr std::size_t kHugePage = std::size_t{2} << 20;
 constexpr std::size_t kCacheLine = 64;
 
+// The calling thread's deadline; max() while no DeadlineScope is active.
+thread_local DeadlineScope::Clock::time_point t_deadline =
+    DeadlineScope::Clock::time_point::max();
+
 }  // namespace
+
+DeadlineScope::DeadlineScope(double timeout_ms)
+    : deadline_(Clock::time_point::max()), outer_(t_deadline) {
+  const auto now = Clock::now();
+  const std::chrono::duration<double, std::milli> budget(
+      std::max(timeout_ms, 0.0));
+  // Compared as doubles, so a budget that passes cannot overflow the
+  // cast; NaN fails it and means none.
+  if (budget < Clock::time_point::max() - now) {
+    deadline_ = now + std::chrono::duration_cast<Clock::duration>(budget);
+  }
+  t_deadline = std::min(outer_, deadline_);
+}
+
+DeadlineScope::~DeadlineScope() { t_deadline = outer_; }
+
+bool DeadlineScope::expired() const { return Clock::now() >= deadline_; }
+
+void poll_deadline() {
+  if (t_deadline != DeadlineScope::Clock::time_point::max() &&
+      DeadlineScope::Clock::now() >= t_deadline) {
+    throw DeadlineExceeded();
+  }
+}
 
 std::uint64_t fnv64(const void* data, std::size_t len) {
   const auto* p = static_cast<const unsigned char*>(data);

@@ -1,9 +1,11 @@
 #pragma once
 
+#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <stdexcept>
 #include <string_view>
 #include <tuple>
 #include <vector>
@@ -41,6 +43,15 @@
 /// warmth-dependent by nature; pipelines that promise byte-identical
 /// reports therefore scope entries to one result computation (see
 /// `clear()`) instead of sharing warmth across results.
+///
+/// It also owns the cooperative job deadline (`DeadlineScope`,
+/// `poll_deadline`): a job stops, on its own thread, at the first
+/// checkpoint past its budget. Checkpoints: `NodeBudget::charge()` every
+/// 1024 nodes (all three engines); per OFF point and per maximality-filter
+/// cube of the sharp path, per `merge_levels` group, per
+/// `compute_incidence` prime, per `greedy_cover` pick, per
+/// `verify_equations` entry, per `run_procedures` 64-lane word, and per
+/// `find_hazards` state.
 namespace seance::search {
 
 /// Bound kind for a memoized subproblem value (robocide `bound.h`
@@ -221,6 +232,35 @@ class TranspositionTable {
   TtStats stats_;
 };
 
+/// Thrown by `poll_deadline()`. Checkpoints sit between whole updates,
+/// so the unwound job leaves its transposition table usable.
+struct DeadlineExceeded : std::runtime_error {
+  DeadlineExceeded() : std::runtime_error("deadline exceeded") {}
+};
+
+/// The calling thread's deadline, `timeout_ms` from construction until
+/// the scope ends. Nested scopes: the earlier deadline wins. A budget
+/// past the steady clock's range (about 292 years) sets none.
+class DeadlineScope {
+ public:
+  using Clock = std::chrono::steady_clock;
+  explicit DeadlineScope(double timeout_ms);
+  ~DeadlineScope();
+  DeadlineScope(const DeadlineScope&) = delete;
+  DeadlineScope& operator=(const DeadlineScope&) = delete;
+
+  /// True once this scope's own deadline has passed.
+  [[nodiscard]] bool expired() const;
+
+ private:
+  Clock::time_point deadline_;  // this scope's own; max() = none
+  Clock::time_point outer_;     // the thread's deadline before this scope
+};
+
+/// Throws `DeadlineExceeded` once the calling thread's deadline has
+/// passed; a no-op when no `DeadlineScope` is active.
+void poll_deadline();
+
 /// Unified node/budget accounting. The single convention all three
 /// engines share (the historical skew between `++nodes_ >= budget_`,
 /// `nodes_ > budget_` pre-increment, and friends made `exact` either
@@ -228,14 +268,17 @@ class TranspositionTable {
 ///
 ///   * `charge()` — call once per expanded node; when it returns true
 ///     the budget is exceeded and the caller must unwind, keeping its
-///     incumbent.
+///     incumbent. Every 1024th charge also polls the deadline.
 ///   * `exact()` — true iff the search never exceeded the budget, i.e.
 ///     the result is a proof rather than a truncation artifact.
 class NodeBudget {
  public:
   explicit NodeBudget(std::size_t budget) : budget_(budget) {}
 
-  bool charge() { return ++nodes_ > budget_; }
+  bool charge() {
+    if ((++nodes_ & 1023u) == 0) poll_deadline();
+    return nodes_ > budget_;
+  }
   bool exhausted() const { return nodes_ > budget_; }
   bool exact() const { return nodes_ <= budget_; }
   std::size_t nodes() const { return nodes_; }

@@ -80,6 +80,7 @@ TernaryReport run_procedures(const core::FantomMachine& machine, bool fsv_low,
   const auto var = [&](int v) -> Planes& { return vars[static_cast<std::size_t>(v)]; };
   std::vector<std::uint64_t> x_after_a(static_cast<std::size_t>(layout.num_state_vars));
   for (std::size_t base = 0; base < all.size(); base += kLanes) {
+    search::poll_deadline();
     const int lanes = static_cast<int>(std::min<std::size_t>(kLanes, all.size() - base));
     const std::uint64_t live = lanes == kLanes ? kAll : (std::uint64_t{1} << lanes) - 1;
     const Transition* word = all.data() + base;

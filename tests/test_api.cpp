@@ -284,9 +284,9 @@ TEST(ApiSynthesize, UncachedWithoutCacheAndForMachineRequests) {
 }
 
 TEST(ApiSynthesize, MachineRequestUnderAWatchdogCarriesTheSynthesizedMachine) {
-  // The watchdog path runs the job on a worker thread; the machine it
-  // synthesizes must still reach the response, not a default-constructed
-  // one-state placeholder.
+  // The deadline path runs the job through driver::run_with_deadline; the
+  // machine it synthesizes must still reach the response, not a
+  // default-constructed one-state placeholder.
   SynthesisRequest request;
   request.name = "lion";
   request.table = bench_suite::load(bench_suite::by_name("lion"));

@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <filesystem>
+#include <limits>
 #include <mutex>
 #include <set>
 #include <string>
@@ -16,6 +18,7 @@
 #include "bench_suite/generator.hpp"
 #include "core/synthesize.hpp"
 #include "flowtable/table.hpp"
+#include "search/search.hpp"
 
 namespace seance::driver {
 namespace {
@@ -305,24 +308,79 @@ TEST(BatchReport, ShardedRunsAddASummaryLineAndCrashedCountsAsFailure) {
   EXPECT_EQ(plain.summary().find("shards:"), std::string::npos);
 }
 
+/// A body that never finishes on its own: it stops only when a
+/// checkpoint throws search::DeadlineExceeded.
+JobResult poll_forever() {
+  for (;;) {
+    search::poll_deadline();
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
+  }
+}
+
 TEST(RunWithDeadline, SlowBodyTimesOutDeterministically) {
-  const auto slow = [] {
-    std::this_thread::sleep_for(std::chrono::seconds(2));
-    JobResult r;
-    r.name = "finished anyway";
-    return r;
-  };
-  // Regardless of scheduling, a 2 s body against a 20 ms budget times out.
-  const JobResult r = run_with_deadline("sleepy", 20.0, slow);
+  // Regardless of scheduling, a body that only a checkpoint can stop
+  // times out against a 20 ms budget.
+  const JobResult r = run_with_deadline("sleepy", 20.0, poll_forever);
   EXPECT_EQ(r.status, JobStatus::kTimeout);
   EXPECT_EQ(r.name, "sleepy");
-  EXPECT_NE(r.detail.find("abandoned"), std::string::npos);
+  EXPECT_EQ(r.detail, "exceeded 20 ms");
   EXPECT_FALSE(r.ok());
-  // The recorded wall time is the measured wait, not the nominal budget:
-  // it can only be at or above the deadline (wait_for overshoot included),
-  // and a fabricated `wall_ms = timeout_ms` would hide that overshoot.
+  // The recorded wall time is the measured call, not the nominal budget:
+  // it can only be at or above the deadline (checkpoint overshoot
+  // included), and a fabricated `wall_ms = timeout_ms` would hide that.
   EXPECT_GE(r.wall_ms, 20.0);
 }
+
+TEST(RunWithDeadline, BodyThatNeverPollsStillTimesOut) {
+  // No checkpoint stops this body, but it returns past its budget, so
+  // its row is a timeout, not the row it built.
+  const JobResult r = run_with_deadline("sleepy", 20.0, [] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    JobResult late;
+    late.name = "finished anyway";
+    late.num_inputs = 3;
+    late.gate_count = 7;
+    return late;
+  });
+  EXPECT_EQ(r.status, JobStatus::kTimeout);
+  EXPECT_EQ(r.name, "sleepy");
+  EXPECT_EQ(r.detail, "exceeded 20 ms");
+  EXPECT_EQ(r.num_inputs, 3);  // table shape survives, metrics do not
+  EXPECT_EQ(r.gate_count, 0);
+  EXPECT_GE(r.wall_ms, 50.0);
+}
+
+TEST(RunWithDeadline, HugeBudgetNeverFires) {
+  // 1e15 ms lies past the steady clock's range; converting it to clock
+  // ticks once overflowed and timed every job out at once.  Infinity and
+  // NaN must not reach that conversion either.
+  for (const double budget : {1e15, 1e300, std::numeric_limits<double>::infinity(),
+                              std::numeric_limits<double>::quiet_NaN()}) {
+    SCOPED_TRACE(budget);
+    const JobResult r = run_with_deadline("patient", budget, [] {
+      search::poll_deadline();
+      JobResult inner;
+      inner.name = "patient";
+      inner.gate_count = 7;
+      return inner;
+    });
+    EXPECT_EQ(r.status, JobStatus::kOk);
+    EXPECT_EQ(r.gate_count, 7);
+  }
+}
+
+#if defined(__linux__)
+TEST(RunWithDeadline, TimeoutLeavesNoThreadBehind) {
+  const auto task_count = [] {
+    const std::filesystem::directory_iterator tasks("/proc/self/task");
+    return std::distance(begin(tasks), end(tasks));
+  };
+  const auto before = task_count();
+  const JobResult r = run_with_deadline("sleepy", 20.0, poll_forever);
+  EXPECT_EQ(r.status, JobStatus::kTimeout);
+  EXPECT_EQ(task_count(), before);
+}
+#endif
 
 TEST(RunWithDeadline, FastBodyPassesThroughUntouched) {
   const JobResult r = run_with_deadline("quick", 60'000.0, [] {
@@ -366,7 +424,7 @@ TEST(BatchRunner, TimeoutStatusCountsAsFailureAndKeepsTableShape) {
 }
 
 TEST(BatchRunner, TimeoutPathPreservesThreadCountInvariance) {
-  // With a generous watchdog on every job, reports must stay
+  // With a generous deadline on every job, reports must stay
   // byte-identical across thread counts — the timeout plumbing may not
   // perturb result slots or ordering.
   const auto run_with = [](int threads) {
@@ -383,6 +441,36 @@ TEST(BatchRunner, TimeoutPathPreservesThreadCountInvariance) {
   const BatchReport serial = run_with(1);
   const BatchReport parallel = run_with(8);
   EXPECT_EQ(serial.to_csv(), parallel.to_csv());
+}
+
+TEST(BatchRunner, TimedOutJobLeavesTheWorkerTableUsable) {
+  // One worker, so the Table-1 jobs run in the table the hardest job was
+  // stopped in mid-search.  (hardest-20x6-0001 takes hundreds of ms.)
+  BatchRunner hardest;
+  hardest.add_hardest_generated(2, 1);
+  const JobSpec& stopped = hardest.jobs()[1];
+  ASSERT_EQ(stopped.name, "hardest-20x6-0001");
+  const auto run_with = [&](double timeout_ms) {
+    BatchOptions options;
+    options.threads = 1;
+    options.job_timeout_ms = timeout_ms;
+    BatchRunner runner(options);
+    runner.add(stopped);
+    runner.add_table1_suite();
+    return runner.run();
+  };
+  const BatchReport timed = run_with(5.0);
+  const BatchReport untimed = run_with(0.0);
+  ASSERT_EQ(timed.jobs.size(), untimed.jobs.size());
+  EXPECT_EQ(timed.jobs[0].status, JobStatus::kTimeout);
+  EXPECT_EQ(timed.jobs[0].input_states, stopped.table.num_states());
+  for (std::size_t i = 0; i < timed.jobs.size(); ++i) {
+    if (timed.jobs[i].status == JobStatus::kTimeout) continue;
+    EXPECT_EQ(to_csv_row(timed.jobs[i]), to_csv_row(untimed.jobs[i]));
+  }
+  // The stopped job's table kept its counters; nothing replaced it.
+  EXPECT_GT(timed.tt_stats.stores, 0u);
+  EXPECT_GT(timed.tt_stats.hits + timed.tt_stats.misses, 0u);
 }
 
 TEST(BatchRunner, ProgressCallbackStreamsEveryJobOnce) {

@@ -58,6 +58,35 @@ TEST(NodeBudget, ResetRestartsAccounting) {
   EXPECT_FALSE(b.exhausted());
 }
 
+TEST(NodeBudget, EveryThousandTwentyFourthChargePollsTheDeadline) {
+  NodeBudget b(SIZE_MAX);
+  const DeadlineScope spent(0.0);
+  for (int i = 1; i < 1024; ++i) EXPECT_FALSE(b.charge());
+  EXPECT_THROW((void)b.charge(), DeadlineExceeded);
+  EXPECT_EQ(b.nodes(), 1024u);
+}
+
+TEST(Deadline, NestedScopesKeepTheEarlierDeadline) {
+  EXPECT_NO_THROW(poll_deadline());  // no scope: a no-op
+  {
+    const DeadlineScope spent(0.0);
+    {
+      const DeadlineScope generous(60'000.0);
+      EXPECT_FALSE(generous.expired());
+      EXPECT_THROW(poll_deadline(), DeadlineExceeded);
+    }
+    EXPECT_TRUE(spent.expired());
+    EXPECT_THROW(poll_deadline(), DeadlineExceeded);
+  }
+  EXPECT_NO_THROW(poll_deadline());
+  const DeadlineScope generous(60'000.0);
+  {
+    const DeadlineScope spent(0.0);
+    EXPECT_THROW(poll_deadline(), DeadlineExceeded);
+  }
+  EXPECT_NO_THROW(poll_deadline());
+}
+
 TEST(Bound, LowerUpperDecomposition) {
   EXPECT_FALSE(has_lower(Bound::kNone));
   EXPECT_FALSE(has_upper(Bound::kNone));

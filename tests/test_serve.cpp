@@ -152,12 +152,12 @@ TEST(Serve, TimeoutRequestsUseTheServerTable) {
   const std::string script = request_of("example", example_kiss()) +
                              request_of("lion", lion) + "STATS\n";
   ServeConfig watched;
-  watched.timeout_ms = 600000;  // generous: the watchdog must never fire
+  watched.timeout_ms = 600000;  // generous: the deadline must never fire
   const auto timed = run_session(script, nullptr, nullptr, watched);
   const auto plain = run_session(script);
   ASSERT_EQ(timed.size(), 7u);
   ASSERT_EQ(plain.size(), 7u);
-  // The watchdogged rows are the rows served without a watchdog...
+  // The rows served under a deadline are the rows served without one...
   EXPECT_EQ(timed[1], plain[1]);
   EXPECT_EQ(timed[4], plain[4]);
   EXPECT_EQ(timed[1].find("timeout"), std::string::npos);
@@ -166,6 +166,38 @@ TEST(Serve, TimeoutRequestsUseTheServerTable) {
   const std::size_t at = stats.find(" tt-stores=");
   ASSERT_NE(at, std::string::npos) << stats;
   EXPECT_GT(std::stoull(stats.substr(at + 11)), 0u) << stats;
+
+  // A request stopped by its deadline keeps the server's table and its
+  // STATS tt-* counters; nothing replaces them.  (hardest-20x6-0001
+  // takes hundreds of ms, far past a 20 ms budget.)
+  driver::BatchRunner hardest;
+  hardest.add_hardest_generated(2, 1);
+  const std::string stopped = flowtable::to_kiss2(hardest.jobs()[1].table);
+  ServeConfig tight;
+  tight.timeout_ms = 20;
+  const auto lines = run_session(request_of("lion", lion) + "STATS\n" +
+                                     request_of("stopped", stopped) + "STATS\n",
+                                 nullptr, nullptr, tight);
+  ASSERT_EQ(lines.size(), 8u);
+  EXPECT_EQ(lines[5].rfind("ROW stopped,timeout,", 0), 0u) << lines[5];
+  const auto counters = [](const std::string& line) {
+    std::vector<unsigned long long> out;
+    for (const std::string key :
+         {" tt-hits=", " tt-misses=", " tt-stores=", " tt-evictions="}) {
+      const std::size_t pos = line.find(key);
+      if (pos == std::string::npos) return std::vector<unsigned long long>{};
+      out.push_back(std::stoull(line.substr(pos + key.size())));
+    }
+    return out;
+  };
+  const auto before = counters(lines[3]);
+  const auto after = counters(lines[7]);
+  ASSERT_EQ(before.size(), 4u) << lines[3];
+  ASSERT_EQ(after.size(), 4u) << lines[7];
+  EXPECT_GT(before[2], 0u) << lines[3];
+  for (std::size_t k = 0; k < 4; ++k) {
+    EXPECT_GE(after[k], before[k]) << lines[3] << "\n" << lines[7];
+  }
 }
 
 TEST(Serve, CrLineEndingsAreAccepted) {

@@ -485,6 +485,21 @@ TEST_F(CliOptionTest, CacheMemMbRejectsNonFiniteAndOversizedValues) {
   }
 }
 
+TEST_F(CliOptionTest, TimeoutPastTheClockRangeMeansNoDeadline) {
+  // A budget of 1e15 ms or more once overflowed the clock conversion and
+  // timed every job out at once.
+  for (const char* value : {"1e15", "1e300"}) {
+    SCOPED_TRACE(value);
+    const auto csv = work_ / "rows.csv";
+    EXPECT_EQ(run_command("timeout 60 " + cli_ +
+                          " batch --no-suite --random 1 --quiet --timeout " +
+                          value + " --csv " + quoted(csv) + " > /dev/null"),
+              0);
+    EXPECT_EQ(csv_statuses(read_file(csv)),
+              (std::map<std::string, std::string>{{"gen-6x3-0000", "ok"}}));
+  }
+}
+
 TEST_F(CliOptionTest, ServeAnswersErrToBadOptLinesAndKeepsServing) {
   const auto emitted = work_ / "one.txt";
   ASSERT_EQ(run_command(cli_ + " batch --no-suite --random 1 --quiet "
