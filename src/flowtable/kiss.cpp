@@ -132,13 +132,25 @@ FlowTable parse_kiss2(std::string_view text, KissInfo* info) {
     // Not fatal — some benchmark headers are sloppy — but worth surfacing.
     // We size by the states actually referenced.
   }
-  // Checked before the table is built: it holds states x 2^inputs entries,
-  // so a few hundred hostile lines would otherwise allocate gigabytes for
-  // a table every later stage rejects anyway.
+  // Both limits are checked before the table is built: it holds
+  // states x 2^inputs entries, so a few dozen hostile lines would
+  // otherwise allocate gigabytes for a table every later stage rejects
+  // anyway.
   if (state_order.size() > static_cast<std::size_t>(kMaxStates)) {
     throw std::runtime_error("kiss2: " + std::to_string(state_order.size()) +
                              " states exceeds the limit of " +
                              std::to_string(kMaxStates));
+  }
+  // Inputs past kMaxInputs get FlowTable's own range error instead.
+  if (num_inputs <= kMaxInputs) {
+    const std::size_t entries = state_order.size() << num_inputs;
+    if (entries > kMaxTableEntries) {
+      throw std::runtime_error(
+          "kiss2: " + std::to_string(state_order.size()) + " states x " +
+          std::to_string(std::size_t{1} << num_inputs) + " columns = " +
+          std::to_string(entries) + " table entries exceeds the limit of " +
+          std::to_string(kMaxTableEntries));
+    }
   }
 
   FlowTable table(num_inputs, num_outputs, static_cast<int>(state_order.size()));

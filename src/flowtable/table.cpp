@@ -33,7 +33,7 @@ Trit trit_from_char(char c) {
 
 FlowTable::FlowTable(int num_inputs, int num_outputs, int num_states)
     : num_inputs_(num_inputs), num_outputs_(num_outputs) {
-  if (num_inputs < 1 || num_inputs > 16) {
+  if (num_inputs < 1 || num_inputs > kMaxInputs) {
     throw std::invalid_argument("FlowTable: num_inputs out of range [1,16]");
   }
   if (num_outputs < 0 || num_outputs > 24) {

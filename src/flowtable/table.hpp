@@ -10,6 +10,7 @@
 
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <span>
@@ -40,6 +41,15 @@ inline constexpr int kUnspecifiedNext = -1;
 /// (minimize::StateSet), far beyond anything the paper's flow uses.
 /// parse_kiss2 enforces it before it allocates the table.
 inline constexpr int kMaxStates = 64;
+
+/// Widest input alphabet a FlowTable holds: column indices are 16-bit.
+inline constexpr int kMaxInputs = 16;
+
+/// Most entries (states x 2^inputs) parse_kiss2 builds a table for,
+/// checked before it allocates the table.  The largest table any
+/// workload, example or Table-1 machine uses has 20 x 2^6 = 1280; a
+/// 64-state table at 16 inputs would have 4,194,304.
+inline constexpr std::size_t kMaxTableEntries = std::size_t{1} << 16;
 
 class FlowTable {
  public:

@@ -4,6 +4,7 @@
 #include <array>
 #include <bit>
 #include <cstdint>
+#include <optional>
 #include <stdexcept>
 
 #include "search/search.hpp"
@@ -19,6 +20,18 @@ namespace {
 constexpr int kCareShift = 30;
 constexpr int kWeightShift = 24;
 constexpr std::uint64_t kValueMask = (std::uint64_t{1} << kWeightShift) - 1;
+
+// The sharp path gives up past kSharpWorkFactor * |ON∪DC| * num_vars
+// cube visits.  Timed on every prime call of the golden corpus, factors
+// 48-256 are a plateau of equal total prime time.  The dense
+// 15-variable calls set the floor: the sharp path is ~37x faster than
+// the level merge on them, yet needs up to 38 * |ON∪DC| * num_vars
+// visits, so factor 16 sends them to the level merge.
+constexpr std::size_t kSharpWorkFactor = 64;
+
+std::uint32_t full_mask(int num_vars) {
+  return num_vars == 0 ? 0u : (std::uint32_t{1} << num_vars) - 1u;
+}
 
 std::uint64_t encode(std::uint32_t care, std::uint32_t value) {
   return (static_cast<std::uint64_t>(care) << kCareShift) |
@@ -36,10 +49,6 @@ std::uint32_t value_of(std::uint64_t w) {
   return static_cast<std::uint32_t>(w & kValueMask);
 }
 
-// The dense regime: when the OFF-set is small relative to the minterm
-// space, the implicant lattice of ON∪DC is enormous (near-tautologies
-// at 15 variables have ~10^7 implicants) but the *prime count* stays
-// modest, so an output-sensitive algorithm wins by orders of magnitude.
 // Sharp path: primes = maximal cubes avoiding OFF.  Start from the
 // universal cube; for each OFF minterm, split every cube containing it
 // into its free-variable fragments (cube minus that point) and absorb
@@ -49,26 +58,35 @@ std::uint32_t value_of(std::uint64_t w) {
 // step, and whatever finally contains P equals P by maximality.  A
 // final single-bit-enlargement test drops the non-maximal stragglers
 // one-directional absorption can leave behind.
-constexpr std::size_t kSharpOffFactor = 8;  // sharp iff |OFF| <= space/8
-
+//
+// The path is output-sensitive: near-tautologies (the Y/fsv equations
+// of deep machines are >90% don't-care) have ~10^7 implicants at 15
+// variables but a modest prime count, and the sharp path wins there by
+// orders of magnitude, while on sparse functions the cube list swells
+// and the level merge wins.  Which one a call is decides itself by
+// measured work: every OFF point adds the cube visits of its scan, and
+// once the count passes work_cap the path gives up (nullopt) and the
+// caller runs the level merge.  The count is deterministic, so the path
+// chosen, like the prime set either path returns, never depends on
+// timing.  Each scanned cube splits into at most num_vars fragments, so
+// the cube list also stays below 1 + num_vars * work_cap.
 struct SharpCube {
   std::uint32_t care;
   std::uint32_t value;
 };
 
-std::vector<std::uint64_t> sharp_primes(int num_vars, std::uint32_t full,
-                                        const std::vector<std::uint64_t>& seen,
-                                        std::size_t space) {
-  // Allowed (ON∪DC) bitset and the OFF list.
+std::optional<std::vector<std::uint64_t>> sharp_prime_words(
+    int num_vars, const std::vector<std::uint64_t>& seen,
+    std::size_t work_cap) {
+  const std::uint32_t full = full_mask(num_vars);
+  const std::size_t space = std::size_t{1} << num_vars;
+  // Allowed (ON∪DC) bitset.  The OFF points are read off its clear bits
+  // as they are split, so a call that falls back never built a list of
+  // up to 2^num_vars OFF points.
   std::vector<std::uint64_t> allowed(space / 64 + 1, 0);
   for (std::uint64_t w : seen) {
     const std::uint32_t m = value_of(w);
     allowed[m / 64] |= std::uint64_t{1} << (m % 64);
-  }
-  std::vector<std::uint32_t> off;
-  off.reserve(space - seen.size());
-  for (std::uint32_t m = 0; m < space; ++m) {
-    if (!((allowed[m / 64] >> (m % 64)) & 1u)) off.push_back(m);
   }
 
   // Absorption by distance-1 neighbours.  Every cube kept for the next
@@ -87,39 +105,50 @@ std::vector<std::uint64_t> sharp_primes(int num_vars, std::uint32_t full,
   std::array<std::vector<std::uint32_t>, kMaxVars> near;
   std::vector<SharpCube> cubes{{0u, 0u}};
   std::vector<SharpCube> split;
-  for (std::uint32_t o : off) {
-    search::poll_deadline();
-    split.clear();
-    for (int b = 0; b < num_vars; ++b) near[static_cast<std::size_t>(b)].clear();
-    std::size_t kept = 0;
-    for (const SharpCube c : cubes) {
-      const std::uint32_t d = (o ^ c.value) & c.care;
-      if (d == 0) {
-        split.push_back(c);
-        continue;
-      }
-      cubes[kept++] = c;
-      if ((d & (d - 1)) == 0) {
-        near[static_cast<std::size_t>(std::countr_zero(d))].push_back(c.care & ~d);
-      }
+  std::size_t work = 0;
+  for (std::size_t word = 0; word * 64 < space; ++word) {
+    std::uint64_t off_bits = ~allowed[word];
+    if (space - word * 64 < 64) {
+      off_bits &= (std::uint64_t{1} << (space - word * 64)) - 1;
     }
-    cubes.resize(kept);
-    // c contains o: the fragments (one free variable fixed opposite to
-    // o) cover exactly c minus the point o.  A fragment sits inside its
-    // parent, so no surviving cube can be inside a fragment; only
-    // fragments need testing, against survivors and earlier-accepted
-    // fragments.
-    for (const SharpCube& c : split) {
-      for (std::uint32_t bits = full & ~c.care; bits != 0; bits &= bits - 1) {
-        const std::uint32_t b = bits & (0u - bits);
-        std::vector<std::uint32_t>& absorbers =
-            near[static_cast<std::size_t>(std::countr_zero(b))];
-        const bool absorbed =
-            std::any_of(absorbers.begin(), absorbers.end(),
-                        [&](std::uint32_t rest) { return (rest & ~c.care) == 0; });
-        if (absorbed) continue;
-        cubes.push_back({c.care | b, c.value | (~o & b)});
-        absorbers.push_back(c.care);
+    for (; off_bits != 0; off_bits &= off_bits - 1) {
+      const auto o =
+          static_cast<std::uint32_t>(word * 64 + std::countr_zero(off_bits));
+      search::poll_deadline();
+      work += cubes.size();
+      if (work > work_cap) return std::nullopt;
+      split.clear();
+      for (int b = 0; b < num_vars; ++b) near[static_cast<std::size_t>(b)].clear();
+      std::size_t kept = 0;
+      for (const SharpCube c : cubes) {
+        const std::uint32_t d = (o ^ c.value) & c.care;
+        if (d == 0) {
+          split.push_back(c);
+          continue;
+        }
+        cubes[kept++] = c;
+        if ((d & (d - 1)) == 0) {
+          near[static_cast<std::size_t>(std::countr_zero(d))].push_back(c.care & ~d);
+        }
+      }
+      cubes.resize(kept);
+      // c contains o: the fragments (one free variable fixed opposite to
+      // o) cover exactly c minus the point o.  A fragment sits inside its
+      // parent, so no surviving cube can be inside a fragment; only
+      // fragments need testing, against survivors and earlier-accepted
+      // fragments.
+      for (const SharpCube& c : split) {
+        for (std::uint32_t bits = full & ~c.care; bits != 0; bits &= bits - 1) {
+          const std::uint32_t b = bits & (0u - bits);
+          std::vector<std::uint32_t>& absorbers =
+              near[static_cast<std::size_t>(std::countr_zero(b))];
+          const bool absorbed =
+              std::any_of(absorbers.begin(), absorbers.end(),
+                          [&](std::uint32_t rest) { return (rest & ~c.care) == 0; });
+          if (absorbed) continue;
+          cubes.push_back({c.care | b, c.value | (~o & b)});
+          absorbers.push_back(c.care);
+        }
       }
     }
   }
@@ -159,30 +188,31 @@ std::vector<std::uint64_t> sharp_primes(int num_vars, std::uint32_t full,
   return primes;
 }
 
-// Prime generation: packed level-0 construction, then either the sharp
-// path (dense ON∪DC) or the word-parallel level-by-level adjacency
-// merge.  Returns the packed (care, value) words of every prime, in
-// generation order.
-std::vector<std::uint64_t> merge_levels(int num_vars,
-                                        std::span<const Minterm> on,
-                                        std::span<const Minterm> dc) {
+// Level 0 of the merge: the packed minterm words of ON∪DC, sorted and
+// duplicate-free.
+std::vector<std::uint64_t> minterm_level(int num_vars,
+                                         std::span<const Minterm> on,
+                                         std::span<const Minterm> dc) {
   if (num_vars < 0 || num_vars > kMaxVars) {
     throw std::invalid_argument("prime_engine: num_vars out of range");
   }
-  const std::uint32_t full =
-      num_vars == 0 ? 0u : (std::uint32_t{1} << num_vars) - 1u;
-
+  const std::uint32_t full = full_mask(num_vars);
   std::vector<std::uint64_t> level;
   level.reserve(on.size() + dc.size());
   for (Minterm m : on) level.push_back(encode(full, m & full));
   for (Minterm m : dc) level.push_back(encode(full, m & full));
   std::sort(level.begin(), level.end());
   level.erase(std::unique(level.begin(), level.end()), level.end());
+  return level;
+}
 
+// The word-parallel level-by-level adjacency merge, from a minterm
+// level.  Returns the packed (care, value) words of every prime, in
+// generation order.
+std::vector<std::uint64_t> merge_levels(int num_vars,
+                                        std::vector<std::uint64_t> level) {
+  const std::uint32_t full = full_mask(num_vars);
   const std::size_t space = std::size_t{1} << num_vars;
-  if (!level.empty() && (space - level.size()) * kSharpOffFactor <= space) {
-    return sharp_primes(num_vars, full, level, space);
-  }
 
   // Within-word "position has index bit b clear" patterns, b in [0, 6).
   static constexpr std::uint64_t kBitClear[6] = {
@@ -339,6 +369,19 @@ std::vector<std::uint64_t> merge_levels(int num_vars,
   return primes;
 }
 
+// Every prime, packed, in generation order: the sharp path under the
+// production work cap, the level merge once the sharp path passes it.
+std::vector<std::uint64_t> prime_words(int num_vars,
+                                       std::span<const Minterm> on,
+                                       std::span<const Minterm> dc) {
+  std::vector<std::uint64_t> level = minterm_level(num_vars, on, dc);
+  if (auto primes = sharp_prime_words(
+          num_vars, level, detail::sharp_work_cap(num_vars, level.size()))) {
+    return *std::move(primes);
+  }
+  return merge_levels(num_vars, std::move(level));
+}
+
 std::vector<Cube> to_canonical_cubes(int num_vars,
                                      std::vector<std::uint64_t> keys) {
   // Canonical order: fewest literals first, then Cube::key — the
@@ -397,16 +440,15 @@ class RowLookup {
 
 std::vector<Cube> compute_primes(int num_vars, std::span<const Minterm> on,
                                  std::span<const Minterm> dc) {
-  return to_canonical_cubes(num_vars, merge_levels(num_vars, on, dc));
+  return to_canonical_cubes(num_vars, prime_words(num_vars, on, dc));
 }
 
 std::vector<Cube> compute_on_primes(int num_vars,
                                     std::span<const Minterm> on_sorted,
                                     std::span<const Minterm> dc) {
   std::vector<Cube> all =
-      to_canonical_cubes(num_vars, merge_levels(num_vars, on_sorted, dc));
-  const std::uint32_t full =
-      num_vars == 0 ? 0u : (std::uint32_t{1} << num_vars) - 1u;
+      to_canonical_cubes(num_vars, prime_words(num_vars, on_sorted, dc));
+  const std::uint32_t full = full_mask(num_vars);
   const RowLookup lookup(num_vars, full, on_sorted);
   // Keep a prime as soon as its sub-cube walk hits one ON minterm — no
   // row collection, no incidence table.
@@ -426,9 +468,8 @@ PrimeIncidence compute_incidence(int num_vars,
                                  std::span<const Minterm> on_sorted,
                                  std::span<const Minterm> dc) {
   const std::vector<Cube> all =
-      to_canonical_cubes(num_vars, merge_levels(num_vars, on_sorted, dc));
-  const std::uint32_t full =
-      num_vars == 0 ? 0u : (std::uint32_t{1} << num_vars) - 1u;
+      to_canonical_cubes(num_vars, prime_words(num_vars, on_sorted, dc));
+  const std::uint32_t full = full_mask(num_vars);
   const RowLookup lookup(num_vars, full, on_sorted);
 
   // Each prime scatters its own minterm sub-cube (submask walk over the
@@ -458,5 +499,30 @@ PrimeIncidence compute_incidence(int num_vars,
   }
   return out;
 }
+
+namespace detail {
+
+std::size_t sharp_work_cap(int num_vars, std::size_t on_dc_count) {
+  return kSharpWorkFactor * on_dc_count *
+         static_cast<std::size_t>(std::max(num_vars, 1));
+}
+
+std::optional<std::vector<Cube>> sharp_primes(int num_vars,
+                                              std::span<const Minterm> on,
+                                              std::span<const Minterm> dc,
+                                              std::size_t work_cap) {
+  auto primes =
+      sharp_prime_words(num_vars, minterm_level(num_vars, on, dc), work_cap);
+  if (!primes) return std::nullopt;
+  return to_canonical_cubes(num_vars, *std::move(primes));
+}
+
+std::vector<Cube> level_primes(int num_vars, std::span<const Minterm> on,
+                               std::span<const Minterm> dc) {
+  return to_canonical_cubes(num_vars,
+                            merge_levels(num_vars, minterm_level(num_vars, on, dc)));
+}
+
+}  // namespace detail
 
 }  // namespace seance::logic::prime_engine

@@ -12,14 +12,17 @@
 //
 // Dense ON∪DC functions (the Y/fsv equations of deep state machines are
 // >90% don't-care) would still drown the level merge in their implicant
-// lattice, so when the OFF-set is small the engine switches to an
-// output-sensitive sharp construction instead: primes as maximal cubes
-// avoiding OFF, built by iterated cube splitting with absorption.  A
-// fragment's possible absorbers are the kept cubes that disagree with
-// the OFF point on exactly its free bit, so absorption scans short
-// per-bit neighbour lists filled by the same pass that finds the cubes
-// to split, with no index.  Both paths produce the identical canonical
-// prime list.
+// lattice, so every call first tries an output-sensitive sharp
+// construction: primes as maximal cubes avoiding OFF, built by iterated
+// cube splitting with absorption.  A fragment's possible absorbers are
+// the kept cubes that disagree with the OFF point on exactly its free
+// bit, so absorption scans short per-bit neighbour lists filled by the
+// same pass that finds the cubes to split, with no index.  The sharp
+// path counts its work as cube visits (each OFF point adds the size of
+// the cube list it scans) and gives up once the count passes
+// 64 * |ON∪DC| * num_vars; the call then runs the level merge instead.
+// The count is deterministic, and both paths produce the identical
+// canonical prime list.
 //
 // The second half of the job is the prime×minterm incidence: instead of
 // testing every (prime, minterm) pair with Cube::contains, each prime
@@ -35,6 +38,8 @@
 
 #pragma once
 
+#include <cstddef>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -75,5 +80,27 @@ struct PrimeIncidence {
 [[nodiscard]] PrimeIncidence compute_incidence(int num_vars,
                                                std::span<const Minterm> on_sorted,
                                                std::span<const Minterm> dc);
+
+/// The two prime paths on their own, for the differential tests; not a
+/// tuning surface.  compute_primes runs sharp_primes under
+/// sharp_work_cap and falls back to level_primes.
+namespace detail {
+
+/// The production work cap: 64 * on_dc_count * max(num_vars, 1) cube
+/// visits, on_dc_count counting distinct ON∪DC minterms.
+[[nodiscard]] std::size_t sharp_work_cap(int num_vars, std::size_t on_dc_count);
+
+/// The sharp path in canonical order, or nullopt once its work count
+/// passes `work_cap`.
+[[nodiscard]] std::optional<std::vector<Cube>> sharp_primes(
+    int num_vars, std::span<const Minterm> on, std::span<const Minterm> dc,
+    std::size_t work_cap);
+
+/// The level merge in canonical order.
+[[nodiscard]] std::vector<Cube> level_primes(int num_vars,
+                                             std::span<const Minterm> on,
+                                             std::span<const Minterm> dc);
+
+}  // namespace detail
 
 }  // namespace seance::logic::prime_engine

@@ -90,6 +90,21 @@ TEST(MalformedKiss, TooManyStatesFailsBeforeTheTableIsBuilt) {
   EXPECT_EQ(table.num_states(), 64);
 }
 
+TEST(MalformedKiss, TooManyTableEntriesFailsBeforeTheTableIsBuilt) {
+  // 64 states pass the state limit, but at .i 16 the table would hold
+  // 64 x 65536 entries: hundreds of MB from a 66-line file.
+  expect_error(parse_error(kiss_with_states(64, 16)),
+               "64 states x 65536 columns = 4194304 table entries exceeds "
+               "the limit of 65536");
+  expect_error(parse_error(kiss_with_states(2, 16)),
+               "2 states x 65536 columns");
+  // The limit itself still parses.
+  const flowtable::FlowTable table =
+      flowtable::parse_kiss2(kiss_with_states(1, 16));
+  EXPECT_EQ(table.num_states(), 1);
+  EXPECT_EQ(table.num_columns(), 65536);
+}
+
 TEST(MalformedKiss, UnknownDirective) {
   expect_error(parse_error(".q 3\n"), "unknown directive '.q'");
   expect_error(parse_error(".\n"), "unknown directive '.'");

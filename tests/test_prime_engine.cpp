@@ -1,15 +1,22 @@
-// Differential and regression suite for the word-parallel prime engine:
-// prime_engine::compute_primes against the retained hash-map oracle
-// (reference_compute_primes) over random functions at 4-14 variables —
-// covering both the level-merge path and the sharp (dense ON∪DC) path —
-// plus a regression pinning the canonical prime order and incidence
-// bitmatrix correctness against brute-force Cube::contains.
+// Differential and regression suite for the word-parallel prime engine.
+// compute_primes tries the sharp path first and counts its work in cube
+// visits (each OFF point adds the size of the cube list it scans); past
+// 64 * |ON∪DC| * num_vars visits it gives up and the level merge runs
+// instead.  Which path a random function takes is therefore a property
+// of its shape, so every case runs through both paths on their own
+// (prime_engine::detail, the sharp path uncapped) as well as through
+// compute_primes, each against the retained hash-map oracle
+// (reference_compute_primes) over random functions at 4-14 variables.
+// Regressions pin the fallback itself, the canonical prime order, and
+// incidence bitmatrix correctness against brute-force Cube::contains.
 
 #include "logic/prime_engine.hpp"
 
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <limits>
+#include <optional>
 #include <random>
 #include <string>
 #include <vector>
@@ -82,18 +89,37 @@ testutil::RandomFunction make_function(const DiffCase& p) {
 
 class PrimeEngineDiff : public ::testing::TestWithParam<DiffCase> {};
 
+void expect_same_primes(const std::vector<Cube>& got,
+                        const std::vector<Cube>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].key(), want[i].key()) << "at index " << i;
+  }
+}
+
+constexpr std::size_t kNoCap = std::numeric_limits<std::size_t>::max();
+
 TEST_P(PrimeEngineDiff, MatchesReferencePrimesExactly) {
   const auto& p = GetParam();
   const auto f = make_function(p);
-
-  const std::vector<Cube> engine =
-      prime_engine::compute_primes(p.num_vars, f.on, f.dc);
   const std::vector<Cube> reference =
       reference_compute_primes(p.num_vars, f.on, f.dc);
-
-  ASSERT_EQ(engine.size(), reference.size());
-  for (std::size_t i = 0; i < engine.size(); ++i) {
-    EXPECT_EQ(engine[i].key(), reference[i].key()) << "at index " << i;
+  {
+    SCOPED_TRACE("compute_primes");
+    expect_same_primes(prime_engine::compute_primes(p.num_vars, f.on, f.dc),
+                       reference);
+  }
+  {
+    SCOPED_TRACE("sharp path");
+    const std::optional<std::vector<Cube>> sharp =
+        prime_engine::detail::sharp_primes(p.num_vars, f.on, f.dc, kNoCap);
+    ASSERT_TRUE(sharp.has_value());
+    expect_same_primes(*sharp, reference);
+  }
+  {
+    SCOPED_TRACE("level merge");
+    expect_same_primes(prime_engine::detail::level_primes(p.num_vars, f.on, f.dc),
+                       reference);
   }
 }
 
@@ -136,13 +162,17 @@ TEST_P(PrimeEngineDiff, OnPrimesMatchIncidencePrimes) {
 std::vector<DiffCase> diff_cases() {
   std::vector<DiffCase> cases;
   for (std::uint64_t seed = 1; seed <= 6; ++seed) {
-    // Sparse / balanced shapes: the word-parallel level merge.
+    // Sparse / balanced shapes: the word-parallel level merge's home
+    // ground.  At these sizes the sharp path stays inside its work cap,
+    // so production takes it; detail::level_primes keeps the level
+    // merge covered.
     cases.push_back({4, 0.35, 0.15, seed});
     cases.push_back({6, 0.3, 0.2, seed * 5});
     cases.push_back({8, 0.25, 0.2, seed * 7});
     cases.push_back({10, 0.15, 0.2, seed * 11});
-    // Dense ON∪DC shapes (small OFF-set): the sharp path.  This is the
-    // Y/fsv-equation regime — deep machines specify almost nothing.
+    // Dense ON∪DC shapes (small OFF-set): the sharp path, well inside
+    // its cap.  This is the Y/fsv-equation regime — deep machines
+    // specify almost nothing.
     cases.push_back({6, 0.1, 0.85, seed * 13});
     cases.push_back({8, 0.05, 0.92, seed * 17});
     cases.push_back({10, 0.03, 0.93, seed * 19});
@@ -214,6 +244,10 @@ TEST(PrimeEngineRegression, CanonicalOrderWithDontCaresIsPinned) {
 // fingerprint of the canonical (care, value) list are pinned instead.
 TEST(PrimeEngineRegression, DenseFourteenVariableSharpPathIsPinned) {
   const auto f = random_function(14, 0.08, 0.89, 1414);
+  ASSERT_TRUE(prime_engine::detail::sharp_primes(
+                  14, f.on, f.dc,
+                  prime_engine::detail::sharp_work_cap(14, f.on.size() + f.dc.size()))
+                  .has_value());
   const std::vector<Cube> primes = prime_engine::compute_primes(14, f.on, f.dc);
   std::string bytes;
   for (const Cube& c : primes) {
@@ -225,6 +259,31 @@ TEST(PrimeEngineRegression, DenseFourteenVariableSharpPathIsPinned) {
   }
   EXPECT_EQ(primes.size(), 46223u);
   EXPECT_EQ(search::fnv64(bytes), 7947353723911761570ull);
+}
+
+// A sparse 14-variable function (~1% ON, no DC) swells the sharp
+// path's cube list far past its work cap: production falls back to the
+// level merge and returns its primes unchanged.
+TEST(PrimeEngineRegression, SparseFunctionFallsBackToLevelMerge) {
+  const auto f = random_function(14, 0.01, 0.0, 1401);
+  ASSERT_FALSE(prime_engine::detail::sharp_primes(
+                   14, f.on, f.dc,
+                   prime_engine::detail::sharp_work_cap(14, f.on.size()))
+                   .has_value());
+  expect_same_primes(prime_engine::compute_primes(14, f.on, f.dc),
+                     prime_engine::detail::level_primes(14, f.on, f.dc));
+}
+
+// With no work allowed, the sharp path gives up at its first OFF point
+// (every differential case has one).
+TEST(PrimeEngineRegression, ZeroCapAlwaysFallsBack) {
+  for (const DiffCase& p : diff_cases()) {
+    const auto f = make_function(p);
+    ASSERT_FALSE(f.off.empty());
+    EXPECT_FALSE(
+        prime_engine::detail::sharp_primes(p.num_vars, f.on, f.dc, 0).has_value())
+        << ::testing::PrintToString(p);
+  }
 }
 
 TEST(PrimeEngineRegression, EveryEmittedCubeIsAPrimeImplicant) {
