@@ -11,16 +11,6 @@
 #include "driver/batch.hpp"
 #include "search/search.hpp"
 
-#if defined(__unix__) || defined(__APPLE__)
-#include <sys/socket.h>
-#include <sys/un.h>
-#include <unistd.h>
-
-#include <cerrno>
-#include <cstring>
-#include <streambuf>
-#endif
-
 namespace seance::api {
 
 namespace {
@@ -38,14 +28,14 @@ void send_error(std::ostream& out, const std::string& why, ServeStats& stats) {
   ++stats.errors;
 }
 
-/// One transposition table per server process, handed to every request
-/// (and, for the socket listener, every connection).  Entries are
-/// request-scoped (see api::synthesize); the allocation is reused and the
-/// STATS counters accumulate over every request, timed-out ones
-/// included.  Null when the server's default options disable it;
-/// per-request OPT lines with tt=0 run cold.
-std::unique_ptr<search::TranspositionTable> make_tt(const ServeConfig& config) {
-  if (!config.options.tt) return nullptr;
+/// One transposition table per server process, handed to every request.
+/// Entries are request-scoped (see api::synthesize); the allocation is
+/// reused and the STATS counters accumulate over every request,
+/// timed-out ones included.  Null when the server's default options
+/// disable it; per-request OPT lines with tt=0 run cold.
+std::unique_ptr<search::TranspositionTable> make_tt(
+    const SynthesisRequest& defaults) {
+  if (!defaults.options.tt) return nullptr;
   return std::make_unique<search::TranspositionTable>(
       core::SynthesisOptions::tt_mb << 20);
 }
@@ -53,17 +43,11 @@ std::unique_ptr<search::TranspositionTable> make_tt(const ServeConfig& config) {
 /// One REQ exchange: the REQ line has been consumed, `name` is its
 /// payload.  Reads OPT/TABLE/END, answers RES/ROW/END or ERR/END.
 void handle_request(std::istream& in, std::ostream& out,
-                    const std::string& name, const ServeConfig& config,
+                    const std::string& name, const SynthesisRequest& defaults,
                     ResultCache* cache, search::TranspositionTable* tt,
                     ServeStats& stats) {
-  SynthesisRequest request;
+  SynthesisRequest request = defaults;
   request.name = name;
-  request.options = config.options;
-  request.verify = config.verify;
-  request.ternary = config.ternary;
-  request.ternary_strict = config.ternary_strict;
-  request.gate_ternary = config.gate_ternary;
-  request.timeout_ms = config.timeout_ms;
 
   std::string line;
   if (!std::getline(in, line)) {
@@ -128,14 +112,12 @@ void handle_request(std::istream& in, std::ostream& out,
       << "\nROW " << driver::to_csv_row(response.row) << "\nEND\n"
       << std::flush;
   ++stats.requests;
-  if (config.gate_ternary) ++stats.gate_ternary;
 }
 
 void send_stats(std::ostream& out, const ServeStats& stats,
                 const ResultCache* cache,
                 const search::TranspositionTable* tt) {
-  out << "STATS requests=" << stats.requests << " errors=" << stats.errors
-      << " gate-ternary=" << stats.gate_ternary;
+  out << "STATS requests=" << stats.requests << " errors=" << stats.errors;
   if (cache != nullptr) {
     const CacheStats& c = cache->stats();
     out << " hits=" << c.hits << " warm-hits=" << c.warm_hits
@@ -151,26 +133,25 @@ void send_stats(std::ostream& out, const ServeStats& stats,
   out << "\n" << std::flush;
 }
 
-ServeStats serve_impl(std::istream& in, std::ostream& out,
-                      const ServeConfig& config, ResultCache* cache,
-                      search::TranspositionTable* tt, bool* shutdown) {
+}  // namespace
+
+ServeStats serve(std::istream& in, std::ostream& out,
+                 const SynthesisRequest& defaults, ResultCache* cache) {
+  const std::unique_ptr<search::TranspositionTable> tt = make_tt(defaults);
   ServeStats stats;
   std::string line;
   while (std::getline(in, line)) {
     strip_cr(line);
     if (line.empty()) continue;
     if (line.rfind("REQ ", 0) == 0 && line.size() > 4) {
-      handle_request(in, out, line.substr(4), config, cache, tt, stats);
+      handle_request(in, out, line.substr(4), defaults, cache, tt.get(),
+                     stats);
     } else if (line == "PING") {
       out << "PONG\n" << std::flush;
     } else if (line == "STATS") {
-      send_stats(out, stats, cache, tt);
+      send_stats(out, stats, cache, tt.get());
     } else if (line == "QUIT") {
       out << "BYE\n" << std::flush;
-      break;
-    } else if (line == "SHUTDOWN") {
-      out << "BYE\n" << std::flush;
-      if (shutdown != nullptr) *shutdown = true;
       break;
     } else {
       send_error(out, "unknown verb: " + line, stats);
@@ -178,127 +159,5 @@ ServeStats serve_impl(std::istream& in, std::ostream& out,
   }
   return stats;
 }
-
-}  // namespace
-
-ServeStats serve(std::istream& in, std::ostream& out,
-                 const ServeConfig& config, ResultCache* cache) {
-  const std::unique_ptr<search::TranspositionTable> tt = make_tt(config);
-  return serve_impl(in, out, config, cache, tt.get(), nullptr);
-}
-
-#if defined(__unix__) || defined(__APPLE__)
-
-namespace {
-
-/// Minimal buffered streambuf over a connected socket fd, so one serve
-/// loop works unchanged for stdin pipes and socket connections.
-class FdStreambuf : public std::streambuf {
- public:
-  explicit FdStreambuf(int fd) : fd_(fd) {
-    setg(in_, in_, in_);
-    setp(out_, out_ + sizeof(out_));
-  }
-  FdStreambuf(const FdStreambuf&) = delete;
-  FdStreambuf& operator=(const FdStreambuf&) = delete;
-  ~FdStreambuf() override { sync(); }
-
- protected:
-  int_type underflow() override {
-    if (gptr() < egptr()) return traits_type::to_int_type(*gptr());
-    ssize_t n;
-    do {
-      n = ::read(fd_, in_, sizeof(in_));
-    } while (n < 0 && errno == EINTR);
-    if (n <= 0) return traits_type::eof();
-    setg(in_, in_, in_ + n);
-    return traits_type::to_int_type(*gptr());
-  }
-
-  int_type overflow(int_type ch) override {
-    if (sync() != 0) return traits_type::eof();
-    if (!traits_type::eq_int_type(ch, traits_type::eof())) {
-      *pptr() = traits_type::to_char_type(ch);
-      pbump(1);
-    }
-    return traits_type::not_eof(ch);
-  }
-
-  int sync() override {
-    const char* p = pbase();
-    while (p < pptr()) {
-      ssize_t n;
-      do {
-        n = ::write(fd_, p, static_cast<std::size_t>(pptr() - p));
-      } while (n < 0 && errno == EINTR);
-      if (n <= 0) return -1;
-      p += n;
-    }
-    setp(out_, out_ + sizeof(out_));
-    return 0;
-  }
-
- private:
-  int fd_;
-  char in_[4096];
-  char out_[4096];
-};
-
-}  // namespace
-
-ServeStats serve_unix_socket(const std::string& path,
-                             const ServeConfig& config, ResultCache* cache) {
-  sockaddr_un addr{};
-  addr.sun_family = AF_UNIX;
-  if (path.size() >= sizeof(addr.sun_path)) {
-    throw std::runtime_error("serve: socket path too long: " + path);
-  }
-  std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
-
-  const int listener = ::socket(AF_UNIX, SOCK_STREAM, 0);
-  if (listener < 0) {
-    throw std::runtime_error("serve: socket(): " + std::string(strerror(errno)));
-  }
-  ::unlink(path.c_str());  // stale socket from a previous run
-  if (::bind(listener, reinterpret_cast<const sockaddr*>(&addr),
-             sizeof(addr)) != 0 ||
-      ::listen(listener, 8) != 0) {
-    const std::string why = strerror(errno);
-    ::close(listener);
-    throw std::runtime_error("serve: bind/listen " + path + ": " + why);
-  }
-
-  ServeStats total;
-  const std::unique_ptr<search::TranspositionTable> tt = make_tt(config);
-  bool shutdown = false;
-  while (!shutdown) {
-    int conn;
-    do {
-      conn = ::accept(listener, nullptr, nullptr);
-    } while (conn < 0 && errno == EINTR);
-    if (conn < 0) {
-      const std::string why = strerror(errno);
-      ::close(listener);
-      ::unlink(path.c_str());
-      throw std::runtime_error("serve: accept(): " + why);
-    }
-    {
-      FdStreambuf buffer(conn);
-      std::istream in(&buffer);
-      std::ostream out(&buffer);
-      const ServeStats stats =
-          serve_impl(in, out, config, cache, tt.get(), &shutdown);
-      total.requests += stats.requests;
-      total.errors += stats.errors;
-      total.gate_ternary += stats.gate_ternary;
-    }  // flushes the tail before close
-    ::close(conn);
-  }
-  ::close(listener);
-  ::unlink(path.c_str());
-  return total;
-}
-
-#endif  // unix
 
 }  // namespace seance::api

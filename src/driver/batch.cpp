@@ -185,16 +185,11 @@ std::string to_csv_row(const JobResult& j) {
   return out;
 }
 
-std::string BatchReport::to_csv(bool with_wall_ms) const {
+std::string BatchReport::to_csv() const {
   std::string out{kCsvHeader};
-  if (with_wall_ms) out += ",wall_ms";
   out += '\n';
   for (const auto& j : jobs) {
     out += to_csv_row(j);
-    if (with_wall_ms) {
-      out += ',';
-      out += format_fixed(j.wall_ms, 3);
-    }
     out += '\n';
   }
   return out;
@@ -243,9 +238,9 @@ void BatchRunner::add_generated(int count,
 void BatchRunner::add_hard_generated(int count, std::uint64_t base_seed) {
   bench_suite::GeneratorOptions gen = kHardShape;
   gen.seed = base_seed;
-  // Distinct prefix: a corpus mixing `--states 8 --inputs 4 --random N`
-  // with `--hard M` must not produce colliding job names (store::diff
-  // pairs rows by name and occurrence order).
+  // Distinct prefix: a corpus mixing an add_generated stream at the
+  // 8x4 shape with `--hard M` must not produce colliding job names
+  // (store::diff pairs rows by name and occurrence order).
   add_generated(count, gen, "hard");
 }
 
@@ -326,17 +321,18 @@ JobResult BatchRunner::run_job(const JobSpec& spec, const BatchOptions& options,
         r.detail = why;
       }
     }
+    std::optional<sim::TernaryReport> cover;
     if (options.ternary && r.status == JobStatus::kOk) {
-      const sim::TernaryReport ternary = sim::ternary_verify(machine);
-      r.ternary_transitions = ternary.transitions_checked;
-      r.ternary_a_violations = ternary.procedure_a_violations;
-      r.ternary_b_violations = ternary.procedure_b_violations;
+      cover = sim::ternary_verify(machine);
+      r.ternary_transitions = cover->transitions_checked;
+      r.ternary_a_violations = cover->procedure_a_violations;
+      r.ternary_b_violations = cover->procedure_b_violations;
       // Baseline (fsv-less) machines are *expected* to flag here — that is
       // the paper's comparison point — so at most protected machines fail,
       // and only when the caller asked for the strict interpretation.
-      if (options.ternary_strict && !ternary.clean() && spec.options.add_fsv) {
+      if (options.ternary_strict && !cover->clean() && spec.options.add_fsv) {
         r.status = JobStatus::kHazardUnclean;
-        r.detail = ternary.first_failure;
+        r.detail = cover->first_failure;
       }
     }
     if (options.gate_ternary && r.status == JobStatus::kOk) {
@@ -356,7 +352,19 @@ JobResult BatchRunner::run_job(const JobSpec& spec, const BatchOptions& options,
             sim::gate_ternary_verify(reimported, machine);
         r.gate_ternary_a_violations = gate.procedure_a_violations;
         r.gate_ternary_b_violations = gate.procedure_b_violations;
-        if (options.ternary_strict && !gate.clean() && spec.options.add_fsv) {
+        // The two verifiers agree by theorem, so the whole report must
+        // match: transitions, overruns and the first failure as well as
+        // the A/B counts.
+        if (cover && gate != *cover) {
+          r.status = JobStatus::kVerifyFailed;
+          r.detail = "gate-level ternary report disagrees with the "
+                     "cover-level one: " +
+                     std::to_string(gate.fixpoint_overruns) + "/" +
+                     std::to_string(cover->fixpoint_overruns) +
+                     " overruns, first failure \"" + gate.first_failure +
+                     "\" vs \"" + cover->first_failure + "\"";
+        } else if (options.ternary_strict && !gate.clean() &&
+                   spec.options.add_fsv) {
           r.status = JobStatus::kHazardUnclean;
           r.detail = gate.first_failure;
         }

@@ -33,7 +33,9 @@ namespace seance::driver {
 enum class JobStatus : std::uint8_t {
   kOk = 0,          ///< synthesized; every requested check passed
   kSynthesisError,  ///< core::synthesize (or table prep) threw
-  kVerifyFailed,    ///< core::verify_equations rejected the machine
+  kVerifyFailed,    ///< core::verify_equations rejected the machine, or
+                    ///< the gate loop failed (re-export not byte-stable,
+                    ///< gate-level report differs from the cover-level one)
   kHazardUnclean,   ///< ternary flags, promoted to failure only under
                     ///< BatchOptions::ternary_strict (Eichelberger is
                     ///< conservative for MIC transitions, so flags are
@@ -56,8 +58,8 @@ enum class JobStatus : std::uint8_t {
 /// `decimals` is clamped to [0, 9]; non-finite values format as 0.
 [[nodiscard]] std::string format_fixed(double value, int decimals);
 
-/// Exact BatchReport::to_csv() header (no trailing newline, without the
-/// optional wall_ms column).  Persisted reports validate against this.
+/// Exact BatchReport::to_csv() header (no trailing newline).  Persisted
+/// reports validate against this.
 inline constexpr std::string_view kCsvHeader =
     "name,status,inputs,outputs,input_states,synthesized_states,state_vars,"
     "fl_hazards,var_hazards,fsv_depth,y_depth,total_depth,gate_count,"
@@ -189,11 +191,9 @@ struct BatchReport {
 
   /// Human-readable per-job table plus a totals line.
   [[nodiscard]] std::string summary(bool per_job = true) const;
-  /// Machine-readable CSV (header + one row per job).  Deterministic by
-  /// default; `with_wall_ms` appends a wall_ms column (format_fixed, three
-  /// decimals) for perf tracking — never use it for golden files, wall
-  /// time is not a pure function of the spec.
-  [[nodiscard]] std::string to_csv(bool with_wall_ms = false) const;
+  /// Machine-readable CSV (header + one row per job).  Deterministic: no
+  /// wall times, which are not a pure function of the spec.
+  [[nodiscard]] std::string to_csv() const;
 };
 
 struct BatchOptions {
@@ -210,8 +210,9 @@ struct BatchOptions {
   /// Also run the gate-level ternary pass (sim::gate_ternary_verify) on
   /// the netlist re-imported from its own Verilog export, closing the
   /// export -> parse -> verify loop per job.  The re-export must be
-  /// byte-identical (kVerifyFailed otherwise), and under ternary_strict
-  /// gate-level flags gate exactly like cover-level ones.
+  /// byte-identical, and when the cover-level pass ran too the two
+  /// reports must agree in full (kVerifyFailed otherwise); under
+  /// ternary_strict gate-level flags gate exactly like cover-level ones.
   bool gate_ternary = false;
   /// Per-job wall-clock budget in milliseconds (run_with_deadline); 0
   /// means none.  Timeout verdicts depend on machine speed — pick budgets

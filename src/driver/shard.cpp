@@ -61,11 +61,4 @@ int ShardPlan::lease_units(int job_count, int requested, int fallback) {
   return std::min(units, cap);
 }
 
-double estimate_cost(const JobSpec& spec) {
-  const double states = spec.table.num_states();
-  const double columns = static_cast<double>(std::size_t{1}
-                                             << spec.table.num_inputs());
-  return states * columns;
-}
-
 }  // namespace seance::driver

@@ -68,9 +68,4 @@ struct ShardPlan {
                                        int fallback);
 };
 
-/// A coarse per-job cost estimate, the fleet's LPT ordering key: the flow
-/// chart area (states × input columns) that every pipeline stage walks.
-/// Integer-derived, so identical across platforms.
-[[nodiscard]] double estimate_cost(const JobSpec& spec);
-
 }  // namespace seance::driver

@@ -24,7 +24,6 @@ double ms_since(Clock::time_point start) {
 
 std::vector<Slice> make_slices(const driver::ShardPlan& plan,
                                const std::vector<std::string>& names,
-                               const std::vector<double>& costs,
                                const std::string& dir) {
   const int total = plan.num_shards;
   std::vector<Slice> out;
@@ -37,7 +36,6 @@ std::vector<Slice> make_slices(const driver::ShardPlan& plan,
     slice.store_path = dir + "/" + driver::ShardPlan::slice_file(u, total);
     for (const int job : plan.slices[static_cast<std::size_t>(u)]) {
       slice.job_names.push_back(names[static_cast<std::size_t>(job)]);
-      slice.cost += costs.empty() ? 1.0 : costs[static_cast<std::size_t>(job)];
     }
     out.push_back(std::move(slice));
   }
@@ -65,15 +63,10 @@ FleetReport FleetRunner::run(const std::vector<Slice>& slices) {
     return report;
   }
 
-  // Static LPT: heaviest slice first (ties to the lower index), rotated
-  // by the runner hash so a fleet of idle runners starts on different
-  // slices instead of all racing for slice 0.
+  // Index order rotated by the runner hash, so a fleet of idle runners
+  // starts on different slices instead of all racing for slice 0.
   std::vector<std::size_t> order(n);
   for (std::size_t i = 0; i < n; ++i) order[i] = i;
-  std::stable_sort(order.begin(), order.end(),
-                   [&](std::size_t a, std::size_t b) {
-                     return slices[a].cost > slices[b].cost;
-                   });
   std::rotate(order.begin(),
               order.begin() + static_cast<std::ptrdiff_t>(
                                   search::fnv64(options_.runner_id) % n),
@@ -153,7 +146,7 @@ FleetReport FleetRunner::run(const std::vector<Slice>& slices) {
       }
     }
 
-    // 3. Acquire work, LPT order.  Acquiring an expired lease is the
+    // 3. Acquire work in rotated order.  Acquiring an expired lease is the
     // steal / dead-runner re-lease path; nothing else is needed.
     const bool budget_left =
         options_.max_units < 0 || acquired < options_.max_units;

@@ -17,17 +17,17 @@
 //     per slice, exactly PR 5's crash-isolation model; tests substitute
 //     stubs that write store files directly.
 //
-// FleetRunner drives both: static LPT order (heaviest slice first,
-// rotated per runner so a fleet fans out instead of colliding), work
-// stealing (an idle runner acquires any unclaimed or heartbeat-expired
-// slice), and health-checked re-lease of slices whose runner died.  The
-// slice store files are the single source of truth — a slice counts as
-// done only when its file holds a complete, identity-matching report
-// (slice_file_complete), never merely because a process exited 0 — so
-// the merged report stays byte-identical to the single-process run for
-// every runner count and steal schedule: store::merge reorders rows by
-// name into submission order, and the worker protocol itself
-// ("--shard-worker u/U" over the shared corpus recipe) never varies.
+// FleetRunner drives both: slice order rotated per runner (so a fleet
+// fans out instead of colliding), work stealing (an idle runner acquires
+// any unclaimed or heartbeat-expired slice), and health-checked re-lease
+// of slices whose runner died.  The slice store files are the single
+// source of truth — a slice counts as done only when its file holds a
+// complete, identity-matching report (slice_file_complete), never merely
+// because a process exited 0 — so the merged report stays byte-identical
+// to the single-process run for every runner count and steal schedule:
+// store::merge reorders rows by name into submission order, and the
+// worker protocol itself ("--shard-worker u/U" over the shared corpus
+// recipe) never varies.
 //
 // Known best-effort window: a runner wrongly declared dead (e.g. paused
 // past the lease TTL) may still be writing its slice store while the
@@ -66,15 +66,12 @@ struct Slice {
   std::string tag;         ///< ShardPlan::slice_tag(index, total)
   std::string store_path;  ///< <dir>/ShardPlan::slice_file(index, total)
   std::vector<std::string> job_names;  ///< submission order
-  double cost = 0.0;  ///< summed estimate_cost, the LPT ordering key
 };
 
 /// Builds the lease units for `plan` over job `names`, store files under
-/// `dir`.  `costs` (per corpus job, may be empty for unit costs) feeds
-/// each slice's LPT key.
+/// `dir`.
 [[nodiscard]] std::vector<Slice> make_slices(const driver::ShardPlan& plan,
                                              const std::vector<std::string>& names,
-                                             const std::vector<double>& costs,
                                              const std::string& dir);
 
 enum class LeaseState : std::uint8_t {
@@ -173,8 +170,8 @@ struct FleetReport {
 };
 
 /// Drives one runner: poll running slices, heartbeat held leases, and
-/// greedily acquire pending units in LPT order (heaviest first, rotated
-/// by search::fnv64(runner_id) so concurrent runners fan out) until the
+/// greedily acquire pending units in index order (rotated by
+/// search::fnv64(runner_id) so concurrent runners fan out) until the
 /// fleet resolves.  An idle runner acquiring an expired lease *is* the work
 /// stealing / dead-runner re-lease — no separate mechanism.
 class FleetRunner {

@@ -101,7 +101,7 @@ class FleetTest : public ::testing::Test {
   std::vector<Slice> make_corpus(int n, int units) {
     names_.clear();
     for (int i = 0; i < n; ++i) names_.push_back("job-" + std::to_string(i));
-    return make_slices(ShardPlan::round_robin(n, units), names_, {}, dir_);
+    return make_slices(ShardPlan::round_robin(n, units), names_, dir_);
   }
 
   std::string dir_;

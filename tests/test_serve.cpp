@@ -38,10 +38,10 @@ std::string request_of(const std::string& name, const std::string& kiss,
 std::vector<std::string> run_session(const std::string& script,
                                      ResultCache* cache = nullptr,
                                      ServeStats* stats = nullptr,
-                                     const ServeConfig& config = {}) {
+                                     const SynthesisRequest& defaults = {}) {
   std::istringstream in(script);
   std::ostringstream out;
-  const ServeStats got = serve(in, out, config, cache);
+  const ServeStats got = serve(in, out, defaults, cache);
   if (stats != nullptr) *stats = got;
   std::vector<std::string> lines;
   std::istringstream reply(out.str());
@@ -114,7 +114,17 @@ TEST(Serve, ControlVerbs) {
   EXPECT_EQ(lines[0], "PONG");
   EXPECT_EQ(lines[1].substr(0, 6), "STATS ");
   EXPECT_NE(lines[1].find("requests=0"), std::string::npos);
+  EXPECT_EQ(lines[1].find("gate-ternary="), std::string::npos) << lines[1];
   EXPECT_EQ(lines[2], "BYE");  // QUIT ends the session; later PING unseen
+}
+
+TEST(Serve, ShutdownIsAnUnknownVerb) {
+  // stdin/stdout is the only transport; EOF or QUIT ends it.
+  const auto lines = run_session("SHUTDOWN\nPING\n");
+  ASSERT_EQ(lines.size(), 3u);
+  EXPECT_EQ(lines[0], "ERR unknown verb: SHUTDOWN");
+  EXPECT_EQ(lines[1], "END");
+  EXPECT_EQ(lines[2], "PONG");
 }
 
 TEST(Serve, MalformedInputGetsErrAndTheLoopSurvives) {
@@ -151,7 +161,7 @@ TEST(Serve, TimeoutRequestsUseTheServerTable) {
       bench_suite::load(bench_suite::by_name("lion")));
   const std::string script = request_of("example", example_kiss()) +
                              request_of("lion", lion) + "STATS\n";
-  ServeConfig watched;
+  SynthesisRequest watched;
   watched.timeout_ms = 600000;  // generous: the deadline must never fire
   const auto timed = run_session(script, nullptr, nullptr, watched);
   const auto plain = run_session(script);
@@ -173,7 +183,7 @@ TEST(Serve, TimeoutRequestsUseTheServerTable) {
   driver::BatchRunner hardest;
   hardest.add_hardest_generated(2, 1);
   const std::string stopped = flowtable::to_kiss2(hardest.jobs()[1].table);
-  ServeConfig tight;
+  SynthesisRequest tight;
   tight.timeout_ms = 20;
   const auto lines = run_session(request_of("lion", lion) + "STATS\n" +
                                      request_of("stopped", stopped) + "STATS\n",

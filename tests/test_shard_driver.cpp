@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -61,14 +62,6 @@ TEST(ShardPlan, SingleShardIsTheWholeCorpus) {
 TEST(ShardPlan, InvalidArgumentsThrow) {
   EXPECT_THROW((void)ShardPlan::round_robin(1, 0), std::invalid_argument);
   EXPECT_THROW((void)ShardPlan::round_robin(-1, 2), std::invalid_argument);
-}
-
-TEST(ShardPlan, EstimateCostGrowsWithChartArea) {
-  bench_suite::GeneratorOptions small;
-  bench_suite::GeneratorOptions big = kHardShape;
-  const JobSpec a("a", bench_suite::generate(small));
-  const JobSpec b("b", bench_suite::generate(big));
-  EXPECT_GT(estimate_cost(b), estimate_cost(a));
 }
 
 /// The 60-job mixed corpus the shard-then-merge property runs: Table-1
@@ -469,20 +462,103 @@ TEST_F(CliOptionTest, IntegerOptionsRejectValuesPastTheirType) {
   }
 }
 
-TEST_F(CliOptionTest, CacheMemMbRejectsNonFiniteAndOversizedValues) {
-  // inf once cast to 0 bytes (the LRU silently off), nan to 2^63 bytes;
-  // 2^44 MiB is 2^64 bytes, one past SIZE_MAX.  Each exits 1 naming the
-  // option before serving anything.
-  for (const char* value : {"inf", "nan", "-inf", "1e300", "17592186044416"}) {
-    SCOPED_TRACE(value);
+TEST_F(CliOptionTest, RetiredFlagsAreUnknownOptions) {
+  // Flags that no workload, CI step, test or example set are gone, not
+  // silently ignored: each exits 1 naming itself before running anything.
+  const struct {
+    const char* subcommand;  ///< empty: single-table mode
+    const char* flag;
+    const char* value;       ///< empty: the flag took no value
+  } cases[] = {{"batch", "--states", "8"},
+               {"batch", "--inputs", "4"},
+               {"batch", "--outputs", "2"},
+               {"batch", "--density", "0.8"},
+               {"batch", "--mic-bias", "1.0"},
+               {"batch", "--no-verify", ""},
+               {"batch", "--no-ternary", ""},
+               {"batch", "--wall", ""},
+               {"", "--walk", "10"},
+               {"serve", "--cache-mem-mb", "64"},
+               {"serve", "--socket", "seance.sock"}};
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.flag);
+    const std::string sub = c.subcommand;
+    const std::string mode =
+        sub.empty() ? "test_example --verify" : sub + " --no-suite --random 1";
     const auto log = work_ / "cli.log";
-    EXPECT_EQ(run_command("timeout 20 " + cli_ +
-                          " serve --no-disk-cache --cache-mem-mb " + value +
-                          " < /dev/null > " + quoted(log) + " 2>&1"),
+    EXPECT_EQ(run_command("timeout 20 " + cli_ + " " + mode + " " + c.flag +
+                          " " + c.value + " < /dev/null > " + quoted(log) +
+                          " 2>&1"),
               1);
-    EXPECT_NE(read_file(log).find("option --cache-mem-mb"), std::string::npos)
+    const std::string expected = (sub.empty() ? "unknown option "
+                                              : "unknown " + sub + " option ") +
+                                 c.flag;
+    EXPECT_NE(read_file(log).find(expected), std::string::npos)
         << read_file(log);
   }
+  // Single-table --gate-ternary only means something under --verify; on
+  // its own it used to be ignored.
+  const auto log = work_ / "cli.log";
+  EXPECT_EQ(run_command("timeout 20 " + cli_ +
+                        " test_example --gate-ternary > " + quoted(log) +
+                        " 2>&1"),
+            1);
+  EXPECT_NE(read_file(log).find("option --gate-ternary needs --verify"),
+            std::string::npos)
+      << read_file(log);
+}
+
+TEST_F(CliOptionTest, SingleTableVerifyMatchesTheBatchRow) {
+  // Single-table --verify prints the checks of the job's batch row: one
+  // verification path, so the counts cannot drift apart.
+  const auto log = work_ / "single.log";
+  ASSERT_EQ(run_command("timeout 60 " + cli_ +
+                        " test_example --verify --gate-ternary --quiet > " +
+                        quoted(log) + " 2>&1"),
+            0)
+      << read_file(log);
+  const auto csv = work_ / "rows.csv";
+  ASSERT_EQ(run_command("timeout 60 " + cli_ +
+                        " batch --random 0 --gate-ternary --quiet --csv " +
+                        quoted(csv) + " > /dev/null"),
+            0);
+
+  const std::string printed = read_file(log);
+  const auto counts = [&printed](const std::string& label) {
+    const std::size_t at = printed.find(label + ": ");
+    int transitions = -1;
+    int a = -1;
+    int b = -1;
+    if (at != std::string::npos) {
+      (void)std::sscanf(printed.c_str() + at + label.size() + 2,
+                        "%d transitions, %d/%d", &transitions, &a, &b);
+    }
+    return std::vector<int>{transitions, a, b};
+  };
+  std::istringstream lines(read_file(csv));
+  std::string line;
+  std::vector<std::string> row;
+  while (std::getline(lines, line)) {
+    if (line.rfind("test_example,", 0) != 0) continue;
+    std::istringstream fields(line);
+    for (std::string field; std::getline(fields, field, ',');) {
+      row.push_back(field);
+    }
+  }
+  ASSERT_EQ(row.size(), 21u) << read_file(csv);
+  EXPECT_EQ(row[1], "ok");
+  const int transitions = std::stoi(row[14]);
+  EXPECT_GT(transitions, 0);
+  EXPECT_EQ(counts("ternary analysis"),
+            (std::vector<int>{transitions, std::stoi(row[15]),
+                              std::stoi(row[16])}))
+      << printed;
+  EXPECT_EQ(counts("gate ternary"),
+            (std::vector<int>{transitions, std::stoi(row[19]),
+                              std::stoi(row[20])}))
+      << printed;
+  EXPECT_NE(printed.find("equation verification: PASS"), std::string::npos)
+      << printed;
 }
 
 TEST_F(CliOptionTest, TimeoutPastTheClockRangeMeansNoDeadline) {

@@ -8,8 +8,12 @@
 //
 // Every subcommand re-enters the pipeline through the request/response
 // facade in src/api — this file owns flag parsing, process plumbing, and
-// report formatting, never a synthesis call of its own.  Run any
-// subcommand with --help for its generated option table.
+// report formatting, never a synthesis call or a verification pass of
+// its own.  Single-table `--verify [--gate-ternary]` asks the facade for
+// the same checks a batch job runs (driver::BatchRunner::run_job) and
+// prints them from the returned row; only the random-walk simulation
+// runs here.  Run any subcommand with --help for its generated option
+// table.
 //
 // Batch mode runs a corpus (the Table-1 suite plus generated tables and
 // any KISS2 files) through the pipeline on a thread pool and prints a
@@ -19,11 +23,11 @@
 // together they are the golden-corpus gate CI runs on every push.
 //
 // Serve mode is the same pipeline as a long-lived service: a
-// line-delimited request protocol (see src/api/serve.hpp) on stdin/stdout
-// or a unix socket, answered from a content-addressed result cache —
-// warm tier pre-built from a stored golden report (`--warm`), an
-// in-memory LRU (`--cache-mem-mb`), and a disk store (`--cache-dir`) —
-// falling through to the pipeline on miss with write-back.  Batch's
+// line-delimited request protocol (see src/api/serve.hpp) on
+// stdin/stdout, answered from a content-addressed result cache — warm
+// tier pre-built from a stored golden report (`--warm`), a 64 MiB
+// in-memory LRU, and a disk store (`--cache-dir`) — falling through to
+// the pipeline on miss with write-back.  Batch's
 // `--emit-requests` writes a corpus as a protocol stream, so any stored
 // recipe doubles as a client workload.
 //
@@ -89,8 +93,6 @@
 #include "netlist/verilog.hpp"
 #include "option_table.hpp"
 #include "sim/harness.hpp"
-#include "sim/ternary_netsim.hpp"
-#include "sim/ternary_verify.hpp"
 #include "store/store.hpp"
 
 namespace {
@@ -120,21 +122,12 @@ void usage() {
 /// Everything `batch`, `baseline`, and `serve` share: the corpus recipe,
 /// the run options, and the output knobs.
 struct CorpusFlags {
-  seance::driver::BatchOptions options;
-  seance::bench_suite::GeneratorOptions gen;
-  int random_count = 100;
-  int hard_count = 0;
-  int harder_count = 0;
-  int hardest_count = 0;
-  bool suite = true;
-  bool extra = false;
+  seance::api::CorpusRequest request;  ///< the recipe and run options
   bool quiet = false;
   bool progress = false;
-  bool wall = false;
   std::string csv_path;   ///< batch: raw CSV report
   std::string out_path;   ///< baseline: persisted regression store
   std::string emit_path;  ///< batch: serve-protocol request stream
-  std::vector<std::string> kiss_files;
 
   // Sharded execution (batch and baseline).
   int shards = 0;  ///< worker-process count; 0 = in-process run
@@ -160,70 +153,60 @@ struct CorpusFlags {
   long die_after = -1;
 };
 
-seance::api::CorpusRequest corpus_request(const CorpusFlags& flags) {
-  seance::api::CorpusRequest request;
-  request.options = flags.options;
-  request.gen = flags.gen;
-  request.random_count = flags.random_count;
-  request.hard_count = flags.hard_count;
-  request.harder_count = flags.harder_count;
-  request.hardest_count = flags.hardest_count;
-  request.suite = flags.suite;
-  request.extra = flags.extra;
-  request.kiss_files = flags.kiss_files;
-  return request;
-}
-
-void add_recipe_options(OptionTable& table, CorpusFlags& flags) {
-  table.number("--random", "N", "generated tables (default 100)",
-               &flags.random_count);
+void add_recipe_options(OptionTable& table,
+                        seance::api::CorpusRequest& recipe) {
+  table.number("--random", "N",
+               "generated tables at 6 states / 3 inputs (default 100)",
+               &recipe.random_count);
   table.number("--hard", "N",
                "extra generated tables at the hard canonical shape "
                "(8 states / 4 inputs; default 0)",
-               &flags.hard_count);
+               &recipe.hard_count);
   table.number("--harder", "N",
                "extra generated tables at the harder canonical shape "
                "(12 states / 5 inputs; default 0)",
-               &flags.harder_count);
+               &recipe.harder_count);
   table.number("--hardest", "N",
                "extra generated tables at the hardest canonical shape "
                "(20 states / 6 inputs; default 0)",
-               &flags.hardest_count);
-  table.number("--states", "N", "generator states (default 6)",
-               &flags.gen.num_states);
-  table.number("--inputs", "N", "generator inputs (default 3)",
-               &flags.gen.num_inputs);
-  table.number("--outputs", "N", "generator outputs (default 2)",
-               &flags.gen.num_outputs);
-  table.number("--density", "D", "generator transition density (default 0.5)",
-               &flags.gen.transition_density);
-  table.number("--mic-bias", "B", "generator MIC bias (default 0.7)",
-               &flags.gen.mic_bias);
+               &recipe.hardest_count);
   table.number("--seed", "S",
                "base seed for deterministic per-job seeds (default 1)",
-               &flags.gen.seed);
-  table.flag("--no-suite", "skip the built-in Table-1 suite", &flags.suite,
+               &recipe.gen.seed);
+  table.flag("--no-suite", "skip the built-in Table-1 suite", &recipe.suite,
              false);
-  table.flag("--extra", "also run the extra regression suite", &flags.extra);
+  table.flag("--extra", "also run the extra regression suite", &recipe.extra);
   table.each("--kiss-file", "FILE", "add a KISS2 file as a job (repeatable)",
-             &flags.kiss_files);
+             &recipe.kiss_files);
 }
 
-void add_check_options(OptionTable& table, CorpusFlags& flags) {
-  table.flag("--no-ternary", "skip the Eichelberger ternary pass",
-             &flags.options.ternary, false);
+void add_check_options(OptionTable& table,
+                       seance::driver::BatchOptions& options) {
   table.flag("--strict-ternary",
              "fail jobs whose ternary pass flags (conservative!)",
-             &flags.options.ternary_strict);
+             &options.ternary_strict);
   table.flag("--gate-ternary",
              "also verify the gate netlist re-imported from its own "
              "Verilog (closes the export/parse/verify loop per job)",
-             &flags.options.gate_ternary);
-  table.flag("--no-verify", "skip the equation cross-check",
-             &flags.options.verify, false);
+             &options.gate_ternary);
   table.number("--timeout", "MS",
                "per-job wall-clock budget; overruns record kTimeout",
-               &flags.options.job_timeout_ms);
+               &options.job_timeout_ms);
+}
+
+/// A request carrying the check set and synthesis options of `options`,
+/// with no name or table yet: the serve template each REQ copies, and
+/// the warm tier's keys.
+seance::api::SynthesisRequest checked_request(
+    const seance::driver::BatchOptions& options) {
+  seance::api::SynthesisRequest request;
+  request.options = options.synthesis;
+  request.verify = options.verify;
+  request.ternary = options.ternary;
+  request.ternary_strict = options.ternary_strict;
+  request.gate_ternary = options.gate_ternary;
+  request.timeout_ms = options.job_timeout_ms;
+  return request;
 }
 
 void add_synthesis_options(OptionTable& table,
@@ -246,7 +229,7 @@ void add_run_options(OptionTable& table, CorpusFlags& flags) {
   // layer owns; forwarded_args() strips exactly these from worker argv.
   table
       .number("--jobs", "N", "worker threads (default: hardware concurrency)",
-              &flags.options.threads)
+              &flags.request.options.threads)
       .orchestrator_only();
   table.flag("--progress", "stream per-job completion lines to stderr",
              &flags.progress);
@@ -341,8 +324,8 @@ bool finish_corpus_flags(CorpusFlags& flags) {
     return false;
   }
   if (flags.progress) {
-    flags.options.on_result = [](const seance::driver::JobResult& r,
-                                 int completed, int total) {
+    flags.request.options.on_result = [](const seance::driver::JobResult& r,
+                                         int completed, int total) {
       std::fprintf(stderr, "[%4d/%4d] %-28s %s (%.1f ms)\n", completed, total,
                    r.name.c_str(), seance::driver::to_string(r.status),
                    r.wall_ms);
@@ -355,7 +338,7 @@ bool finish_corpus_flags(CorpusFlags& flags) {
 bool load_corpus_jobs(const CorpusFlags& flags,
                       std::vector<seance::driver::JobSpec>& jobs) {
   try {
-    jobs = seance::api::corpus_jobs(corpus_request(flags));
+    jobs = seance::api::corpus_jobs(flags.request);
   } catch (const std::exception& e) {
     std::printf("corpus error: %s\n", e.what());
     return false;
@@ -385,13 +368,13 @@ int run_shard_worker(const CorpusFlags& flags) {
     return 2;
   }
   seance::store::StoredReport header;
-  header.identity = seance::api::corpus_identity(corpus_request(flags));
+  header.identity = seance::api::corpus_identity(flags.request);
   header.identity.shard = seance::driver::ShardPlan::slice_tag(
       flags.shard_worker, flags.shard_total);
   out << seance::store::serialize(header);  // metadata + CSV header
   out.flush();
 
-  seance::driver::BatchOptions options = flags.options;
+  seance::driver::BatchOptions options = flags.request.options;
   const auto user_progress = options.on_result;
   const long die_after = flags.die_after;
   // BatchRunner serializes on_result calls, so the stream needs no lock.
@@ -464,9 +447,7 @@ int run_leased(const char* argv0, const char* subcommand,
   std::vector<seance::driver::JobSpec> corpus;
   if (!load_corpus_jobs(flags, corpus)) return 1;
   std::vector<std::string> names;
-  std::vector<double> costs;
   names.reserve(corpus.size());
-  costs.reserve(corpus.size());
   std::unordered_set<std::string> seen;
   for (const auto& spec : corpus) {
     if (!seen.insert(spec.name).second) {
@@ -475,7 +456,6 @@ int run_leased(const char* argv0, const char* subcommand,
       return 1;
     }
     names.push_back(spec.name);
-    costs.push_back(seance::driver::estimate_cost(spec));
   }
 
   const bool fleet_mode = !flags.fleet_dir.empty();
@@ -485,7 +465,7 @@ int run_leased(const char* argv0, const char* subcommand,
       fleet_mode ? seance::fleet::kDefaultFleetUnits : K);
   const auto plan = seance::driver::ShardPlan::round_robin(
       static_cast<int>(corpus.size()), units);
-  const auto identity = seance::api::corpus_identity(corpus_request(flags));
+  const auto identity = seance::api::corpus_identity(flags.request);
   const std::string dir = fleet_mode ? flags.fleet_dir : flags.shard_dir;
 
   std::error_code ec;
@@ -495,9 +475,9 @@ int run_leased(const char* argv0, const char* subcommand,
                 ec.message().c_str());
     return 1;
   }
-  const auto slices = seance::fleet::make_slices(plan, names, costs, dir);
+  const auto slices = seance::fleet::make_slices(plan, names, dir);
 
-  int total_threads = flags.options.threads;
+  int total_threads = flags.request.options.threads;
   if (total_threads <= 0) {
     total_threads = static_cast<int>(std::thread::hardware_concurrency());
   }
@@ -665,14 +645,11 @@ int run_batch(int argc, char** argv) {
   OptionTable table("batch");
   table.synopsis("usage: seance batch [corpus options]");
   add_run_options(table, flags);
-  add_recipe_options(table, flags);
-  add_check_options(table, flags);
-  add_synthesis_options(table, flags.options.synthesis);
+  add_recipe_options(table, flags.request);
+  add_check_options(table, flags.request.options);
+  add_synthesis_options(table, flags.request.options.synthesis);
   table.text("--csv", "FILE", "write the per-job report as CSV",
              &flags.csv_path)
-      .orchestrator_only();
-  table.flag("--wall", "include wall_ms in --csv (not byte-stable!)",
-             &flags.wall)
       .orchestrator_only();
   table.text("--emit-requests", "FILE",
              "write the corpus as a serve-protocol request stream and exit",
@@ -692,13 +669,6 @@ int run_batch(int argc, char** argv) {
 
   seance::driver::BatchReport report;
   if (flags.shards > 0 || !flags.fleet_dir.empty()) {
-    if (flags.wall) {
-      // Shard stores never persist per-job wall times (they are not a
-      // pure function of the spec), so a merged --wall column would be
-      // all fabricated zeros.
-      std::printf("--wall cannot be combined with --shards\n");
-      return 1;
-    }
     seance::store::StoredReport merged;
     bool report_ready = false;
     const int rc = run_leased(argv[0], argv[1],
@@ -709,7 +679,7 @@ int run_batch(int argc, char** argv) {
     report = std::move(merged.report);
   } else {
     try {
-      report = seance::api::run_corpus(corpus_request(flags));
+      report = seance::api::run_corpus(flags.request);
     } catch (const std::exception& e) {
       std::printf("corpus error: %s\n", e.what());
       return 1;
@@ -722,7 +692,7 @@ int run_batch(int argc, char** argv) {
       std::printf("error: cannot write %s\n", flags.csv_path.c_str());
       return 1;
     }
-    out << report.to_csv(flags.wall);
+    out << report.to_csv();
     if (!flags.quiet) std::printf("wrote %s\n", flags.csv_path.c_str());
   }
   return report.all_ok() ? 0 : 1;
@@ -733,9 +703,9 @@ int run_baseline(int argc, char** argv) {
   OptionTable table("baseline");
   table.synopsis("usage: seance baseline [corpus options] --out FILE");
   add_run_options(table, flags);
-  add_recipe_options(table, flags);
-  add_check_options(table, flags);
-  add_synthesis_options(table, flags.options.synthesis);
+  add_recipe_options(table, flags.request);
+  add_check_options(table, flags.request.options);
+  add_synthesis_options(table, flags.request.options.synthesis);
   table.text("--out", "FILE", "write the persisted regression store (required)",
              &flags.out_path)
       .orchestrator_only();
@@ -765,8 +735,8 @@ int run_baseline(int argc, char** argv) {
     if (!report_ready) return 0;  // bounded helper runner: nothing to save
   } else {
     try {
-      stored.identity = seance::api::corpus_identity(corpus_request(flags));
-      stored.report = seance::api::run_corpus(corpus_request(flags));
+      stored.identity = seance::api::corpus_identity(flags.request);
+      stored.report = seance::api::run_corpus(flags.request);
     } catch (const std::exception& e) {
       std::printf("corpus error: %s\n", e.what());
       return 1;
@@ -855,9 +825,8 @@ int load_warm_tier(seance::api::ResultCache& cache, const CorpusFlags& flags,
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;
   }
-  const auto request = corpus_request(flags);
   const auto mismatches = seance::store::identity_mismatches(
-      seance::api::corpus_identity(request), stored.identity,
+      seance::api::corpus_identity(flags.request), stored.identity,
       /*ignore_shard=*/true);
   if (!mismatches.empty()) {
     std::fprintf(stderr,
@@ -868,13 +837,15 @@ int load_warm_tier(seance::api::ResultCache& cache, const CorpusFlags& flags,
   }
   std::vector<seance::driver::JobSpec> jobs;
   try {
-    jobs = seance::api::corpus_jobs(request);
+    jobs = seance::api::corpus_jobs(flags.request);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "corpus error: %s\n", e.what());
     return 1;
   }
   std::unordered_map<std::string, const seance::driver::JobSpec*> by_name;
   for (const auto& spec : jobs) by_name[spec.name] = &spec;
+  const seance::api::SynthesisRequest checked =
+      checked_request(flags.request.options);
   int warmed = 0;
   int skipped = 0;
   for (const auto& row : stored.report.jobs) {
@@ -885,15 +856,9 @@ int load_warm_tier(seance::api::ResultCache& cache, const CorpusFlags& flags,
       ++skipped;  // unknown job, or a machine-dependent verdict
       continue;
     }
-    seance::api::SynthesisRequest req;
-    req.name = row.name;
+    seance::api::SynthesisRequest req = checked;
     req.table = it->second->table;
     req.options = it->second->options;
-    req.verify = flags.options.verify;
-    req.ternary = flags.options.ternary;
-    req.ternary_strict = flags.options.ternary_strict;
-    req.gate_ternary = flags.options.gate_ternary;
-    req.timeout_ms = flags.options.job_timeout_ms;
     cache.warm_insert(seance::api::cache_key(req), row);
     ++warmed;
   }
@@ -908,51 +873,34 @@ int run_serve(int argc, char** argv) {
   CorpusFlags flags;
   std::string cache_dir = ".seance-cache";
   bool no_disk = false;
-  double cache_mem_mb = 64.0;
   std::string warm_path;
-  std::string socket_path;
   bool quiet = false;
 
   OptionTable table("serve");
   table.synopsis(
       "usage: seance serve [serve options]\n"
-      "line-delimited request protocol on stdin/stdout (or --socket); see\n"
-      "README \"Serve mode & result cache\" for the grammar");
+      "line-delimited request protocol on stdin/stdout; see README\n"
+      "\"Serve mode & result cache\" for the grammar");
   table.text("--cache-dir", "DIR",
              "on-disk result cache directory (default .seance-cache)",
              &cache_dir);
   table.flag("--no-disk-cache", "disable the on-disk cache tier", &no_disk);
-  table.number("--cache-mem-mb", "N",
-               "in-memory LRU budget in MiB; 0 disables (default 64)",
-               &cache_mem_mb);
   table.text("--warm", "FILE",
              "pre-warm from a stored report; pass the corpus recipe flags "
              "that produced it",
              &warm_path);
-  table.text("--socket", "PATH",
-             "serve a unix-domain socket instead of stdin/stdout",
-             &socket_path);
   table.flag("--quiet", "suppress startup/shutdown notes on stderr", &quiet);
-  add_check_options(table, flags);
-  add_synthesis_options(table, flags.options.synthesis);
-  add_recipe_options(table, flags);
+  add_check_options(table, flags.request.options);
+  add_synthesis_options(table, flags.request.options.synthesis);
+  add_recipe_options(table, flags.request);
   switch (table.parse(argc, argv, 2)) {
     case ParseResult::kHelp: return 0;
     case ParseResult::kError: usage(); return 1;
     case ParseResult::kOk: break;
   }
-  // The parser guarantees a finite value; the byte count must also fit
-  // in size_t, or the cast below is undefined.
-  const double cache_mem_bytes = cache_mem_mb * 1024.0 * 1024.0;
-  if (cache_mem_mb < 0 || cache_mem_bytes >= static_cast<double>(SIZE_MAX)) {
-    std::printf("option --cache-mem-mb needs a non-negative MiB count whose "
-                "bytes fit in size_t\n");
-    return 1;
-  }
 
   seance::api::CacheConfig cache_config;
   cache_config.dir = no_disk ? std::string() : cache_dir;
-  cache_config.mem_limit_bytes = static_cast<std::size_t>(cache_mem_bytes);
   seance::api::ResultCache cache(cache_config);
   if (!warm_path.empty()) {
     const int rc = load_warm_tier(cache, flags, warm_path, quiet);
@@ -960,35 +908,13 @@ int run_serve(int argc, char** argv) {
   }
   cache.warm_seal();
 
-  seance::api::ServeConfig config;
-  config.options = flags.options.synthesis;
-  config.verify = flags.options.verify;
-  config.ternary = flags.options.ternary;
-  config.ternary_strict = flags.options.ternary_strict;
-  config.gate_ternary = flags.options.gate_ternary;
-  config.timeout_ms = flags.options.job_timeout_ms;
-
   if (!quiet) {
     std::fprintf(stderr, "serve: disk %s, mem budget %zu bytes, warm %zu\n",
                  cache_config.dir.empty() ? "(off)" : cache_config.dir.c_str(),
                  cache_config.mem_limit_bytes, cache.stats().warm_entries);
   }
-  seance::api::ServeStats stats;
-  if (!socket_path.empty()) {
-#if defined(__unix__) || defined(__APPLE__)
-    try {
-      stats = seance::api::serve_unix_socket(socket_path, config, &cache);
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "error: %s\n", e.what());
-      return 1;
-    }
-#else
-    std::printf("--socket needs unix sockets, unavailable on this platform\n");
-    return 1;
-#endif
-  } else {
-    stats = seance::api::serve(std::cin, std::cout, config, &cache);
-  }
+  const seance::api::ServeStats stats = seance::api::serve(
+      std::cin, std::cout, checked_request(flags.request.options), &cache);
   if (!quiet) {
     const auto& c = cache.stats();
     std::fprintf(stderr,
@@ -1004,13 +930,15 @@ int run_serve(int argc, char** argv) {
   return 0;
 }
 
+/// Handshakes in the single-table --verify random walk.
+constexpr int kWalkSteps = 500;
+
 int run_single(int argc, char** argv) {
   std::string verilog_path;
   std::string kiss_path;
   bool verify = false;
   bool gate_ternary = false;
   bool quiet = false;
-  int walk_steps = 500;
   seance::core::SynthesisOptions options;
   std::vector<std::string> positionals;
 
@@ -1021,11 +949,9 @@ int run_single(int argc, char** argv) {
   table.text("--kiss", "FILE", "write the (reduced) flow table back as KISS2",
              &kiss_path);
   table.flag("--verify",
-             "run the static ternary verification and the gate-level "
-             "random-walk simulation",
+             "run the batch checks (equations, ternary analysis) and a "
+             "500-handshake gate-level random-walk simulation",
              &verify);
-  table.number("--walk", "N",
-               "simulated handshakes for --verify (default 500)", &walk_steps);
   table.flag("--gate-ternary",
              "with --verify: re-import the exported Verilog and repeat the "
              "ternary verification on the gate network",
@@ -1039,6 +965,10 @@ int run_single(int argc, char** argv) {
   }
   if (positionals.empty()) {
     usage();
+    return 1;
+  }
+  if (gate_ternary && !verify) {
+    std::printf("option --gate-ternary needs --verify\n");
     return 1;
   }
   const std::string target = positionals.back();
@@ -1056,15 +986,15 @@ int run_single(int argc, char** argv) {
     return 1;
   }
 
-  // The CLI runs its own verification reporting below, so the facade is
-  // asked only for the machine (checks off, no cache: machine requests
-  // always take the cold path).
+  // --verify runs exactly a batch job's checks; the machine comes back
+  // too (machine requests always take the cold path, no cache).
   seance::api::SynthesisRequest request;
   request.name = target;
   request.table = std::move(flow);
   request.options = options;
-  request.verify = false;
-  request.ternary = false;
+  request.verify = verify;
+  request.ternary = verify;
+  request.gate_ternary = gate_ternary;
   request.want_machine = true;
   const seance::api::SynthesisResponse response = seance::api::synthesize(request);
   if (!response.machine) {
@@ -1101,47 +1031,28 @@ int run_single(int argc, char** argv) {
   }
 
   if (verify) {
-    std::string why;
-    if (!seance::core::verify_equations(machine, &why)) {
-      std::printf("equation verification: FAIL (%s)\n", why.c_str());
+    const seance::driver::JobResult& row = response.row;
+    if (!row.equations_verified) {
+      std::printf("equation verification: FAIL (%s)\n", row.detail.c_str());
       return 1;
     }
     std::printf("equation verification: PASS\n");
-    const auto ternary = seance::sim::ternary_verify(machine);
     std::printf("ternary analysis: %d transitions, %d/%d conservative flags "
                 "(procedure A/B)\n",
-                ternary.transitions_checked, ternary.procedure_a_violations,
-                ternary.procedure_b_violations);
+                row.ternary_transitions, row.ternary_a_violations,
+                row.ternary_b_violations);
     if (gate_ternary) {
-      seance::netlist::Netlist built;
-      (void)seance::netlist::build_fantom(machine, built);
-      const std::string verilog = seance::netlist::to_verilog(built, "fantom");
-      seance::netlist::Netlist reimported;
-      try {
-        reimported = seance::netlist::parse_verilog(verilog);
-      } catch (const std::exception& e) {
-        std::printf("verilog round trip: FAIL (%s)\n", e.what());
+      // Past the equations only the gate loop fails a row: a re-export
+      // that is not byte-stable, or a gate-level report that differs
+      // from the cover-level one anywhere, transitions included.
+      if (!row.ok()) {
+        std::printf("gate ternary: FAIL (%s)\n", row.detail.c_str());
         return 1;
       }
-      if (seance::netlist::to_verilog(reimported, "fantom") != verilog) {
-        std::printf("verilog round trip: FAIL (re-export not byte-stable)\n");
-        return 1;
-      }
-      const auto gate = seance::sim::gate_ternary_verify(reimported, machine);
       std::printf("gate ternary: %d transitions, %d/%d conservative flags "
                   "(procedure A/B)\n",
-                  gate.transitions_checked, gate.procedure_a_violations,
-                  gate.procedure_b_violations);
-      // The whole report must agree: transitions, overruns and the
-      // first failure as well as the A/B counts.
-      if (gate != ternary) {
-        std::printf("gate ternary: FAIL (disagrees with the cover-level "
-                    "report: %d/%d overruns, first failure \"%s\" vs "
-                    "\"%s\")\n",
-                    gate.fixpoint_overruns, ternary.fixpoint_overruns,
-                    gate.first_failure.c_str(), ternary.first_failure.c_str());
-        return 1;
-      }
+                  row.ternary_transitions, row.gate_ternary_a_violations,
+                  row.gate_ternary_b_violations);
     }
     seance::sim::HarnessOptions harness_options;
     harness_options.max_skew = 2;
@@ -1151,7 +1062,7 @@ int run_single(int argc, char** argv) {
       std::printf("simulation: could not initialize\n");
       return 1;
     }
-    const auto summary = harness.random_walk(walk_steps, 1);
+    const auto summary = harness.random_walk(kWalkSteps, 1);
     std::printf("simulation: %d handshakes (%d MIC), %d failures\n",
                 summary.applied, summary.mic_steps, summary.failures);
     return summary.failures == 0 ? 0 : 1;
