@@ -9,6 +9,7 @@
 
 #include "hazard/factor.hpp"
 #include "logic/ternary.hpp"
+#include "logic/truth_table.hpp"
 
 namespace seance::core {
 
@@ -449,6 +450,24 @@ bool verify_equations(const FantomMachine& machine, std::string* why) {
     return false;
   };
 
+  // Every equation's truth table, built once: each check below is then a
+  // bit lookup instead of a cube scan or an expression-tree walk.
+  using logic::TruthTable;
+  std::vector<TruthTable> y_cover;
+  std::vector<TruthTable> y_expr;
+  for (int n = 0; n < layout.num_state_vars; ++n) {
+    search::poll_deadline();
+    const Equation& eq = machine.y[static_cast<std::size_t>(n)];
+    y_cover.push_back(TruthTable::of(eq.cover, layout.y_space_vars()));
+    y_expr.push_back(TruthTable::of(eq.expr, layout.y_space_vars()));
+  }
+  std::vector<TruthTable> z_cover;
+  for (int k = 0; k < table.num_outputs(); ++k) {
+    z_cover.push_back(TruthTable::of(machine.z[static_cast<std::size_t>(k)].cover,
+                                     layout.xy_vars()));
+  }
+  const TruthTable ssd = TruthTable::of(machine.ssd.cover, layout.xy_vars());
+
   for (int s = 0; s < table.num_states(); ++s) {
     for (int c = 0; c < table.num_columns(); ++c) {
       search::poll_deadline();
@@ -460,25 +479,21 @@ bool verify_equations(const FantomMachine& machine, std::string* why) {
         const bool hazard_hold =
             machine.options.add_fsv &&
             in_list(machine.hazards.per_var[static_cast<std::size_t>(n)], c, s);
+        const TruthTable& cover = y_cover[static_cast<std::size_t>(n)];
+        const TruthTable& expr = y_expr[static_cast<std::size_t>(n)];
         bool ok = true;
         for_each_cube_point(code_of(s), code_of(d), [&](std::uint32_t y) {
           const Minterm base = layout.xy_minterm(c, y);
           const bool launch = (code_of(d) & n_bit) != 0;
-          if (machine.options.add_fsv &&
-              machine.y[static_cast<std::size_t>(n)].cover.eval(base | fsv_bit) != launch) {
+          if (machine.options.add_fsv && cover.test(base | fsv_bit) != launch) {
             ok = false;
           }
           const bool parked = (y == code_of(s));
           const bool expected = (hazard_hold && parked) ? ((code_of(s) & n_bit) != 0)
                                                         : launch;
-          if (machine.y[static_cast<std::size_t>(n)].cover.eval(base) != expected) {
-            ok = false;
-          }
+          if (cover.test(base) != expected) ok = false;
           // The factored expression must agree with the cover everywhere.
-          if (machine.y[static_cast<std::size_t>(n)].expr->eval(base) !=
-              machine.y[static_cast<std::size_t>(n)].cover.eval(base)) {
-            ok = false;
-          }
+          if (expr.test(base) != cover.test(base)) ok = false;
         });
         if (!ok) {
           return fail("Y" + std::to_string(n) + " wrong on transition (" +
@@ -491,19 +506,18 @@ bool verify_equations(const FantomMachine& machine, std::string* why) {
         for (int k = 0; k < table.num_outputs(); ++k) {
           const Trit t = e.outputs[static_cast<std::size_t>(k)];
           if (t == Trit::kDC) continue;
-          if (machine.z[static_cast<std::size_t>(k)].cover.eval(parked) !=
-              (t == Trit::k1)) {
+          if (z_cover[static_cast<std::size_t>(k)].test(parked) != (t == Trit::k1)) {
             return fail("Z" + std::to_string(k) + " wrong at stable (" +
                         table.state_name(s) + ", col " + std::to_string(c) + ")");
           }
         }
-        if (!machine.ssd.cover.eval(parked)) {
+        if (!ssd.test(parked)) {
           return fail("SSD not asserted at stable (" + table.state_name(s) +
                       ", col " + std::to_string(c) + ")");
         }
       } else {
         const Minterm parked = layout.xy_minterm(c, code_of(s));
-        if (machine.ssd.cover.eval(parked)) {
+        if (ssd.test(parked)) {
           return fail("SSD asserted at unstable (" + table.state_name(s) +
                       ", col " + std::to_string(c) + ")");
         }
@@ -512,10 +526,11 @@ bool verify_equations(const FantomMachine& machine, std::string* why) {
   }
   // fsv asserts exactly on FL points over valid codes.
   if (machine.options.add_fsv) {
+    const TruthTable fsv = TruthTable::of(machine.fsv.cover, layout.xy_vars());
     for (int s = 0; s < table.num_states(); ++s) {
       for (int c = 0; c < table.num_columns(); ++c) {
         const bool expected = in_list(machine.hazards.fl, c, s);
-        if (machine.fsv.cover.eval(layout.xy_minterm(c, code_of(s))) != expected) {
+        if (fsv.test(layout.xy_minterm(c, code_of(s))) != expected) {
           return fail("fsv wrong at (" + table.state_name(s) + ", col " +
                       std::to_string(c) + ")");
         }

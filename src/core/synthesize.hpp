@@ -200,7 +200,15 @@ struct FantomMachine {
 /// Functional cross-checks used by tests and the verification harness.
 /// True iff the machine's Y covers reproduce the flow-table transition
 /// function in the fsv=1 half-space (launch semantics) and hold invariant
-/// bits at every hazard-listed point in the fsv=0 half-space.
+/// bits at every hazard-listed point in the fsv=0 half-space, each
+/// factored Y expression agrees with its cover at those points, Z and
+/// SSD are right at stable and unstable entries, and fsv asserts exactly
+/// on the FL points.  On failure `why` names the first wrong equation,
+/// scanning entries (state, column) in order and, per entry, Y0.. then Z
+/// and SSD; fsv is checked last.  Every cover and expression is first
+/// turned into a packed truth table (logic/truth_table.hpp), so each
+/// point is a bit lookup: 2^n bits per equation, n being the y-space
+/// width for Y and the (x, y) width for Z, SSD and fsv.
 [[nodiscard]] bool verify_equations(const FantomMachine& machine, std::string* why = nullptr);
 
 }  // namespace seance::core

@@ -5,6 +5,8 @@
 #include <stdexcept>
 #include <unordered_set>
 
+#include "logic/truth_table.hpp"
+
 namespace seance::logic {
 
 namespace {
@@ -226,11 +228,7 @@ ExprPtr first_level_sop_expr(const Cover& cover) {
 bool equivalent_to_cover(const ExprPtr& e, const Cover& cover) {
   const int n = std::max(e->num_vars(), cover.num_vars());
   if (n > 20) throw std::invalid_argument("equivalent_to_cover: too many vars");
-  const std::uint32_t space_size = 1u << n;
-  for (std::uint32_t m = 0; m < space_size; ++m) {
-    if (e->eval(m) != cover.eval(m)) return false;
-  }
-  return true;
+  return TruthTable::of(e, n) == TruthTable::of(cover, n);
 }
 
 bool is_first_level_gate_form(const ExprPtr& e) {

@@ -83,7 +83,8 @@ class Expr {
 [[nodiscard]] ExprPtr first_level_product(const Cube& cube);
 
 /// Exhaustive equivalence check against a cover over the same variables
-/// (intended for tests; 2^num_vars evaluations).
+/// (intended for tests): compares the two packed truth tables
+/// (logic/truth_table.hpp) over all 2^num_vars minterms.
 [[nodiscard]] bool equivalent_to_cover(const ExprPtr& e, const Cover& cover);
 
 /// True iff every first-level (depth-1-from-leaf) gate input is an

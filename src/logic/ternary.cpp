@@ -1,7 +1,8 @@
 #include "logic/ternary.hpp"
 
-#include <stdexcept>
 #include <vector>
+
+#include "logic/truth_table.hpp"
 
 namespace seance::logic {
 
@@ -103,34 +104,66 @@ bool ternary_transition_clean(const Cover& cover, Minterm from, Minterm to) {
   return mid != Val3::kX;
 }
 
+namespace {
+
+/// Per minterm, the union of the free-variable masks of the cover's
+/// cubes that contain it.  A cube contains both m and m ^ bit iff it
+/// contains m and leaves `bit` free, so the pair lies inside one cube
+/// iff `bit` is set in free_bits[m].
+class PairCoverage {
+ public:
+  explicit PairCoverage(const Cover& cover)
+      : space_((1u << cover.num_vars()) - 1u), free_bits_(std::size_t{space_} + 1, 0) {
+    for (const Cube& c : cover.cubes()) add(c);
+  }
+
+  void add(const Cube& c) {
+    const std::uint32_t free = space_ & ~c.care();
+    std::uint32_t sub = 0;
+    while (true) {
+      free_bits_[c.value() | sub] |= free;
+      if (sub == free) break;
+      sub = (sub - free) & free;
+    }
+  }
+
+  /// True iff one cube contains both m and m ^ bit.
+  [[nodiscard]] bool covers_pair(Minterm m, std::uint32_t bit) const {
+    return (free_bits_[m] & bit) != 0;
+  }
+
+ private:
+  std::uint32_t space_;
+  std::vector<std::uint32_t> free_bits_;
+};
+
+}  // namespace
+
 int make_sic_static1_hazard_free(Cover& cover) {
   const int n = cover.num_vars();
   const std::uint32_t space_size = 1u << n;
-  // Materialize the exact function once.
-  std::vector<char> on(space_size, 0);
-  for (Minterm m = 0; m < space_size; ++m) on[m] = cover.eval(m) ? 1 : 0;
-  const auto implies = [&](const Cube& c) {
-    for (Minterm m : c.minterms()) {
-      if (!on[m]) return false;
-    }
-    return true;
-  };
+  const std::uint32_t full = space_size - 1u;
+  // Materialize the exact function once: every added cube is an
+  // implicant, so the function never changes.
+  const TruthTable on = TruthTable::of(cover, n);
+  PairCoverage pairs(cover);
   int added = 0;
   for (Minterm m = 0; m < space_size; ++m) {
-    if (!on[m]) continue;
+    if (!on.test(m)) continue;
     for (int b = 0; b < n; ++b) {
-      const Minterm m2 = m ^ (1u << b);
-      if (m2 < m || !on[m2]) continue;
-      const std::uint32_t full = (n >= 32) ? ~0u : ((1u << n) - 1u);
-      Cube pair(n, full & ~(1u << b), m & ~(1u << b));
-      if (cover.single_cube_contains(pair)) continue;
+      const std::uint32_t bit = 1u << b;
+      // Each unordered pair once, from its lower end.
+      if ((m & bit) != 0 || !on.test(m | bit)) continue;
+      if (pairs.covers_pair(m, bit)) continue;
+      Cube pair(n, full & ~bit, m & ~bit);
       // Enlarge the pair cube toward a prime implicant of the function.
       for (int drop = 0; drop < n; ++drop) {
-        const std::uint32_t bit = 1u << drop;
-        if (!(pair.care() & bit)) continue;
-        Cube bigger(n, pair.care() & ~bit, pair.value() & ~bit);
-        if (implies(bigger)) pair = bigger;
+        const std::uint32_t drop_bit = 1u << drop;
+        if (!(pair.care() & drop_bit)) continue;
+        Cube bigger(n, pair.care() & ~drop_bit, pair.value() & ~drop_bit);
+        if (on.contains(bigger)) pair = bigger;
       }
+      pairs.add(pair);
       cover.add(pair);
       ++added;
     }
@@ -141,16 +174,16 @@ int make_sic_static1_hazard_free(Cover& cover) {
 bool sic_static1_hazard_free(const Cover& cover) {
   const int n = cover.num_vars();
   const std::uint32_t space_size = 1u << n;
+  const TruthTable on = TruthTable::of(cover, n);
+  const PairCoverage pairs(cover);
   for (Minterm m = 0; m < space_size; ++m) {
-    if (!cover.eval(m)) continue;
+    if (!on.test(m)) continue;
     for (int b = 0; b < n; ++b) {
-      const Minterm m2 = m ^ (1u << b);
-      if (m2 < m) continue;  // each unordered pair once
-      if (!cover.eval(m2)) continue;
-      // Both endpoints ON: some cube must contain both.
-      Cube pair_cube(n, ((n >= 32) ? ~0u : ((1u << n) - 1u)) & ~(1u << b),
-                     m & ~(1u << b));
-      if (!cover.single_cube_contains(pair_cube)) return false;
+      const std::uint32_t bit = 1u << b;
+      // Both endpoints ON (each unordered pair once): some cube must
+      // contain both.
+      if ((m & bit) != 0 || !on.test(m | bit)) continue;
+      if (!pairs.covers_pair(m, bit)) return false;
     }
   }
   return true;

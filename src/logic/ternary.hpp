@@ -41,7 +41,10 @@ enum class Val3 : std::uint8_t { k0 = 0, k1 = 1, kX = 2 };
 /// Static-1 hazard freedom for all single-variable moves inside the ON-set:
 /// true iff every pair of adjacent ON minterms lies in a single cube.
 /// This is the guarantee the paper buys by keeping *all* prime implicants
-/// in the fsv cover (paper §5.3 step 7).
+/// in the fsv cover (paper §5.3 step 7).  Exhaustive over 2^num_vars: the
+/// function is read from a packed truth table (logic/truth_table.hpp) and
+/// each pair from a per-minterm mask of the free variables of the cubes
+/// containing it, 4 bytes per minterm.
 [[nodiscard]] bool sic_static1_hazard_free(const Cover& cover);
 
 /// Adds consensus implicants (paper §2.1: "adding consensus gates") until
@@ -49,7 +52,12 @@ enum class Val3 : std::uint8_t { k0 = 0, k1 = 1, kX = 2 };
 /// cover's ON-set is taken as the exact function (don't-cares were
 /// resolved when the cover was selected); each added cube is an implicant
 /// of that function, greedily enlarged toward a prime.  Returns the
-/// number of cubes added.
+/// number of cubes added.  Pairs are visited in increasing (minterm,
+/// variable) order and each added cube updates the pair masks at once,
+/// so the cubes added, and their order, are those of a scan that asks the
+/// cover for a containing cube at every pair (the test-only oracle
+/// tests/oracles/logic/consensus_reference.hpp).  The enlargement's
+/// implicant test reads 64 minterms per word of the truth table.
 int make_sic_static1_hazard_free(Cover& cover);
 
 }  // namespace seance::logic

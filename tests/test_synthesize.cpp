@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <optional>
 
 #include "bench_suite/benchmarks.hpp"
 #include "bench_suite/generator.hpp"
@@ -212,6 +213,68 @@ std::vector<SynthCase> synth_cases() {
 
 INSTANTIATE_TEST_SUITE_P(RandomTables, SynthesizeRandom,
                          ::testing::ValuesIn(synth_cases()));
+
+// verify_equations names the first equation it finds wrong, scanning
+// entries (state, column) in order and, per entry, Y0.. before Z and SSD;
+// fsv is checked last.  Each corruption below breaks one equation of a
+// machine that verifies, and the exact message is pinned.
+TEST(VerifyEquations, NamesTheFirstWrongEquation) {
+  const FantomMachine good = synth_benchmark("test_example");
+  ASSERT_TRUE(verify_equations(good));
+  ASSERT_GE(good.y.size(), 2u);
+  ASSERT_FALSE(good.z.empty());
+  ASSERT_FALSE(good.fsv.cover.empty());
+  const int y_vars = good.layout.y_space_vars();
+  const int xy_vars = good.layout.xy_vars();
+  const auto message = [](const FantomMachine& m) {
+    std::string why;
+    EXPECT_FALSE(verify_equations(m, &why));
+    return why;
+  };
+
+  {  // One Y cube: flip the polarity of one literal of Y0's first cube.
+    FantomMachine m = good;
+    std::vector<logic::Cube> cubes = m.y[0].cover.cubes();
+    const std::uint32_t literal = cubes[0].care() & (~cubes[0].care() + 1);
+    cubes[0] = logic::Cube(y_vars, cubes[0].care(), cubes[0].value() ^ literal);
+    m.y[0].cover = logic::Cover(y_vars, std::move(cubes));
+    EXPECT_EQ(message(m), "Y0 wrong on transition (m_A, col 3)");
+  }
+  {  // The factored Y1 expression also asserts at the last parked point
+     // (in entry order) where its cover is 0.
+    FantomMachine m = good;
+    std::optional<logic::Minterm> point;
+    for (int s = m.table.num_states() - 1; s >= 0 && !point; --s) {
+      for (int c = m.table.num_columns() - 1; c >= 0 && !point; --c) {
+        const logic::Minterm p =
+            m.layout.xy_minterm(c, m.codes[static_cast<std::size_t>(s)]);
+        if (m.table.entry(s, c).specified() && !m.y[1].cover.eval(p)) point = p;
+      }
+    }
+    ASSERT_TRUE(point.has_value());
+    m.y[1].expr = logic::Expr::make_or(
+        {m.y[1].expr, logic::first_level_product(logic::Cube::from_minterm(y_vars, *point))});
+    EXPECT_EQ(message(m), "Y1 wrong on transition (m_B, col 7)");
+  }
+  {  // A Z cover that is constant 0.
+    FantomMachine m = good;
+    m.z[0].cover = logic::Cover(xy_vars);
+    EXPECT_EQ(message(m), "Z0 wrong at stable (m_A, col 1)");
+  }
+  {  // An SSD cover that is constant 1, then constant 0.
+    FantomMachine m = good;
+    m.ssd.cover = logic::Cover(xy_vars, {logic::Cube(xy_vars)});
+    EXPECT_EQ(message(m), "SSD asserted at unstable (m_A, col 2)");
+    m.ssd.cover = logic::Cover(xy_vars);
+    EXPECT_EQ(message(m), "SSD not asserted at stable (m_A, col 0)");
+  }
+  {  // The fsv cover without its first prime.
+    FantomMachine m = good;
+    const std::vector<logic::Cube>& primes = good.fsv.cover.cubes();
+    m.fsv.cover = logic::Cover(xy_vars, {primes.begin() + 1, primes.end()});
+    EXPECT_EQ(message(m), "fsv wrong at (m_D, col 2)");
+  }
+}
 
 }  // namespace
 }  // namespace seance::core
