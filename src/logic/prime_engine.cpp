@@ -22,15 +22,28 @@ constexpr int kWeightShift = 24;
 constexpr std::uint64_t kValueMask = (std::uint64_t{1} << kWeightShift) - 1;
 
 // The sharp path gives up past kSharpWorkFactor * |ON∪DC| * num_vars
-// cube visits.  Timed on every prime call of the golden corpus, factors
-// 48-256 are a plateau of equal total prime time.  The dense
-// 15-variable calls set the floor: the sharp path is ~37x faster than
-// the level merge on them, yet needs up to 38 * |ON∪DC| * num_vars
-// visits, so factor 16 sends them to the level merge.
+// units of work: cube visits, one per cube of the list per OFF cube,
+// plus the bitset words read while growing the OFF cubes.  Replayed
+// over every prime call of the golden corpus, factors 2-256 give the
+// same total prime time within noise (factor 1 sends the dense
+// 15-variable calls to the level merge, 0.3 s -> 12 s in all); no call
+// on which the sharp path is at least twice as fast needs more than 3
+// units, and at 64 no call falls back.  Random functions set the
+// factor inside that plateau.  Dense ones with scattered OFF points
+// (8% ON, 89% DC) need 37 units at 14 variables and 99 at 15, where
+// the sharp path is still 2-3x faster, while sparse ones need 300 and
+// more, where the level merge wins; a larger factor keeps more of the
+// former, a smaller one gives up on the latter sooner.
 constexpr std::size_t kSharpWorkFactor = 64;
 
 std::uint32_t full_mask(int num_vars) {
   return num_vars == 0 ? 0u : (std::uint32_t{1} << num_vars) - 1u;
+}
+
+void check_num_vars(int num_vars) {
+  if (num_vars < 0 || num_vars > kMaxVars) {
+    throw std::invalid_argument("prime_engine: num_vars out of range");
+  }
 }
 
 std::uint64_t encode(std::uint32_t care, std::uint32_t value) {
@@ -49,71 +62,159 @@ std::uint32_t value_of(std::uint64_t w) {
   return static_cast<std::uint32_t>(w & kValueMask);
 }
 
+// Calls visit(word, pattern) for each 64-minterm word of a minterm
+// bitset that the cube (care, value) touches, with the pattern of the
+// cube's minterms inside that word, until visit returns false.  Returns
+// whether every call returned true.  `value` must be 0 on free bits.
+template <class Visit>
+bool each_cube_word(std::uint32_t full, std::uint32_t care,
+                    std::uint32_t value, Visit visit) {
+  const std::uint32_t free = full & ~care;
+  std::uint64_t pattern = std::uint64_t{1} << (value & 63u);
+  for (std::uint32_t low = free & 63u; low != 0; low &= low - 1) {
+    pattern |= pattern << (1u << std::countr_zero(low));
+  }
+  const std::uint32_t highfree = free & ~63u;
+  std::uint32_t s = 0;
+  do {
+    if (!visit(std::size_t{(value | s) >> 6}, pattern)) return false;
+    s = (s - highfree) & highfree;
+  } while (s != 0);
+  return true;
+}
+
+// True iff some / every minterm of the cube is set in `bits`.
+bool cube_meets(const std::vector<std::uint64_t>& bits, std::uint32_t full,
+                std::uint32_t care, std::uint32_t value) {
+  return !each_cube_word(full, care, value,
+                         [&](std::size_t w, std::uint64_t pattern) {
+                           return (bits[w] & pattern) == 0;
+                         });
+}
+bool cube_inside(const std::vector<std::uint64_t>& bits, std::uint32_t full,
+                 std::uint32_t care, std::uint32_t value) {
+  return each_cube_word(full, care, value,
+                        [&](std::size_t w, std::uint64_t pattern) {
+                          return (bits[w] & pattern) == pattern;
+                        });
+}
+
+// Bitset of the minterms in `a` and `b` over 2^num_vars points, with
+// one spare word.
+std::vector<std::uint64_t> minterm_bits(int num_vars,
+                                        std::span<const Minterm> a,
+                                        std::span<const Minterm> b = {}) {
+  check_num_vars(num_vars);
+  const std::uint32_t full = full_mask(num_vars);
+  std::vector<std::uint64_t> bits((std::size_t{1} << num_vars) / 64 + 1, 0);
+  for (const std::span<const Minterm> minterms : {a, b}) {
+    for (Minterm m : minterms) {
+      m &= full;
+      bits[m / 64] |= std::uint64_t{1} << (m % 64);
+    }
+  }
+  return bits;
+}
+
 // Sharp path: primes = maximal cubes avoiding OFF.  Start from the
-// universal cube; for each OFF minterm, split every cube containing it
-// into its free-variable fragments (cube minus that point) and absorb
-// fragments contained in surviving cubes.  Every prime survives: a
-// prime P disagrees with each OFF minterm on some variable that must be
-// free in any containing cube, so P stays inside some fragment at every
-// step, and whatever finally contains P equals P by maximality.  A
-// final single-bit-enlargement test drops the non-maximal stragglers
-// one-directional absorption can leave behind.
+// universal cube and sharp it against a cover of OFF by all-OFF cubes:
+// for each OFF cube O, split every cube c that meets O into its
+// fragments, one per bit b of O.care & ~c.care with b fixed opposite to
+// O, which together cover exactly c minus O; absorb fragments contained
+// in kept cubes.  Every prime survives, whatever the cover: a prime P
+// avoids O, so it disagrees with O on some bit b of O.care, and if c
+// meets O and contains P then b is free in c (on c.care, c agrees with
+// both), so P lies in fragment b.  Whatever finally contains P is an
+// implicant and so equals P by maximality; a final
+// single-bit-enlargement test drops the non-maximal stragglers that
+// one-directional absorption can leave behind.  The prime set is
+// therefore the same as sharping against the OFF points one by one.
+//
+// The cover is built lazily in OFF-point order: each OFF point no
+// earlier OFF cube covers grows greedily (ascending bit order) into a
+// maximal all-OFF cube just before it is used.  On the Y/fsv equations
+// of deep machines that turns about 940 OFF points a call into about
+// 95 OFF cubes, each scanned against the cube list once.
+//
+// With `on_bits`, a fragment that holds no ON minterm is dropped: every
+// cube later split from it is inside it and lacks ON too, so the path
+// returns exactly the primes that hold an ON minterm, the only ones a
+// cover can use.
 //
 // The path is output-sensitive: near-tautologies (the Y/fsv equations
 // of deep machines are >90% don't-care) have ~10^7 implicants at 15
 // variables but a modest prime count, and the sharp path wins there by
 // orders of magnitude, while on sparse functions the cube list swells
 // and the level merge wins.  Which one a call is decides itself by
-// measured work: every OFF point adds the cube visits of its scan, and
-// once the count passes work_cap the path gives up (nullopt) and the
-// caller runs the level merge.  The count is deterministic, so the path
-// chosen, like the prime set either path returns, never depends on
-// timing.  Each scanned cube splits into at most num_vars fragments, so
-// the cube list also stays below 1 + num_vars * work_cap.
+// measured work: growing an OFF cube adds the bitset words its tests
+// read, splitting against it adds the length of the cube list it
+// scans, and once the count passes work_cap the path gives up
+// (nullopt) and the caller runs the level merge.  The count is
+// deterministic, so the path chosen, like the prime set either path
+// returns, never depends on timing.  Each scanned cube splits into at
+// most num_vars fragments, so the cube list also stays below
+// 1 + num_vars * work_cap.
 struct SharpCube {
   std::uint32_t care;
   std::uint32_t value;
 };
 
 std::optional<std::vector<std::uint64_t>> sharp_prime_words(
-    int num_vars, const std::vector<std::uint64_t>& seen,
-    std::size_t work_cap) {
+    int num_vars, const std::vector<std::uint64_t>& allowed,
+    const std::vector<std::uint64_t>* on_bits, std::size_t work_cap) {
   const std::uint32_t full = full_mask(num_vars);
   const std::size_t space = std::size_t{1} << num_vars;
-  // Allowed (ON∪DC) bitset.  The OFF points are read off its clear bits
-  // as they are split, so a call that falls back never built a list of
-  // up to 2^num_vars OFF points.
-  std::vector<std::uint64_t> allowed(space / 64 + 1, 0);
-  for (std::uint64_t w : seen) {
-    const std::uint32_t m = value_of(w);
-    allowed[m / 64] |= std::uint64_t{1} << (m % 64);
-  }
+  // OFF points no OFF cube covers yet.  They are read off the clear
+  // bits of the allowed (ON∪DC) bitset, so a call that falls back never
+  // built a list of up to 2^num_vars OFF points.
+  std::vector<std::uint64_t> pending((space + 63) / 64);
+  for (std::size_t w = 0; w < pending.size(); ++w) pending[w] = ~allowed[w];
+  if (space % 64 != 0) pending.back() &= (std::uint64_t{1} << (space % 64)) - 1;
 
   // Absorption by distance-1 neighbours.  Every cube kept for the next
-  // round (survivors, then accepted fragments) avoids the OFF point o,
-  // so it contains the fragment of a split cube c at free bit b iff it
-  // disagrees with o on exactly one care bit, namely b, and its other
-  // care bits lie inside c's care (on those it agrees with o, as the
-  // fragment does).  near[b] holds that "other care" mask for every kept
-  // cube at distance exactly {b} from o, so a fragment is absorbed iff
-  // some entry of near[b] is a submask of c.care.  That is the set query
-  // "does some kept cube contain the fragment", asked in fragment order,
-  // so the antichain evolves exactly as under a sweep over the kept
-  // cubes.  Nested cubes keep the smaller one first, so in practice only
-  // survivors absorb; the entries of accepted fragments keep the query
-  // whole without leaning on that.
-  std::array<std::vector<std::uint32_t>, kMaxVars> near;
+  // round (survivors, then accepted fragments) avoids the OFF cube O, so
+  // it contains the fragment of a split cube c at bit b iff three things
+  // hold: it disagrees with O on exactly one bit of O.care, namely b;
+  // its other care bits lie inside c.care; and it agrees with c on them.
+  // (On O.care the agreement is automatic, since c agrees with O there;
+  // off O.care it is not.)  near[b] holds the kept cube minus bit b for
+  // every kept cube at distance exactly {b} from O, so a fragment is
+  // absorbed iff some entry of near[b] contains its parent c.  That is
+  // the set query "does some kept cube contain the fragment", asked in
+  // fragment order, so the antichain evolves exactly as under a sweep
+  // over the kept cubes.  Nested cubes keep the smaller one first (a
+  // fragment inside a kept cube is never added), so only survivors
+  // absorb; the entries of accepted fragments keep the query whole
+  // without leaning on that order.
+  std::array<std::vector<SharpCube>, kMaxVars> near;
   std::vector<SharpCube> cubes{{0u, 0u}};
   std::vector<SharpCube> split;
   std::size_t work = 0;
-  for (std::size_t word = 0; word * 64 < space; ++word) {
-    std::uint64_t off_bits = ~allowed[word];
-    if (space - word * 64 < 64) {
-      off_bits &= (std::uint64_t{1} << (space - word * 64)) - 1;
-    }
-    for (; off_bits != 0; off_bits &= off_bits - 1) {
-      const auto o =
-          static_cast<std::uint32_t>(word * 64 + std::countr_zero(off_bits));
+  for (std::size_t word = 0; word < pending.size(); ++word) {
+    while (pending[word] != 0) {
+      search::poll_deadline();
+      // Grow the OFF point into a maximal all-OFF cube: freeing bit b
+      // keeps O all-OFF iff its mirror image across b is all-OFF.
+      std::uint32_t ocare = full;
+      std::uint32_t ovalue =
+          static_cast<std::uint32_t>(word * 64 + std::countr_zero(pending[word]));
+      for (std::uint32_t bits = full; bits != 0; bits &= bits - 1) {
+        const std::uint32_t b = bits & (0u - bits);
+        const bool all_off = each_cube_word(
+            full, ocare, ovalue ^ b, [&](std::size_t w, std::uint64_t pattern) {
+              ++work;
+              return (allowed[w] & pattern) == 0;
+            });
+        if (all_off) {
+          ocare ^= b;
+          ovalue &= ~b;
+        }
+      }
+      each_cube_word(full, ocare, ovalue, [&](std::size_t w, std::uint64_t pattern) {
+        pending[w] &= ~pattern;
+        return true;
+      });
+
       search::poll_deadline();
       work += cubes.size();
       if (work > work_cap) return std::nullopt;
@@ -121,59 +222,45 @@ std::optional<std::vector<std::uint64_t>> sharp_prime_words(
       for (int b = 0; b < num_vars; ++b) near[static_cast<std::size_t>(b)].clear();
       std::size_t kept = 0;
       for (const SharpCube c : cubes) {
-        const std::uint32_t d = (o ^ c.value) & c.care;
+        const std::uint32_t d = (ovalue ^ c.value) & c.care & ocare;
         if (d == 0) {
           split.push_back(c);
           continue;
         }
         cubes[kept++] = c;
         if ((d & (d - 1)) == 0) {
-          near[static_cast<std::size_t>(std::countr_zero(d))].push_back(c.care & ~d);
+          near[static_cast<std::size_t>(std::countr_zero(d))].push_back(
+              {c.care & ~d, c.value & ~d});
         }
       }
       cubes.resize(kept);
-      // c contains o: the fragments (one free variable fixed opposite to
-      // o) cover exactly c minus the point o.  A fragment sits inside its
-      // parent, so no surviving cube can be inside a fragment; only
-      // fragments need testing, against survivors and earlier-accepted
-      // fragments.
+      // A fragment sits inside its parent, so no surviving cube can be
+      // inside a fragment; only fragments need testing, against
+      // survivors and earlier-accepted fragments.
       for (const SharpCube& c : split) {
-        for (std::uint32_t bits = full & ~c.care; bits != 0; bits &= bits - 1) {
+        for (std::uint32_t bits = ocare & ~c.care; bits != 0; bits &= bits - 1) {
           const std::uint32_t b = bits & (0u - bits);
-          std::vector<std::uint32_t>& absorbers =
+          std::vector<SharpCube>& absorbers =
               near[static_cast<std::size_t>(std::countr_zero(b))];
           const bool absorbed =
-              std::any_of(absorbers.begin(), absorbers.end(),
-                          [&](std::uint32_t rest) { return (rest & ~c.care) == 0; });
+              std::any_of(absorbers.begin(), absorbers.end(), [&](SharpCube k) {
+                return (k.care & ~c.care) == 0 && ((k.value ^ c.value) & k.care) == 0;
+              });
           if (absorbed) continue;
-          cubes.push_back({c.care | b, c.value | (~o & b)});
-          absorbers.push_back(c.care);
+          const SharpCube fragment{c.care | b, c.value | (~ovalue & b)};
+          if (on_bits != nullptr &&
+              !cube_meets(*on_bits, full, fragment.care, fragment.value)) {
+            continue;
+          }
+          cubes.push_back(fragment);
+          absorbers.push_back(c);
         }
       }
     }
   }
 
   // Maximality filter: keep a cube only if no single freed literal
-  // stays OFF-free.  The sub-cube walk tests whole 64-minterm words at
-  // a time where the low free variables allow it.
-  const auto off_free = [&](std::uint32_t care, std::uint32_t value) {
-    const std::uint32_t free = full & ~care;
-    const std::uint32_t lowfree = free & 63u;
-    const std::uint32_t highfree = free & ~63u;
-    std::uint64_t pattern = 0;
-    std::uint32_t t = 0;
-    do {
-      pattern |= std::uint64_t{1} << ((value & 63u) | t);
-      t = (t - lowfree) & lowfree;
-    } while (t != 0);
-    std::uint32_t s = 0;
-    do {
-      const std::uint64_t w = allowed[(value | s) >> 6];
-      if ((w & pattern) != pattern) return false;
-      s = (s - highfree) & highfree;
-    } while (s != 0);
-    return true;
-  };
+  // stays OFF-free.
   std::vector<std::uint64_t> primes;
   primes.reserve(cubes.size());
   for (const SharpCube& c : cubes) {
@@ -181,7 +268,7 @@ std::optional<std::vector<std::uint64_t>> sharp_prime_words(
     bool maximal = true;
     for (std::uint32_t bits = c.care; bits != 0 && maximal; bits &= bits - 1) {
       const std::uint32_t b = bits & (0u - bits);
-      if (off_free(c.care ^ b, c.value & ~b)) maximal = false;
+      if (cube_inside(allowed, full, c.care ^ b, c.value & ~b)) maximal = false;
     }
     if (maximal) primes.push_back(encode(c.care, c.value));
   }
@@ -193,9 +280,7 @@ std::optional<std::vector<std::uint64_t>> sharp_prime_words(
 std::vector<std::uint64_t> minterm_level(int num_vars,
                                          std::span<const Minterm> on,
                                          std::span<const Minterm> dc) {
-  if (num_vars < 0 || num_vars > kMaxVars) {
-    throw std::invalid_argument("prime_engine: num_vars out of range");
-  }
+  check_num_vars(num_vars);
   const std::uint32_t full = full_mask(num_vars);
   std::vector<std::uint64_t> level;
   level.reserve(on.size() + dc.size());
@@ -371,15 +456,31 @@ std::vector<std::uint64_t> merge_levels(int num_vars,
 
 // Every prime, packed, in generation order: the sharp path under the
 // production work cap, the level merge once the sharp path passes it.
+// With `on_only`, only the primes that hold an ON minterm.
 std::vector<std::uint64_t> prime_words(int num_vars,
                                        std::span<const Minterm> on,
-                                       std::span<const Minterm> dc) {
-  std::vector<std::uint64_t> level = minterm_level(num_vars, on, dc);
-  if (auto primes = sharp_prime_words(
-          num_vars, level, detail::sharp_work_cap(num_vars, level.size()))) {
+                                       std::span<const Minterm> dc,
+                                       bool on_only) {
+  const std::vector<std::uint64_t> allowed = minterm_bits(num_vars, on, dc);
+  if (on_only && on.empty()) return {};
+  const std::vector<std::uint64_t> on_bits =
+      on_only ? minterm_bits(num_vars, on) : std::vector<std::uint64_t>{};
+  std::size_t on_dc_count = 0;
+  for (std::uint64_t w : allowed) on_dc_count += static_cast<std::size_t>(std::popcount(w));
+  if (auto primes = sharp_prime_words(num_vars, allowed,
+                                      on_only ? &on_bits : nullptr,
+                                      detail::sharp_work_cap(num_vars, on_dc_count))) {
     return *std::move(primes);
   }
-  return merge_levels(num_vars, std::move(level));
+  std::vector<std::uint64_t> primes =
+      merge_levels(num_vars, minterm_level(num_vars, on, dc));
+  if (on_only) {
+    const std::uint32_t full = full_mask(num_vars);
+    std::erase_if(primes, [&](std::uint64_t w) {
+      return !cube_meets(on_bits, full, care_of(w), value_of(w));
+    });
+  }
+  return primes;
 }
 
 std::vector<Cube> to_canonical_cubes(int num_vars,
@@ -440,62 +541,37 @@ class RowLookup {
 
 std::vector<Cube> compute_primes(int num_vars, std::span<const Minterm> on,
                                  std::span<const Minterm> dc) {
-  return to_canonical_cubes(num_vars, prime_words(num_vars, on, dc));
+  return to_canonical_cubes(num_vars, prime_words(num_vars, on, dc, false));
 }
 
 std::vector<Cube> compute_on_primes(int num_vars,
                                     std::span<const Minterm> on_sorted,
                                     std::span<const Minterm> dc) {
-  std::vector<Cube> all =
-      to_canonical_cubes(num_vars, prime_words(num_vars, on_sorted, dc));
-  const std::uint32_t full = full_mask(num_vars);
-  const RowLookup lookup(num_vars, full, on_sorted);
-  // Keep a prime as soon as its sub-cube walk hits one ON minterm — no
-  // row collection, no incidence table.
-  std::erase_if(all, [&](const Cube& p) {
-    const std::uint32_t free = full & ~p.care();
-    std::uint32_t s = 0;
-    do {
-      if (lookup.row_of(p.value() | s) >= 0) return false;
-      s = (s - free) & free;
-    } while (s != 0);
-    return true;  // covers only DC minterms
-  });
-  return all;
+  return to_canonical_cubes(num_vars, prime_words(num_vars, on_sorted, dc, true));
 }
 
 PrimeIncidence compute_incidence(int num_vars,
                                  std::span<const Minterm> on_sorted,
                                  std::span<const Minterm> dc) {
-  const std::vector<Cube> all =
-      to_canonical_cubes(num_vars, prime_words(num_vars, on_sorted, dc));
+  std::vector<Cube> primes =
+      to_canonical_cubes(num_vars, prime_words(num_vars, on_sorted, dc, true));
   const std::uint32_t full = full_mask(num_vars);
   const RowLookup lookup(num_vars, full, on_sorted);
+  const std::size_t num_primes = primes.size();
+  PrimeIncidence out{std::move(primes), CoverTable(on_sorted.size(), num_primes)};
 
   // Each prime scatters its own minterm sub-cube (submask walk over the
   // free variables) into rows — never an all-pairs contains() sweep.
-  std::vector<Cube> kept;
-  std::vector<std::vector<std::uint32_t>> kept_rows;
-  std::vector<std::uint32_t> rows;
-  for (const Cube& p : all) {
+  for (std::size_t c = 0; c < num_primes; ++c) {
     search::poll_deadline();
-    rows.clear();
+    const Cube& p = out.primes[c];
     const std::uint32_t free = full & ~p.care();
     std::uint32_t s = 0;
     do {
       const std::int32_t r = lookup.row_of(p.value() | s);
-      if (r >= 0) rows.push_back(static_cast<std::uint32_t>(r));
+      if (r >= 0) out.incidence.set(static_cast<std::size_t>(r), c);
       s = (s - free) & free;
     } while (s != 0);
-    if (rows.empty()) continue;  // covers only DC minterms
-    kept.push_back(p);
-    kept_rows.push_back(rows);
-  }
-
-  PrimeIncidence out{std::move(kept),
-                     CoverTable(on_sorted.size(), kept_rows.size())};
-  for (std::size_t c = 0; c < kept_rows.size(); ++c) {
-    for (std::uint32_t r : kept_rows[c]) out.incidence.set(r, c);
   }
   return out;
 }
@@ -511,8 +587,8 @@ std::optional<std::vector<Cube>> sharp_primes(int num_vars,
                                               std::span<const Minterm> on,
                                               std::span<const Minterm> dc,
                                               std::size_t work_cap) {
-  auto primes =
-      sharp_prime_words(num_vars, minterm_level(num_vars, on, dc), work_cap);
+  auto primes = sharp_prime_words(num_vars, minterm_bits(num_vars, on, dc),
+                                  nullptr, work_cap);
   if (!primes) return std::nullopt;
   return to_canonical_cubes(num_vars, *std::move(primes));
 }

@@ -13,16 +13,39 @@
 // Dense ON∪DC functions (the Y/fsv equations of deep state machines are
 // >90% don't-care) would still drown the level merge in their implicant
 // lattice, so every call first tries an output-sensitive sharp
-// construction: primes as maximal cubes avoiding OFF, built by iterated
-// cube splitting with absorption.  A fragment's possible absorbers are
-// the kept cubes that disagree with the OFF point on exactly its free
-// bit, so absorption scans short per-bit neighbour lists filled by the
-// same pass that finds the cubes to split, with no index.  The sharp
-// path counts its work as cube visits (each OFF point adds the size of
-// the cube list it scans) and gives up once the count passes
-// 64 * |ON∪DC| * num_vars; the call then runs the level merge instead.
-// The count is deterministic, and both paths produce the identical
-// canonical prime list.
+// construction: primes as maximal cubes avoiding OFF, built by sharping
+// the universal cube against a cover of OFF by all-OFF cubes (the
+// sharp/complement view of Brayton et al., "Logic Minimization
+// Algorithms for VLSI Synthesis", 1984).  The cover is built lazily:
+// each OFF point, in ascending order, that no earlier OFF cube covers
+// grows greedily into a maximal all-OFF cube just before it is used.
+// Every cube c that meets an OFF cube O splits into fragments, one per
+// bit of O.care & ~c.care fixed opposite to O; a fragment is dropped
+// when a kept cube contains it, found on short per-bit lists of the
+// kept cubes at distance one from O, filled by the same pass that
+// finds the cubes to split.
+//
+// Why any such cover gives the same primes: a prime P avoids O, so it
+// disagrees with O on some bit b of O.care.  A cube c that meets O and
+// contains P agrees with both on c.care, so b is free in c and P lies
+// in fragment b.  P therefore stays inside some cube through every
+// split, and the cube that finally holds it is an implicant, so equals
+// P.  A single-bit-enlargement filter drops the non-maximal cubes, and
+// the canonical sort below orders what is left, so the output is the
+// prime list that sharping against the OFF points one by one gives.
+//
+// ON-rooted generation: compute_on_primes and compute_incidence also
+// drop every fragment that holds no ON minterm, and return nothing when
+// ON is empty.  Every cube later split from such a fragment lies inside
+// it and lacks ON too, so they return exactly the primes that hold an
+// ON minterm, the only ones a cover can use; compute_primes keeps the
+// full set.
+//
+// The sharp path counts its work: growing an OFF cube adds the bitset
+// words its tests read, and splitting against it adds the length of
+// the cube list it scans.  Past 64 * |ON∪DC| * num_vars it gives up and
+// the call runs the level merge instead.  The count is deterministic,
+// and both paths produce the identical canonical prime list.
 //
 // The second half of the job is the prime×minterm incidence: instead of
 // testing every (prime, minterm) pair with Cube::contains, each prime
@@ -58,8 +81,8 @@ namespace seance::logic::prime_engine {
 
 /// Primes restricted to those covering at least one minterm of
 /// `on_sorted` (sorted, duplicate-free), canonical order — the
-/// all-primes cover, without building any incidence table.  Each
-/// prime's sub-cube walk stops at its first ON hit.
+/// all-primes cover, without building any incidence table.  Generated
+/// ON-rooted (see above).
 [[nodiscard]] std::vector<Cube> compute_on_primes(
     int num_vars, std::span<const Minterm> on_sorted,
     std::span<const Minterm> dc);
@@ -86,12 +109,13 @@ struct PrimeIncidence {
 /// sharp_work_cap and falls back to level_primes.
 namespace detail {
 
-/// The production work cap: 64 * on_dc_count * max(num_vars, 1) cube
-/// visits, on_dc_count counting distinct ON∪DC minterms.
+/// The production work cap: 64 * on_dc_count * max(num_vars, 1) units
+/// (cube visits plus bitset words read while growing OFF cubes),
+/// on_dc_count counting distinct ON∪DC minterms.
 [[nodiscard]] std::size_t sharp_work_cap(int num_vars, std::size_t on_dc_count);
 
-/// The sharp path in canonical order, or nullopt once its work count
-/// passes `work_cap`.
+/// The sharp path in canonical order, every prime kept, or nullopt once
+/// its work count passes `work_cap`.
 [[nodiscard]] std::optional<std::vector<Cube>> sharp_primes(
     int num_vars, std::span<const Minterm> on, std::span<const Minterm> dc,
     std::size_t work_cap);

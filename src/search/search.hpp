@@ -47,8 +47,9 @@
 /// It also owns the cooperative job deadline (`DeadlineScope`,
 /// `poll_deadline`): a job stops, on its own thread, at the first
 /// checkpoint past its budget. Checkpoints: `NodeBudget::charge()` every
-/// 1024 nodes (all three engines); per OFF point and per maximality-filter
-/// cube of the sharp path, per `merge_levels` group, per
+/// 1024 nodes (all three engines); in the sharp path, per OFF cube as
+/// the lazy OFF-cover loop grows it and again before the split scan,
+/// and per maximality-filter cube; per `merge_levels` group, per
 /// `compute_incidence` prime, per `greedy_cover` pick, per
 /// `verify_equations` entry, per `run_procedures` 64-lane word, and per
 /// `find_hazards` state.

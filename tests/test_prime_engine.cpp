@@ -1,14 +1,18 @@
 // Differential and regression suite for the word-parallel prime engine.
-// compute_primes tries the sharp path first and counts its work in cube
-// visits (each OFF point adds the size of the cube list it scans); past
-// 64 * |ON∪DC| * num_vars visits it gives up and the level merge runs
-// instead.  Which path a random function takes is therefore a property
-// of its shape, so every case runs through both paths on their own
-// (prime_engine::detail, the sharp path uncapped) as well as through
-// compute_primes, each against the retained hash-map oracle
-// (reference_compute_primes) over random functions at 4-14 variables.
-// Regressions pin the fallback itself, the canonical prime order, and
-// incidence bitmatrix correctness against brute-force Cube::contains.
+// compute_primes tries the sharp path first and counts its work (each
+// OFF cube adds the bitset words read while growing it and the size of
+// the cube list it scans); past 64 * |ON∪DC| * num_vars it gives up and
+// the level merge runs instead.  Which path a random function takes is
+// therefore a property of its shape, so every case runs through both
+// paths on their own (prime_engine::detail, the sharp path uncapped) as
+// well as through compute_primes, each against the retained hash-map
+// oracle (reference_compute_primes) over random functions at 4-14
+// variables, and the ON-rooted entry points against that oracle
+// restricted to ON.  At 13-15 variables, with OFF a union of random
+// subcubes, the two paths check each other.  Regressions pin the
+// fallback itself, the deadline checkpoints, the canonical prime order,
+// and incidence bitmatrix correctness against brute-force
+// Cube::contains.
 
 #include "logic/prime_engine.hpp"
 
@@ -36,45 +40,88 @@ struct DiffCase {
   double p_on;
   double p_dc;
   std::uint64_t seed;
-  int off_cubes = 0;  ///< see make_function
+  int off_cubes = 0;        ///< see make_function
+  bool whole_space = false;  ///< see make_function
 };
 
 void PrintTo(const DiffCase& c, std::ostream* os) {
   *os << c.num_vars << "v on=" << c.p_on << " dc=" << c.p_dc
       << " seed=" << c.seed;
   if (c.off_cubes != 0) *os << " off_cubes=" << c.off_cubes;
+  if (c.whole_space) *os << " whole_space";
 }
 
-// The random function, except that with `off_cubes` > 0 the low half of
-// the minterm space (top variable 0) is OFF on exactly that many random
-// 5-variable subcubes and DC everywhere else.  The sharp path splits OFF
-// points in ascending order, so the subcubes first swell its antichain
-// and then collapse it, and the random high half grows it into the
-// thousands afterwards.  A fragment's absorbers are the cubes at
-// distance one from the OFF point: survivors of the round, and the
-// fragments accepted earlier in it.  The antichain keeps nested cubes
-// smaller first, so an earlier fragment is scanned but never absorbs;
-// the last cases of diff_cases() pin both sides of that.
+// A set of `count` random subcubes of the space below `span` (a power
+// of two), each with between min_free and max_free free variables.
+std::vector<char> random_subcubes(Minterm span, int num_vars, int count,
+                                  int min_free, int max_free,
+                                  std::mt19937_64& rng) {
+  std::vector<char> in(span, 0);
+  for (int c = 0; c < count; ++c) {
+    const int want =
+        min_free == max_free
+            ? min_free
+            : min_free + static_cast<int>(rng() % static_cast<std::uint64_t>(
+                                                      max_free - min_free + 1));
+    Minterm free = 0;
+    while (std::popcount(free) < want) {
+      free |= Minterm{1} << (rng() % static_cast<std::uint64_t>(num_vars));
+    }
+    const Minterm base = static_cast<Minterm>(rng()) & (span - 1) & ~free;
+    Minterm s = 0;
+    do {
+      in[base | s] = 1;
+      s = (s - free) & free;
+    } while (s != 0);
+  }
+  return in;
+}
+
+// The random function, reshaped when `off_cubes` > 0 so that its OFF
+// set is a union of random subcubes, the shape of the Y/fsv equations.
+// The sharp path grows each OFF point that no earlier OFF cube covers
+// into a maximal all-OFF cube, in ascending point order, and splits the
+// cube list against it.
+// - Low half (whole_space false): the low half of the space (top
+//   variable 0) is OFF on exactly `off_cubes` random 5-variable subcubes
+//   and DC everywhere else, and the high half keeps the random
+//   function.  The first OFF cubes are unions of those subcubes: they
+//   swell the cube list and then collapse it, and the scattered OFF
+//   points of the high half grow it into the thousands afterwards.
+// - Whole space (whole_space true): OFF is `off_cubes` random subcubes
+//   of 1-5 free variables anywhere, ON is each other point with
+//   probability p_on, and the rest is DC.  Overlapping subcubes give
+//   OFF cubes whose care bits cut across the cubes they split, the case
+//   where absorption must also check agreement off the OFF cube's care.
+// A fragment's absorbers are the kept cubes at distance one from the
+// OFF cube: survivors of the round, and the fragments accepted earlier
+// in it.  The cube list keeps nested cubes smaller first, so an earlier
+// fragment is scanned but never absorbs; the last low-half cases of
+// diff_cases() pin both sides of that.
 testutil::RandomFunction make_function(const DiffCase& p) {
+  if (p.whole_space) {
+    const Minterm space = Minterm{1} << p.num_vars;
+    std::mt19937_64 rng(p.seed);
+    const std::vector<char> off =
+        random_subcubes(space, p.num_vars, p.off_cubes, 1, 5, rng);
+    std::uniform_real_distribution<double> dist(0.0, 1.0);
+    testutil::RandomFunction f;
+    for (Minterm m = 0; m < space; ++m) {
+      if (off[m]) {
+        f.off.push_back(m);
+      } else {
+        (dist(rng) < p.p_on ? f.on : f.dc).push_back(m);
+      }
+    }
+    return f;
+  }
   testutil::RandomFunction f =
       random_function(p.num_vars, p.p_on, p.p_dc, p.seed);
   if (p.off_cubes == 0) return f;
   const Minterm half = Minterm{1} << (p.num_vars - 1);
-  std::vector<char> off(half, 0);
   std::mt19937_64 rng(p.seed + 1);
-  for (int c = 0; c < p.off_cubes; ++c) {
-    Minterm free = 0;
-    while (std::popcount(free) < 5) {
-      free |= Minterm{1}
-              << (rng() % static_cast<std::uint64_t>(p.num_vars - 1));
-    }
-    const Minterm base = static_cast<Minterm>(rng()) & (half - 1) & ~free;
-    Minterm s = 0;
-    do {
-      off[base | s] = 1;
-      s = (s - free) & free;
-    } while (s != 0);
-  }
+  const std::vector<char> off =
+      random_subcubes(half, p.num_vars - 1, p.off_cubes, 5, 5, rng);
   const auto in_low_half = [&](Minterm m) { return m < half; };
   std::erase_if(f.on, in_low_half);
   std::erase_if(f.dc, in_low_half);
@@ -85,6 +132,24 @@ testutil::RandomFunction make_function(const DiffCase& p) {
   f.dc.insert(f.dc.begin(), low_dc.begin(), low_dc.end());
   f.off.insert(f.off.begin(), low_off.begin(), low_off.end());
   return f;
+}
+
+// The primes that hold a minterm of `on`, order kept.
+std::vector<Cube> restrict_to_on(std::vector<Cube> primes, int num_vars,
+                                 const std::vector<Minterm>& on) {
+  std::vector<char> is_on(std::size_t{1} << num_vars, 0);
+  for (Minterm m : on) is_on[m] = 1;
+  const Minterm full = (Minterm{1} << num_vars) - 1;
+  std::erase_if(primes, [&](const Cube& p) {
+    const Minterm free = full & ~p.care();
+    Minterm s = 0;
+    do {
+      if (is_on[p.value() | s]) return false;
+      s = (s - free) & free;
+    } while (s != 0);
+    return true;
+  });
+  return primes;
 }
 
 class PrimeEngineDiff : public ::testing::TestWithParam<DiffCase> {};
@@ -120,6 +185,18 @@ TEST_P(PrimeEngineDiff, MatchesReferencePrimesExactly) {
     SCOPED_TRACE("level merge");
     expect_same_primes(prime_engine::detail::level_primes(p.num_vars, f.on, f.dc),
                        reference);
+  }
+  {
+    // compute_on_primes and compute_incidence drop every fragment that
+    // holds no ON minterm, so they generate the ON primes only.
+    SCOPED_TRACE("ON-rooted");
+    const std::vector<Cube> on_reference =
+        restrict_to_on(reference, p.num_vars, f.on);
+    expect_same_primes(prime_engine::compute_on_primes(p.num_vars, f.on, f.dc),
+                       on_reference);
+    expect_same_primes(
+        prime_engine::compute_incidence(p.num_vars, f.on, f.dc).primes,
+        on_reference);
   }
 }
 
@@ -195,23 +272,66 @@ std::vector<DiffCase> diff_cases() {
     cases.push_back({12, 0.05, 0.92, seed, 4});
   }
   cases.push_back({13, 0.03, 0.94, 3, 5});
-  // The two absorber kinds of the sharp path (see make_function).
-  // - Survivor entries only: ~400 fragments are absorbed by survivors
-  //   and no accepted fragment's entry is ever scanned.  Dropping the
-  //   survivor entries, or letting them match too much, fails it.
+  // Small low-half shapes that the sharp path sharps against only 2, 2
+  // and 10 OFF cubes.  Each scans the entry of an accepted fragment,
+  // which never absorbs (nested cubes keep the smaller one first):
+  // letting that entry match every fragment fails all three, and
+  // dropping the survivor entries fails the last.
   cases.push_back({10, 0.05, 0.95, 5, 2});
-  // - Accepted-fragment entries only: nested cubes split in one round,
-  //   so a fragment's query scans the entry of a fragment accepted
-  //   before it.  That entry must not pass for an absorber; letting it
-  //   match too much fails this case and no survivor-only case.
   cases.push_back({9, 0.05, 0.95, 3, 2});
-  // - Both kinds, hundreds of scans each.
   cases.push_back({9, 0.05, 0.9, 3, 1});
   return cases;
 }
 
 INSTANTIATE_TEST_SUITE_P(RandomFunctions, PrimeEngineDiff,
                          ::testing::ValuesIn(diff_cases()));
+
+// 13-15 variables, OFF a union of random subcubes of the whole space,
+// DC elsewhere: the Y/fsv-equation regime, past the reference oracle's
+// reach, so the two prime paths check each other.  The sharp path runs
+// uncapped; the ON-rooted entry points must return the level merge's
+// primes restricted to ON.  In every case thousands of fragments lie
+// under the care of some absorber entry that disagrees with their
+// parent off the OFF cube's care, so dropping the agreement test fails
+// each of them, as does dropping the survivor entries or zeroing the
+// value of an accepted fragment's entry.
+class PrimeEngineOffCubeDiff : public ::testing::TestWithParam<DiffCase> {};
+
+TEST_P(PrimeEngineOffCubeDiff, SharpPathMatchesLevelMerge) {
+  const auto& p = GetParam();
+  const auto f = make_function(p);
+  const std::vector<Cube> level =
+      prime_engine::detail::level_primes(p.num_vars, f.on, f.dc);
+  {
+    SCOPED_TRACE("sharp path");
+    const std::optional<std::vector<Cube>> sharp =
+        prime_engine::detail::sharp_primes(p.num_vars, f.on, f.dc, kNoCap);
+    ASSERT_TRUE(sharp.has_value());
+    expect_same_primes(*sharp, level);
+  }
+  {
+    SCOPED_TRACE("ON-rooted");
+    const std::vector<Cube> on_level = restrict_to_on(level, p.num_vars, f.on);
+    expect_same_primes(prime_engine::compute_on_primes(p.num_vars, f.on, f.dc),
+                       on_level);
+    expect_same_primes(
+        prime_engine::compute_incidence(p.num_vars, f.on, f.dc).primes,
+        on_level);
+  }
+}
+
+std::vector<DiffCase> off_cube_cases() {
+  return {
+      {13, 0.05, 0.0, 1301, 40, true},
+      {13, 0.1, 0.0, 1302, 120, true},
+      {14, 0.05, 0.0, 1401, 80, true},
+      {14, 0.03, 0.0, 1402, 200, true},
+      {15, 0.03, 0.0, 1501, 150, true},
+  };
+}
+
+INSTANTIATE_TEST_SUITE_P(OffCubes, PrimeEngineOffCubeDiff,
+                         ::testing::ValuesIn(off_cube_cases()));
 
 // The canonical prime order (fewest literals first, then Cube::key) is a
 // documented contract: downstream cover selection, the golden corpus,
@@ -274,7 +394,23 @@ TEST(PrimeEngineRegression, SparseFunctionFallsBackToLevelMerge) {
                      prime_engine::detail::level_primes(14, f.on, f.dc));
 }
 
-// With no work allowed, the sharp path gives up at its first OFF point
+// The ON-rooted entry points filter the level merge's primes to ON
+// when the sharp path falls back (here some primes hold DC only).
+TEST(PrimeEngineRegression, FallbackKeepsOnlyTheOnPrimes) {
+  const auto f = random_function(14, 0.01, 0.02, 1403);
+  ASSERT_FALSE(prime_engine::detail::sharp_primes(
+                   14, f.on, f.dc,
+                   prime_engine::detail::sharp_work_cap(14, f.on.size() + f.dc.size()))
+                   .has_value());
+  const std::vector<Cube> level = prime_engine::detail::level_primes(14, f.on, f.dc);
+  const std::vector<Cube> on_level = restrict_to_on(level, 14, f.on);
+  ASSERT_LT(on_level.size(), level.size());
+  expect_same_primes(prime_engine::compute_on_primes(14, f.on, f.dc), on_level);
+  expect_same_primes(prime_engine::compute_incidence(14, f.on, f.dc).primes,
+                     on_level);
+}
+
+// With no work allowed, the sharp path gives up at its first OFF cube
 // (every differential case has one).
 TEST(PrimeEngineRegression, ZeroCapAlwaysFallsBack) {
   for (const DiffCase& p : diff_cases()) {
@@ -284,6 +420,24 @@ TEST(PrimeEngineRegression, ZeroCapAlwaysFallsBack) {
         prime_engine::detail::sharp_primes(p.num_vars, f.on, f.dc, 0).has_value())
         << ::testing::PrintToString(p);
   }
+}
+
+// Under a spent deadline each prime path stops at its first
+// checkpoint (the sharp path's first OFF cube, the level merge's first
+// group) on a 15-variable Y-shaped function.
+TEST(PrimeEngineDeadline, SpentDeadlineStopsEveryPath) {
+  const DiffCase p{15, 0.03, 0.0, 1501, 150, true};
+  const auto f = make_function(p);
+  const search::DeadlineScope spent(0.0);
+  EXPECT_THROW(static_cast<void>(prime_engine::detail::sharp_primes(
+                   p.num_vars, f.on, f.dc, kNoCap)),
+               search::DeadlineExceeded);
+  EXPECT_THROW(static_cast<void>(
+                   prime_engine::detail::level_primes(p.num_vars, f.on, f.dc)),
+               search::DeadlineExceeded);
+  EXPECT_THROW(static_cast<void>(
+                   prime_engine::compute_incidence(p.num_vars, f.on, f.dc)),
+               search::DeadlineExceeded);
 }
 
 TEST(PrimeEngineRegression, EveryEmittedCubeIsAPrimeImplicant) {
