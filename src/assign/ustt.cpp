@@ -222,6 +222,11 @@ class PartitionSearch {
     p.ones |= flip ? d.a : d.b;
   }
 
+  // One class's share of a node's memo key.
+  static std::uint64_t class_hash(const Partition& p) {
+    return search::hash_mix(search::hash_u64(p.zeros), search::hash_u64(p.ones));
+  }
+
   static bool place_first_fit(std::vector<Partition>& classes, const Dichotomy& d) {
     for (Partition& p : classes) {
       for (const bool flip : {false, true}) {
@@ -258,18 +263,28 @@ class PartitionSearch {
     if (tt_ != nullptr) {
       // Re-rooted per search: add() extends and re-sorts dichotomies_,
       // which changes what an (index, classes) state means.
-      std::uint64_t h = search::hash_u64(dichotomies_.size());
+      std::uint64_t root = search::hash_u64(dichotomies_.size());
       for (const Dichotomy& d : dichotomies_) {
-        h = search::hash_mix(h, d.a);
-        h = search::hash_mix(h, d.b);
+        root = search::hash_mix(root, d.a);
+        root = search::hash_mix(root, d.b);
       }
-      root_sig_ = h;
+      index_key_.resize(dichotomies_.size());
+      for (std::size_t i = 0; i < index_key_.size(); ++i) {
+        index_key_[i] = search::hash_mix(root, i);
+      }
+      class_hash_.clear();
     }
-    recurse(0, classes);
+    recurse(0, classes, 0);
     last_exact_ = budget_.exact();
   }
 
-  void recurse(std::size_t index, std::vector<Partition>& classes) {
+  // `class_sum` is the wrapping sum of class_hash over `classes`: the
+  // completion cost from here depends on the class *set* and the
+  // remaining suffix, not on class order, so the memo key combines the
+  // index with this commutative sum.  Each child updates it by the one
+  // class it changes, so no node rehashes its classes.
+  void recurse(std::size_t index, std::vector<Partition>& classes,
+               std::uint64_t class_sum) {
     // Unified accounting (search::NodeBudget convention): the historical
     // pre-increment guard here could never leave nodes_ above budget_,
     // so a truncated search still claimed exact=true.
@@ -282,14 +297,7 @@ class PartitionSearch {
     std::uint64_t sig = 0;
     const std::size_t best_in = best_.size();
     if (tt_ != nullptr) {
-      // The completion cost from here depends on the class *set* and the
-      // remaining suffix, not on class order: commutative per-class sum.
-      std::uint64_t sum = 0;
-      for (const Partition& p : classes) {
-        sum += search::hash_mix(search::hash_u64(p.zeros),
-                                search::hash_u64(p.ones));
-      }
-      sig = search::hash_mix(search::hash_mix(root_sig_, index), sum);
+      sig = search::hash_mix(index_key_[index], class_sum);
       if (const auto e = tt_->probe(sig)) {
         if (search::has_lower(e->bound) &&
             classes.size() + e->value >= best_.size()) {
@@ -304,8 +312,16 @@ class PartitionSearch {
         if (!fits(classes[i], d, flip)) continue;
         const Partition saved = classes[i];
         merge(classes[i], d, flip);
-        recurse(index + 1, classes);
+        std::uint64_t child_sum = 0;
+        std::uint64_t saved_hash = 0;
+        if (tt_ != nullptr) {
+          saved_hash = class_hash_[i];
+          class_hash_[i] = class_hash(classes[i]);
+          child_sum = class_sum - saved_hash + class_hash_[i];
+        }
+        recurse(index + 1, classes, child_sum);
         classes[i] = saved;
+        if (tt_ != nullptr) class_hash_[i] = saved_hash;
         if (budget_.exhausted()) {
           truncated = true;
           break;
@@ -315,8 +331,14 @@ class PartitionSearch {
     if (!truncated) {
       // Open a new class.
       classes.push_back(Partition{d.a, d.b});
-      recurse(index + 1, classes);
+      std::uint64_t child_sum = 0;
+      if (tt_ != nullptr) {
+        class_hash_.push_back(class_hash(classes.back()));
+        child_sum = class_sum + class_hash_.back();
+      }
+      recurse(index + 1, classes, child_sum);
       classes.pop_back();
+      if (tt_ != nullptr) class_hash_.pop_back();
     }
     if (tt_ != nullptr) {
       const std::size_t g = classes.size();
@@ -339,7 +361,8 @@ class PartitionSearch {
   std::vector<Dichotomy> dichotomies_;
   search::NodeBudget budget_;
   search::TranspositionTable* tt_;
-  std::uint64_t root_sig_ = 0;
+  std::vector<std::uint64_t> index_key_;   ///< hash_mix(root, index)
+  std::vector<std::uint64_t> class_hash_;  ///< class_hash of each class
   std::vector<Partition> best_;
   bool last_exact_ = true;
 };

@@ -196,7 +196,7 @@ FantomMachine synthesize(const FlowTable& input, const SynthesisOptions& options
                          search::TranspositionTable* tt) {
   FantomMachine machine;
   machine.options = options;
-  // One gate for all three searches: options.tt == false runs everything
+  // One gate for both memoized searches: options.tt == false runs them
   // cold even when the caller supplied a table.  When the memo is on,
   // the result must still be a pure function of (input, options) — the
   // identity string promises it — so a supplied table is cleared here
@@ -222,8 +222,7 @@ FantomMachine synthesize(const FlowTable& input, const SynthesisOptions& options
   const auto min_cover = [&](int num_vars, std::span<const Minterm> on,
                              std::span<const Minterm> dc) {
     logic::CoverStats cstats;
-    Cover cover = select_cover(num_vars, on, dc, &cstats,
-                               logic::kDefaultExactNodeBudget, memo);
+    Cover cover = select_cover(num_vars, on, dc, &cstats);
     machine.cover_bounds.cubes += cstats.cover_size;
     machine.cover_bounds.lower_bound += cstats.lower_bound;
     machine.cover_bounds.proven += cstats.exact ? 1 : 0;

@@ -78,9 +78,9 @@ struct SynthesisOptions {
   /// (function M-hazards) from classic consensus fixes (logic hazards).
   bool consensus_repair = true;
   /// Consult the shared transposition table (when the caller provides an
-  /// instance) in the three branch-and-bound searches.  Off forces every
-  /// search to run cold, node-for-node identical to the memoization-free
-  /// engines.
+  /// instance) in the state-minimization and partition searches.  Off
+  /// forces both to run cold, node-for-node identical to the
+  /// memoization-free engines.  The cover search keeps no memo either way.
   bool tt = true;
   /// Transposition-table size in MiB (one table per batch worker).  Fixed,
   /// not a knob: capacity decides which entries are evicted, and evictions
@@ -102,7 +102,10 @@ struct SynthesisOptions {
 /// `# synthesis:` identity line of the regression store, so *any* change
 /// to the field set, field order, or value spellings must bump this — a
 /// conscious event that invalidates every cached result and golden
-/// identity line at once instead of silently aliasing old entries.
+/// identity line at once instead of silently aliasing old entries.  The
+/// same holds for an engine edit that changes rows under unchanged
+/// options: the key names the options, not the code, so without a bump a
+/// disk cache or warm tier written by the old build would serve its rows.
 /// (v1 was the pre-codec store::describe spelling: unversioned and
 /// missing cover-budget.  v2 predates the shared search core: no
 /// cover-cells, tt, or table-size keys.  v3 still carried cover-budget
@@ -110,11 +113,12 @@ struct SynthesisOptions {
 /// carried the table size, which is now the fixed SynthesisOptions::tt_mb.
 /// v5 still carried the cover policy, the code-uniqueness switch and the
 /// assign/reduce node budgets, which are now the fixed SynthesisOptions
-/// members above.)
-inline constexpr int kOptionsEncodingVersion = 6;
+/// members above.  v6 rows came from a cover search that kept a memo; the
+/// v7 search keeps none, which moves budget-truncated covers.)
+inline constexpr int kOptionsEncodingVersion = 7;
 
 /// Canonical, byte-stable encoding of every result-affecting knob:
-///   "v6 fsv=B minimize=B factor=B consensus=B tt=B"
+///   "v7 fsv=B minimize=B factor=B consensus=B tt=B"
 /// Equal options always produce equal bytes (field order is pinned by
 /// test), so the string can key a content-addressed cache and compare
 /// pipeline configurations across processes.
@@ -143,8 +147,10 @@ struct DepthReport {
 /// `cubes - lower_bound` is the machine's total certified gap (zero
 /// means every chart is a proven minimum).  `lower_bound` is computed
 /// before any search runs, so it is memo-independent; `cubes` is a
-/// returned cover size, which for a budget-truncated search depends on
-/// the memo like any other budget knob.  Both are sound either way:
+/// returned cover size.  The cover search keeps no memo, but a memo-
+/// steered truncation in state minimization or partition assignment
+/// changes which charts get built, so `cubes` follows the memo like any
+/// other result.  Both are sound either way:
 /// lower_bound <= true optimum <= cubes always holds.
 struct CoverBounds {
   std::size_t cubes = 0;        ///< sum of returned cover sizes
@@ -182,9 +188,10 @@ struct FantomMachine {
 /// normal mode if needed; throws std::runtime_error when the table cannot
 /// be repaired (e.g. transition cycles) or exceeds size limits.
 ///
-/// `tt` (optional) is a shared transposition table consulted by the three
-/// branch-and-bound searches (cover completion, state-minimization cover,
-/// partition cover).  Ignored when `options.tt` is false.  Memoization
+/// `tt` (optional) is a shared transposition table consulted by two of
+/// the three branch-and-bound searches (state-minimization cover and
+/// partition cover; cover completion keeps no memo).  Ignored when
+/// `options.tt` is false.  Memoization
 /// never changes a *completed* search's result — only node counts — but a
 /// budget-truncated search keeps whatever incumbent its pruned traversal
 /// reached, and memo pruning moves that frontier; `tt` is therefore a

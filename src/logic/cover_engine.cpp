@@ -4,6 +4,8 @@
 #include <bit>
 #include <limits>
 
+#include "search/search.hpp"
+
 namespace seance::logic {
 
 namespace {
@@ -23,21 +25,13 @@ std::size_t popcount_and(const std::uint64_t* a, const std::uint64_t* b,
   return n;
 }
 
-// Zobrist key of row r: a node's signature is the root signature XOR
-// the keys of its uncovered rows.
-std::uint64_t row_key(std::uint64_t root_signature, std::size_t r) {
-  return search::hash_mix(root_signature, r);
-}
-
 class Solver {
  public:
-  Solver(const CoverTable& t, std::size_t node_budget,
-         search::TranspositionTable* tt)
+  Solver(const CoverTable& t, std::size_t node_budget)
       : t_(t),
         words_(t.words()),
         col_words_((t.num_cols() + 63) / 64),
         budget_(node_budget == 0 ? 1 : node_budget),
-        tt_(tt),
         uncovered_(words_, 0),
         col_mask_(col_words_, 0),
         row_cols_(t.num_rows() * col_words_, 0) {}
@@ -63,16 +57,7 @@ class Solver {
       return result;
     }
     prepare_residual();
-    std::uint64_t sig = 0;
-    if (tt_ != nullptr) {
-      const std::uint64_t root_sig = cover_root_signature(t_);
-      row_key_.resize(t_.num_rows());
-      for (std::size_t r = 0; r < t_.num_rows(); ++r) {
-        row_key_[r] = row_key(root_sig, r);
-      }
-      sig = cover_node_signature(root_sig, uncovered_.data(), words_);
-    }
-    recurse(uncovered_count(), 0, sig, 0);
+    recurse(uncovered_count(), 0, 0);
     result.nodes = budget_.nodes();
     result.exact = budget_.exact();
     if (have_best_) {
@@ -259,7 +244,6 @@ class Solver {
     row_col_list_.assign(t_.num_rows(), {});
     std::vector<std::size_t> options(t_.num_rows(), 0);
     max_col_gain_ = 1;
-    std::size_t max_options = 0;
     for (std::size_t r : active_rows) {
       const std::uint64_t* rc = &row_cols_[r * col_words_];
       for (std::size_t w = 0; w < col_words_; ++w) {
@@ -271,7 +255,6 @@ class Solver {
         }
       }
       options[r] = row_col_list_[r].size();
-      max_options = std::max(max_options, options[r]);
     }
     // Try high-yield columns first inside each row so the first dive
     // lands a strong incumbent for the bound.
@@ -293,11 +276,6 @@ class Solver {
     std::stable_sort(row_order_.begin(), row_order_.end(),
                      [&](std::size_t a, std::size_t b) { return options[a] < options[b]; });
     scratch_.assign((active_rows.size() + 1) * words_, 0);
-    child_stride_ = max_options;
-    gained_.assign((active_rows.size() + 1) * max_options, 0);
-    if (tt_ != nullptr) {
-      child_sigs_.assign((active_rows.size() + 1) * max_options, 0);
-    }
     root_lb_ = (uncovered_count() + max_col_gain_ - 1) / max_col_gain_;
   }
 
@@ -310,12 +288,11 @@ class Solver {
            chosen + (uncovered + max_col_gain_ - 1) / max_col_gain_ >= best_.size();
   }
 
-  // `sig` is this node's memo key, hashed by its parent (run() hashes
-  // the root); `cursor` is the parent's position in row_order_, before
-  // which every row is already covered.  The parent has already checked
-  // the gain bound: a child that fails it is charged but not entered.
+  // `cursor` is the parent's position in row_order_, before which every
+  // row is already covered.  The parent has already checked the gain
+  // bound: a child that fails it is charged but not entered.
   void recurse(std::size_t uncovered_count, std::size_t depth,
-               std::uint64_t sig, std::size_t cursor) {
+               std::size_t cursor) {
     if (uncovered_count == 0) {
       if (!have_best_ || chosen_.size() < best_.size()) {
         best_ = chosen_;
@@ -324,92 +301,30 @@ class Solver {
       return;
     }
     if (budget_.charge()) return;
-    if (tt_ != nullptr) {
-      if (const auto e = tt_->probe(sig)) {
-        // A certified completion bound that cannot strictly improve the
-        // incumbent prunes exactly like the gain bound.
-        if (search::has_lower(e->bound) && have_best_ &&
-            chosen_.size() + e->value >= best_.size()) {
-          return;
-        }
-      }
-    }
     std::size_t at = cursor;
     while (at < row_order_.size() && !row_uncovered(row_order_[at])) ++at;
     if (at == row_order_.size()) return;  // unreachable: uncovered_count > 0
     const std::vector<std::uint32_t>& branch = row_col_list_[row_order_[at]];
-    // One pass over the children counts the rows each one covers. With
-    // a memo it also keys every child that may probe (this node's key
-    // XOR the keys of the rows the child covers) and prefetches its home
-    // slot, so the slot's line is in cache by the time the child reads
-    // it. Leaves (nothing left uncovered) never probe and are not keyed,
-    // and neither are children the gain bound already rejects: the
-    // incumbent only shrinks, so the loop below rejects them too.
-    std::uint32_t* gained = &gained_[depth * child_stride_];
-    std::uint64_t* child_sig =
-        tt_ != nullptr ? &child_sigs_[depth * child_stride_] : nullptr;
-    for (std::size_t i = 0; i < branch.size(); ++i) {
-      const std::uint64_t* col = t_.column(branch[i]);
-      const std::size_t g = popcount_and(col, uncovered_.data(), words_);
-      gained[i] = static_cast<std::uint32_t>(g);
-      if (tt_ == nullptr) continue;
-      const std::size_t left = uncovered_count - g;
-      if (left == 0 || gain_bound_prunes(chosen_.size() + 1, left)) continue;
-      std::uint64_t key = sig;
-      for (std::size_t w = 0; w < words_; ++w) {
-        std::uint64_t bits = col[w] & uncovered_[w];
-        while (bits != 0) {
-          key ^= row_key_[w * 64 + static_cast<std::size_t>(std::countr_zero(bits))];
-          bits &= bits - 1;
-        }
-      }
-      child_sig[i] = key;
-      tt_->prefetch(key);
-    }
-    const std::size_t best_in = have_best_ ? best_.size() : kNone;
     std::uint64_t* newly = &scratch_[depth * words_];
-    for (std::size_t i = 0; i < branch.size(); ++i) {
-      const std::size_t left = uncovered_count - gained[i];
-      // Re-checked against the incumbent of this moment: an earlier
-      // sibling may have shrunk it since the pass above.
+    for (const std::uint32_t c : branch) {
+      const std::uint64_t* col = t_.column(c);
+      const std::size_t left =
+          uncovered_count - popcount_and(col, uncovered_.data(), words_);
       if (left != 0 && gain_bound_prunes(chosen_.size() + 1, left)) {
         // Counted as an expanded node, as when the child checked the
         // bound itself, so node counts and truncation do not move.
         if (budget_.charge()) break;
         continue;
       }
-      const std::uint32_t c = branch[i];
-      const std::uint64_t* col = t_.column(c);
       for (std::size_t w = 0; w < words_; ++w) {
         newly[w] = col[w] & uncovered_[w];
         uncovered_[w] ^= newly[w];
       }
       chosen_.push_back(c);
-      recurse(left, depth + 1, child_sig != nullptr ? child_sig[i] : 0, at);
+      recurse(left, depth + 1, at);
       chosen_.pop_back();
       for (std::size_t w = 0; w < words_; ++w) uncovered_[w] |= newly[w];
       if (budget_.exhausted()) break;
-    }
-    if (tt_ != nullptr) {
-      // Incumbent deltas certify this subtree: every completion pruned
-      // inside it had size >= the incumbent of its moment, so a fully
-      // explored subtree that improved to v* proves cost == v* - g, one
-      // that never improved proves cost >= best_in - g, and a truncated
-      // subtree that improved witnesses cost <= v* - g.
-      const std::size_t g = chosen_.size();
-      const std::size_t best_out = have_best_ ? best_.size() : kNone;
-      if (!budget_.exhausted()) {
-        if (best_out < best_in) {
-          tt_->store(sig, search::Bound::kExact,
-                     static_cast<std::uint32_t>(best_out - g));
-        } else if (best_in != kNone) {
-          tt_->store(sig, search::Bound::kLower,
-                     static_cast<std::uint32_t>(best_in - g));
-        }
-      } else if (best_out < best_in) {
-        tt_->store(sig, search::Bound::kUpper,
-                   static_cast<std::uint32_t>(best_out - g));
-      }
     }
   }
 
@@ -417,7 +332,6 @@ class Solver {
   std::size_t words_;
   std::size_t col_words_;
   search::NodeBudget budget_;
-  search::TranspositionTable* tt_;
   std::size_t root_lb_ = 0;
   std::vector<std::uint64_t> uncovered_;
   std::vector<std::uint64_t> col_mask_;
@@ -426,10 +340,6 @@ class Solver {
   std::vector<std::vector<std::uint32_t>> row_col_list_;
   std::vector<std::size_t> row_order_;
   std::vector<std::uint64_t> scratch_;   ///< per-depth newly-covered words
-  std::vector<std::uint32_t> gained_;    ///< per-depth child gains
-  std::vector<std::uint64_t> child_sigs_;  ///< per-depth child memo keys
-  std::size_t child_stride_ = 0;         ///< longest row_col_list_ entry
-  std::vector<std::uint64_t> row_key_;   ///< per-row Zobrist keys
   std::size_t max_col_gain_ = 1;
   std::vector<std::size_t> chosen_;
   std::vector<std::size_t> best_;
@@ -438,34 +348,9 @@ class Solver {
 
 }  // namespace
 
-MinCoverResult solve_min_cover(const CoverTable& table, std::size_t node_budget,
-                               search::TranspositionTable* tt) {
-  return Solver(table, node_budget, tt).run();
-}
-
-std::uint64_t cover_root_signature(const CoverTable& table) {
-  std::uint64_t h = search::hash_mix(table.num_rows(), table.num_cols());
-  if (table.num_cols() > 0) {
-    // Columns are contiguous in the packed store: one pass hashes all.
-    h = search::hash_mix(
-        h, search::hash_words(table.column(0), table.num_cols() * table.words()));
-  }
-  return h;
-}
-
-std::uint64_t cover_node_signature(std::uint64_t root_signature,
-                                   const std::uint64_t* uncovered,
-                                   std::size_t words) {
-  std::uint64_t sig = root_signature;
-  for (std::size_t w = 0; w < words; ++w) {
-    std::uint64_t bits = uncovered[w];
-    while (bits != 0) {
-      sig ^= row_key(root_signature,
-                     w * 64 + static_cast<std::size_t>(std::countr_zero(bits)));
-      bits &= bits - 1;
-    }
-  }
-  return sig;
+MinCoverResult solve_min_cover(const CoverTable& table,
+                               std::size_t node_budget) {
+  return Solver(table, node_budget).run();
 }
 
 std::optional<std::vector<std::size_t>> greedy_cover(const CoverTable& table) {

@@ -20,8 +20,6 @@
 #include <optional>
 #include <vector>
 
-#include "search/search.hpp"
-
 namespace seance::logic {
 
 /// Column-major packed incidence matrix: bit r of column c's bitset is
@@ -75,8 +73,7 @@ struct MinCoverResult {
   /// Certified lower bound on the minimum cover size.  Equals
   /// `columns.size()` when `exact`; on budget overrun it is the
   /// deterministic root bound (forced columns + ceil(uncovered rows /
-  /// best column gain)) — never derived from transposition-table
-  /// warmth, so reports stay byte-identical across batch schedules.
+  /// best column gain)).
   /// Zero (vacuous) when the table is uncoverable.
   std::size_t lower_bound = 0;
 };
@@ -84,38 +81,15 @@ struct MinCoverResult {
 /// Minimum-cardinality set cover by reduction + branch and bound with a
 /// node budget.  An empty table (no rows) yields an empty exact cover.
 ///
-/// `tt` (optional) memoizes subproblem bounds across calls: nodes whose
-/// certified completion bound cannot strictly improve the incumbent are
-/// pruned.  A warm table can change `nodes` but never the returned
-/// columns of a search that completes within budget; with `tt ==
-/// nullptr` the traversal is node-for-node identical to the
-/// memoization-free engine.  Once a node picks its branching row, one
-/// pass over the row's columns counts each child's gain.  The gain bound
-/// is applied at the parent from those counts: a child it rejects is
-/// charged as a node but never entered, so only children that pass the
-/// bound probe.  With a memo the same pass keys every non-leaf child the
-/// bound does not already reject and prefetches its home slot, so each
-/// probe finds its line already on the way.  A child's key is its
-/// parent's XOR the row keys of the rows it covers (see
-/// `cover_node_signature`), so no node hashes a bitset.
-[[nodiscard]] MinCoverResult solve_min_cover(
-    const CoverTable& table, std::size_t node_budget,
-    search::TranspositionTable* tt = nullptr);
-
-/// Transposition-table signature of a whole table (mixes dimensions and
-/// every packed column word).  Exposed for the bound-soundness audit in
-/// tests/test_search_property.cpp.
-[[nodiscard]] std::uint64_t cover_root_signature(const CoverTable& table);
-
-/// Signature of the subproblem "cover exactly the rows set in
-/// `uncovered` (table.words() packed words) using any columns": a
-/// Zobrist key, `root_signature` XOR `hash_mix(root_signature, r)` over
-/// every set row r.  Covering rows XORs their keys out, which is how the
-/// search keys a child from its parent in time linear in the rows the
-/// child covers.
-[[nodiscard]] std::uint64_t cover_node_signature(std::uint64_t root_signature,
-                                                 const std::uint64_t* uncovered,
-                                                 std::size_t words);
+/// The search keeps no memo.  Most of its time goes to the charts that
+/// spend the whole budget, and on those a transposition table cost two
+/// to three times the search time without lowering the golden corpus's
+/// summed gates.  Once a node picks its branching
+/// row, each child's gain is counted from the packed bitsets and the
+/// gain bound is applied at the parent: a child it rejects is charged
+/// as a node but never entered.
+[[nodiscard]] MinCoverResult solve_min_cover(const CoverTable& table,
+                                             std::size_t node_budget);
 
 /// Greedy set cover over the same packed table: repeatedly take the
 /// column covering the most still-uncovered rows (lowest index on ties).

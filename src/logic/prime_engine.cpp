@@ -182,10 +182,12 @@ std::optional<std::vector<std::uint64_t>> sharp_prime_words(
   // absorbed iff some entry of near[b] contains its parent c.  That is
   // the set query "does some kept cube contain the fragment", asked in
   // fragment order, so the antichain evolves exactly as under a sweep
-  // over the kept cubes.  Nested cubes keep the smaller one first (a
-  // fragment inside a kept cube is never added), so only survivors
-  // absorb; the entries of accepted fragments keep the query whole
-  // without leaning on that order.
+  // over the kept cubes.  Only survivors get entries.  An accepted
+  // fragment's entry would be its parent c, which contains a later
+  // fragment at the same bit only if that fragment's parent lies inside
+  // c; nested cubes keep the smaller one first (a fragment inside a kept
+  // cube is never added), so such an entry could never absorb, yet every
+  // later fragment at its bit would scan it.
   std::array<std::vector<SharpCube>, kMaxVars> near;
   std::vector<SharpCube> cubes{{0u, 0u}};
   std::vector<SharpCube> split;
@@ -235,12 +237,11 @@ std::optional<std::vector<std::uint64_t>> sharp_prime_words(
       }
       cubes.resize(kept);
       // A fragment sits inside its parent, so no surviving cube can be
-      // inside a fragment; only fragments need testing, against
-      // survivors and earlier-accepted fragments.
+      // inside a fragment; only fragments need testing.
       for (const SharpCube& c : split) {
         for (std::uint32_t bits = ocare & ~c.care; bits != 0; bits &= bits - 1) {
           const std::uint32_t b = bits & (0u - bits);
-          std::vector<SharpCube>& absorbers =
+          const std::vector<SharpCube>& absorbers =
               near[static_cast<std::size_t>(std::countr_zero(b))];
           const bool absorbed =
               std::any_of(absorbers.begin(), absorbers.end(), [&](SharpCube k) {
@@ -253,7 +254,6 @@ std::optional<std::vector<std::uint64_t>> sharp_prime_words(
             continue;
           }
           cubes.push_back(fragment);
-          absorbers.push_back(c);
         }
       }
     }

@@ -35,8 +35,7 @@ Cover all_primes_cover(int num_vars, std::span<const Minterm> on,
 
 Cover select_cover(int num_vars, std::span<const Minterm> on,
                    std::span<const Minterm> dc, CoverStats* stats,
-                   std::size_t exact_node_budget,
-                   search::TranspositionTable* tt) {
+                   std::size_t exact_node_budget) {
   const std::vector<Minterm> on_sorted = dedup(on);
 
   // Primes restricted to the ON-set plus the prime×minterm incidence,
@@ -126,14 +125,13 @@ Cover select_cover(int num_vars, std::span<const Minterm> on,
       for (std::uint32_t r : cand_rows[c]) candidates.set(r, c);
     }
     // Root bound for any path that does not prove: each further cube
-    // covers at most max_gain of the remaining rows.  Deterministic (no
-    // transposition-table input), so reports never depend on warmth.
+    // covers at most max_gain of the remaining rows.
     residual_lb = (num_rows + max_gain - 1) / max_gain;
 
     bool solved = false;
     if (num_rows * cand_ids.size() <= kExactCellLimit) {
       const MinCoverResult result =
-          solve_min_cover(candidates, exact_node_budget, tt);
+          solve_min_cover(candidates, exact_node_budget);
       residual_lb = std::max(residual_lb, result.lower_bound);
       if (result.found) {
         // A budget overrun with a valid incumbent still uses it — only

@@ -13,11 +13,11 @@
 
 #pragma once
 
+#include <cstddef>
 #include <span>
 #include <vector>
 
 #include "logic/cube.hpp"
-#include "search/search.hpp"
 
 namespace seance::logic {
 
@@ -78,15 +78,10 @@ inline constexpr std::size_t kExactCellLimit = 524'288;
 /// cover found so far is kept (see CoverStats::exact), and greedy fills
 /// in only when no complete cover was reached at all or the reduced chart
 /// exceeds kExactCellLimit cells.
-///
-/// `tt` (optional) memoizes covering-chart subproblem bounds across
-/// calls; the caller decides how long entries live (core::synthesize
-/// scopes them to one synthesis — see its purity contract).
 [[nodiscard]] Cover select_cover(
     int num_vars, std::span<const Minterm> on, std::span<const Minterm> dc,
     CoverStats* stats = nullptr,
-    std::size_t exact_node_budget = kDefaultExactNodeBudget,
-    search::TranspositionTable* tt = nullptr);
+    std::size_t exact_node_budget = kDefaultExactNodeBudget);
 
 /// Every prime implicant that covers at least one ON-set minterm (paper's
 /// reduction for fsv, step 7): hazard-free for single-input changes.

@@ -4,14 +4,17 @@
 #include <map>
 #include <stdexcept>
 #include <string>
+#include <string_view>
+#include <unordered_map>
 #include <vector>
 
 namespace seance::netlist {
 
 namespace {
 
+/// A token is a view into the parsed text, which outlives the parse.
 struct Token {
-  std::string text;
+  std::string_view text;
   int line = 0;
 };
 
@@ -31,7 +34,7 @@ bool is_ident_char(char c) {
 
 /// Identifiers, the two constant literals, and single-character
 /// punctuation; `//` comments run to end of line.
-std::vector<Token> tokenize(const std::string& text) {
+std::vector<Token> tokenize(std::string_view text) {
   std::vector<Token> tokens;
   int line = 1;
   std::size_t i = 0;
@@ -72,7 +75,7 @@ std::vector<Token> tokenize(const std::string& text) {
     switch (c) {
       case '(': case ')': case ',': case ';': case '=': case '~':
       case '&': case '|':
-        tokens.push_back({std::string(1, c), line});
+        tokens.push_back({text.substr(i, 1), line});
         ++i;
         break;
       default:
@@ -97,15 +100,18 @@ class Parser {
     ++pos_;
     return t;
   }
-  Token expect(const std::string& text) {
+  Token expect(std::string_view text) {
     const Token t = next();
-    if (t.text != text) fail(t.line, "expected '" + text + "', got '" + t.text + "'");
+    if (t.text != text) {
+      fail(t.line, "expected '" + std::string(text) + "', got '" +
+                       std::string(t.text) + "'");
+    }
     return t;
   }
   Token expect_ident() {
     const Token t = next();
     if (t.text.empty() || !is_ident_start(t.text[0])) {
-      fail(t.line, "expected an identifier, got '" + t.text + "'");
+      fail(t.line, "expected an identifier, got '" + std::string(t.text) + "'");
     }
     return t;
   }
@@ -119,7 +125,7 @@ class Parser {
 };
 
 /// n<digits> -> index, or -1 when the name is not an internal wire.
-int wire_index(const std::string& name) {
+int wire_index(std::string_view name) {
   if (name.size() < 2 || name[0] != 'n') return -1;
   long value = 0;
   for (std::size_t i = 1; i < name.size(); ++i) {
@@ -132,6 +138,7 @@ int wire_index(const std::string& name) {
 }
 
 struct ParsedAssign {
+  Token lhs;
   GateKind kind = GateKind::kBuf;
   bool const_value = false;
   std::vector<Token> fanin;  ///< operand identifiers, unresolved
@@ -167,10 +174,10 @@ ParsedAssign parse_rhs(Parser& p) {
     return a;
   }
   if (t.text.empty() || !is_ident_start(t.text[0])) {
-    fail(t.line, "expected an operand, got '" + t.text + "'");
+    fail(t.line, "expected an operand, got '" + std::string(t.text) + "'");
   }
   a.fanin.push_back(t);
-  const std::string op = p.peek().text;
+  const std::string_view op = p.peek().text;
   if (op == "&" || op == "|") {
     a.kind = op == "&" ? GateKind::kAnd : GateKind::kOr;
     while (p.peek().text == op) {
@@ -186,6 +193,11 @@ ParsedAssign parse_rhs(Parser& p) {
   p.expect(";");
   return a;
 }
+
+struct Wire {
+  Token name;
+  int index = 0;
+};
 
 }  // namespace
 
@@ -203,7 +215,8 @@ Netlist parse_verilog(const std::string& text) {
       const Token dir = p.next();
       const bool is_input = dir.text == "input";
       if (!is_input && dir.text != "output") {
-        fail(dir.line, "expected 'input' or 'output', got '" + dir.text + "'");
+        fail(dir.line, "expected 'input' or 'output', got '" +
+                           std::string(dir.text) + "'");
       }
       if (p.peek().text == "wire") p.expect("wire");
       const Token name = p.expect_ident();
@@ -217,9 +230,12 @@ Netlist parse_verilog(const std::string& text) {
 
   // Body: wire declarations and assigns, in any order (to_verilog emits
   // all wires first, but feedback means assigns reference wires declared
-  // anywhere, so collect everything before building).
-  std::map<int, Token> wires;                 // index -> declaration token
-  std::map<std::string, ParsedAssign> assigns;  // lhs name -> rhs
+  // anywhere, so collect everything before building).  Duplicates are
+  // caught as they are read: wires by index, assigns by spelling.
+  std::vector<Wire> wires;  // declaration order
+  std::vector<bool> wire_declared;  // by index
+  std::vector<ParsedAssign> assigns;  // declaration order
+  std::unordered_map<std::string_view, std::size_t> assign_of;  // lhs -> position
   while (p.peek().text != "endmodule") {
     const Token t = p.next();
     if (t.text == "wire") {
@@ -227,12 +243,16 @@ Netlist parse_verilog(const std::string& text) {
         const Token name = p.expect_ident();
         const int index = wire_index(name.text);
         if (index < 0) {
-          fail(name.line, "wire '" + name.text +
+          fail(name.line, "wire '" + std::string(name.text) +
                               "' is not of the internal form n<index>");
         }
-        if (!wires.emplace(index, name).second) {
-          fail(name.line, "duplicate wire '" + name.text + "'");
+        const auto i = static_cast<std::size_t>(index);
+        if (i >= wire_declared.size()) wire_declared.resize(i + 1);
+        if (wire_declared[i]) {
+          fail(name.line, "duplicate wire '" + std::string(name.text) + "'");
         }
+        wire_declared[i] = true;
+        wires.push_back({name, index});
         if (p.peek().text != ",") break;
         p.expect(",");
       }
@@ -241,12 +261,15 @@ Netlist parse_verilog(const std::string& text) {
       const Token lhs = p.expect_ident();
       p.expect("=");
       ParsedAssign rhs = parse_rhs(p);
-      if (!assigns.emplace(lhs.text, std::move(rhs)).second) {
-        fail(lhs.line, "duplicate assignment to '" + lhs.text + "'");
+      rhs.lhs = lhs;
+      if (!assign_of.emplace(lhs.text, assigns.size()).second) {
+        fail(lhs.line,
+             "duplicate assignment to '" + std::string(lhs.text) + "'");
       }
+      assigns.push_back(std::move(rhs));
     } else {
       fail(t.line, "expected 'wire', 'assign' or 'endmodule', got '" +
-                       t.text + "'");
+                       std::string(t.text) + "'");
     }
   }
   p.expect("endmodule");
@@ -254,66 +277,89 @@ Netlist parse_verilog(const std::string& text) {
 
   // Net numbering: wires keep their emitted indices; input ports fill the
   // remaining slots in declaration order (to_verilog lists inputs in net
-  // order, so this reconstructs the original indices exactly).
+  // order, so this reconstructs the original indices exactly).  Of the
+  // wires past the end, the lowest index is reported.
   const int total = static_cast<int>(wires.size() + input_ports.size());
-  for (const auto& [index, token] : wires) {
-    if (index >= total) {
-      fail(token.line, "wire '" + token.text + "' leaves a gap: " +
-                           std::to_string(total) +
-                           " nets declared but index " +
-                           std::to_string(index) + " used");
-    }
+  const Wire* gap = nullptr;
+  for (const Wire& w : wires) {
+    if (w.index >= total && (gap == nullptr || w.index < gap->index)) gap = &w;
   }
-  std::map<std::string, int> net_of;  // identifier -> net index
+  if (gap != nullptr) {
+    fail(gap->name.line, "wire '" + std::string(gap->name.text) +
+                             "' leaves a gap: " + std::to_string(total) +
+                             " nets declared but index " +
+                             std::to_string(gap->index) + " used");
+  }
+  std::vector<const Wire*> wire_at(static_cast<std::size_t>(total), nullptr);
+  for (const Wire& w : wires) wire_at[static_cast<std::size_t>(w.index)] = &w;
+
+  std::map<std::string_view, int> input_net;
   std::vector<Gate> gates(static_cast<std::size_t>(total));
   std::size_t next_input = 0;
   for (int i = 0; i < total; ++i) {
-    if (wires.count(i) != 0) continue;
+    if (wire_at[static_cast<std::size_t>(i)] != nullptr) continue;
     if (next_input >= input_ports.size()) {
       fail(p.last_line(), "net n" + std::to_string(i) +
                               " is neither a declared wire nor covered by "
                               "an input port");
     }
     const Token& port = input_ports[next_input++];
-    if (!net_of.emplace(port.text, i).second) {
-      fail(port.line, "duplicate input port '" + port.text + "'");
+    if (!input_net.emplace(port.text, i).second) {
+      fail(port.line, "duplicate input port '" + std::string(port.text) + "'");
     }
     gates[static_cast<std::size_t>(i)] =
-        Gate{GateKind::kInput, false, {}, port.text};
+        Gate{GateKind::kInput, false, {}, std::string(port.text)};
   }
   // total = wires + inputs and every free slot consumed one input, so all
   // input ports are placed; wires resolve by their own spelling.
-  for (const auto& [index, token] : wires) {
-    if (!net_of.emplace(token.text, index).second) {
-      fail(token.line, "wire '" + token.text + "' collides with an input port");
+  for (const Wire* w : wire_at) {
+    if (w != nullptr && input_net.count(w->name.text) != 0) {
+      fail(w->name.line, "wire '" + std::string(w->name.text) +
+                             "' collides with an input port");
     }
   }
 
   const auto resolve = [&](const Token& ident) {
-    const auto it = net_of.find(ident.text);
-    if (it == net_of.end()) {
-      fail(ident.line, "unknown identifier '" + ident.text + "'");
+    const int index = wire_index(ident.text);
+    if (index >= 0 && index < total) {
+      const Wire* w = wire_at[static_cast<std::size_t>(index)];
+      if (w != nullptr && w->name.text == ident.text) return index;
+    }
+    const auto it = input_net.find(ident.text);
+    if (it == input_net.end()) {
+      fail(ident.line, "unknown identifier '" + std::string(ident.text) + "'");
     }
     return it->second;
   };
 
+  // Looks up the assign to `name` and marks it as placed.
+  std::vector<bool> landed(assigns.size());
+  const auto take_assign = [&](std::string_view name) -> const ParsedAssign* {
+    const auto it = assign_of.find(name);
+    if (it == assign_of.end()) return nullptr;
+    landed[it->second] = true;
+    return &assigns[it->second];
+  };
+
   // Gate definitions: every wire needs exactly one assign.
   std::map<std::string, int> outputs;
-  for (const auto& [index, token] : wires) {
-    const auto it = assigns.find(token.text);
-    if (it == assigns.end()) {
-      fail(token.line, "wire '" + token.text + "' is never assigned");
+  for (int index = 0; index < total; ++index) {
+    const Wire* w = wire_at[static_cast<std::size_t>(index)];
+    if (w == nullptr) continue;
+    const ParsedAssign* a = take_assign(w->name.text);
+    if (a == nullptr) {
+      fail(w->name.line,
+           "wire '" + std::string(w->name.text) + "' is never assigned");
     }
-    const ParsedAssign& a = it->second;
     Gate& g = gates[static_cast<std::size_t>(index)];
-    g.kind = a.kind;
-    g.const_value = a.const_value;
-    for (const Token& operand : a.fanin) {
+    g.kind = a->kind;
+    g.const_value = a->const_value;
+    for (const Token& operand : a->fanin) {
       const int fanin = resolve(operand);
-      if (fanin >= index && a.kind != GateKind::kBuf) {
-        fail(a.line, "feedback into '" + token.text +
-                         "' through a non-buffer gate — only plain-copy "
-                         "assigns may reference later wires");
+      if (fanin >= index && a->kind != GateKind::kBuf) {
+        fail(a->line, "feedback into '" + std::string(w->name.text) +
+                          "' through a non-buffer gate — only plain-copy "
+                          "assigns may reference later wires");
       }
       g.fanin.push_back(fanin);
     }
@@ -321,32 +367,33 @@ Netlist parse_verilog(const std::string& text) {
 
   // Output bindings: `assign o_<name> = <net>;`, one per output port.
   for (const Token& port : output_ports) {
-    const auto it = assigns.find(port.text);
-    if (it == assigns.end()) {
-      fail(port.line, "output port '" + port.text + "' is never assigned");
+    const std::string name(port.text);
+    const ParsedAssign* a = take_assign(port.text);
+    if (a == nullptr) {
+      fail(port.line, "output port '" + name + "' is never assigned");
     }
-    const ParsedAssign& a = it->second;
-    if (a.kind != GateKind::kBuf || a.fanin.size() != 1) {
-      fail(a.line, "output port '" + port.text +
-                       "' must be bound to a single net");
+    if (a->kind != GateKind::kBuf || a->fanin.size() != 1) {
+      fail(a->line, "output port '" + name + "' must be bound to a single net");
     }
-    if (port.text.rfind("o_", 0) != 0 || port.text.size() <= 2) {
-      fail(port.line, "output port '" + port.text +
+    if (!port.text.starts_with("o_") || port.text.size() <= 2) {
+      fail(port.line, "output port '" + name +
                           "' lacks the o_<name> prefix to_verilog emits");
     }
-    if (!outputs.emplace(port.text.substr(2), resolve(a.fanin[0])).second) {
-      fail(port.line, "duplicate output '" + port.text + "'");
+    if (!outputs.emplace(name.substr(2), resolve(a->fanin[0])).second) {
+      fail(port.line, "duplicate output '" + name + "'");
     }
   }
-  // Every assign must have landed as a gate definition or output binding.
-  for (const auto& [lhs, a] : assigns) {
-    const bool is_wire = net_of.count(lhs) != 0 && wires.count(net_of.at(lhs)) != 0;
-    bool is_output = false;
-    for (const Token& port : output_ports) is_output |= port.text == lhs;
-    if (!is_wire && !is_output) {
-      fail(a.line, "assignment to '" + lhs +
-                       "', which is neither a wire nor an output port");
+  // Every assign must have landed as a gate definition or output binding;
+  // of those that did not, the first in spelling order is reported.
+  const ParsedAssign* stray = nullptr;
+  for (std::size_t i = 0; i < assigns.size(); ++i) {
+    if (!landed[i] && (stray == nullptr || assigns[i].lhs.text < stray->lhs.text)) {
+      stray = &assigns[i];
     }
+  }
+  if (stray != nullptr) {
+    fail(stray->line, "assignment to '" + std::string(stray->lhs.text) +
+                          "', which is neither a wire nor an output port");
   }
 
   try {

@@ -64,30 +64,6 @@ std::uint64_t fnv64(const void* data, std::size_t len) {
   return h;
 }
 
-std::uint64_t hash_words(const std::uint64_t* words, std::size_t count) {
-  // The words' little-endian bytes, whatever the host byte order.
-  std::uint64_t h = kFnvBasis;
-  for (std::size_t i = 0; i < count; ++i) {
-    for (int b = 0; b < 8; ++b) {
-      h ^= (words[i] >> (8 * b)) & 0xff;
-      h *= kFnvPrime;
-    }
-  }
-  return h;
-}
-
-std::uint64_t hash_u64(std::uint64_t x) {
-  // splitmix64 finalizer.
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
-}
-
-std::uint64_t hash_mix(std::uint64_t a, std::uint64_t b) {
-  return hash_u64(a ^ (b + 0x9e3779b97f4a7c15ull + (a << 6) + (a >> 2)));
-}
-
 std::size_t TranspositionTable::slot_count_for(std::size_t bytes) {
   // slots * 2 * sizeof(Slot) <= bytes, divided through: the product
   // wraps near SIZE_MAX, and the doubling would then never end.

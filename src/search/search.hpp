@@ -23,13 +23,17 @@
 ///
 ///  * `NodeBudget` — the single budget-accounting convention
 ///    (`++nodes > budget` charges and truncates; `nodes <= budget`
-///    after the search means the result is a proof).
+///    after the search means the result is a proof). All three engines
+///    charge it.
 ///  * `TranspositionTable` — a bounded open-addressed memo over
 ///    64-bit signatures of reduced subproblems, storing a
 ///    `Bound{None,Lower,Upper,Exact}` kind plus a value (the
-///    additional cost to complete from that subproblem). Engines
+///    additional cost to complete from that subproblem). The two
+///    memoized engines, `minimize::reduce` and `assign::assign_ustt`,
 ///    consult it before expanding a node and prune subtrees whose
-///    certified lower bound cannot strictly improve the incumbent.
+///    certified lower bound cannot strictly improve the incumbent. The
+///    cover engine keeps no memo: on its budget-truncated charts the
+///    probes cost more time than they saved, and bought no gates.
 ///
 /// Soundness contract: a `Lower`/`Upper`/`Exact` entry must bracket the
 /// true optimal completion cost of the subproblem it keys, regardless
@@ -86,19 +90,22 @@ inline std::uint64_t fnv64(std::string_view bytes) {
   return fnv64(bytes.data(), bytes.size());
 }
 
-/// FNV-1a over a packed word array: the same value as `fnv64` over the
-/// words' little-endian bytes.  It hashes a whole cover table once per
-/// chart (`logic::cover_root_signature`); search nodes are keyed
-/// incrementally and never hash a bitset.
-std::uint64_t hash_words(const std::uint64_t* words, std::size_t count);
-
 /// Finalizing scramble of a single word (splitmix64 tail). Used to
 /// derive well-distributed per-element hashes that are then combined
 /// commutatively (plain sum) for order-independent set signatures.
-std::uint64_t hash_u64(std::uint64_t x);
+/// Memo keys are built from it and `hash_mix`, so their values are
+/// result-relevant (tests/test_search.cpp pins them).
+inline std::uint64_t hash_u64(std::uint64_t x) {
+  x += 0x9e3779b97f4a7c15ull;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
+  return x ^ (x >> 31);
+}
 
 /// Order-dependent combine of two hashes.
-std::uint64_t hash_mix(std::uint64_t a, std::uint64_t b);
+inline std::uint64_t hash_mix(std::uint64_t a, std::uint64_t b) {
+  return hash_u64(a ^ (b + 0x9e3779b97f4a7c15ull + (a << 6) + (a >> 2)));
+}
 
 struct TtStats {
   std::uint64_t hits = 0;

@@ -1,6 +1,7 @@
-// Malformed-input gauntlet: hostile and truncated KISS2 text and
-// ill-formed STGs must surface as clean std::exception errors — never a
-// crash, a silent drop, or undefined behaviour.  This test is labeled
+// Malformed-input gauntlet: hostile and truncated KISS2 text, ill-formed
+// STGs and malformed structural Verilog must surface as clean
+// std::exception errors — never a crash, a silent drop, or undefined
+// behaviour.  This test is labeled
 // `fast`, so the ASan/UBSan CI leg runs every case under the sanitizers;
 // the shift-width and overflow hazards it probes (a 33rd STG signal, a
 // 17th input) are exactly the ones that would only show up there.
@@ -11,6 +12,7 @@
 #include <string>
 
 #include "flowtable/kiss.hpp"
+#include "netlist/verilog.hpp"
 #include "stg/stg.hpp"
 
 namespace seance {
@@ -276,6 +278,95 @@ TEST(MalformedStg, WellFormedHandshakeStillConverts) {
   EXPECT_TRUE(stg::parallel_join().validate(&why)) << why;
   const flowtable::FlowTable t = stg::four_phase_handshake().to_flow_table();
   EXPECT_GE(t.num_states(), 2);
+}
+
+// -------------------------------------------------------------- Verilog
+
+TEST(MalformedVerilog, EveryDiagnosticIsPinned) {
+  // One case per diagnostic, byte for byte: the message names the line
+  // and the offending token.  Where several problems are present, the
+  // first in reading order wins; past the parse, the lowest gap index
+  // and the first stray assignment in spelling order are the ones named.
+  const std::string kHead =
+      "module m (input wire a, input wire b, output wire o_F);\n";
+  const struct {
+    std::string text;
+    std::string message;
+  } cases[] = {
+      {"",
+       "parse_verilog: line 1: unexpected end of input"},
+      {"modul m ();",
+       "parse_verilog: line 1: expected 'module', got 'modul'"},
+      {"module 1'b0 (input wire a);\nendmodule\n",
+       "parse_verilog: line 1: expected an identifier, got '1'b0'"},
+      {"module m (inout wire a);\nendmodule\n",
+       "parse_verilog: line 1: expected 'input' or 'output', got 'inout'"},
+      {"module m (input wire a;\nendmodule\n",
+       "parse_verilog: line 1: expected ')', got ';'"},
+      {"module m ();\nendmodule\nextra\n",
+       "parse_verilog: line 3: trailing input after endmodule"},
+      {kHead + "  wire n2;\n  assign n2 = a + b;\n  assign o_F = n2;\nendmodule\n",
+       "parse_verilog: line 3: unexpected character '+'"},
+      {kHead + "  wire x1;\nendmodule\n",
+       "parse_verilog: line 2: wire 'x1' is not of the internal form n<index>"},
+      {kHead + "  wire n2, n2;\nendmodule\n",
+       "parse_verilog: line 2: duplicate wire 'n2'"},
+      {kHead + "  wire n2;\n  wire n02;\nendmodule\n",
+       "parse_verilog: line 3: duplicate wire 'n02'"},
+      {kHead + "  wire n2;\n  assign n2 = a;\n  assign n2 = b;\nendmodule\n",
+       "parse_verilog: line 4: duplicate assignment to 'n2'"},
+      {kHead + "  wire n2;\n  assign n02 = a;\n  assign n02 = b;\nendmodule\n",
+       "parse_verilog: line 4: duplicate assignment to 'n02'"},
+      {kHead + "  reg n2;\nendmodule\n",
+       "parse_verilog: line 2: expected 'wire', 'assign' or 'endmodule', got 'reg'"},
+      {kHead + "  wire n2;\n  assign n2 = 1'b2;\n  assign o_F = n2;\nendmodule\n",
+       "parse_verilog: line 3: expected an operand, got '1'b2'"},
+      {kHead + "  wire n2;\n  assign n2 = ~(a | );\n  assign o_F = n2;\nendmodule\n",
+       "parse_verilog: line 3: expected an identifier, got ')'"},
+      {kHead + "  wire n2;\n  assign n2 = a & b | a;\n  assign o_F = n2;\nendmodule\n",
+       "parse_verilog: line 3: mixed '&'/'|' without parentheses"},
+      {kHead + "  wire n2;\n  assign n2 = a b;\n  assign o_F = n2;\nendmodule\n",
+       "parse_verilog: line 3: expected ';', got 'b'"},
+      {kHead + "  wire n5;\n  assign n5 = a;\n  assign o_F = n5;\nendmodule\n",
+       "parse_verilog: line 2: wire 'n5' leaves a gap: 3 nets declared but index 5 used"},
+      {kHead + "  wire n9;\n  wire n7;\n  wire n2;\nendmodule\n",
+       "parse_verilog: line 3: wire 'n7' leaves a gap: 5 nets declared but index 7 used"},
+      {kHead + "  wire n99999999;\nendmodule\n",
+       "parse_verilog: line 2: wire 'n99999999' is not of the internal form n<index>"},
+      {kHead + "  wire n9999999, n9999999;\nendmodule\n",
+       "parse_verilog: line 2: duplicate wire 'n9999999'"},
+      {"module m (input wire a, input wire a, output wire o_F);\n  wire n2;\n  assign n2 = a;\n  assign o_F = n2;\nendmodule\n",
+       "parse_verilog: line 1: duplicate input port 'a'"},
+      {"module m (input wire n0, output wire o_F);\n  wire n0;\n  assign n0 = n0;\n  assign o_F = n0;\nendmodule\n",
+       "parse_verilog: line 2: wire 'n0' collides with an input port"},
+      {kHead + "  wire n2;\n  assign n2 = nope;\n  assign o_F = n2;\nendmodule\n",
+       "parse_verilog: line 3: unknown identifier 'nope'"},
+      {kHead + "  wire n2;\n  assign o_F = n2;\nendmodule\n",
+       "parse_verilog: line 2: wire 'n2' is never assigned"},
+      {kHead + "  wire n2, n3;\n  assign n2 = a & n3;\n  assign n3 = n2;\n  assign o_F = n2;\nendmodule\n",
+       "parse_verilog: line 3: feedback into 'n2' through a non-buffer gate — only plain-copy assigns may reference later wires"},
+      {kHead + "  wire n2;\n  assign n2 = a;\nendmodule\n",
+       "parse_verilog: line 1: output port 'o_F' is never assigned"},
+      {kHead + "  wire n2;\n  assign n2 = a;\n  assign o_F = a & b;\nendmodule\n",
+       "parse_verilog: line 4: output port 'o_F' must be bound to a single net"},
+      {"module m (input wire a, output wire F);\n  wire n1;\n  assign n1 = a;\n  assign F = n1;\nendmodule\n",
+       "parse_verilog: line 1: output port 'F' lacks the o_<name> prefix to_verilog emits"},
+      {"module m (input wire a, output wire o_F, output wire o_F);\n  wire n1;\n  assign n1 = a;\n  assign o_F = n1;\nendmodule\n",
+       "parse_verilog: line 1: duplicate output 'o_F'"},
+      {kHead + "  wire n2;\n  assign n2 = a;\n  assign zz = a;\n  assign bb = a;\n  assign o_F = n2;\nendmodule\n",
+       "parse_verilog: line 5: assignment to 'bb', which is neither a wire nor an output port"},
+      {kHead + "  wire n2;\n  assign n2 = a;\n  assign n9999999 = b;\n  assign n3 = b;\n  assign o_F = n2;\nendmodule\n",
+       "parse_verilog: line 5: assignment to 'n3', which is neither a wire nor an output port"},
+      {kHead + "  wire n2;\n  assign n2 = a;\n  assign n02 = b;\n  assign o_F = n2;\nendmodule\n",
+       "parse_verilog: line 4: assignment to 'n02', which is neither a wire nor an output port"},
+      {kHead + "  wire n02;\n  assign n2 = a;\n  assign o_F = n02;\nendmodule\n",
+       "parse_verilog: line 2: wire 'n02' is never assigned"},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.text);
+    EXPECT_EQ(error_of([&] { (void)netlist::parse_verilog(c.text); }),
+              c.message);
+  }
 }
 
 }  // namespace

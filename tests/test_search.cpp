@@ -5,8 +5,6 @@
 
 #include "search/search.hpp"
 
-#include "logic/cover_engine.hpp"
-
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -113,12 +111,6 @@ TEST(Hashing, DeterministicAndInputSensitive) {
   EXPECT_EQ(fnv64("a"), 0x44bd8ad473cd9906ull);
   EXPECT_EQ(fnv64(a, 3), fnv64("abc"));
 
-  const std::uint64_t w1[] = {1, 2};
-  const std::uint64_t w2[] = {1, 3};
-  EXPECT_EQ(hash_words(w1, 2), hash_words(w1, 2));
-  EXPECT_NE(hash_words(w1, 2), hash_words(w2, 2));
-  EXPECT_NE(hash_words(w1, 2), hash_words(w1, 1));
-
   EXPECT_NE(hash_u64(0), 0u);
   EXPECT_NE(hash_u64(1), hash_u64(2));
   // hash_mix is order-dependent: node signatures must distinguish
@@ -127,92 +119,14 @@ TEST(Hashing, DeterministicAndInputSensitive) {
   EXPECT_EQ(hash_mix(1, 2), hash_mix(1, 2));
 }
 
-// Byte-at-a-time FNV-1a over the little-endian bytes of each word, with
-// the repo's offset basis: the definition hash_words must reproduce.
-std::uint64_t reference_hash_words(const std::vector<std::uint64_t>& words) {
-  std::uint64_t h = 1469598103934665603ull;
-  for (std::uint64_t w : words) {
-    for (int b = 0; b < 8; ++b) {
-      h ^= (w >> (8 * b)) & 0xff;
-      h *= 1099511628211ull;
-    }
-  }
-  return h;
-}
-
-TEST(Hashing, HashWordsIsByteAtATimeFnv1a) {
-  // hash_words keys the memo, so its value is result-relevant: it must
-  // stay bit-for-bit FNV-1a however it skips zero bytes.
-  const std::vector<std::uint64_t> empty;
-  EXPECT_EQ(hash_words(empty.data(), 0), 1469598103934665603ull);
-  std::mt19937_64 rng(2024);
-  for (std::size_t n = 1; n <= 64; ++n) {
-    std::vector<std::vector<std::uint64_t>> arrays;
-    arrays.emplace_back(n, 0);  // all zero
-    std::vector<std::uint64_t> sparse(n, 0);  // one set bit
-    sparse[rng() % n] = std::uint64_t{1} << (rng() % 64);
-    arrays.push_back(sparse);
-    std::vector<std::uint64_t> dense(n);  // every byte nonzero
-    for (std::uint64_t& w : dense) w = rng() | 0x0101010101010101ull;
-    arrays.push_back(dense);
-    std::vector<std::uint64_t> mixed(n);  // zero words, half-words, bytes
-    for (std::uint64_t& w : mixed) {
-      switch (rng() % 4) {
-        case 0: w = 0; break;
-        case 1: w = rng() & 0xffffffffull; break;
-        case 2: w = rng() & 0xff000000ff0000ffull; break;
-        default: w = rng(); break;
-      }
-    }
-    arrays.push_back(mixed);
-    for (const std::vector<std::uint64_t>& a : arrays) {
-      EXPECT_EQ(hash_words(a.data(), a.size()), reference_hash_words(a))
-          << "n=" << n << " first word " << a.front();
-    }
-  }
-}
-
-TEST(Hashing, CoverNodeSignatureIsPinned) {
-  // Memo keys decide probes and evictions, and through them the covers
-  // of budget-truncated searches; a change here moves golden rows.
-  logic::CoverTable table(70, 3);
-  for (std::size_t r = 0; r < 70; ++r) table.set(r, r % 3);
-  table.set(5, 1);
-  table.set(69, 0);
-  const std::uint64_t uncovered[] = {0x0000000000100001ull, 0x20ull};
-  const std::uint64_t root = logic::cover_root_signature(table);
-  EXPECT_EQ(root, 0x28c1ef5bf9ad823dull);
-  EXPECT_EQ(logic::cover_node_signature(root, uncovered, 2),
-            0x0e752aa3deb57377ull);
-}
-
-TEST(Hashing, CoverNodeSignatureIsAnXorOfRowKeys) {
-  // Node keys are Zobrist sums: the search derives a child's key from its
-  // parent's by XORing out the rows the child covers, so the signature of
-  // a set must split over any subset, and every single row must move it.
-  std::mt19937_64 rng(19);
-  for (std::size_t n = 1; n <= 40; ++n) {
-    SCOPED_TRACE(testing::Message() << n << " words");
-    const std::uint64_t root = rng();
-    std::vector<std::uint64_t> s(n), r(n), rest(n);
-    for (std::size_t w = 0; w < n; ++w) {
-      s[w] = rng() & rng();
-      r[w] = s[w] & rng();
-      rest[w] = s[w] & ~r[w];
-    }
-    const auto sig = [&](const std::vector<std::uint64_t>& set) {
-      return logic::cover_node_signature(root, set.data(), n);
-    };
-    const std::uint64_t whole = sig(s);
-    EXPECT_EQ(whole ^ sig(rest) ^ root, sig(r));
-    std::size_t unmoved = 0;
-    for (std::size_t row = 0; row < 64 * n; ++row) {
-      s[row / 64] ^= std::uint64_t{1} << (row % 64);
-      if (sig(s) == whole) ++unmoved;
-      s[row / 64] ^= std::uint64_t{1} << (row % 64);
-    }
-    EXPECT_EQ(unmoved, 0u);
-  }
+TEST(Hashing, MemoKeyMixersArePinned) {
+  // The reduce and USTT memo keys are built from these two, so their
+  // values decide probes and evictions, and through them the incumbents
+  // of budget-truncated searches.
+  EXPECT_EQ(hash_u64(0), 0xe220a8397b1dcdafull);
+  EXPECT_EQ(hash_u64(1), 0x910a2dec89025cc1ull);
+  EXPECT_EQ(hash_mix(1, 2), 0xa3efbcce2e044f84ull);
+  EXPECT_EQ(hash_mix(0xdeadbeef, 7), 0x97166ea1754bda77ull);
 }
 
 TEST(TranspositionTable, CapacityIsPowerOfTwoWithAProbeWindowFloor) {
