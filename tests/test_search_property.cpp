@@ -1,20 +1,28 @@
 // Cross-engine properties of the shared search core (the contracts
 // src/search/search.hpp promises):
 //
-//  1. Memo independence: a warm table may change node counts but never
+//  1. Bound soundness: the lower bound and the cover a cover search
+//     returns bracket the true minimum cover size, at every node budget
+//     and on every row subset of instances small enough to solve
+//     exhaustively (subset-DP oracle).  A budget-truncated search
+//     returns a valid cover whose size never rises with the budget, and
+//     its traversal is pinned, since golden rows depend on it.
+//  2. Memo independence: a warm table may change node counts but never
 //     the returned solution of a search that completes within budget —
 //     checked differentially (memo-off vs cold vs warm) for the two
 //     memoized engines, closed-cover minimization and USTT assignment.
 //     The cover engine keeps no memo, so a job whose memoized searches
 //     complete synthesizes the same machine with the memo on or off.
-//  2. Budget overrun: with the unified NodeBudget accounting, a
+//  3. Budget overrun: with the unified NodeBudget accounting, a
 //     truncated search must report exact=false in every engine (the
 //     historical PartitionSearch guard made the flag unfalsifiable).
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -41,6 +49,251 @@ logic::CoverTable cyclic_ring(std::size_t n) {
     t.set((i + 1) % n, i);
   }
   return t;
+}
+
+constexpr std::size_t kInf = std::numeric_limits<std::size_t>::max();
+
+// Deterministic random incidence table with every row coverable.
+logic::CoverTable random_table(std::size_t rows, std::size_t cols,
+                               std::uint64_t seed) {
+  logic::CoverTable t(rows, cols);
+  std::uint64_t state = seed;
+  const auto next = [&state] {
+    state = state * 6364136223846793005ull + 1442695040888963407ull;
+    return state >> 33;
+  };
+  for (std::size_t c = 0; c < cols; ++c) {
+    for (int k = 0; k < 3; ++k) t.set(next() % rows, c);
+  }
+  for (std::size_t r = 0; r < rows; ++r) {
+    bool covered = false;
+    for (std::size_t c = 0; c < cols && !covered; ++c) {
+      covered = t.covers(c, r);
+    }
+    if (!covered) t.set(r, r % cols);
+  }
+  return t;
+}
+
+// Seeded random chart: each cell is set with probability permille/1000,
+// and a row left empty gets column (row % cols).
+logic::CoverTable sparse_random_table(std::size_t rows, std::size_t cols,
+                                      std::uint64_t permille,
+                                      std::uint64_t seed) {
+  logic::CoverTable t(rows, cols);
+  std::uint64_t state = seed;
+  const auto next = [&state] {
+    state = state * 6364136223846793005ull + 1442695040888963407ull;
+    return state >> 33;
+  };
+  for (std::size_t r = 0; r < rows; ++r) {
+    bool covered = false;
+    for (std::size_t c = 0; c < cols; ++c) {
+      if (next() % 1000 < permille) {
+        t.set(r, c);
+        covered = true;
+      }
+    }
+    if (!covered) t.set(r, r % cols);
+  }
+  return t;
+}
+
+// True minimum cover size of every row subset, by DP over the subset
+// lattice.  Requires num_rows small enough to enumerate (<= ~14).
+std::vector<std::size_t> subset_optima(const logic::CoverTable& t) {
+  const std::size_t n = t.num_rows();
+  std::vector<std::uint64_t> col(t.num_cols());
+  for (std::size_t c = 0; c < t.num_cols(); ++c) col[c] = t.column(c)[0];
+  std::vector<std::size_t> opt(std::size_t{1} << n, kInf);
+  opt[0] = 0;
+  for (std::uint64_t s = 1; s < (std::uint64_t{1} << n); ++s) {
+    const int r = std::countr_zero(s);  // branch on the lowest uncovered row
+    for (std::size_t c = 0; c < col.size(); ++c) {
+      if (((col[c] >> r) & 1u) == 0) continue;
+      const std::size_t sub = opt[s & ~col[c]];
+      if (sub != kInf && sub + 1 < opt[s]) opt[s] = sub + 1;
+    }
+  }
+  return opt;
+}
+
+// The rows of `t` in `subset` (bit r = row r), columns unchanged.
+logic::CoverTable restrict_rows(const logic::CoverTable& t,
+                                std::uint64_t subset) {
+  logic::CoverTable sub(static_cast<std::size_t>(std::popcount(subset)),
+                        t.num_cols());
+  std::size_t row = 0;
+  for (std::size_t r = 0; r < t.num_rows(); ++r) {
+    if (((subset >> r) & 1u) == 0) continue;
+    for (std::size_t c = 0; c < t.num_cols(); ++c) {
+      if (t.covers(c, r)) sub.set(row, c);
+    }
+    ++row;
+  }
+  return sub;
+}
+
+// The returned columns are sorted, distinct, and cover every row.
+void expect_valid_cover(const logic::CoverTable& t,
+                        const logic::MinCoverResult& r) {
+  ASSERT_TRUE(r.found);
+  EXPECT_TRUE(std::is_sorted(r.columns.begin(), r.columns.end()));
+  EXPECT_EQ(std::adjacent_find(r.columns.begin(), r.columns.end()),
+            r.columns.end());
+  for (std::size_t row = 0; row < t.num_rows(); ++row) {
+    EXPECT_TRUE(std::any_of(r.columns.begin(), r.columns.end(),
+                            [&](std::size_t c) { return t.covers(c, row); }))
+        << "row " << row << " left uncovered";
+  }
+}
+
+// Solves `t` at every node budget from 1 until the search completes and
+// checks that the reported bounds bracket the true optimum `opt` each
+// time; an exact result must equal it.  Then audits every proper row
+// subset at the full budget and at a budget of one node.
+void audit_bounds(const logic::CoverTable& t,
+                  const std::vector<std::size_t>& opt) {
+  ASSERT_EQ(t.words(), 1u);
+  const std::uint64_t all = (std::uint64_t{1} << t.num_rows()) - 1;
+  for (std::size_t budget = 1;; ++budget) {
+    SCOPED_TRACE(testing::Message() << "budget " << budget);
+    const logic::MinCoverResult r = logic::solve_min_cover(t, budget);
+    EXPECT_LE(r.lower_bound, opt[all]);
+    if (r.found) {
+      expect_valid_cover(t, r);
+      EXPECT_GE(r.columns.size(), opt[all]);
+    }
+    if (r.exact) {
+      ASSERT_TRUE(r.found);
+      EXPECT_EQ(r.columns.size(), opt[all]);
+      EXPECT_EQ(r.lower_bound, opt[all]);
+      break;
+    }
+    ASSERT_LT(budget, 1'000'000u) << "search never completed";
+  }
+  for (std::uint64_t s = 1; s < all; ++s) {
+    SCOPED_TRACE(testing::Message() << "rows " << s);
+    const logic::CoverTable sub = restrict_rows(t, s);
+    ASSERT_NE(opt[s], kInf);
+    const logic::MinCoverResult full = logic::solve_min_cover(sub, 1'000'000);
+    ASSERT_TRUE(full.exact);
+    expect_valid_cover(sub, full);
+    EXPECT_EQ(full.columns.size(), opt[s]);
+    EXPECT_EQ(full.lower_bound, opt[s]);
+    const logic::MinCoverResult cut = logic::solve_min_cover(sub, 1);
+    EXPECT_LE(cut.lower_bound, opt[s]);
+    if (cut.found) {
+      EXPECT_GE(cut.columns.size(), opt[s]);
+    }
+  }
+}
+
+TEST(SearchProperty, CyclicRingBoundsBracketTheTrueOptimum) {
+  for (std::size_t n : {6u, 8u, 9u, 10u, 11u, 12u}) {
+    SCOPED_TRACE(n);
+    const logic::CoverTable t = cyclic_ring(n);
+    const logic::MinCoverResult r = logic::solve_min_cover(t, 1'000'000);
+    ASSERT_TRUE(r.found);
+    ASSERT_TRUE(r.exact);
+    EXPECT_EQ(r.columns.size(), (n + 1) / 2);
+    EXPECT_EQ(r.lower_bound, (n + 1) / 2);
+    audit_bounds(t, subset_optima(t));
+  }
+}
+
+TEST(SearchProperty, RandomTableBoundsBracketTheTrueOptimum) {
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    SCOPED_TRACE(seed);
+    const logic::CoverTable t = random_table(11, 14, seed);
+    const logic::MinCoverResult r = logic::solve_min_cover(t, 1'000'000);
+    ASSERT_TRUE(r.found);
+    ASSERT_TRUE(r.exact);
+    const std::vector<std::size_t> opt = subset_optima(t);
+    EXPECT_EQ(r.columns.size(), opt[(std::uint64_t{1} << 11) - 1]);
+    audit_bounds(t, opt);
+  }
+}
+
+TEST(SearchProperty, TruncatedCoverIsAValidCover) {
+  // Charts too large to finish inside these budgets: whatever incumbent
+  // the search holds when the budget runs out must still cover every
+  // row, and the root bound must not exceed it.
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    const logic::CoverTable t = sparse_random_table(120, 90, 50, seed);
+    for (std::size_t budget : {200u, 2'000u, 20'000u}) {
+      SCOPED_TRACE(testing::Message() << "seed " << seed << ", budget "
+                                      << budget);
+      const logic::MinCoverResult r = logic::solve_min_cover(t, budget);
+      ASSERT_FALSE(r.exact);
+      EXPECT_EQ(r.nodes, budget + 1);
+      expect_valid_cover(t, r);
+      EXPECT_LE(r.lower_bound, r.columns.size());
+    }
+  }
+}
+
+TEST(SearchProperty, CoverCostNeverRisesWithTheBudget) {
+  // The search keeps no memo, so a larger budget walks a longer prefix
+  // of the same traversal: its incumbent can only improve, and a
+  // truncated run's bound is the same root bound at every budget.
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    SCOPED_TRACE(seed);
+    const logic::CoverTable t = sparse_random_table(120, 90, 50, seed);
+    std::size_t previous = kInf;
+    std::size_t root_bound = 0;
+    for (std::size_t budget = 1; budget <= 40'000; budget *= 2) {
+      SCOPED_TRACE(testing::Message() << "budget " << budget);
+      const logic::MinCoverResult r = logic::solve_min_cover(t, budget);
+      ASSERT_FALSE(r.exact);
+      if (root_bound == 0) root_bound = r.lower_bound;
+      EXPECT_EQ(r.lower_bound, root_bound);
+      if (!r.found) {
+        EXPECT_EQ(previous, kInf);  // once found, always found
+        continue;
+      }
+      EXPECT_LE(r.columns.size(), previous);
+      previous = r.columns.size();
+    }
+    EXPECT_NE(previous, kInf);
+  }
+}
+
+// The budget-truncated traversal, pinned: the order the search walks its
+// branches decides which incumbent a truncated search returns, so any
+// change to how the engine branches, orders or bounds shows up here as a
+// changed cover or node count (the golden corpus's deep jobs are
+// truncated the same way).
+TEST(SearchProperty, TruncatedCoverTraversalIsPinned) {
+  constexpr std::size_t kBudget = 20000;
+  const struct {
+    std::uint64_t seed;
+    std::vector<std::size_t> columns;
+    std::size_t lower_bound;
+  } cases[] = {
+      {1,
+       {0,  2,  16, 17, 19, 21, 22, 25, 26, 27, 28, 29, 41, 48, 49,
+        51, 54, 57, 59, 61, 64, 65, 67, 68, 73, 78, 79, 82, 87},
+       13},
+      {2,
+       {3,  4,  5,  6,  7,  11, 14, 20, 23, 24, 33, 35, 36, 41, 46,
+        53, 54, 59, 61, 66, 69, 71, 72, 73, 74, 75, 79, 82, 89},
+       16},
+      {3,
+       {1,  2,  3,  5,  12, 14, 15, 19, 23, 25, 29, 32, 35, 38, 44,
+        46, 49, 51, 53, 58, 60, 61, 62, 69, 74, 77, 79, 81, 88},
+       18},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(testing::Message() << "seed " << c.seed);
+    const logic::CoverTable t = sparse_random_table(120, 90, 50, c.seed);
+    const logic::MinCoverResult r = logic::solve_min_cover(t, kBudget);
+    ASSERT_TRUE(r.found);
+    ASSERT_FALSE(r.exact);  // the budget really truncates
+    EXPECT_EQ(r.columns, c.columns);
+    EXPECT_EQ(r.nodes, kBudget + 1);
+    EXPECT_EQ(r.lower_bound, c.lower_bound);
+  }
 }
 
 TEST(SearchProperty, MinimizeIsMemoizationIndependent) {
