@@ -81,6 +81,15 @@ struct MinCoverResult {
 /// Minimum-cardinality set cover by reduction + branch and bound with a
 /// node budget.  An empty table (no rows) yields an empty exact cover.
 ///
+/// Both phases run on a compacted chart.  Each reduction round scans
+/// only the rows and columns the previous round left live, in table
+/// order.  The search then renumbers the residual rows by their position
+/// in the fail-first order (fewest covering columns first), so a
+/// column's bitset spans ceil(live rows / 64) words and the next row to
+/// branch on is the lowest uncovered bit at or after the parent's.  On
+/// the corpus's hardest charts that is 1-4 words where the table has
+/// 4-16.  Columns keep their table indices in the result.
+///
 /// The search keeps no memo.  Most of its time goes to the charts that
 /// spend the whole budget, and on those a transposition table cost two
 /// to three times the search time without lowering the golden corpus's

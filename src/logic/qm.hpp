@@ -49,10 +49,14 @@ struct CoverStats {
 };
 
 /// Default branch-and-bound node budget for the exact cover completion.
-/// Sweep-checked against the harder 12-state / 5-input corpus: every
-/// chart under kExactCellLimit proved its minimum within ~2'200 nodes, so
-/// 2M is ~1000x headroom; charts above the cell limit stayed unproven even at
-/// 100'000'000 nodes, so raising this buys nothing.
+/// It has no headroom on the deepest shapes.  Of the charts under
+/// kExactCellLimit that the `deep` benchmark recipe (golden harder-12x5
+/// 0 and hardest-20x6 0-3) searches, one needs 1'079'487 nodes to prove
+/// its minimum and four spend the whole budget, keeping the incumbent
+/// the search reached (CoverStats::exact = false).  An earlier sweep
+/// found charts above the cell limit still unproven at 100'000'000
+/// nodes, so a larger budget alone is not the lever; a stronger
+/// per-node bound is.
 inline constexpr std::size_t kDefaultExactNodeBudget = 2'000'000;
 
 /// Ceiling on rows*columns of the reduced covering chart for attempting

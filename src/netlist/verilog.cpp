@@ -293,16 +293,15 @@ Netlist parse_verilog(const std::string& text) {
   std::vector<const Wire*> wire_at(static_cast<std::size_t>(total), nullptr);
   for (const Wire& w : wires) wire_at[static_cast<std::size_t>(w.index)] = &w;
 
+  // The wires sit at distinct indices (duplicates failed above), all
+  // below `total` (gaps failed just now), so they fill wires.size() of
+  // the `total` slots and exactly input_ports.size() slots are left: each
+  // free slot below takes the next port, and no port or slot is left over.
   std::map<std::string_view, int> input_net;
   std::vector<Gate> gates(static_cast<std::size_t>(total));
   std::size_t next_input = 0;
   for (int i = 0; i < total; ++i) {
     if (wire_at[static_cast<std::size_t>(i)] != nullptr) continue;
-    if (next_input >= input_ports.size()) {
-      fail(p.last_line(), "net n" + std::to_string(i) +
-                              " is neither a declared wire nor covered by "
-                              "an input port");
-    }
     const Token& port = input_ports[next_input++];
     if (!input_net.emplace(port.text, i).second) {
       fail(port.line, "duplicate input port '" + std::string(port.text) + "'");

@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
+#include <string>
 #include <vector>
+
+#include "logic/cover_reference.hpp"
 
 namespace seance::logic {
 namespace {
@@ -21,6 +25,16 @@ bool is_valid_cover(const CoverTable& t, const std::vector<std::size_t>& cols) {
   }
   return true;
 }
+
+struct XorShift {
+  std::uint64_t state;
+  std::uint64_t operator()() {
+    state ^= state << 13;
+    state ^= state >> 7;
+    state ^= state << 17;
+    return state;
+  }
+};
 
 TEST(CoverEngine, EmptyTableIsTriviallyExact) {
   const CoverTable t(0, 5);
@@ -179,13 +193,7 @@ TEST(CoverEngine, LazyGreedyMatchesEagerScanExactly) {
   // The lazy-heap greedy must pick the *identical* column sequence as
   // the eager scan — golden corpus reports depend on the tie-break
   // (largest gain, then lowest column index) never changing.
-  std::uint64_t state = 12345;
-  const auto next_rand = [&state] {
-    state ^= state << 13;
-    state ^= state >> 7;
-    state ^= state << 17;
-    return state;
-  };
+  XorShift next_rand{12345};
   for (int trial = 0; trial < 40; ++trial) {
     const std::size_t rows = 20 + next_rand() % 120;
     const std::size_t cols = 5 + next_rand() % 60;
@@ -200,6 +208,130 @@ TEST(CoverEngine, LazyGreedyMatchesEagerScanExactly) {
     ASSERT_EQ(lazy.has_value(), eager.has_value()) << "trial " << trial;
     ASSERT_TRUE(lazy.has_value());
     EXPECT_EQ(*lazy, *eager) << "trial " << trial;
+  }
+}
+
+// The compacted residual search against the full-width reference: every
+// field of the result, node counts included, must match.
+constexpr std::size_t kDiffBudgets[] = {1, 7, 1'000, 50'000};
+
+void expect_same_search(const CoverTable& t, const std::string& what) {
+  for (const std::size_t budget : kDiffBudgets) {
+    const MinCoverResult got = solve_min_cover(t, budget);
+    const MinCoverResult want = reference_solve_min_cover(t, budget);
+    const std::string at = what + " budget " + std::to_string(budget);
+    EXPECT_EQ(got.columns, want.columns) << at;
+    EXPECT_EQ(got.found, want.found) << at;
+    EXPECT_EQ(got.exact, want.exact) << at;
+    EXPECT_EQ(got.nodes, want.nodes) << at;
+    EXPECT_EQ(got.lower_bound, want.lower_bound) << at;
+  }
+}
+
+TEST(CoverEngine, CompactSearchMatchesFullWidthReferenceOnRandomCharts) {
+  XorShift rand{0x5eed'c0feULL};
+  // Columns per row drawn from 1..k: sparse charts keep hundreds of rows
+  // live after the reduction, dense ones collapse to a few.
+  const std::size_t per_row_max[] = {2, 3, 6, 24};
+  for (int trial = 0; trial < 24; ++trial) {
+    const std::size_t rows = 1 + rand() % 1200;
+    const std::size_t cols = 1 + rand() % 600;
+    const std::size_t k_max = per_row_max[trial % 4];
+    CoverTable t(rows, cols);
+    for (std::size_t r = 0; r < rows; ++r) {
+      const std::size_t k = 1 + rand() % k_max;
+      for (std::size_t i = 0; i < k; ++i) t.set(r, rand() % cols);
+    }
+    expect_same_search(t, "random trial " + std::to_string(trial));
+  }
+  for (int trial = 0; trial < 4; ++trial) {
+    // About 30% of the cells set.
+    const std::size_t rows = 1 + rand() % 1200;
+    const std::size_t cols = 1 + rand() % 600;
+    CoverTable t(rows, cols);
+    for (std::size_t r = 0; r < rows; ++r) {
+      for (std::size_t c = 0; c < cols; ++c) {
+        if (rand() % 10 < 3) t.set(r, c);
+      }
+    }
+    expect_same_search(t, "dense trial " + std::to_string(trial));
+  }
+}
+
+TEST(CoverEngine, CompactSearchMatchesFullWidthReferenceOnUncoverableCharts) {
+  XorShift rand{0xdead'beefULL};
+  for (int trial = 0; trial < 6; ++trial) {
+    const std::size_t rows = 2 + rand() % 700;
+    const std::size_t cols = 1 + rand() % 300;
+    const std::size_t empty_row = rand() % rows;
+    CoverTable t(rows, cols);
+    for (std::size_t r = 0; r < rows; ++r) {
+      if (r == empty_row) continue;
+      for (std::size_t i = 0; i < 1 + rand() % 4; ++i) t.set(r, rand() % cols);
+    }
+    const std::string what = "uncoverable trial " + std::to_string(trial);
+    EXPECT_FALSE(solve_min_cover(t, 1'000).found) << what;
+    expect_same_search(t, what);
+  }
+  expect_same_search(CoverTable(5, 0), "no columns");
+}
+
+// A chart whose reduction leaves exactly `live` rows: a ring with chords
+// (ring column i covers rows i and i+1, chord column i rows i and i+3,
+// modulo `live`; no row or column dominates another), plus decoy rows
+// that row dominance drops (copies of ring rows, half of them also
+// covered by a junk column only decoys use), and unit rows that force a
+// column of their own.  Rows and columns are shuffled over
+// the table so the survivors sit at scattered indices.
+CoverTable chart_with_live_rows(std::size_t live, std::size_t forced,
+                                XorShift& rand) {
+  const std::size_t decoys = live / 2 + 3;
+  const std::size_t rows = live + decoys + 2 * forced;
+  const std::size_t cols = 2 * live + 1 + forced;
+  std::vector<std::size_t> row_at(rows), col_at(cols);
+  for (std::size_t i = 0; i < rows; ++i) row_at[i] = i;
+  for (std::size_t i = 0; i < cols; ++i) col_at[i] = i;
+  const auto shuffle = [&rand](std::vector<std::size_t>& v) {
+    for (std::size_t i = v.size(); i > 1; --i) std::swap(v[i - 1], v[rand() % i]);
+  };
+  shuffle(row_at);
+  shuffle(col_at);
+  CoverTable t(rows, cols);
+  const auto ring_row = [&](std::size_t table_row, std::size_t i) {
+    t.set(table_row, col_at[(i + live - 1) % live]);       // ring i-1
+    t.set(table_row, col_at[i]);                           // ring i
+    t.set(table_row, col_at[live + i]);                    // chord i
+    t.set(table_row, col_at[live + (i + live - 3) % live]);  // chord i-3
+  };
+  for (std::size_t i = 0; i < live; ++i) ring_row(row_at[i], i);
+  const std::size_t junk = col_at[2 * live];
+  for (std::size_t d = 0; d < decoys; ++d) {
+    const std::size_t r = row_at[live + d];
+    ring_row(r, rand() % live);
+    if (d % 2 == 0) t.set(r, junk);
+  }
+  for (std::size_t f = 0; f < forced; ++f) {
+    const std::size_t own = col_at[2 * live + 1 + f];
+    t.set(row_at[live + decoys + 2 * f], own);
+    t.set(row_at[live + decoys + 2 * f + 1], own);
+    t.set(row_at[live + decoys + 2 * f + 1], junk);
+  }
+  return t;
+}
+
+TEST(CoverEngine, CompactSearchMatchesFullWidthReferenceAroundWordEdges) {
+  XorShift rand{0x0b1e'c7edULL};
+  for (const std::size_t live : {5u, 63u, 64u, 65u, 127u, 128u, 129u, 300u}) {
+    for (const std::size_t forced : {0u, 3u}) {
+      const CoverTable t = chart_with_live_rows(live, forced, rand);
+      const std::string what = std::to_string(live) + " live rows, " +
+                               std::to_string(forced) + " forced";
+      // Ring and chord columns gain two rows each, so the one-node root
+      // bound reads the live count back to within one.
+      EXPECT_EQ(solve_min_cover(t, 1).lower_bound, forced + (live + 1) / 2)
+          << what;
+      expect_same_search(t, what);
+    }
   }
 }
 
