@@ -85,8 +85,11 @@ struct SynthesisOptions {
   /// Transposition-table size in MiB (one table per batch worker).  Fixed,
   /// not a knob: capacity decides which entries are evicted, and evictions
   /// steer budget-truncated searches, so a second size would be a second
-  /// configuration whose rows can differ.
-  static constexpr std::size_t tt_mb = 16;
+  /// configuration whose rows can differ.  1 MiB (2^16 slots) fits in a
+  /// per-core L2: the deep USTT searches evict most of what they store
+  /// there, yet hit as often as with 16 MiB, because their hits are
+  /// short-range, and they run faster.
+  static constexpr std::size_t tt_mb = 1;
   /// Node budgets of the partition and state-minimization cover searches.
   /// Fixed for the same reason as tt_mb: a budget decides where a
   /// truncated search stops, so a second value is a second configuration.
@@ -114,11 +117,13 @@ struct SynthesisOptions {
 /// v5 still carried the cover policy, the code-uniqueness switch and the
 /// assign/reduce node budgets, which are now the fixed SynthesisOptions
 /// members above.  v6 rows came from a cover search that kept a memo; the
-/// v7 search keeps none, which moves budget-truncated covers.)
-inline constexpr int kOptionsEncodingVersion = 7;
+/// v7 search keeps none, which moves budget-truncated covers.  v7 rows
+/// came from a 16 MiB memo; v8's is 1 MiB, whose evictions may move
+/// budget-truncated rows.)
+inline constexpr int kOptionsEncodingVersion = 8;
 
 /// Canonical, byte-stable encoding of every result-affecting knob:
-///   "v7 fsv=B minimize=B factor=B consensus=B tt=B"
+///   "v8 fsv=B minimize=B factor=B consensus=B tt=B"
 /// Equal options always produce equal bytes (field order is pinned by
 /// test), so the string can key a content-addressed cache and compare
 /// pipeline configurations across processes.

@@ -4,10 +4,6 @@
 #include <cstdlib>
 #include <new>
 
-#if __has_include(<sys/mman.h>)
-#include <sys/mman.h>
-#endif
-
 namespace seance::search {
 namespace {
 
@@ -18,10 +14,6 @@ constexpr std::uint64_t kFnvPrime = 1099511628211ull;
 // lines, long enough that deterministic home-slot eviction is rare.
 constexpr std::size_t kProbeWindow = 8;
 
-// Tables this large get huge-page-aligned storage; smaller ones (the
-// unit tests' eviction-pressure tables) are only cache-line aligned, so
-// they never reserve a whole huge page.
-constexpr std::size_t kHugePage = std::size_t{2} << 20;
 constexpr std::size_t kCacheLine = 64;
 
 // The calling thread's deadline; max() while no DeadlineScope is active.
@@ -79,16 +71,9 @@ void TranspositionTable::FreeStorage::operator()(Slot* p) const {
 TranspositionTable::TranspositionTable(std::size_t bytes)
     : capacity_(slot_count_for(bytes)), mask_(capacity_ - 1) {
   // The size is a power of two of at least one probe window, so it is
-  // already a whole number of either alignment unit.
-  const std::size_t size = capacity_ * sizeof(Slot);
-  const bool huge = size >= kHugePage;
-  void* storage = std::aligned_alloc(huge ? kHugePage : kCacheLine, size);
+  // a whole number of cache lines, as aligned_alloc requires.
+  void* storage = std::aligned_alloc(kCacheLine, capacity_ * sizeof(Slot));
   if (storage == nullptr) throw std::bad_alloc();
-#ifdef MADV_HUGEPAGE
-  // Advice only, before the first touch: when the kernel keeps 4 KiB
-  // pages the table behaves the same, just slower.
-  if (huge) (void)madvise(storage, size, MADV_HUGEPAGE);
-#endif
   slots_.reset(static_cast<Slot*>(storage));
   std::uninitialized_value_construct_n(slots_.get(), capacity_);
 }

@@ -127,17 +127,11 @@ struct TtStats {
 /// deterministic replacement). Not thread-safe — one instance per
 /// worker.
 ///
-/// Storage: a table of 2 MiB or more sits in a 2 MiB-aligned buffer
-/// that is advised for transparent huge pages, so the random probes of
-/// a deep search miss the TLB far less often. Where THP is off (or the
-/// kernel declines) the same buffer lives on 4 KiB pages and every
-/// result is the same; only the speed differs. Smaller tables take a
-/// plain cache-line-aligned allocation.
-///
-/// `prefetch(key)` pulls the slot `probe(key)` would read first into
-/// cache. It places nothing and counts nothing, so issuing it early —
-/// say, for every child of a node before descending — moves no probe,
-/// store or statistic.
+/// Storage: one cache-line-aligned allocation. The pipeline's table is
+/// 1 MiB (`core::SynthesisOptions::tt_mb`): it fits in a per-core L2
+/// and spans 256 4 KiB pages, within the second-level TLB's reach, so
+/// the random probes of a deep search need neither huge pages nor
+/// prefetching.
 class TranspositionTable {
  public:
   struct Entry {
@@ -160,11 +154,6 @@ class TranspositionTable {
 
   /// Looks up `key`; counts a hit or a miss.
   std::optional<Entry> probe(std::uint64_t key);
-
-  /// Hints the cache line of `key`'s home slot; no stats, no placement.
-  void prefetch(std::uint64_t key) const {
-    __builtin_prefetch(&slots_[home(key)]);
-  }
 
   /// Inserts or merges an entry for `key`. Merge rules keep the most
   /// informative bound: Exact wins; Lower keeps the max value; Upper
@@ -222,7 +211,7 @@ class TranspositionTable {
   static constexpr std::uint64_t kZeroKey = 0x9e3779b97f4a7c15ull;
 
   /// Remaps key 0 in place and returns the key's home slot index: the
-  /// one rule probe, store and prefetch share.
+  /// one rule probe and store share.
   std::size_t home(std::uint64_t& key) const {
     if (key == 0) key = kZeroKey;
     return static_cast<std::size_t>(key & mask_);

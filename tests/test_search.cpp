@@ -17,6 +17,8 @@
 #include <tuple>
 #include <vector>
 
+#include "core/synthesize.hpp"
+
 namespace seance::search {
 namespace {
 
@@ -389,8 +391,9 @@ TEST(TranspositionTable, DumpAfterClearReturnsOnlyCurrentEpochEntries) {
 }
 
 TEST(TranspositionTable, EpochWrapNeverRevivesAStaleEntry) {
-  // The plain and the huge-page storage both wipe on wrap.
-  for (const std::size_t bytes : {std::size_t{0}, std::size_t{2} << 20}) {
+  // A one-window table and the production-size one both wipe on wrap.
+  for (const std::size_t bytes :
+       {std::size_t{0}, core::SynthesisOptions::tt_mb << 20}) {
     SCOPED_TRACE(bytes);
     TranspositionTable tt(bytes);
     tt.store(42, Bound::kExact, 5);
@@ -470,8 +473,8 @@ TEST(TranspositionTable, ClearedTableReplaysLikeAFreshOne) {
 }
 
 TEST(TranspositionTable, SlotCountForMatchesTheConstructor) {
-  // Both storage paths: below 2 MiB a plain allocation, from 2 MiB up a
-  // huge-page one, which must not round the slot count up with it.
+  // Tiny to large tables: the allocation must not round the slot count
+  // up with its alignment.
   for (const std::size_t bytes :
        {std::size_t{0}, std::size_t{1} << 10, std::size_t{1} << 16,
         std::size_t{1} << 20, std::size_t{2} << 20, std::size_t{3} << 20,
@@ -484,25 +487,23 @@ TEST(TranspositionTable, SlotCountForMatchesTheConstructor) {
   // check in core::synthesize depends on this being discriminating).
   EXPECT_NE(TranspositionTable::slot_count_for(1 << 16),
             TranspositionTable::slot_count_for(16 << 20));
-  // Pinned: slots are 16 bytes, so the default 16 MiB table holds 2^20.
-  // A wider slot would halve this and move every budget-truncated row.
+  // Pinned: slots are 16 bytes, so a 16 MiB table holds 2^20 and the
+  // production 1 MiB table 2^16.  A wider slot would halve these and move
+  // every budget-truncated row.
   EXPECT_EQ(TranspositionTable::slot_count_for(16 << 20), std::size_t{1} << 20);
+  constexpr std::size_t kProduction = core::SynthesisOptions::tt_mb << 20;
+  EXPECT_EQ(TranspositionTable::slot_count_for(kProduction),
+            std::size_t{1} << 16);
 }
 
 TEST(TranspositionTable, StorageIsAlignedForItsPageSize) {
-  const auto address = [](const TranspositionTable& tt) {
-    return reinterpret_cast<std::uintptr_t>(tt.storage());
-  };
-  constexpr std::uintptr_t kHugePage = std::uintptr_t{2} << 20;
-  for (const std::size_t bytes :
-       {std::size_t{2} << 20, std::size_t{3} << 20, std::size_t{16} << 20}) {
-    const TranspositionTable tt(bytes);
-    EXPECT_EQ(address(tt) % kHugePage, 0u) << bytes;
-  }
+  // Every size, the production one included, starts on a cache line.
+  constexpr std::size_t kProduction = core::SynthesisOptions::tt_mb << 20;
   for (const std::size_t bytes : {std::size_t{0}, std::size_t{1} << 10,
-                                  std::size_t{1} << 20}) {
+                                  kProduction, std::size_t{16} << 20}) {
     const TranspositionTable tt(bytes);
-    EXPECT_EQ(address(tt) % 64, 0u) << bytes;  // one cache line
+    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(tt.storage()) % 64, 0u)
+        << bytes;
   }
 }
 
@@ -534,9 +535,11 @@ std::uint64_t dump_fingerprint(const TranspositionTable& tt) {
   return h;
 }
 
-TEST(TranspositionTable, KeyStreamReplayIsPinnedOnBothStoragePaths) {
+TEST(TranspositionTable, KeyStreamReplayIsPinnedPerCapacity) {
   // Capacity, placement and eviction are result-relevant: these counts
-  // and the slot-order dump may not move when the storage does.
+  // and the slot-order dump may not move when the storage does.  The
+  // stream's home-slot collisions are 2^20 apart, so they collide in the
+  // production table too.
   const struct {
     std::size_t bytes;
     TtStats stats;
@@ -544,6 +547,8 @@ TEST(TranspositionTable, KeyStreamReplayIsPinnedOnBothStoragePaths) {
     std::uint64_t dump;
   } cases[] = {
       {1 << 10, {508, 2053, 1700, 1387}, 64, 0x2c40897c9481f9dbull},
+      {core::SynthesisOptions::tt_mb << 20, {1909, 652, 886, 191}, 268,
+       0x899ab185ccbf9d61ull},
       {16 << 20, {1909, 652, 886, 191}, 268, 0x89bcedc7ddc57027ull},
   };
   for (const auto& c : cases) {
@@ -556,25 +561,6 @@ TEST(TranspositionTable, KeyStreamReplayIsPinnedOnBothStoragePaths) {
     EXPECT_EQ(tt.stats().evictions, c.stats.evictions);
     EXPECT_EQ(tt.size(), c.size);
     EXPECT_EQ(dump_fingerprint(tt), c.dump);
-  }
-}
-
-TEST(TranspositionTable, PrefetchChangesNoStatsAndNoEntries) {
-  for (const std::size_t bytes : {std::size_t{1} << 10, std::size_t{16} << 20}) {
-    SCOPED_TRACE(bytes);
-    TranspositionTable tt(bytes);
-    replay_key_stream(tt);
-    const TtStats before = tt.stats();
-    const auto entries = tt.dump();
-    ASSERT_FALSE(entries.empty());
-    tt.prefetch(0);
-    for (const auto& [key, bound, value] : entries) tt.prefetch(key);
-    for (std::uint64_t key = 1; key < 1000; ++key) tt.prefetch(key * 7919);
-    EXPECT_EQ(tt.stats().hits, before.hits);
-    EXPECT_EQ(tt.stats().misses, before.misses);
-    EXPECT_EQ(tt.stats().stores, before.stores);
-    EXPECT_EQ(tt.stats().evictions, before.evictions);
-    EXPECT_EQ(tt.dump(), entries);
   }
 }
 

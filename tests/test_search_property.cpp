@@ -496,5 +496,49 @@ TEST(SearchProperty, CoverSearchDoesNotDependOnTheMemo) {
   EXPECT_EQ(driver::to_csv_row(on_row), driver::to_csv_row(off_row));
 }
 
+// core::synthesize's reduce -> assign_ustt, both on `tt` (or cold).
+assign::Assignment reduce_then_assign(flowtable::FlowTable table,
+                                      search::TranspositionTable* tt) {
+  if (!table.is_normal_mode()) table.normalize_to_normal_mode();
+  const minimize::ReductionResult reduction =
+      minimize::reduce(table, core::SynthesisOptions::reduce, tt);
+  return assign::assign_ustt(reduction.reduced, core::SynthesisOptions::assign,
+                             tt);
+}
+
+TEST(SearchProperty, ProductionMemoBuysTheSameStateVariablesAsALargeOne) {
+  // On these rows the memo buys a state variable: run cold, the USTT
+  // search spends its budget one variable short of the memoized code
+  // (the golden run with --tt-off has one more on each).  With the memo
+  // it completes on three of them and is truncated on 0005 and 0017.
+  // The production table evicts on every row, yet its hits are
+  // short-range, so it must reach exactly the codes of a 16 MiB table.
+  // core::synthesize would swap the 16 MiB table for one of the
+  // production size, so the layers are called directly.
+  std::vector<driver::JobSpec> rows;
+  rows.emplace_back("train11", load_by_name("train11"));
+  driver::BatchRunner corpus;
+  corpus.add_hardest_generated(18, 1);
+  for (const std::size_t index : {5, 6, 14, 17}) {
+    rows.push_back(corpus.jobs()[index]);
+  }
+  ASSERT_EQ(rows.back().name, "hardest-20x6-0017");
+
+  for (const driver::JobSpec& row : rows) {
+    SCOPED_TRACE(row.name);
+    search::TranspositionTable production(core::SynthesisOptions::tt_mb << 20);
+    search::TranspositionTable large(std::size_t{16} << 20);
+    const assign::Assignment small = reduce_then_assign(row.table, &production);
+    const assign::Assignment big = reduce_then_assign(row.table, &large);
+    const assign::Assignment cold = reduce_then_assign(row.table, nullptr);
+    EXPECT_FALSE(cold.exact);
+    EXPECT_EQ(small.exact, big.exact);
+    EXPECT_GT(production.stats().evictions, 0u);
+    EXPECT_EQ(small.codes, big.codes);
+    EXPECT_EQ(small.num_vars, big.num_vars);
+    EXPECT_EQ(cold.num_vars, small.num_vars + 1);
+  }
+}
+
 }  // namespace
 }  // namespace seance
