@@ -5,7 +5,6 @@
 #include <memory>
 #include <sstream>
 #include <stdexcept>
-#include <unordered_map>
 
 #include "hazard/factor.hpp"
 #include "logic/ternary.hpp"
@@ -118,21 +117,34 @@ std::vector<std::string> VariableLayout::names() const {
 
 namespace {
 
-/// Incremental 0/1 specification of a Boolean function with conflict
-/// detection; unassigned minterms are don't-cares.
+/// Incremental 0/1 specification of a Boolean function over 2^num_vars
+/// minterms with conflict detection; unassigned minterms are
+/// don't-cares.  Dense bitsets, minterm m at bit (m & 63) of word
+/// (m >> 6), so the ON and DC lists come out of ascending word scans.
 class SpecMap {
  public:
-  explicit SpecMap(std::vector<std::string>* warnings) : warnings_(warnings) {}
+  SpecMap(int num_vars, std::vector<std::string>* warnings)
+      : num_vars_(num_vars),
+        assigned_(logic::word_count(num_vars), 0),
+        value_(assigned_.size(), 0),
+        forced_(assigned_.size(), 0),
+        warnings_(warnings) {}
 
   void set(Minterm m, bool value, bool forced, const char* context) {
-    const auto it = values_.find(m);
-    if (it == values_.end()) {
-      values_.emplace(m, Slot{value, forced});
+    if ((m >> num_vars_) != 0) {
+      throw std::logic_error("SpecMap: minterm " + std::to_string(m) +
+                             " outside the equation space");
+    }
+    const std::size_t w = m >> 6;
+    const std::uint64_t bit = std::uint64_t{1} << (m & 63u);
+    if ((assigned_[w] & bit) == 0) {
+      assigned_[w] |= bit;
+      if (value) value_[w] |= bit;
+      if (forced) forced_[w] |= bit;
       return;
     }
-    Slot& slot = it->second;
-    if (slot.value == value) {
-      slot.forced = slot.forced || forced;
+    if (((value_[w] & bit) != 0) == value) {
+      if (forced) forced_[w] |= bit;
       return;
     }
     // Conflict.  Forced (hazard-hold) values win; report once.
@@ -140,36 +152,39 @@ class SpecMap {
       warnings_->push_back(std::string("specification conflict (") + context +
                            ") at minterm " + std::to_string(m));
     }
-    if (forced && !slot.forced) {
-      slot.value = value;
-      slot.forced = true;
+    if (forced && (forced_[w] & bit) == 0) {
+      value_[w] ^= bit;
+      forced_[w] |= bit;
     }
   }
 
   [[nodiscard]] std::vector<Minterm> on_set() const {
     std::vector<Minterm> on;
-    for (const auto& [m, slot] : values_) {
-      if (slot.value) on.push_back(m);
-    }
-    std::sort(on.begin(), on.end());
+    for (std::size_t w = 0; w < value_.size(); ++w) append(on, w, value_[w]);
     return on;
   }
 
-  [[nodiscard]] std::vector<Minterm> dc_set(int num_vars) const {
+  [[nodiscard]] std::vector<Minterm> dc_set() const {
     std::vector<Minterm> dc;
-    const std::uint32_t space_size = 1u << num_vars;
-    for (Minterm m = 0; m < space_size; ++m) {
-      if (!values_.contains(m)) dc.push_back(m);
+    const std::uint64_t valid = logic::valid_bits(num_vars_);
+    for (std::size_t w = 0; w < assigned_.size(); ++w) {
+      append(dc, w, ~assigned_[w] & valid);
     }
     return dc;
   }
 
  private:
-  struct Slot {
-    bool value;
-    bool forced;
-  };
-  std::unordered_map<Minterm, Slot> values_;
+  static void append(std::vector<Minterm>& out, std::size_t w, std::uint64_t bits) {
+    for (; bits != 0; bits &= bits - 1) {
+      out.push_back(static_cast<Minterm>(w * 64) +
+                    static_cast<Minterm>(std::countr_zero(bits)));
+    }
+  }
+
+  int num_vars_;
+  std::vector<std::uint64_t> assigned_;
+  std::vector<std::uint64_t> value_;
+  std::vector<std::uint64_t> forced_;
   std::vector<std::string>* warnings_;
 };
 
@@ -277,7 +292,7 @@ FantomMachine synthesize(const FlowTable& input, const SynthesisOptions& options
 
   // ---- Step 4: Z and SSD equations over (x, y) ------------------------
   for (int k = 0; k < table.num_outputs(); ++k) {
-    SpecMap spec(&machine.warnings);
+    SpecMap spec(layout.xy_vars(), &machine.warnings);
     for (int s = 0; s < table.num_states(); ++s) {
       for (int c = 0; c < table.num_columns(); ++c) {
         if (!table.is_stable(s, c)) continue;
@@ -287,14 +302,14 @@ FantomMachine synthesize(const FlowTable& input, const SynthesisOptions& options
       }
     }
     const auto on = spec.on_set();
-    const auto dc = spec.dc_set(layout.xy_vars());
+    const auto dc = spec.dc_set();
     Equation eq(min_cover(layout.xy_vars(), on, dc));
     eq.expr = logic::first_level_sop_expr(eq.cover);
     machine.z.push_back(std::move(eq));
   }
 
   {
-    SpecMap spec(&machine.warnings);
+    SpecMap spec(layout.xy_vars(), &machine.warnings);
     for (int s = 0; s < table.num_states(); ++s) {
       for (int c = 0; c < table.num_columns(); ++c) {
         const Entry& e = table.entry(s, c);
@@ -314,7 +329,7 @@ FantomMachine synthesize(const FlowTable& input, const SynthesisOptions& options
       }
     }
     const auto on = spec.on_set();
-    const auto dc = spec.dc_set(layout.xy_vars());
+    const auto dc = spec.dc_set();
     machine.ssd = Equation(min_cover(layout.xy_vars(), on, dc));
     machine.ssd.expr = logic::first_level_sop_expr(machine.ssd.cover);
   }
@@ -338,7 +353,7 @@ FantomMachine synthesize(const FlowTable& input, const SynthesisOptions& options
   const std::uint32_t fsv_bit =
       options.add_fsv ? (1u << layout.fsv_var()) : 0u;
   for (int n = 0; n < layout.num_state_vars; ++n) {
-    SpecMap spec(&machine.warnings);
+    SpecMap spec(layout.y_space_vars(), &machine.warnings);
     const std::uint32_t n_bit = 1u << n;
     for (int s = 0; s < table.num_states(); ++s) {
       for (int c = 0; c < table.num_columns(); ++c) {
@@ -374,7 +389,7 @@ FantomMachine synthesize(const FlowTable& input, const SynthesisOptions& options
       }
     }
     const auto on = spec.on_set();
-    const auto dc = spec.dc_set(layout.y_space_vars());
+    const auto dc = spec.dc_set();
     Equation eq(min_cover(layout.y_space_vars(), on, dc));
     if (options.consensus_repair) {
       (void)logic::make_sic_static1_hazard_free(eq.cover);

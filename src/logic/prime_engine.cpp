@@ -507,38 +507,6 @@ std::vector<Cube> to_canonical_cubes(int num_vars,
 
 }  // namespace
 
-namespace {
-
-// Minterm -> incidence row probe over the caller's sorted ON list: a
-// flat table while the minterm space is cheap (<= 2^20 entries), binary
-// search past that.
-class RowLookup {
- public:
-  RowLookup(int num_vars, std::uint32_t full, std::span<const Minterm> on_sorted)
-      : on_(on_sorted), flat_(num_vars <= 20) {
-    if (flat_) {
-      row_flat_.assign(std::size_t{1} << num_vars, -1);
-      for (std::size_t i = 0; i < on_.size(); ++i) {
-        row_flat_[on_[i] & full] = static_cast<std::int32_t>(i);
-      }
-    }
-  }
-
-  [[nodiscard]] std::int32_t row_of(Minterm m) const {
-    if (flat_) return row_flat_[m];
-    const auto it = std::lower_bound(on_.begin(), on_.end(), m);
-    if (it == on_.end() || *it != m) return -1;
-    return static_cast<std::int32_t>(it - on_.begin());
-  }
-
- private:
-  std::span<const Minterm> on_;
-  bool flat_;
-  std::vector<std::int32_t> row_flat_;
-};
-
-}  // namespace
-
 std::vector<Cube> compute_primes(int num_vars, std::span<const Minterm> on,
                                  std::span<const Minterm> dc) {
   return to_canonical_cubes(num_vars, prime_words(num_vars, on, dc, false));
@@ -553,25 +521,41 @@ std::vector<Cube> compute_on_primes(int num_vars,
 PrimeIncidence compute_incidence(int num_vars,
                                  std::span<const Minterm> on_sorted,
                                  std::span<const Minterm> dc) {
+  check_num_vars(num_vars);
+  const std::uint32_t full = full_mask(num_vars);
+  for (std::size_t i = 0; i < on_sorted.size(); ++i) {
+    if (on_sorted[i] > full || (i > 0 && on_sorted[i] <= on_sorted[i - 1])) {
+      throw std::invalid_argument(
+          "prime_engine::compute_incidence: ON must be ascending, "
+          "duplicate-free and below 2^num_vars");
+    }
+  }
   std::vector<Cube> primes =
       to_canonical_cubes(num_vars, prime_words(num_vars, on_sorted, dc, true));
-  const std::uint32_t full = full_mask(num_vars);
-  const RowLookup lookup(num_vars, full, on_sorted);
   const std::size_t num_primes = primes.size();
   PrimeIncidence out{std::move(primes), CoverTable(on_sorted.size(), num_primes)};
 
-  // Each prime scatters its own minterm sub-cube (submask walk over the
-  // free variables) into rows — never an all-pairs contains() sweep.
+  // ON is ascending, so minterm m's row is its rank among the ON
+  // minterms: the ON count of the words below m's, plus the ON bits
+  // below m in its own word.
+  const std::vector<std::uint64_t> on_bits = minterm_bits(num_vars, on_sorted);
+  std::vector<std::uint32_t> rank(on_bits.size(), 0);
+  for (std::size_t w = 1; w < on_bits.size(); ++w) {
+    rank[w] = rank[w - 1] + static_cast<std::uint32_t>(std::popcount(on_bits[w - 1]));
+  }
+  // Each prime visits the bitset words its minterms lie in and maps
+  // every ON hit to its row.
   for (std::size_t c = 0; c < num_primes; ++c) {
     search::poll_deadline();
     const Cube& p = out.primes[c];
-    const std::uint32_t free = full & ~p.care();
-    std::uint32_t s = 0;
-    do {
-      const std::int32_t r = lookup.row_of(p.value() | s);
-      if (r >= 0) out.incidence.set(static_cast<std::size_t>(r), c);
-      s = (s - free) & free;
-    } while (s != 0);
+    (void)each_cube_word(full, p.care(), p.value(), [&](std::size_t w, std::uint64_t pattern) {
+      for (std::uint64_t hits = on_bits[w] & pattern; hits != 0; hits &= hits - 1) {
+        const std::uint64_t below = (std::uint64_t{1} << std::countr_zero(hits)) - 1;
+        out.incidence.set(rank[w] + static_cast<std::size_t>(std::popcount(on_bits[w] & below)),
+                          c);
+      }
+      return true;
+    });
   }
   return out;
 }

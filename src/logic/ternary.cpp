@@ -1,5 +1,8 @@
 #include "logic/ternary.hpp"
 
+#include <array>
+#include <bit>
+#include <span>
 #include <vector>
 
 #include "logic/truth_table.hpp"
@@ -106,66 +109,88 @@ bool ternary_transition_clean(const Cover& cover, Minterm from, Minterm to) {
 
 namespace {
 
-/// Per minterm, the union of the free-variable masks of the cover's
-/// cubes that contain it.  A cube contains both m and m ^ bit iff it
-/// contains m and leaves `bit` free, so the pair lies inside one cube
-/// iff `bit` is set in free_bits[m].
-class PairCoverage {
+/// One "pair covered" bit plane per variable, interleaved by word: bit j
+/// of plane b's word w is set iff some cube of the cover contains minterm
+/// 64w + j and leaves variable b free, i.e. holds both that minterm and
+/// its neighbour across b.  Adding a cube ORs its minterm pattern into
+/// the planes of its free variables, a word at a time.
+class PairPlanes {
  public:
-  explicit PairCoverage(const Cover& cover)
-      : space_((1u << cover.num_vars()) - 1u), free_bits_(std::size_t{space_} + 1, 0) {
+  explicit PairPlanes(const Cover& cover)
+      : n_(cover.num_vars()), planes_(word_count(n_) * static_cast<std::size_t>(n_), 0) {
     for (const Cube& c : cover.cubes()) add(c);
   }
 
   void add(const Cube& c) {
-    const std::uint32_t free = space_ & ~c.care();
-    std::uint32_t sub = 0;
-    while (true) {
-      free_bits_[c.value() | sub] |= free;
-      if (sub == free) break;
-      sub = (sub - free) & free;
-    }
+    const std::uint32_t free = ((1u << n_) - 1u) & ~c.care();
+    (void)for_each_cube_word(c, n_, [&](std::uint32_t w, std::uint64_t pattern) {
+      std::uint64_t* word = &planes_[std::size_t{w} * static_cast<std::size_t>(n_)];
+      for (std::uint32_t f = free; f != 0; f &= f - 1) word[std::countr_zero(f)] |= pattern;
+      return true;
+    });
   }
 
-  /// True iff one cube contains both m and m ^ bit.
-  [[nodiscard]] bool covers_pair(Minterm m, std::uint32_t bit) const {
-    return (free_bits_[m] & bit) != 0;
+  /// Word w of variable b's plane.
+  [[nodiscard]] std::uint64_t covered(std::size_t w, int b) const {
+    return planes_[w * static_cast<std::size_t>(n_) + static_cast<std::size_t>(b)];
   }
 
  private:
-  std::uint32_t space_;
-  std::vector<std::uint32_t> free_bits_;
+  int n_;
+  std::vector<std::uint64_t> planes_;
 };
+
+/// The lower ends m (bit b of m clear) in word w of the ON pairs
+/// (m, m | 2^b): a shift inside the word for the six low variables, the
+/// partner word w | 2^(b-6) above them.
+std::uint64_t adjacent_on(std::span<const std::uint64_t> on, std::size_t w, int b) {
+  if (b < 6) return on[w] & ~kLowVar[b] & (on[w] >> (1u << b));
+  const std::size_t high = std::size_t{1} << (b - 6);
+  return (w & high) != 0 ? 0 : on[w] & on[w | high];
+}
 
 }  // namespace
 
 int make_sic_static1_hazard_free(Cover& cover) {
   const int n = cover.num_vars();
-  const std::uint32_t space_size = 1u << n;
-  const std::uint32_t full = space_size - 1u;
+  const std::uint32_t full = (1u << n) - 1u;
   // Materialize the exact function once: every added cube is an
   // implicant, so the function never changes.
   const TruthTable on = TruthTable::of(cover, n);
-  PairCoverage pairs(cover);
+  const std::span<const std::uint64_t> on_words = on.words();
+  PairPlanes pairs(cover);
   int added = 0;
-  for (Minterm m = 0; m < space_size; ++m) {
-    if (!on.test(m)) continue;
+  std::array<std::uint64_t, kMaxVars> open{};
+  for (std::size_t w = 0; w < on_words.size(); ++w) {
+    if (on_words[w] == 0) continue;
+    // Each unordered pair once, from its lower end.  Adding a cube only
+    // closes pairs, so the pairs open now are a superset of those open
+    // when each is visited; each is re-read from the planes then.
+    std::uint64_t any = 0;
     for (int b = 0; b < n; ++b) {
-      const std::uint32_t bit = 1u << b;
-      // Each unordered pair once, from its lower end.
-      if ((m & bit) != 0 || !on.test(m | bit)) continue;
-      if (pairs.covers_pair(m, bit)) continue;
-      Cube pair(n, full & ~bit, m & ~bit);
-      // Enlarge the pair cube toward a prime implicant of the function.
-      for (int drop = 0; drop < n; ++drop) {
-        const std::uint32_t drop_bit = 1u << drop;
-        if (!(pair.care() & drop_bit)) continue;
-        Cube bigger(n, pair.care() & ~drop_bit, pair.value() & ~drop_bit);
-        if (on.contains(bigger)) pair = bigger;
+      open[b] = adjacent_on(on_words, w, b) & ~pairs.covered(w, b);
+      any |= open[b];
+    }
+    // Minterms ascending, then variables ascending: the order of a scan
+    // over every (minterm, variable) pair.
+    for (; any != 0; any &= any - 1) {
+      const int j = std::countr_zero(any);
+      const Minterm m = static_cast<Minterm>(w * 64) + static_cast<Minterm>(j);
+      for (int b = 0; b < n; ++b) {
+        if (((open[b] & ~pairs.covered(w, b)) >> j & 1u) == 0) continue;
+        const std::uint32_t bit = 1u << b;
+        Cube pair(n, full & ~bit, m & ~bit);
+        // Enlarge the pair cube toward a prime implicant of the function.
+        for (int drop = 0; drop < n; ++drop) {
+          const std::uint32_t drop_bit = 1u << drop;
+          if (!(pair.care() & drop_bit)) continue;
+          Cube bigger(n, pair.care() & ~drop_bit, pair.value() & ~drop_bit);
+          if (on.contains(bigger)) pair = bigger;
+        }
+        pairs.add(pair);
+        cover.add(pair);
+        ++added;
       }
-      pairs.add(pair);
-      cover.add(pair);
-      ++added;
     }
   }
   return added;
@@ -173,17 +198,14 @@ int make_sic_static1_hazard_free(Cover& cover) {
 
 bool sic_static1_hazard_free(const Cover& cover) {
   const int n = cover.num_vars();
-  const std::uint32_t space_size = 1u << n;
   const TruthTable on = TruthTable::of(cover, n);
-  const PairCoverage pairs(cover);
-  for (Minterm m = 0; m < space_size; ++m) {
-    if (!on.test(m)) continue;
+  const std::span<const std::uint64_t> on_words = on.words();
+  const PairPlanes pairs(cover);
+  for (std::size_t w = 0; w < on_words.size(); ++w) {
+    if (on_words[w] == 0) continue;
     for (int b = 0; b < n; ++b) {
-      const std::uint32_t bit = 1u << b;
-      // Both endpoints ON (each unordered pair once): some cube must
-      // contain both.
-      if ((m & bit) != 0 || !on.test(m | bit)) continue;
-      if (!pairs.covers_pair(m, bit)) return false;
+      // Both endpoints ON: some cube must contain both.
+      if ((adjacent_on(on_words, w, b) & ~pairs.covered(w, b)) != 0) return false;
     }
   }
   return true;

@@ -42,9 +42,9 @@ enum class Val3 : std::uint8_t { k0 = 0, k1 = 1, kX = 2 };
 /// true iff every pair of adjacent ON minterms lies in a single cube.
 /// This is the guarantee the paper buys by keeping *all* prime implicants
 /// in the fsv cover (paper §5.3 step 7).  Exhaustive over 2^num_vars: the
-/// function is read from a packed truth table (logic/truth_table.hpp) and
-/// each pair from a per-minterm mask of the free variables of the cubes
-/// containing it, 4 bytes per minterm.
+/// function is read from a packed truth table (logic/truth_table.hpp),
+/// its adjacent ON pairs 64 lower ends a word per variable, and whether a
+/// cube holds each pair from one "pair covered" bit plane per variable.
 [[nodiscard]] bool sic_static1_hazard_free(const Cover& cover);
 
 /// Adds consensus implicants (paper §2.1: "adding consensus gates") until
@@ -53,8 +53,9 @@ enum class Val3 : std::uint8_t { k0 = 0, k1 = 1, kX = 2 };
 /// resolved when the cover was selected); each added cube is an implicant
 /// of that function, greedily enlarged toward a prime.  Returns the
 /// number of cubes added.  Pairs are visited in increasing (minterm,
-/// variable) order and each added cube updates the pair masks at once,
-/// so the cubes added, and their order, are those of a scan that asks the
+/// variable) order, a word of 64 minterms at a time, and each added cube
+/// updates the pair planes before the next pair is read, so the cubes
+/// added, and their order, are those of a scan that asks the
 /// cover for a containing cube at every pair (the test-only oracle
 /// tests/oracles/logic/consensus_reference.hpp).  The enlargement's
 /// implicant test reads 64 minterms per word of the truth table.

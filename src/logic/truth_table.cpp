@@ -1,5 +1,8 @@
 #include "logic/truth_table.hpp"
 
+#include <algorithm>
+#include <deque>
+#include <optional>
 #include <stdexcept>
 #include <string>
 
@@ -7,94 +10,122 @@ namespace seance::logic {
 
 namespace {
 
-/// Word patterns of the six variables that index bits inside a word.
-constexpr std::uint64_t kLowVar[6] = {
-    0xAAAAAAAAAAAAAAAAull, 0xCCCCCCCCCCCCCCCCull, 0xF0F0F0F0F0F0F0F0ull,
-    0xFF00FF00FF00FF00ull, 0xFFFF0000FFFF0000ull, 0xFFFFFFFF00000000ull};
-
-std::uint32_t space_mask(int num_vars) {
-  return num_vars >= 32 ? ~0u : (1u << num_vars) - 1u;
-}
-
-/// The bits of a word that are minterms: all 64 from six variables up.
-std::uint64_t valid_bits(int num_vars) {
-  return num_vars >= 6 ? ~0ull : (1ull << (1u << num_vars)) - 1ull;
-}
-
-std::size_t word_count(int num_vars) {
-  return num_vars >= 6 ? std::size_t{1} << (num_vars - 6) : 1;
-}
-
-/// Calls visit(word index, bit pattern) for every word holding a minterm
-/// of `cube` below 2^num_vars, stopping early when visit returns false.
-/// The pattern marks the word's bits whose six low variables satisfy the
-/// cube's low literals; the words are the walk over the free high
-/// variables' submasks.  Returns false iff visit stopped the walk.
-template <class Visit>
-bool for_each_word(const Cube& cube, int num_vars, Visit visit) {
-  const std::uint32_t space = space_mask(num_vars);
-  // A literal x_i = 1 with i >= num_vars holds at no minterm of the space.
-  if ((cube.value() & ~space) != 0) return true;
-  const std::uint32_t care = cube.care() & space;
-  std::uint64_t pattern = valid_bits(num_vars);
-  for (int i = 0; i < 6 && i < num_vars; ++i) {
-    if ((care >> i) & 1u) {
-      pattern &= ((cube.value() >> i) & 1u) ? kLowVar[i] : ~kLowVar[i];
+/// The cube of a product of literals over variables below `num_vars`: a
+/// variable, a NOT over one, a NOR over variables, or an AND over those.
+/// nullopt for every other node, for a product that holds a variable and
+/// its complement, and for a variable at or above `num_vars`; the sliced
+/// recursion evaluates those.
+std::optional<Cube> product_cube(const Expr& e, int num_vars) {
+  std::uint32_t care = 0;
+  std::uint32_t value = 0;
+  const auto literal = [&](const Expr& v, bool positive) {
+    if (v.op() != Op::kVar || v.var_index() >= num_vars) return false;
+    const std::uint32_t bit = 1u << v.var_index();
+    if ((care & bit) != 0 && ((value & bit) != 0) != positive) return false;
+    care |= bit;
+    if (positive) value |= bit;
+    return true;
+  };
+  const auto factor = [&](const Expr& f) {
+    switch (f.op()) {
+      case Op::kVar:
+        return literal(f, true);
+      case Op::kNot:
+        return literal(*f.kids().front(), false);
+      case Op::kNor:
+        return std::all_of(f.kids().begin(), f.kids().end(),
+                           [&](const ExprPtr& k) { return literal(*k, false); });
+      default:
+        return false;
     }
-  }
-  const std::uint32_t free = (space & ~care) >> 6;
-  const std::uint32_t base = cube.value() >> 6;
-  std::uint32_t sub = 0;
-  while (true) {
-    if (!visit(base | sub, pattern)) return false;
-    if (sub == free) return true;
-    sub = (sub - free) & free;
-  }
+  };
+  const bool product =
+      e.op() == Op::kAnd
+          ? std::all_of(e.kids().begin(), e.kids().end(),
+                        [&](const ExprPtr& k) { return factor(*k); })
+          : factor(e);
+  if (!product) return std::nullopt;
+  return Cube(num_vars, care, value);
 }
 
-std::vector<std::uint64_t> slice(const Expr& e, int num_vars) {
-  const std::uint64_t valid = valid_bits(num_vars);
-  std::vector<std::uint64_t> out(word_count(num_vars), 0);
-  switch (e.op()) {
-    case Op::kConst:
-      if (e.const_value()) out.assign(out.size(), valid);
-      break;
-    case Op::kVar: {
-      const int i = e.var_index();
-      if (i >= num_vars) break;
-      if (i < 6) {
-        out.assign(out.size(), kLowVar[i] & valid);
+/// Bit-sliced evaluation over one table's words.  Products of literals
+/// are ORed in as cube words; every other node is computed a word at a
+/// time, with one scratch buffer per tree level for its kids' values.
+class Slicer {
+ public:
+  explicit Slicer(int num_vars)
+      : num_vars_(num_vars), words_(word_count(num_vars)), valid_(valid_bits(num_vars)) {}
+
+  /// Writes e's function to out[0, words); `level` is e's distance from
+  /// the root.
+  void eval(const Expr& e, std::uint64_t* out, std::size_t level) {
+    if (const std::optional<Cube> cube = product_cube(e, num_vars_)) {
+      std::fill_n(out, words_, 0);
+      or_cube(*cube, out);
+      return;
+    }
+    switch (e.op()) {
+      case Op::kConst:
+        std::fill_n(out, words_, e.const_value() ? valid_ : 0);
+        break;
+      case Op::kVar:
+        // A variable below num_vars is a product; this one reads 0.
+        std::fill_n(out, words_, 0);
+        break;
+      case Op::kNot:
+        eval(*e.kids().front(), out, level + 1);
+        complement(out);
+        break;
+      case Op::kAnd: {
+        eval(*e.kids().front(), out, level + 1);
+        std::uint64_t* kid = buffer(level);
+        for (std::size_t k = 1; k < e.kids().size(); ++k) {
+          eval(*e.kids()[k], kid, level + 1);
+          for (std::size_t w = 0; w < words_; ++w) out[w] &= kid[w];
+        }
         break;
       }
-      for (std::size_t w = 0; w < out.size(); ++w) {
-        out[w] = ((w >> (i - 6)) & 1u) ? ~0ull : 0ull;
-      }
-      break;
+      case Op::kOr:
+      case Op::kNor:
+        std::fill_n(out, words_, 0);
+        for (const ExprPtr& k : e.kids()) {
+          if (const std::optional<Cube> cube = product_cube(*k, num_vars_)) {
+            or_cube(*cube, out);
+            continue;
+          }
+          std::uint64_t* kid = buffer(level);
+          eval(*k, kid, level + 1);
+          for (std::size_t w = 0; w < words_; ++w) out[w] |= kid[w];
+        }
+        if (e.op() == Op::kNor) complement(out);
+        break;
     }
-    case Op::kNot:
-      out = slice(*e.kids().front(), num_vars);
-      for (std::uint64_t& word : out) word = ~word & valid;
-      break;
-    case Op::kAnd:
-      out.assign(out.size(), valid);
-      for (const ExprPtr& k : e.kids()) {
-        const std::vector<std::uint64_t> kid = slice(*k, num_vars);
-        for (std::size_t w = 0; w < out.size(); ++w) out[w] &= kid[w];
-      }
-      break;
-    case Op::kOr:
-    case Op::kNor:
-      for (const ExprPtr& k : e.kids()) {
-        const std::vector<std::uint64_t> kid = slice(*k, num_vars);
-        for (std::size_t w = 0; w < out.size(); ++w) out[w] |= kid[w];
-      }
-      if (e.op() == Op::kNor) {
-        for (std::uint64_t& word : out) word = ~word & valid;
-      }
-      break;
   }
-  return out;
-}
+
+ private:
+  void or_cube(const Cube& cube, std::uint64_t* out) const {
+    (void)for_each_cube_word(cube, num_vars_, [&](std::uint32_t w, std::uint64_t pattern) {
+      out[w] |= pattern;
+      return true;
+    });
+  }
+
+  void complement(std::uint64_t* out) const {
+    for (std::size_t w = 0; w < words_; ++w) out[w] = ~out[w] & valid_;
+  }
+
+  /// The kids' buffer of a node at `level`, allocated on first use.  A
+  /// deque keeps earlier buffers in place as deeper ones are added.
+  std::uint64_t* buffer(std::size_t level) {
+    while (scratch_.size() <= level) scratch_.emplace_back(words_);
+    return scratch_[level].data();
+  }
+
+  int num_vars_;
+  std::size_t words_;
+  std::uint64_t valid_;
+  std::deque<std::vector<std::uint64_t>> scratch_;
+};
 
 }  // namespace
 
@@ -115,19 +146,19 @@ TruthTable TruthTable::of(const Cover& cover, int num_vars) {
 
 TruthTable TruthTable::of(const ExprPtr& e, int num_vars) {
   TruthTable table(num_vars);
-  table.words_ = slice(*e, num_vars);
+  Slicer(num_vars).eval(*e, table.words_.data(), 0);
   return table;
 }
 
 void TruthTable::add(const Cube& cube) {
-  (void)for_each_word(cube, num_vars_, [&](std::uint32_t w, std::uint64_t pattern) {
+  (void)for_each_cube_word(cube, num_vars_, [&](std::uint32_t w, std::uint64_t pattern) {
     words_[w] |= pattern;
     return true;
   });
 }
 
 bool TruthTable::contains(const Cube& cube) const {
-  return for_each_word(cube, num_vars_, [&](std::uint32_t w, std::uint64_t pattern) {
+  return for_each_cube_word(cube, num_vars_, [&](std::uint32_t w, std::uint64_t pattern) {
     return (words_[w] & pattern) == pattern;
   });
 }

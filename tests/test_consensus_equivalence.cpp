@@ -4,9 +4,12 @@
 // cubes in the same order, return the same counts, and agree on SIC
 // static-1 hazard freedom before and after the repair.
 //
-// Inputs: random covers of 1-16 variables at fixed seeds, and every Y
-// cover, as cover selection returns it before the repair, of the
-// Table-1 suite and of the first four hardest-shape golden jobs.
+// Inputs: random covers of 1-20 variables at fixed seeds, two pinned
+// covers where the first added cube closes pairs the production pass
+// found open earlier in the same 64-minterm word (one across a low
+// variable, one across the high variables >= 6), and every Y cover, as
+// cover selection returns it before the repair, of the Table-1 suite
+// and of the first four hardest-shape golden jobs.
 
 #include <gtest/gtest.h>
 
@@ -67,6 +70,50 @@ TEST(ConsensusEquivalence, RandomCoversMatchReference) {
     }
   }
   EXPECT_GT(added, 0);
+}
+
+// Past 16 variables the pair planes span thousands of words and the
+// high variables outnumber the six in-word ones.
+TEST(ConsensusEquivalence, WideRandomCoversMatchReference) {
+  int added = 0;
+  for (int n = 17; n <= 20; ++n) {
+    for (std::uint64_t seed = 1; seed <= 2; ++seed) {
+      const Cover cover =
+          random_cover(n, 3 * n, 0.55, seed * 1000 + static_cast<std::uint64_t>(n));
+      added += expect_same_repair(cover, std::to_string(n) + " vars, seed " +
+                                             std::to_string(seed));
+    }
+  }
+  EXPECT_GT(added, 0);
+}
+
+// ON = {0, 1, 2, 3} over three variables, covered as -00 and -10 (strings
+// list variable 0 first).  Both pairs across variable 1, (0, 2) and
+// (1, 3), are open when the word is read; the cube added at (0, 2)
+// enlarges to --0 and closes (1, 3), so exactly one cube is added.
+TEST(ConsensusEquivalence, AddedCubeClosesALaterPairInTheSameWord) {
+  Cover cover(3);
+  cover.add(Cube::from_string("-00"));
+  cover.add(Cube::from_string("-10"));
+  EXPECT_EQ(expect_same_repair(cover, "same word"), 1);
+  Cover repaired = cover;
+  (void)make_sic_static1_hazard_free(repaired);
+  EXPECT_EQ(repaired.cubes().back().to_string(), "--0");
+}
+
+// ON = {0, 1, 64, 65, 128, 129, 192, 193} over eight variables, one cube
+// per word.  Every pair across variables 6 and 7 is open; the cube added
+// at (0, 64) enlarges to -00000-- and closes them all, including pairs
+// whose lower ends lie in later words.
+TEST(ConsensusEquivalence, AddedCubeClosesPairsAcrossHighVariables) {
+  Cover cover(8);
+  for (const char* cube : {"-0000000", "-0000010", "-0000001", "-0000011"}) {
+    cover.add(Cube::from_string(cube));
+  }
+  EXPECT_EQ(expect_same_repair(cover, "high variables"), 1);
+  Cover repaired = cover;
+  (void)make_sic_static1_hazard_free(repaired);
+  EXPECT_EQ(repaired.cubes().back().to_string(), "-00000--");
 }
 
 TEST(ConsensusEquivalence, MinimumCoversMatchReference) {

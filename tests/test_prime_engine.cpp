@@ -12,12 +12,15 @@
 // subcubes, the two paths check each other.  Regressions pin the
 // fallback itself, the deadline checkpoints, the canonical prime order,
 // and incidence bitmatrix correctness against brute-force
-// Cube::contains.
+// Cube::contains, from one partial bitset word (0-6 variables) up to
+// sparse functions at 21-24 variables, and the ON precondition of
+// compute_incidence.
 
 #include "logic/prime_engine.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <limits>
 #include <optional>
@@ -447,6 +450,90 @@ TEST(PrimeEngineRegression, EveryEmittedCubeIsAPrimeImplicant) {
       EXPECT_TRUE(is_prime_implicant(c, 7, f.on, f.dc)) << c.to_string();
     }
   }
+}
+
+// Every incidence bit of compute_incidence against Cube::contains, and
+// every kept prime covers some ON minterm.
+void expect_incidence_matches_contains(int num_vars, const std::vector<Minterm>& on,
+                                       const std::vector<Minterm>& dc,
+                                       const std::string& label) {
+  const prime_engine::PrimeIncidence pi =
+      prime_engine::compute_incidence(num_vars, on, dc);
+  ASSERT_EQ(pi.incidence.num_rows(), on.size()) << label;
+  ASSERT_EQ(pi.incidence.num_cols(), pi.primes.size()) << label;
+  for (std::size_t c = 0; c < pi.primes.size(); ++c) {
+    bool covers_some = false;
+    for (std::size_t r = 0; r < on.size(); ++r) {
+      const bool expected = pi.primes[c].contains(on[r]);
+      ASSERT_EQ(pi.incidence.covers(c, r), expected)
+          << label << ": prime " << pi.primes[c].to_string() << " minterm " << on[r];
+      covers_some = covers_some || expected;
+    }
+    EXPECT_TRUE(covers_some) << label << ": DC-only prime " << c;
+  }
+}
+
+// Below six variables the whole space is one partial bitset word, and
+// at six it is exactly one word: ranks come from the in-word popcount
+// alone.
+TEST(PrimeEngineIncidence, OnePartialWordMatchesContains) {
+  for (int n = 0; n <= 6; ++n) {
+    for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+      const auto f = random_function(n, 0.45, 0.2, 600 + seed * 7 + static_cast<std::uint64_t>(n));
+      expect_incidence_matches_contains(
+          n, f.on, f.dc, std::to_string(n) + " vars, seed " + std::to_string(seed));
+    }
+  }
+}
+
+// Sparse ON and DC sets at 21-24 variables, each a union of random
+// subcubes with free variables anywhere in the space, so most primes
+// span many bitset words and their ON hits sit far apart.  (The row
+// probe this replaced switched to a binary search past 20 variables.)
+TEST(PrimeEngineIncidence, SparseWideFunctionsMatchContains) {
+  for (int n = 21; n <= kMaxVars; ++n) {
+    for (std::uint64_t seed = 1; seed <= 2; ++seed) {
+      std::mt19937_64 rng(2100 + seed * 31 + static_cast<std::uint64_t>(n));
+      const Minterm full = (Minterm{1} << n) - 1;
+      std::vector<Minterm> on;
+      std::vector<Minterm> dc;
+      for (int k = 0; k < 16; ++k) {
+        Minterm free = 0;
+        while (std::popcount(free) < 3) {
+          free |= Minterm{1} << (rng() % static_cast<std::uint64_t>(n));
+        }
+        const Minterm base = static_cast<Minterm>(rng()) & full & ~free;
+        std::vector<Minterm>& out = (k % 3 == 2) ? dc : on;
+        Minterm s = 0;
+        do {
+          if (rng() % 4 != 0) out.push_back(base | s);
+          s = (s - free) & free;
+        } while (s != 0);
+      }
+      // The top minterm keeps the last bitset word's rank in play.
+      on.push_back(full);
+      std::sort(on.begin(), on.end());
+      on.erase(std::unique(on.begin(), on.end()), on.end());
+      std::erase_if(dc, [&](Minterm m) { return std::binary_search(on.begin(), on.end(), m); });
+      expect_incidence_matches_contains(
+          n, on, dc, std::to_string(n) + " vars, seed " + std::to_string(seed));
+    }
+  }
+}
+
+// A minterm's row is its rank in the ON set, which is its position in
+// the caller's list only when the list is ascending, duplicate-free and
+// inside the space; anything else is refused.
+TEST(PrimeEngineIncidence, OnPreconditionIsEnforced) {
+  const auto incidence = [](int num_vars, std::vector<Minterm> on) {
+    return prime_engine::compute_incidence(num_vars, on, {});
+  };
+  EXPECT_THROW(static_cast<void>(incidence(4, {5, 3})), std::invalid_argument);
+  EXPECT_THROW(static_cast<void>(incidence(4, {3, 3, 5})), std::invalid_argument);
+  EXPECT_THROW(static_cast<void>(incidence(4, {3, 16})), std::invalid_argument);
+  EXPECT_THROW(static_cast<void>(incidence(0, {1})), std::invalid_argument);
+  const prime_engine::PrimeIncidence pi = incidence(4, {3, 5, 15});
+  EXPECT_EQ(pi.incidence.num_rows(), 3u);
 }
 
 TEST(PrimeEngineEdge, EmptyFunctionHasNoPrimes) {

@@ -1,6 +1,9 @@
 // Packed truth tables (logic/truth_table.hpp) against the per-point
 // evaluators they replace in the exhaustive passes: Cover::eval,
 // Expr::eval and a cube's minterm list, at every point of the space.
+// Expression tables are checked on the shapes the pipeline builds, whose
+// products take the cube fast path, and on the shapes that path must
+// leave to the sliced recursion.
 
 #include "logic/truth_table.hpp"
 
@@ -10,6 +13,7 @@
 
 #include "bench_suite/benchmarks.hpp"
 #include "core/synthesize.hpp"
+#include "hazard/factor.hpp"
 
 namespace seance::logic {
 namespace {
@@ -124,6 +128,81 @@ TEST(TruthTable, ExprTableMatchesEvalEverywhere) {
   // Variables at or above the table's width read 0, as in Expr::eval.
   expect_matches(Expr::make_or({Expr::var(1), Expr::negate(Expr::var(9))}), 4);
   expect_matches(Expr::constant(true), 0);
+}
+
+// The three expression builders of the equation stage over random
+// covers of 1-16 variables: first-level SOP (AND over variables and a
+// NOR of the complemented ones), plain SOP (AND over variables and
+// NOT-variables), and the factored next-state form, whose hold term
+// AND(y, OR(...)) is not a product and goes through the recursion.
+TEST(TruthTable, PipelineExpressionShapesMatchEval) {
+  for (int n = 1; n <= 16; ++n) {
+    std::mt19937_64 rng(6000 + static_cast<std::uint64_t>(n));
+    for (int trial = 0; trial < 3; ++trial) {
+      Cover cover = random_cover(n, rng);
+      const int y = static_cast<int>(rng() % static_cast<std::uint64_t>(n));
+      // A cube with y positive, so the factored form has a hold term.
+      const Cube held = random_cube(n, rng);
+      cover.add(Cube(n, held.care() | (1u << y), held.value() | (1u << y)));
+      const TruthTable want = TruthTable::of(cover, n);
+      const ExprPtr factored = hazard::factor_next_state(cover, y);
+      // The hold term comes last, or alone.
+      const ExprPtr& hold =
+          factored->op() == Op::kOr ? factored->kids().back() : factored;
+      ASSERT_EQ(hold->op(), Op::kAnd) << cover.to_string();
+      ASSERT_EQ(hold->kids().front()->var_index(), y) << cover.to_string();
+      for (const ExprPtr& e : {first_level_sop_expr(cover), sop_expr(cover), factored}) {
+        expect_matches(e, n);
+        EXPECT_EQ(TruthTable::of(e, n), want) << e->to_string();
+      }
+    }
+  }
+}
+
+// Shapes the cube fast path must refuse, alone and beside products it
+// takes: a product of a variable and its complement, a NOR or a NOT
+// over a gate, and variables at or above the table's width, which read
+// 0 (a complemented one reads 1).
+TEST(TruthTable, ShapesOutsideTheCubeFastPathMatchEval) {
+  const auto v = [](int i) { return Expr::var(i); };
+  const auto n_ = [](ExprPtr e) { return Expr::negate(std::move(e)); };
+  const auto all = [](std::vector<ExprPtr> kids) { return Expr::make_and(std::move(kids)); };
+  const auto any = [](std::vector<ExprPtr> kids) { return Expr::make_or(std::move(kids)); };
+  const auto nor = [](std::vector<ExprPtr> kids) { return Expr::make_nor(std::move(kids)); };
+  const std::vector<ExprPtr> refused{
+      // x·x̄, as NOT and as NOR.
+      all({v(1), n_(v(1))}),
+      all({v(2), nor({v(0), v(2)})}),
+      all({n_(v(3)), v(0), v(3)}),
+      // NOR over a gate.
+      nor({all({v(0), v(1)}), v(2)}),
+      nor({v(0), nor({v(1), v(2)})}),
+      all({v(0), nor({all({v(1), v(2)})})}),
+      // NOT over a gate.
+      n_(all({v(0), v(1)})),
+      n_(any({v(0), n_(v(2))})),
+      all({v(0), n_(any({v(1), v(3)}))}),
+      // Variables at or above the width (here 4, and 9 at 8 variables).
+      v(4),
+      n_(v(5)),
+      all({v(1), v(4)}),
+      all({v(1), n_(v(5))}),
+      nor({v(0), v(6)}),
+      all({v(2), nor({v(7), v(1)})}),
+  };
+  for (const int width : {4, 8}) {
+    for (const ExprPtr& e : refused) {
+      expect_matches(e, width);
+      // Beside products the fast path takes, in both orders.
+      const ExprPtr product = all({v(0), nor({v(3)})});
+      expect_matches(any({product, e, v(1)}), width);
+      expect_matches(any({e, product}), width);
+      expect_matches(nor({e, product}), width);
+      expect_matches(all({any({e, product}), n_(v(2))}), width);
+    }
+    expect_matches(all({v(3), nor({v(9), v(0)})}), width);
+    expect_matches(any({all({v(9), v(1)}), all({v(6), v(7)})}), width);
+  }
 }
 
 TEST(TruthTable, FactoredYExpressionsOfTheSuiteMatchEval) {
