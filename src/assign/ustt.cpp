@@ -2,7 +2,11 @@
 
 #include <algorithm>
 #include <bit>
+#include <optional>
 #include <stdexcept>
+
+#include "logic/cover_engine.hpp"
+#include "logic/qm.hpp"  // kDefaultExactNodeBudget
 
 namespace seance::assign {
 
@@ -160,6 +164,43 @@ std::vector<Dichotomy> transition_dichotomies(const FlowTable& table) {
   return kept;
 }
 
+namespace detail {
+
+std::optional<Certificate> tracey_certificate(
+    const std::vector<Dichotomy>& dichotomies) {
+  StateSet mentioned = 0;
+  for (const Dichotomy& d : dichotomies) mentioned |= d.a | d.b;
+  const int n = std::bit_width(mentioned);
+  if (dichotomies.empty() || n > kCertificateMaxStates) return std::nullopt;
+  // The highest state always sits on the zero side, so column c is the
+  // partition whose one side is the nonempty set c + 1 of lower states:
+  // mirror images, which separate the same dichotomies, are dropped.
+  const StateSet all = (StateSet{1} << n) - 1;
+  const std::size_t columns = (std::size_t{1} << (n - 1)) - 1;
+  logic::CoverTable table(dichotomies.size(), columns);
+  const auto column_partition = [all](std::size_t c) {
+    const StateSet ones = static_cast<StateSet>(c + 1);
+    return Partition{all & ~ones, ones};
+  };
+  for (std::size_t c = 0; c < columns; ++c) {
+    const Partition p = column_partition(c);
+    for (std::size_t r = 0; r < dichotomies.size(); ++r) {
+      if (separates(p, dichotomies[r])) table.set(r, c);
+    }
+  }
+  const logic::MinCoverResult cover =
+      logic::solve_min_cover(table, logic::kDefaultExactNodeBudget);
+  Certificate cert{cover.lower_bound, {}};
+  if (cover.found) {
+    for (const std::size_t c : cover.columns) {
+      cert.partitions.push_back(column_partition(c));
+    }
+  }
+  return cert;
+}
+
+}  // namespace detail
+
 namespace {
 
 // Exact minimum "coloring" of dichotomies into mergeable classes, with a
@@ -169,6 +210,7 @@ namespace {
 // new class is still exact — the old optimum lower-bounds the enlarged
 // problem), and otherwise re-enters the branch and bound warm-started
 // from the extended incumbent instead of a cold greedy pass.
+// Each search is bounded by Tracey's cover (see ustt.hpp).
 class PartitionSearch {
  public:
   PartitionSearch(std::vector<Dichotomy> dichotomies, std::size_t budget,
@@ -177,11 +219,12 @@ class PartitionSearch {
     sort_most_constrained();
   }
 
-  // Returns the classes; sets `exact` false if the budget ran out (the
-  // incumbent greedy solution is returned in that case).
+  // Returns the classes; sets `exact` false if the budget ran out before
+  // the incumbent met the certificate's bound (the best of the incumbent
+  // and the cover's own solution is returned in that case).
   std::vector<Partition> solve(bool* exact) {
     greedy();
-    search();
+    search_to_bound();
     if (exact != nullptr) *exact = last_exact_;
     return best_;
   }
@@ -205,7 +248,7 @@ class PartitionSearch {
       return best_;
     }
     sort_most_constrained();
-    search();  // warm incumbent: only strictly smaller solutions accepted
+    search_to_bound();  // warm incumbent: only strictly smaller solutions accepted
     if (exact != nullptr) *exact = last_exact_;
     return best_;
   }
@@ -257,6 +300,26 @@ class PartitionSearch {
     best_ = std::move(classes);
   }
 
+  // Certifies the incumbent, or searches until it meets the certificate.
+  void search_to_bound() {
+    const std::optional<detail::Certificate> cert =
+        detail::tracey_certificate(dichotomies_);
+    bound_ = cert ? cert->bound : 0;
+    if (cert && best_.size() <= bound_) {
+      last_exact_ = true;
+      return;
+    }
+    search();
+    if (cert && !cert->partitions.empty() &&
+        cert->partitions.size() < best_.size()) {
+      best_ = cert->partitions;
+    }
+    last_exact_ = budget_.exact() || (cert && best_.size() <= bound_);
+  }
+
+  // The search has met its budget or the certificate's bound.
+  bool stopped() const { return budget_.exhausted() || best_.size() <= bound_; }
+
   void search() {
     std::vector<Partition> classes;
     budget_.reset();
@@ -275,7 +338,6 @@ class PartitionSearch {
       class_hash_.clear();
     }
     recurse(0, classes, 0);
-    last_exact_ = budget_.exact();
   }
 
   // `class_sum` is the wrapping sum of class_hash over `classes`: the
@@ -322,7 +384,7 @@ class PartitionSearch {
         recurse(index + 1, classes, child_sum);
         classes[i] = saved;
         if (tt_ != nullptr) class_hash_[i] = saved_hash;
-        if (budget_.exhausted()) {
+        if (stopped()) {
           truncated = true;
           break;
         }
@@ -340,6 +402,9 @@ class PartitionSearch {
       classes.pop_back();
       if (tt_ != nullptr) class_hash_.pop_back();
     }
+    // A search stopped at the certificate's bound stores Exact on the path
+    // to the leaf that met it: that leaf's size is the optimum, so no
+    // completion from these nodes is cheaper.
     if (tt_ != nullptr) {
       const std::size_t g = classes.size();
       const std::size_t best_out = best_.size();
@@ -364,6 +429,7 @@ class PartitionSearch {
   std::vector<std::uint64_t> index_key_;   ///< hash_mix(root, index)
   std::vector<std::uint64_t> class_hash_;  ///< class_hash of each class
   std::vector<Partition> best_;
+  std::size_t bound_ = 0;  ///< the certificate's lower bound (0: none)
   bool last_exact_ = true;
 };
 

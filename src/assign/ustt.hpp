@@ -16,6 +16,18 @@
 // fallback), then complete partial codes and enforce unicode (unique row
 // codes) by re-solving with extra separation constraints when necessary.
 //
+// Every search is certified with Tracey's own formulation when the
+// dichotomies mention at most detail::kCertificateMaxStates states: a set
+// cover whose columns are the complete two-block partitions of those
+// states (detail::tracey_certificate), whose lower bound holds even when
+// its own search is truncated.  A greedy (or first-fit extended)
+// incumbent at the bound is returned as proven without searching; the
+// branch and bound otherwise stops as soon as an incumbent reaches the
+// bound, returning the classes an unbounded search would (incumbents
+// change only on strict improvement); and a search that runs out of
+// budget above the cover's own solution returns the cover's partitions.
+// Above the state limit the search runs unbounded.
+//
 // This header is the production path: dominance reduction is
 // popcount-bucketed (only a strictly larger dichotomy can dominate, so
 // each dichotomy is tested against the larger buckets only — and the
@@ -33,7 +45,9 @@
 
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -133,6 +147,30 @@ namespace detail {
 /// Expands partitions into per-state codes (bit v = side of partition v).
 [[nodiscard]] std::vector<std::uint32_t> codes_from_partitions(
     int num_states, const std::vector<Partition>& parts);
+
+/// Tracey's table has 2^(n-1) - 1 columns for n states, so it is built only
+/// up to 2047 columns.  The golden corpus's largest reduced table has 9
+/// states; above the limit the partition search runs without a bound.
+inline constexpr int kCertificateMaxStates = 12;
+
+/// Tracey's cover of a dichotomy set: its certified lower bound on the
+/// number of partitions, and the cover's own partitions (complete over the
+/// mentioned states; empty if the cover search found none in budget).
+struct Certificate {
+  std::size_t bound = 0;
+  std::vector<Partition> partitions;
+};
+
+/// Solves Tracey's formulation: one row per dichotomy, one column per
+/// complete two-block partition of the n states the dichotomies mention
+/// (n = the highest state + 1), with state n-1 always on the zero side so
+/// mirror images are dropped.  Every class the partition search builds
+/// extends to a complete partition, so the cover's optimum is the minimum
+/// class count.  nullopt when there are no dichotomies or n exceeds
+/// kCertificateMaxStates.  Polls the job deadline through the cover
+/// search's node budget.
+[[nodiscard]] std::optional<Certificate> tracey_certificate(
+    const std::vector<Dichotomy>& dichotomies);
 
 }  // namespace detail
 

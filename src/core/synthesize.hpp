@@ -119,11 +119,13 @@ struct SynthesisOptions {
 /// members above.  v6 rows came from a cover search that kept a memo; the
 /// v7 search keeps none, which moves budget-truncated covers.  v7 rows
 /// came from a 16 MiB memo; v8's is 1 MiB, whose evictions may move
-/// budget-truncated rows.)
-inline constexpr int kOptionsEncodingVersion = 8;
+/// budget-truncated rows.  v8 rows came from a USTT partition search
+/// without Tracey's cover certificate, which gives some rows fewer state
+/// variables.)
+inline constexpr int kOptionsEncodingVersion = 9;
 
 /// Canonical, byte-stable encoding of every result-affecting knob:
-///   "v8 fsv=B minimize=B factor=B consensus=B tt=B"
+///   "v9 fsv=B minimize=B factor=B consensus=B tt=B"
 /// Equal options always produce equal bytes (field order is pinned by
 /// test), so the string can key a content-addressed cache and compare
 /// pipeline configurations across processes.

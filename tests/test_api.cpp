@@ -86,7 +86,7 @@ TEST(OptionsCodec, PinnedDefaultBytes) {
   // invalidates every cache entry and golden identity, so it must be a
   // deliberate version bump, never drift.
   EXPECT_EQ(core::options_to_string(core::SynthesisOptions{}),
-            "v8 fsv=1 minimize=1 factor=1 consensus=1 tt=1");
+            "v9 fsv=1 minimize=1 factor=1 consensus=1 tt=1");
 }
 
 TEST(OptionsCodec, FixedConstantsArePinnedToTheCodecVersion) {
@@ -99,7 +99,7 @@ TEST(OptionsCodec, FixedConstantsArePinnedToTheCodecVersion) {
       "rows without moving any cache key: bump "
       "core::kOptionsEncodingVersion, regenerate the golden corpus, and "
       "update this pin";
-  EXPECT_EQ(core::kOptionsEncodingVersion, 8) << kWhy;
+  EXPECT_EQ(core::kOptionsEncodingVersion, 9) << kWhy;
   EXPECT_EQ(core::SynthesisOptions::tt_mb, 1u) << kWhy;
   EXPECT_EQ(core::SynthesisOptions::assign.node_budget, 500'000u) << kWhy;
   EXPECT_EQ(core::SynthesisOptions::reduce.node_budget, 1'000'000u) << kWhy;
@@ -108,7 +108,7 @@ TEST(OptionsCodec, FixedConstantsArePinnedToTheCodecVersion) {
 }
 
 TEST(OptionsCodec, AbsentKeysKeepDefaults) {
-  const core::SynthesisOptions back = core::options_from_string("v8 fsv=0");
+  const core::SynthesisOptions back = core::options_from_string("v9 fsv=0");
   EXPECT_FALSE(back.add_fsv);
   EXPECT_TRUE(back.minimize_states);
   EXPECT_TRUE(back.tt);
@@ -117,7 +117,7 @@ TEST(OptionsCodec, AbsentKeysKeepDefaults) {
 TEST(OptionsCodec, RejectsBadInput) {
   // Unknown keys are rejected, not skipped: a key this build does not
   // understand could alias two configurations under one cache key.
-  EXPECT_THROW((void)core::options_from_string("v8 warp=1"),
+  EXPECT_THROW((void)core::options_from_string("v9 warp=1"),
                std::runtime_error);
   EXPECT_THROW((void)core::options_from_string("v3 fsv=1"),
                std::runtime_error);
@@ -130,24 +130,28 @@ TEST(OptionsCodec, RejectsBadInput) {
   EXPECT_THROW((void)core::options_from_string(
                    "v7 fsv=1 minimize=1 factor=1 consensus=1 tt=1"),
                std::runtime_error);
+  // v8 rows came from a USTT search without the cover certificate.
+  EXPECT_THROW((void)core::options_from_string(
+                   "v8 fsv=1 minimize=1 factor=1 consensus=1 tt=1"),
+               std::runtime_error);
   EXPECT_THROW((void)core::options_from_string(""), std::runtime_error);
-  EXPECT_THROW((void)core::options_from_string("v8 fsv=2"),
+  EXPECT_THROW((void)core::options_from_string("v9 fsv=2"),
                std::runtime_error);
-  EXPECT_THROW((void)core::options_from_string("v8 fsv=1 fsv=1"),
+  EXPECT_THROW((void)core::options_from_string("v9 fsv=1 fsv=1"),
                std::runtime_error);
-  EXPECT_THROW((void)core::options_from_string("v8 tt=maybe"),
+  EXPECT_THROW((void)core::options_from_string("v9 tt=maybe"),
                std::runtime_error);
   // v3's cover-budget / cover-cells keys are gone, not silently ignored.
-  EXPECT_THROW((void)core::options_from_string("v8 cover-budget=2000000"),
+  EXPECT_THROW((void)core::options_from_string("v9 cover-budget=2000000"),
                std::runtime_error);
 }
 
 TEST(OptionsCodec, RejectsTheRetiredTtMbKey) {
-  // v4's tt-mb is the fixed SynthesisOptions::tt_mb now: a v8 string
+  // v4's tt-mb is the fixed SynthesisOptions::tt_mb now: a v9 string
   // carrying it is an unknown key, and a whole v4 string is a version
   // mismatch, so neither aliases a current configuration.
   try {
-    (void)core::options_from_string("v8 tt-mb=16");
+    (void)core::options_from_string("v9 tt-mb=16");
     ADD_FAILURE() << "accepted tt-mb";
   } catch (const std::runtime_error& e) {
     EXPECT_NE(std::string(e.what()).find("unknown key 'tt-mb'"),
@@ -160,7 +164,7 @@ TEST(OptionsCodec, RejectsTheRetiredTtMbKey) {
         "unique=1 assign-budget=500000 reduce-budget=1000000 tt=1 tt-mb=16");
     ADD_FAILURE() << "accepted a v4 string";
   } catch (const std::runtime_error& e) {
-    EXPECT_NE(std::string(e.what()).find("expected version tag 'v8'"),
+    EXPECT_NE(std::string(e.what()).find("expected version tag 'v9'"),
               std::string::npos)
         << e.what();
   }
@@ -168,7 +172,7 @@ TEST(OptionsCodec, RejectsTheRetiredTtMbKey) {
 
 TEST(OptionsCodec, RejectsTheRetiredV5Keys) {
   // v5's cover policy, uniqueness switch and node budgets are fixed
-  // SynthesisOptions members now: each key is unknown to v8, even at its
+  // SynthesisOptions members now: each key is unknown to v9, even at its
   // old default, and a whole v5 string is a version mismatch.
   for (const char* token : {"cover=essential-sop", "unique=1",
                             "assign-budget=500000", "reduce-budget=1000000"}) {
@@ -176,7 +180,7 @@ TEST(OptionsCodec, RejectsTheRetiredV5Keys) {
     const std::string token_text(token);
     const std::string key = token_text.substr(0, token_text.find('='));
     try {
-      (void)core::options_from_string(std::string("v8 ") + token);
+      (void)core::options_from_string(std::string("v9 ") + token);
       ADD_FAILURE() << "accepted";
     } catch (const std::runtime_error& e) {
       EXPECT_NE(std::string(e.what()).find("unknown key '" + key + "'"),
@@ -190,7 +194,7 @@ TEST(OptionsCodec, RejectsTheRetiredV5Keys) {
         "unique=1 assign-budget=500000 reduce-budget=1000000 tt=1");
     ADD_FAILURE() << "accepted a v5 string";
   } catch (const std::runtime_error& e) {
-    EXPECT_NE(std::string(e.what()).find("expected version tag 'v8'"),
+    EXPECT_NE(std::string(e.what()).find("expected version tag 'v9'"),
               std::string::npos)
         << e.what();
   }

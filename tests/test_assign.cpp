@@ -3,12 +3,18 @@
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <cstdint>
+#include <limits>
 #include <set>
 
 #include "assign/ustt_reference.hpp"
 #include "bench_suite/benchmarks.hpp"
 #include "bench_suite/generator.hpp"
+#include "core/synthesize.hpp"
+#include "driver/batch.hpp"
 #include "flowtable/table.hpp"
+#include "minimize/reduce.hpp"
+#include "search/search.hpp"
 
 namespace seance::assign {
 namespace {
@@ -197,6 +203,151 @@ std::vector<AssignCase> assign_cases() {
 }
 
 INSTANTIATE_TEST_SUITE_P(RandomTables, AssignRandom, ::testing::ValuesIn(assign_cases()));
+
+// Fewest complete partitions of `num_states` states (any subset as the
+// one side, mirror images included) separating every dichotomy: a
+// breadth-first search over the sets of dichotomies covered so far.
+std::size_t brute_force_min_partitions(const std::vector<Dichotomy>& dichotomies,
+                                       int num_states) {
+  const StateSet all = (StateSet{1} << num_states) - 1;
+  std::vector<std::uint32_t> separated;  // per subset: dichotomies it separates
+  for (StateSet ones = 0; ones <= all; ++ones) {
+    std::uint32_t mask = 0;
+    for (std::size_t r = 0; r < dichotomies.size(); ++r) {
+      if (separates(Partition{all & ~ones, ones}, dichotomies[r])) mask |= 1u << r;
+    }
+    separated.push_back(mask);
+  }
+  const std::uint32_t full = (1u << dichotomies.size()) - 1;
+  constexpr std::size_t kUnseen = std::numeric_limits<std::size_t>::max();
+  std::vector<std::size_t> depth(std::size_t{full} + 1, kUnseen);
+  std::vector<std::uint32_t> frontier = {0};
+  depth[0] = 0;
+  for (std::size_t k = 0; !frontier.empty(); ++k) {
+    std::vector<std::uint32_t> next;
+    for (const std::uint32_t covered : frontier) {
+      if (covered == full) return k;
+      for (const std::uint32_t mask : separated) {
+        const std::uint32_t reached = covered | mask;
+        if (depth[reached] == kUnseen) {
+          depth[reached] = k + 1;
+          next.push_back(reached);
+        }
+      }
+    }
+    frontier = std::move(next);
+  }
+  return kUnseen;
+}
+
+TEST(TraceyCertificate, OptimumMatchesBruteForceOverCompletePartitions) {
+  std::uint64_t rng = 0x2545f4914f6cdd1dull;
+  const auto draw = [&rng](std::uint64_t bound) {
+    rng = search::hash_u64(rng);
+    return rng % bound;
+  };
+  for (int trial = 0; trial < 200; ++trial) {
+    const int n = 3 + static_cast<int>(draw(4));  // 3..6 states
+    std::vector<Dichotomy> dichotomies;
+    const std::size_t rows = 1 + draw(12);
+    while (dichotomies.size() < rows) {
+      // Each state lands in block a, block b, or neither.
+      Dichotomy d;
+      for (int s = 0; s < n; ++s) {
+        const std::uint64_t side = draw(3);
+        if (side == 1) d.a |= StateSet{1} << s;
+        if (side == 2) d.b |= StateSet{1} << s;
+      }
+      if (d.valid()) dichotomies.push_back(d);
+    }
+    SCOPED_TRACE(trial);
+    const std::optional<detail::Certificate> cert =
+        detail::tracey_certificate(dichotomies);
+    ASSERT_TRUE(cert.has_value());
+    const std::size_t optimum = brute_force_min_partitions(dichotomies, n);
+    EXPECT_EQ(cert->bound, optimum);
+    ASSERT_EQ(cert->partitions.size(), optimum);
+    for (const Dichotomy& d : dichotomies) {
+      bool separated = false;
+      for (const Partition& p : cert->partitions) separated = separated || separates(p, d);
+      EXPECT_TRUE(separated);
+    }
+  }
+}
+
+// A golden hardest-20x6 row after core::synthesize's state reduction.
+FlowTable reduced_hardest(std::size_t index) {
+  driver::BatchRunner corpus;
+  corpus.add_hardest_generated(static_cast<int>(index) + 1, 1);
+  FlowTable table = corpus.jobs()[index].table;
+  if (!table.is_normal_mode()) table.normalize_to_normal_mode();
+  return minimize::reduce(table, core::SynthesisOptions::reduce).reduced;
+}
+
+TEST(TraceyCertificate, ProvesTheGreedyCodesOfHardest0002) {
+  // The partition search spends its whole budget here and never improves
+  // on greedy; the cover proves greedy's six classes optimal, so the
+  // codes are the uncertified search's, now with exact = true.
+  const FlowTable t = reduced_hardest(2);
+  search::TranspositionTable tt(core::SynthesisOptions::tt_mb << 20);
+  for (search::TranspositionTable* memo : {&tt, static_cast<search::TranspositionTable*>(nullptr)}) {
+    const Assignment a = assign_ustt(t, core::SynthesisOptions::assign, memo);
+    EXPECT_TRUE(a.exact);
+    EXPECT_EQ(a.num_vars, 6);
+    EXPECT_EQ(a.codes, (std::vector<std::uint32_t>{39, 11, 41, 50, 4, 46, 29}));
+  }
+}
+
+TEST(TraceyCertificate, Hardest0003NeedsSixVariables) {
+  // The uncertified search gives up at eight variables; the cover's
+  // proven six-partition solution replaces its incumbent.
+  const FlowTable t = reduced_hardest(3);
+  const Assignment a = assign_ustt(t, core::SynthesisOptions::assign);
+  EXPECT_TRUE(a.exact);
+  EXPECT_EQ(a.num_vars, 6);
+  std::string why;
+  EXPECT_TRUE(verify_ustt(t, a.codes, a.num_vars, &why)) << why;
+}
+
+TEST(TraceyCertificate, ThirteenStatesSkipTheCertificate) {
+  GeneratorOptions gen;
+  gen.num_states = 13;
+  gen.num_inputs = 3;
+  gen.num_outputs = 1;
+  gen.seed = 1;
+  const FlowTable t = bench_suite::generate(gen);
+  const std::vector<Dichotomy> dichotomies = transition_dichotomies(t);
+  StateSet mentioned = 0;
+  for (const Dichotomy& d : dichotomies) mentioned |= d.a | d.b;
+  ASSERT_EQ(std::bit_width(mentioned), detail::kCertificateMaxStates + 1);
+  EXPECT_FALSE(detail::tracey_certificate(dichotomies).has_value());
+
+  // Without a certificate the search runs as the seed's does: its
+  // budget-truncated incumbent, bit for bit.
+  const Assignment fast = assign_ustt(t);
+  const Assignment ref = reference_assign_ustt(t);
+  ASSERT_EQ(ref.completion_rounds, 0);
+  EXPECT_FALSE(fast.exact);
+  EXPECT_EQ(fast.exact, ref.exact);
+  EXPECT_EQ(fast.num_vars, ref.num_vars);
+  EXPECT_EQ(fast.codes, ref.codes);
+}
+
+TEST(TraceyCertificate, ExpiredDeadlineStopsTheCoverSearch) {
+  // Hardest-20x6-0003's cover needs about 900k nodes to prove, so its
+  // node budget polls the deadline long before the search ends.
+  const FlowTable t = reduced_hardest(3);
+  const std::vector<Dichotomy> dichotomies = transition_dichotomies(t);
+  ASSERT_TRUE(detail::tracey_certificate(dichotomies).has_value());
+  const search::DeadlineScope spent(0.0);
+  EXPECT_THROW((void)detail::tracey_certificate(dichotomies),
+               search::DeadlineExceeded);
+  // A zero-node partition search never reaches a deadline checkpoint, so
+  // the throw here comes from the certificate.
+  AssignOptions options;
+  options.node_budget = 0;
+  EXPECT_THROW((void)assign_ustt(t, options), search::DeadlineExceeded);
+}
 
 }  // namespace
 }  // namespace seance::assign

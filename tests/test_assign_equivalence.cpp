@@ -1,13 +1,15 @@
-// Differential suite: the popcount-bucketed / incrementally-resuming USTT
-// engine (ustt.hpp) vs the retained seed implementation
-// (ustt_reference.hpp).  The dominance reductions consume the same
-// detail::raw_dichotomies list and must keep exactly the same dichotomies
-// in the same order (the kept set is the maximal elements, which is
-// order-independent).  Whole-pipeline results are byte-identical whenever
-// the uniqueness completion never fires (the overwhelmingly common case —
-// the golden corpus rides on it); when it does fire, the two paths add
-// different batches of separation pairs, so only validity and variable
-// counts are compared.
+// Differential suite: the popcount-bucketed / incrementally-resuming,
+// certificate-bounded USTT engine (ustt.hpp) vs the retained seed
+// implementation (ustt_reference.hpp).  The dominance reductions consume
+// the same detail::raw_dichotomies list and must keep exactly the same
+// dichotomies in the same order (the kept set is the maximal elements,
+// which is order-independent).  When the uniqueness completion never
+// fires, the production path never needs more variables than the seed;
+// at the same count the codes are bit-identical (the certified search
+// stops at an incumbent the seed's search would keep), and the
+// certificate can only turn an unproven result into a proven one.  When
+// the completion does fire, the two paths add different batches of
+// separation pairs, so only validity is compared.
 
 #include <gtest/gtest.h>
 
@@ -60,11 +62,18 @@ TEST_P(AssignEnginesAgree, IdenticalDominanceAndValidCodes) {
 
   if (b.completion_rounds == 0) {
     // No uniqueness completion: round 0 of the production path is the
-    // seed path — the assignment must match bit for bit.
+    // seed's search bounded by Tracey's cover.  It may find fewer
+    // variables (the cover's solution replaces a truncated incumbent),
+    // never more; at an equal count it is the seed's assignment; and
+    // `exact` can only go from false to true.
     EXPECT_EQ(a.completion_rounds, 0);
-    EXPECT_EQ(a.codes, b.codes);
-    EXPECT_EQ(a.num_vars, b.num_vars);
-    EXPECT_EQ(a.exact, b.exact);
+    EXPECT_LE(a.num_vars, b.num_vars);
+    if (a.num_vars == b.num_vars) {
+      EXPECT_EQ(a.codes, b.codes);
+    }
+    if (b.exact) {
+      EXPECT_TRUE(a.exact);
+    }
   }
 }
 

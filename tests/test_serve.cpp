@@ -83,7 +83,7 @@ TEST(Serve, RepeatRequestHitsTheCache) {
 TEST(Serve, OptLineSelectsDistinctCacheEntries) {
   ResultCache cache(CacheConfig{"", 1 << 20});
   const std::string baseline =
-      "v8 fsv=0 minimize=1 factor=1 consensus=1 tt=1";
+      "v9 fsv=0 minimize=1 factor=1 consensus=1 tt=1";
   const auto lines = run_session(request_of("a", example_kiss()) +
                                      request_of("b", example_kiss(), baseline),
                                  &cache);
