@@ -6,7 +6,7 @@
 #include <stdexcept>
 
 #include "logic/cover_engine.hpp"
-#include "logic/qm.hpp"  // kDefaultExactNodeBudget
+#include "logic/qm.hpp"  // kExactCellLimit
 
 namespace seance::assign {
 
@@ -168,15 +168,16 @@ namespace detail {
 
 std::optional<Certificate> tracey_certificate(
     const std::vector<Dichotomy>& dichotomies) {
+  if (dichotomies.empty()) return std::nullopt;
   StateSet mentioned = 0;
   for (const Dichotomy& d : dichotomies) mentioned |= d.a | d.b;
   const int n = std::bit_width(mentioned);
-  if (dichotomies.empty() || n > kCertificateMaxStates) return std::nullopt;
   // The highest state always sits on the zero side, so column c is the
   // partition whose one side is the nonempty set c + 1 of lower states:
   // mirror images, which separate the same dichotomies, are dropped.
-  const StateSet all = (StateSet{1} << n) - 1;
   const std::size_t columns = (std::size_t{1} << (n - 1)) - 1;
+  if (columns > logic::kExactCellLimit / dichotomies.size()) return std::nullopt;
+  const StateSet all = (StateSet{1} << n) - 1;
   logic::CoverTable table(dichotomies.size(), columns);
   const auto column_partition = [all](std::size_t c) {
     const StateSet ones = static_cast<StateSet>(c + 1);
@@ -189,7 +190,7 @@ std::optional<Certificate> tracey_certificate(
     }
   }
   const logic::MinCoverResult cover =
-      logic::solve_min_cover(table, logic::kDefaultExactNodeBudget);
+      logic::solve_min_cover(table, kCertificateNodeBudget);
   Certificate cert{cover.lower_bound, {}};
   if (cover.found) {
     for (const std::size_t c : cover.columns) {

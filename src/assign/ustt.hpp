@@ -16,17 +16,19 @@
 // fallback), then complete partial codes and enforce unicode (unique row
 // codes) by re-solving with extra separation constraints when necessary.
 //
-// Every search is certified with Tracey's own formulation when the
-// dichotomies mention at most detail::kCertificateMaxStates states: a set
-// cover whose columns are the complete two-block partitions of those
-// states (detail::tracey_certificate), whose lower bound holds even when
-// its own search is truncated.  A greedy (or first-fit extended)
-// incumbent at the bound is returned as proven without searching; the
-// branch and bound otherwise stops as soon as an incumbent reaches the
-// bound, returning the classes an unbounded search would (incumbents
-// change only on strict improvement); and a search that runs out of
-// budget above the cover's own solution returns the cover's partitions.
-// Above the state limit the search runs unbounded.
+// Every search is certified with Tracey's own formulation: a set cover
+// whose rows are the dichotomies and whose columns are the complete
+// two-block partitions of the states they mention
+// (detail::tracey_certificate), whose lower bound holds even when its own
+// search is truncated.  It is built when that chart fits the exact-cover
+// cell ceiling logic::kExactCellLimit, as the equation covers are.  A
+// greedy (or first-fit extended) incumbent at the bound is returned as
+// proven without searching; the branch and bound otherwise stops as soon
+// as an incumbent reaches the bound, returning the classes an unbounded
+// search would (incumbents change only on strict improvement); and a
+// search that runs out of budget above the cover's own solution returns
+// the cover's partitions.
+// Past the cell ceiling the search runs unbounded.
 //
 // This header is the production path: dominance reduction is
 // popcount-bucketed (only a strictly larger dichotomy can dominate, so
@@ -87,7 +89,9 @@ struct Partition {
 [[nodiscard]] bool separates(const Partition& p, const Dichotomy& d);
 
 struct AssignOptions {
-  /// Node budget for the exact cover search.
+  /// Node budget for the partition search's branch and bound.  It does
+  /// not bound Tracey's certificate, which has its own
+  /// (detail::kCertificateNodeBudget), so a zero budget still certifies.
   std::size_t node_budget = 500'000;
 };
 
@@ -148,10 +152,12 @@ namespace detail {
 [[nodiscard]] std::vector<std::uint32_t> codes_from_partitions(
     int num_states, const std::vector<Partition>& parts);
 
-/// Tracey's table has 2^(n-1) - 1 columns for n states, so it is built only
-/// up to 2047 columns.  The golden corpus's largest reduced table has 9
-/// states; above the limit the partition search runs without a bound.
-inline constexpr int kCertificateMaxStates = 12;
+/// Node budget for the certificate's cover search.  Proving the golden
+/// hardest-20x6-0003's six-partition optimum takes about 906k nodes.  A
+/// search that spends the whole budget on a chart near the cell ceiling
+/// took at most 0.1 s in the sweep of generated tables and random charts
+/// recorded in BENCH_31.json (`certificate_cost_sweep`).
+inline constexpr std::size_t kCertificateNodeBudget = 2'000'000;
 
 /// Tracey's cover of a dichotomy set: its certified lower bound on the
 /// number of partitions, and the cover's own partitions (complete over the
@@ -166,9 +172,9 @@ struct Certificate {
 /// (n = the highest state + 1), with state n-1 always on the zero side so
 /// mirror images are dropped.  Every class the partition search builds
 /// extends to a complete partition, so the cover's optimum is the minimum
-/// class count.  nullopt when there are no dichotomies or n exceeds
-/// kCertificateMaxStates.  Polls the job deadline through the cover
-/// search's node budget.
+/// class count.  nullopt when there are no dichotomies or the chart has
+/// more than logic::kExactCellLimit cells.  Polls the job deadline
+/// through the cover search's node budget.
 [[nodiscard]] std::optional<Certificate> tracey_certificate(
     const std::vector<Dichotomy>& dichotomies);
 

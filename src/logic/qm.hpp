@@ -73,7 +73,8 @@ inline constexpr std::size_t kDefaultExactNodeBudget = 2'000'000;
 /// nothing new and costs +68% wall; the one chart that does newly prove
 /// needs a 4x node budget too, at 5.5x wall.  The ceiling therefore
 /// stays fixed, and the certified cover_gap column reports exactly what
-/// remains unproven.
+/// remains unproven.  The same ceiling decides which USTT searches build
+/// Tracey's certificate (assign::detail::tracey_certificate).
 inline constexpr std::size_t kExactCellLimit = 524'288;
 
 /// Minimum essential-SOP cover (paper's reduction for Z/SSD/Y): the

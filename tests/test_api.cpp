@@ -18,6 +18,7 @@
 #include <string>
 
 #include "api/cache.hpp"
+#include "assign/ustt.hpp"
 #include "bench_suite/benchmarks.hpp"
 #include "bench_suite/generator.hpp"
 #include "core/synthesize.hpp"
@@ -105,6 +106,7 @@ TEST(OptionsCodec, FixedConstantsArePinnedToTheCodecVersion) {
   EXPECT_EQ(core::SynthesisOptions::reduce.node_budget, 1'000'000u) << kWhy;
   EXPECT_EQ(logic::kDefaultExactNodeBudget, 2'000'000u) << kWhy;
   EXPECT_EQ(logic::kExactCellLimit, 524'288u) << kWhy;
+  EXPECT_EQ(assign::detail::kCertificateNodeBudget, 2'000'000u) << kWhy;
 }
 
 TEST(OptionsCodec, AbsentKeysKeepDefaults) {

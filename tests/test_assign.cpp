@@ -13,6 +13,7 @@
 #include "core/synthesize.hpp"
 #include "driver/batch.hpp"
 #include "flowtable/table.hpp"
+#include "logic/qm.hpp"
 #include "minimize/reduce.hpp"
 #include "search/search.hpp"
 
@@ -309,7 +310,7 @@ TEST(TraceyCertificate, Hardest0003NeedsSixVariables) {
   EXPECT_TRUE(verify_ustt(t, a.codes, a.num_vars, &why)) << why;
 }
 
-TEST(TraceyCertificate, ThirteenStatesSkipTheCertificate) {
+TEST(TraceyCertificate, ChartsPastTheCellCeilingSkipTheCertificate) {
   GeneratorOptions gen;
   gen.num_states = 13;
   gen.num_inputs = 3;
@@ -319,7 +320,9 @@ TEST(TraceyCertificate, ThirteenStatesSkipTheCertificate) {
   const std::vector<Dichotomy> dichotomies = transition_dichotomies(t);
   StateSet mentioned = 0;
   for (const Dichotomy& d : dichotomies) mentioned |= d.a | d.b;
-  ASSERT_EQ(std::bit_width(mentioned), detail::kCertificateMaxStates + 1);
+  ASSERT_EQ(std::bit_width(mentioned), 13);
+  const std::size_t columns = (std::size_t{1} << 12) - 1;
+  ASSERT_GT(dichotomies.size() * columns, logic::kExactCellLimit);
   EXPECT_FALSE(detail::tracey_certificate(dichotomies).has_value());
 
   // Without a certificate the search runs as the seed's does: its
@@ -331,6 +334,24 @@ TEST(TraceyCertificate, ThirteenStatesSkipTheCertificate) {
   EXPECT_EQ(fast.exact, ref.exact);
   EXPECT_EQ(fast.num_vars, ref.num_vars);
   EXPECT_EQ(fast.codes, ref.codes);
+}
+
+TEST(TraceyCertificate, TheCellCeilingBoundsTheChartNotTheStateCount) {
+  // Twenty states give 2^19 - 1 columns: one dichotomy fits the ceiling,
+  // a second does not.
+  const StateSet top = StateSet{1} << 19;
+  std::vector<Dichotomy> dichotomies{Dichotomy{0b1, top}};
+  ASSERT_LE(dichotomies.size() * ((std::size_t{1} << 19) - 1),
+            logic::kExactCellLimit);
+  const std::optional<detail::Certificate> cert =
+      detail::tracey_certificate(dichotomies);
+  ASSERT_TRUE(cert.has_value());
+  EXPECT_EQ(cert->bound, 1u);
+  ASSERT_EQ(cert->partitions.size(), 1u);
+  EXPECT_TRUE(separates(cert->partitions[0], dichotomies[0]));
+
+  dichotomies.push_back(Dichotomy{0b10, 0b100});
+  EXPECT_FALSE(detail::tracey_certificate(dichotomies).has_value());
 }
 
 TEST(TraceyCertificate, ExpiredDeadlineStopsTheCoverSearch) {
