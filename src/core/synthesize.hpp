@@ -121,11 +121,13 @@ struct SynthesisOptions {
 /// came from a 16 MiB memo; v8's is 1 MiB, whose evictions may move
 /// budget-truncated rows.  v8 rows came from a USTT partition search
 /// without Tracey's cover certificate, which gives some rows fewer state
-/// variables.)
-inline constexpr int kOptionsEncodingVersion = 9;
+/// variables.  v9 rows came from a cover search that started with no
+/// incumbent under a 2,000,000-node budget; v10's starts at the greedy
+/// cover under 200,000 nodes, which moves budget-truncated covers.)
+inline constexpr int kOptionsEncodingVersion = 10;
 
 /// Canonical, byte-stable encoding of every result-affecting knob:
-///   "v9 fsv=B minimize=B factor=B consensus=B tt=B"
+///   "v10 fsv=B minimize=B factor=B consensus=B tt=B"
 /// Equal options always produce equal bytes (field order is pinned by
 /// test), so the string can key a content-addressed cache and compare
 /// pipeline configurations across processes.

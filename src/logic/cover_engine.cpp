@@ -48,6 +48,60 @@ std::vector<std::uint64_t> all_set(std::size_t bits) {
   return words;
 }
 
+// Lazy greedy over `num_cols` column-major bitsets of `words` words
+// each, covering rows 0..num_rows-1.  A column's gain only ever
+// decreases as rows get covered, so the cached gains are upper bounds
+// and a max-heap of stale entries needs to recompute only what floats to
+// the top — instead of rescanning every column per pick.  The comparator
+// prefers larger gain then lower column index, which is exactly the
+// argmax an eager linear scan takes, so the chosen cover (and the
+// determinism contract) does not depend on the heap.  Returns nullopt
+// when some row is covered by no column.
+std::optional<std::vector<std::size_t>> lazy_greedy(const std::uint64_t* cols,
+                                                    std::size_t num_cols,
+                                                    std::size_t words,
+                                                    std::size_t num_rows) {
+  std::vector<std::uint64_t> uncovered = all_set(num_rows);
+  std::size_t left = num_rows;
+  struct Entry {
+    std::size_t gain;
+    std::size_t col;
+  };
+  const auto worse = [](const Entry& a, const Entry& b) {
+    if (a.gain != b.gain) return a.gain < b.gain;
+    return a.col > b.col;
+  };
+  std::vector<Entry> heap;
+  heap.reserve(num_cols);
+  for (std::size_t c = 0; c < num_cols; ++c) {
+    const std::size_t gain = popcount_and(cols + c * words, uncovered.data(), words);
+    if (gain > 0) heap.push_back({gain, c});
+  }
+  std::make_heap(heap.begin(), heap.end(), worse);
+
+  std::vector<std::size_t> chosen;
+  while (left > 0) {
+    search::poll_deadline();
+    if (heap.empty()) return std::nullopt;
+    std::pop_heap(heap.begin(), heap.end(), worse);
+    const Entry top = heap.back();
+    heap.pop_back();
+    const std::uint64_t* col = cols + top.col * words;
+    const std::size_t gain = popcount_and(col, uncovered.data(), words);
+    if (gain == 0) continue;
+    if (!heap.empty() && worse(Entry{gain, top.col}, heap.front())) {
+      // Stale: after refreshing, some other column may beat it.
+      heap.push_back({gain, top.col});
+      std::push_heap(heap.begin(), heap.end(), worse);
+      continue;
+    }
+    for (std::size_t w = 0; w < words; ++w) uncovered[w] &= ~col[w];
+    left -= gain;
+    chosen.push_back(top.col);
+  }
+  return chosen;
+}
+
 // The solver reads the table only to load it.  It works on a chart of
 // the rows and columns still live, renumbered densely in table order
 // (chart column k is table column col_id_[k]), so during the reduction
@@ -83,18 +137,25 @@ class Solver {
       return result;
     }
     prepare_residual();
+    const std::vector<std::size_t> greedy = greedy_incumbent();
+    // The search accepts only a cover no larger than the greedy one, so
+    // its first dive already prunes against it.  A search that completes
+    // always finds such a cover; one the budget stops first returns the
+    // greedy cover.
+    bound_ = greedy.size() - forced_.size() + 1;
     recurse(num_rows_, 0, 0);
     result.nodes = budget_.nodes();
     result.exact = budget_.exact();
-    if (have_best_) {
-      result.found = true;
+    result.found = true;
+    if (best_.empty()) {
+      result.columns = greedy;
+    } else {
       result.columns = forced_;
       for (const std::uint32_t k : best_) result.columns.push_back(col_id_[k]);
-      std::sort(result.columns.begin(), result.columns.end());
     }
-    result.lower_bound = (result.exact && result.found)
-                             ? result.columns.size()
-                             : forced_.size() + root_lb_;
+    std::sort(result.columns.begin(), result.columns.end());
+    result.lower_bound =
+        result.exact ? result.columns.size() : forced_.size() + root_lb_;
     return result;
   }
 
@@ -392,13 +453,29 @@ class Solver {
     root_lb_ = (live + max_col_gain_ - 1) / max_col_gain_;
   }
 
+  /// The smaller of two greedy covers, as table columns: the forced
+  /// columns plus the residual chart's greedy cover, or the whole
+  /// table's greedy cover.  Neither is always the smaller, since the
+  /// reduction can steer greedy either way; the residual one wins ties.
+  /// Both are at least the optimum, which the reduction keeps, so the
+  /// whole table's has at least the forced columns' count.
+  [[nodiscard]] std::vector<std::size_t> greedy_incumbent() const {
+    const std::vector<std::size_t> residual =
+        *lazy_greedy(cols_.data(), col_id_.size(), row_words_, num_rows_);
+    std::vector<std::size_t> whole =
+        *lazy_greedy(t_.column(0), t_.num_cols(), t_.words(), t_.num_rows());
+    if (whole.size() < forced_.size() + residual.size()) return whole;
+    std::vector<std::size_t> columns = forced_;
+    for (const std::size_t k : residual) columns.push_back(col_id_[k]);
+    return columns;
+  }
+
   /// True when a node with `chosen` columns and `uncovered` rows left
-  /// cannot strictly improve the incumbent: each further column gains
-  /// at most max_col_gain_ rows.
+  /// cannot hold a cover below bound_: each further column gains at most
+  /// max_col_gain_ rows.
   [[nodiscard]] bool gain_bound_prunes(std::size_t chosen,
                                        std::size_t uncovered) const {
-    return have_best_ &&
-           chosen + (uncovered + max_col_gain_ - 1) / max_col_gain_ >= best_.size();
+    return chosen + (uncovered + max_col_gain_ - 1) / max_col_gain_ >= bound_;
   }
 
   /// The first uncovered search position at or after `cursor`; one
@@ -417,9 +494,9 @@ class Solver {
   void recurse(std::size_t uncovered_count, std::size_t depth,
                std::size_t cursor) {
     if (uncovered_count == 0) {
-      if (!have_best_ || chosen_.size() < best_.size()) {
+      if (chosen_.size() < bound_) {
         best_ = chosen_;
-        have_best_ = true;
+        bound_ = best_.size();
       }
       return;
     }
@@ -464,8 +541,8 @@ class Solver {
   std::vector<std::uint64_t> scratch_;   ///< per-depth newly-covered words
   std::size_t max_col_gain_ = 1;
   std::vector<std::uint32_t> chosen_;    ///< chart columns
-  std::vector<std::uint32_t> best_;
-  bool have_best_ = false;
+  std::vector<std::uint32_t> best_;      ///< empty until a leaf beats bound_
+  std::size_t bound_ = 0;                ///< a leaf must have fewer chart columns
 };
 
 }  // namespace
@@ -476,58 +553,8 @@ MinCoverResult solve_min_cover(const CoverTable& table,
 }
 
 std::optional<std::vector<std::size_t>> greedy_cover(const CoverTable& table) {
-  const std::size_t words = table.words();
-  std::vector<std::uint64_t> uncovered(words, 0);
-  for (std::size_t r = 0; r < table.num_rows(); ++r) {
-    uncovered[r / 64] |= std::uint64_t{1} << (r % 64);
-  }
-  std::size_t left = table.num_rows();
-
-  // Lazy greedy: a column's gain only ever decreases as rows get
-  // covered, so the cached gains are upper bounds and a max-heap of
-  // stale entries needs to recompute only what floats to the top —
-  // instead of rescanning every column per pick.  The comparator
-  // prefers larger gain then lower column index, which is exactly the
-  // argmax the eager linear scan used, so the chosen cover (and the
-  // determinism contract) is unchanged.
-  struct Entry {
-    std::size_t gain;
-    std::size_t col;
-  };
-  const auto worse = [](const Entry& a, const Entry& b) {
-    if (a.gain != b.gain) return a.gain < b.gain;
-    return a.col > b.col;
-  };
-  std::vector<Entry> heap;
-  heap.reserve(table.num_cols());
-  for (std::size_t c = 0; c < table.num_cols(); ++c) {
-    const std::size_t gain = popcount_and(table.column(c), uncovered.data(), words);
-    if (gain > 0) heap.push_back({gain, c});
-  }
-  std::make_heap(heap.begin(), heap.end(), worse);
-
-  std::vector<std::size_t> chosen;
-  while (left > 0) {
-    search::poll_deadline();
-    if (heap.empty()) return std::nullopt;
-    std::pop_heap(heap.begin(), heap.end(), worse);
-    const Entry top = heap.back();
-    heap.pop_back();
-    const std::size_t gain =
-        popcount_and(table.column(top.col), uncovered.data(), words);
-    if (gain == 0) continue;
-    if (!heap.empty() && worse(Entry{gain, top.col}, heap.front())) {
-      // Stale: after refreshing, some other column may beat it.
-      heap.push_back({gain, top.col});
-      std::push_heap(heap.begin(), heap.end(), worse);
-      continue;
-    }
-    const std::uint64_t* col = table.column(top.col);
-    for (std::size_t w = 0; w < words; ++w) uncovered[w] &= ~col[w];
-    left -= gain;
-    chosen.push_back(top.col);
-  }
-  return chosen;
+  return lazy_greedy(table.column(0), table.num_cols(), table.words(),
+                     table.num_rows());
 }
 
 }  // namespace seance::logic

@@ -6,8 +6,9 @@
 // the table as packed uint64_t bitsets and solves with the classic
 // reduction loop (unit rows, row dominance, column dominance) followed by
 // fail-first branch and bound, all driven by word-wide AND/popcount
-// instead of per-element binary searches.  A greedy completion over the
-// same bitsets serves as the anytime fallback.
+// instead of per-element binary searches.  A lazy greedy cover over the
+// same bitsets is the incumbent the branch and bound starts from, and
+// the whole answer for charts too large to search.
 //
 // Determinism contract: results depend only on the table contents —
 // ties break toward lower column indices everywhere — so golden corpus
@@ -60,13 +61,13 @@ struct MinCoverResult {
   /// Chosen column indices, sorted ascending.  Valid iff `found`.
   std::vector<std::size_t> columns;
   /// A valid cover was produced (possibly non-minimal if !exact).  False
-  /// only when some row is uncoverable, or when the node budget ran out
-  /// before the search reached any complete cover.
+  /// only when some row is uncoverable: the search starts from a greedy
+  /// cover, so even a budget of one node returns one.
   bool found = false;
   /// The search completed within the node budget, so `columns` is a
-  /// proven minimum-cardinality cover.  When the budget runs out after an
-  /// incumbent was found, that incumbent is still returned (found=true,
-  /// exact=false) — a valid cover is never discarded.
+  /// proven minimum-cardinality cover.  When the budget runs out, the
+  /// best cover the search reached is returned (found=true, exact=false),
+  /// or the greedy cover if the search reached none no larger.
   bool exact = false;
   /// Branch-and-bound nodes expanded (reduction work is free).
   std::size_t nodes = 0;
@@ -89,6 +90,16 @@ struct MinCoverResult {
 /// branch on is the lowest uncovered bit at or after the parent's.  On
 /// the corpus's hardest charts that is 1-4 words where the table has
 /// 4-16.  Columns keep their table indices in the result.
+///
+/// Before the first node, the search takes the smaller of two greedy
+/// covers (the forced columns plus the residual chart's greedy cover, or
+/// the whole table's) and from then on keeps only a cover no larger:
+/// until it reaches one, the gain bound prunes against the greedy size
+/// plus one.  It still walks the fail-first order and skips only
+/// subtrees that cannot hold such a cover, so a chart it proves keeps
+/// the columns and at most the node count it had without the greedy
+/// cover, and a chart the budget stops returns a cover no larger than
+/// either greedy cover or the incumbent it had without it.
 ///
 /// The search keeps no memo.  Most of its time goes to the charts that
 /// spend the whole budget, and on those a transposition table cost two

@@ -99,56 +99,55 @@ Cover select_cover(int num_vars, std::span<const Minterm> on,
   std::size_t residual_lb = 0;
 
   if (num_rows > 0) {
-    // Candidate columns: unselected primes restricted to remaining rows.
+    // Candidate columns: unselected primes restricted to remaining rows,
+    // counted from the incidence words masked by ~covered, then scattered
+    // into the candidate table from the same words.
     std::vector<std::size_t> cand_ids;
-    std::vector<std::vector<std::uint32_t>> cand_rows;
     std::size_t max_gain = 1;
     for (std::size_t p = 0; p < primes.size(); ++p) {
       if (selected[p]) continue;
       const std::uint64_t* col = incidence.column(p);
-      std::vector<std::uint32_t> rows;
+      std::size_t gain = 0;
+      for (std::size_t w = 0; w < mwords; ++w) {
+        gain += static_cast<std::size_t>(std::popcount(col[w] & ~covered[w]));
+      }
+      if (gain == 0) continue;
+      max_gain = std::max(max_gain, gain);
+      cand_ids.push_back(p);
+    }
+    CoverTable candidates(num_rows, cand_ids.size());
+    for (std::size_t c = 0; c < cand_ids.size(); ++c) {
+      const std::uint64_t* col = incidence.column(cand_ids[c]);
       for (std::size_t w = 0; w < mwords; ++w) {
         std::uint64_t bits = col[w] & ~covered[w];
         while (bits != 0) {
           const std::size_t m = w * 64 + static_cast<std::size_t>(std::countr_zero(bits));
           bits &= bits - 1;
-          rows.push_back(row_of[m]);
+          candidates.set(row_of[m], c);
         }
       }
-      if (rows.empty()) continue;
-      max_gain = std::max(max_gain, rows.size());
-      cand_ids.push_back(p);
-      cand_rows.push_back(std::move(rows));
-    }
-    CoverTable candidates(num_rows, cand_ids.size());
-    for (std::size_t c = 0; c < cand_rows.size(); ++c) {
-      for (std::uint32_t r : cand_rows[c]) candidates.set(r, c);
     }
     // Root bound for any path that does not prove: each further cube
     // covers at most max_gain of the remaining rows.
     residual_lb = (num_rows + max_gain - 1) / max_gain;
 
-    bool solved = false;
+    // Every ON minterm lies in some prime, so both paths find a cover.
+    std::vector<std::size_t> columns;
     if (num_rows * cand_ids.size() <= kExactCellLimit) {
-      const MinCoverResult result =
-          solve_min_cover(candidates, exact_node_budget);
+      // A budget overrun still returns a cover no larger than greedy's;
+      // only the exactness claim is dropped (CoverStats::exact = false).
+      MinCoverResult result = solve_min_cover(candidates, exact_node_budget);
       residual_lb = std::max(residual_lb, result.lower_bound);
-      if (result.found) {
-        // A budget overrun with a valid incumbent still uses it — only
-        // the exactness claim is dropped (CoverStats::exact = false).
-        for (std::size_t c : result.columns) selected[cand_ids[c]] = 1;
-        if (stats != nullptr) stats->exact = result.exact;
-        solved = true;
-      }
-    }
-    if (!solved) {
+      if (stats != nullptr) stats->exact = result.exact;
+      if (result.found) columns = std::move(result.columns);
+    } else {
       if (stats != nullptr) stats->exact = false;
-      const auto greedy = greedy_cover(candidates);
-      if (!greedy) {
-        throw std::logic_error("select_cover: ON-set not coverable by primes");
-      }
-      for (std::size_t c : *greedy) selected[cand_ids[c]] = 1;
+      if (auto greedy = greedy_cover(candidates)) columns = std::move(*greedy);
     }
+    if (columns.empty()) {
+      throw std::logic_error("select_cover: ON-set not coverable by primes");
+    }
+    for (std::size_t c : columns) selected[cand_ids[c]] = 1;
   }
 
   std::vector<Cube> chosen;

@@ -33,9 +33,9 @@ struct CoverStats {
   std::size_t prime_count = 0;      ///< primes generated
   std::size_t essential_count = 0;  ///< essential primes found
   /// True when the returned cover is a proven minimum-cardinality cover.
-  /// False when the branch-and-bound node budget ran out — either with a
-  /// valid incumbent (which is returned as-is) or with the greedy
-  /// completion engaged.
+  /// False when the branch-and-bound node budget ran out (the cover is
+  /// then the best the search reached, no larger than greedy's) or the
+  /// chart exceeded kExactCellLimit and took the greedy completion.
   bool exact = true;
   /// Cubes in the returned cover (the certified upper bound).
   std::size_t cover_size = 0;
@@ -49,25 +49,26 @@ struct CoverStats {
 };
 
 /// Default branch-and-bound node budget for the exact cover completion.
-/// It has no headroom on the deepest shapes.  Of the charts under
-/// kExactCellLimit that the `deep` benchmark recipe (golden harder-12x5
-/// 0 and hardest-20x6 0-3) searches, one needs 1'079'487 nodes to prove
-/// its minimum and four spend the whole budget, keeping the incumbent
-/// the search reached (CoverStats::exact = false).  An earlier sweep
-/// found charts above the cell limit still unproven at 100'000'000
-/// nodes, so a larger budget alone is not the lever; a stronger
-/// per-node bound is.
-inline constexpr std::size_t kDefaultExactNodeBudget = 2'000'000;
+/// The search starts at the greedy cover and keeps only a cover no
+/// larger, so a chart the budget stops still returns a cover no worse
+/// than greedy (CoverStats::exact = false).  Over budgets from 50'000 to
+/// 2'000'000 on the golden and a seed-7 corpus, summed gates and state
+/// variables stay flat while the time spent in unproven charts falls
+/// with the budget and the lost proofs grow: 200'000 loses 2 of the
+/// golden's 1'365 proofs (hardest-20x6-0001's 249x316 chart among them)
+/// against 2'000'000, and 50'000 loses 9.  Charts above the cell limit were found still
+/// unproven at 100'000'000 nodes, so a stronger per-node bound, not a
+/// larger budget, is what proves more charts.
+inline constexpr std::size_t kDefaultExactNodeBudget = 200'000;
 
 /// Ceiling on rows*columns of the reduced covering chart for attempting
-/// the exact completion.  Retuned down from 16'777'216 on the harder
-/// 12-state / 5-input corpus: its ~1M-cell cyclic charts (12-15-var Y
-/// equations) never reached a proof at any budget up to 100M nodes, and
-/// the budget-exhausted incumbents were no better than the lazy-greedy
-/// completion (total gates 4742 at 2M nodes / 1.7s vs 4683 greedy /
-/// 0.6s over 8 harder jobs) — so past this size the exact attempt is
-/// pure wall-time loss.  Every chart the corpus ever proved sits well
-/// below it (largest observed: ~391k cells, proven by reduction alone).
+/// the exact completion; larger charts take the lazy greedy cover.
+/// Retuned down from 16'777'216 on the harder 12-state / 5-input corpus,
+/// whose ~1M-cell cyclic charts (12-15-var Y equations) never proved at
+/// any budget up to 100M nodes, while their truncated searches cost
+/// about 3x greedy's time for more gates.  Every chart the corpus ever
+/// proved sits well below it (largest observed: ~391k cells, proven by
+/// reduction alone).
 /// Re-checked after the transposition-table memo landed (a ceiling
 /// sweep over harder+hardest jobs): raising the ceiling 4x alone proves
 /// nothing new and costs +68% wall; the one chart that does newly prove
@@ -80,9 +81,9 @@ inline constexpr std::size_t kExactCellLimit = 524'288;
 /// Minimum essential-SOP cover (paper's reduction for Z/SSD/Y): the
 /// essential primes plus an exact branch-and-bound completion that
 /// expands at most `exact_node_budget` search nodes; on overrun the best
-/// cover found so far is kept (see CoverStats::exact), and greedy fills
-/// in only when no complete cover was reached at all or the reduced chart
-/// exceeds kExactCellLimit cells.
+/// cover the search reached is kept, no larger than the greedy one (see
+/// CoverStats::exact).  Greedy alone completes a reduced chart of more
+/// than kExactCellLimit cells.
 [[nodiscard]] Cover select_cover(
     int num_vars, std::span<const Minterm> on, std::span<const Minterm> dc,
     CoverStats* stats = nullptr,

@@ -27,8 +27,9 @@ std::size_t popcount_and(const std::uint64_t* a, const std::uint64_t* b,
 
 class Solver {
  public:
-  Solver(const CoverTable& t, std::size_t node_budget)
+  Solver(const CoverTable& t, std::size_t node_budget, bool greedy_ceiling)
       : t_(t),
+        greedy_ceiling_(greedy_ceiling),
         words_(t.words()),
         col_words_((t.num_cols() + 63) / 64),
         budget_(node_budget == 0 ? 1 : node_budget),
@@ -57,6 +58,21 @@ class Solver {
       return result;
     }
     prepare_residual();
+    // The ceiling: the smaller of the forced columns plus the residual's
+    // greedy cover and the whole table's greedy cover (residual on ties).
+    std::vector<std::size_t> greedy;
+    if (greedy_ceiling_) {
+      greedy = forced_;
+      const std::vector<std::size_t> residual = eager_greedy(uncovered_, true);
+      greedy.insert(greedy.end(), residual.begin(), residual.end());
+      std::vector<std::uint64_t> all_rows(words_, 0);
+      for (std::size_t r = 0; r < t_.num_rows(); ++r) {
+        all_rows[r / 64] |= std::uint64_t{1} << (r % 64);
+      }
+      const std::vector<std::size_t> whole = eager_greedy(all_rows, false);
+      if (whole.size() < greedy.size()) greedy = whole;
+      ceiling_ = greedy.size() - forced_.size() + 1;
+    }
     recurse(uncovered_count(), 0, 0);
     result.nodes = budget_.nodes();
     result.exact = budget_.exact();
@@ -64,8 +80,11 @@ class Solver {
       result.found = true;
       result.columns = forced_;
       result.columns.insert(result.columns.end(), best_.begin(), best_.end());
-      std::sort(result.columns.begin(), result.columns.end());
+    } else if (greedy_ceiling_) {
+      result.found = true;
+      result.columns = greedy;
     }
+    std::sort(result.columns.begin(), result.columns.end());
     result.lower_bound = (result.exact && result.found)
                              ? result.columns.size()
                              : forced_.size() + root_lb_;
@@ -279,13 +298,43 @@ class Solver {
     root_lb_ = (uncovered_count() + max_col_gain_ - 1) / max_col_gain_;
   }
 
+  // Eager greedy: the column (an active one when `active_only`) covering
+  // the most rows still `left`, lowest index on ties, until every row is
+  // covered.  Only called on coverable row sets.
+  [[nodiscard]] std::vector<std::size_t> eager_greedy(std::vector<std::uint64_t> left,
+                                                      bool active_only) const {
+    std::vector<std::size_t> chosen;
+    while (std::any_of(left.begin(), left.end(),
+                       [](std::uint64_t w) { return w != 0; })) {
+      std::size_t best = kNone;
+      std::size_t best_gain = 0;
+      for (std::size_t c = 0; c < t_.num_cols(); ++c) {
+        if (active_only && !col_active(c)) continue;
+        const std::size_t gain = popcount_and(t_.column(c), left.data(), words_);
+        if (gain > best_gain) {
+          best_gain = gain;
+          best = c;
+        }
+      }
+      for (std::size_t w = 0; w < words_; ++w) left[w] &= ~t_.column(best)[w];
+      chosen.push_back(best);
+    }
+    return chosen;
+  }
+
+  /// A cover must have fewer columns than this to be kept: the
+  /// incumbent's size, or the ceiling (kNone without one) before the
+  /// first leaf.
+  [[nodiscard]] std::size_t bound() const {
+    return have_best_ ? best_.size() : ceiling_;
+  }
+
   /// True when a node with `chosen` columns and `uncovered` rows left
-  /// cannot strictly improve the incumbent: each further column gains
-  /// at most max_col_gain_ rows.
+  /// cannot hold a cover below bound(): each further column gains at
+  /// most max_col_gain_ rows.
   [[nodiscard]] bool gain_bound_prunes(std::size_t chosen,
                                        std::size_t uncovered) const {
-    return have_best_ &&
-           chosen + (uncovered + max_col_gain_ - 1) / max_col_gain_ >= best_.size();
+    return chosen + (uncovered + max_col_gain_ - 1) / max_col_gain_ >= bound();
   }
 
   // `cursor` is the parent's position in row_order_, before which every
@@ -294,7 +343,7 @@ class Solver {
   void recurse(std::size_t uncovered_count, std::size_t depth,
                std::size_t cursor) {
     if (uncovered_count == 0) {
-      if (!have_best_ || chosen_.size() < best_.size()) {
+      if (chosen_.size() < bound()) {
         best_ = chosen_;
         have_best_ = true;
       }
@@ -329,6 +378,8 @@ class Solver {
   }
 
   const CoverTable& t_;
+  bool greedy_ceiling_;
+  std::size_t ceiling_ = kNone;
   std::size_t words_;
   std::size_t col_words_;
   search::NodeBudget budget_;
@@ -349,8 +400,9 @@ class Solver {
 }  // namespace
 
 MinCoverResult reference_solve_min_cover(const CoverTable& table,
-                                         std::size_t node_budget) {
-  return Solver(table, node_budget).run();
+                                         std::size_t node_budget,
+                                         bool greedy_ceiling) {
+  return Solver(table, node_budget, greedy_ceiling).run();
 }
 
 }  // namespace seance::logic

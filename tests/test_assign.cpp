@@ -310,6 +310,18 @@ TEST(TraceyCertificate, Hardest0003NeedsSixVariables) {
   EXPECT_TRUE(verify_ustt(t, a.codes, a.num_vars, &why)) << why;
 }
 
+TEST(TraceyCertificate, Hardest0016GetsSixVariablesFromTheGreedyCeiling) {
+  // Unproven either way.  Before the cover search started at the greedy
+  // cover, this assignment kept 7 variables; with the ceiling the
+  // certificate's cover, no larger than greedy's, gives 6.
+  const FlowTable t = reduced_hardest(16);
+  const Assignment a = assign_ustt(t, core::SynthesisOptions::assign);
+  EXPECT_FALSE(a.exact);
+  EXPECT_EQ(a.num_vars, 6);
+  std::string why;
+  EXPECT_TRUE(verify_ustt(t, a.codes, a.num_vars, &why)) << why;
+}
+
 TEST(TraceyCertificate, ChartsPastTheCellCeilingSkipTheCertificate) {
   GeneratorOptions gen;
   gen.num_states = 13;

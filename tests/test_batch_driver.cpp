@@ -437,11 +437,11 @@ TEST(BatchRunner, TimeoutPathPreservesThreadCountInvariance) {
 
 TEST(BatchRunner, TimedOutJobLeavesTheWorkerTableUsable) {
   // One worker, so the Table-1 jobs run in the table the hardest job was
-  // stopped in mid-search.  (hardest-20x6-0001 takes hundreds of ms.)
+  // stopped in mid-search.  (hardest-20x6-0008 takes about 200 ms.)
   BatchRunner hardest;
-  hardest.add_hardest_generated(2, 1);
-  const JobSpec& stopped = hardest.jobs()[1];
-  ASSERT_EQ(stopped.name, "hardest-20x6-0001");
+  hardest.add_hardest_generated(9, 1);
+  const JobSpec& stopped = hardest.jobs()[8];
+  ASSERT_EQ(stopped.name, "hardest-20x6-0008");
   const auto run_with = [&](double timeout_ms) {
     BatchOptions options;
     options.threads = 1;

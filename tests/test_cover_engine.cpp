@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <bit>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "logic/cover_reference.hpp"
@@ -211,14 +212,16 @@ TEST(CoverEngine, LazyGreedyMatchesEagerScanExactly) {
   }
 }
 
-// The compacted residual search against the full-width reference: every
-// field of the result, node counts included, must match.
+// The compacted residual search against the full-width reference with
+// the same greedy ceiling: every field of the result, node counts
+// included, must match.
 constexpr std::size_t kDiffBudgets[] = {1, 7, 1'000, 50'000};
 
 void expect_same_search(const CoverTable& t, const std::string& what) {
   for (const std::size_t budget : kDiffBudgets) {
     const MinCoverResult got = solve_min_cover(t, budget);
-    const MinCoverResult want = reference_solve_min_cover(t, budget);
+    const MinCoverResult want =
+        reference_solve_min_cover(t, budget, /*greedy_ceiling=*/true);
     const std::string at = what + " budget " + std::to_string(budget);
     EXPECT_EQ(got.columns, want.columns) << at;
     EXPECT_EQ(got.found, want.found) << at;
@@ -228,7 +231,8 @@ void expect_same_search(const CoverTable& t, const std::string& what) {
   }
 }
 
-TEST(CoverEngine, CompactSearchMatchesFullWidthReferenceOnRandomCharts) {
+std::vector<std::pair<std::string, CoverTable>> random_charts() {
+  std::vector<std::pair<std::string, CoverTable>> charts;
   XorShift rand{0x5eed'c0feULL};
   // Columns per row drawn from 1..k: sparse charts keep hundreds of rows
   // live after the reduction, dense ones collapse to a few.
@@ -242,7 +246,7 @@ TEST(CoverEngine, CompactSearchMatchesFullWidthReferenceOnRandomCharts) {
       const std::size_t k = 1 + rand() % k_max;
       for (std::size_t i = 0; i < k; ++i) t.set(r, rand() % cols);
     }
-    expect_same_search(t, "random trial " + std::to_string(trial));
+    charts.emplace_back("random trial " + std::to_string(trial), std::move(t));
   }
   for (int trial = 0; trial < 4; ++trial) {
     // About 30% of the cells set.
@@ -254,8 +258,13 @@ TEST(CoverEngine, CompactSearchMatchesFullWidthReferenceOnRandomCharts) {
         if (rand() % 10 < 3) t.set(r, c);
       }
     }
-    expect_same_search(t, "dense trial " + std::to_string(trial));
+    charts.emplace_back("dense trial " + std::to_string(trial), std::move(t));
   }
+  return charts;
+}
+
+TEST(CoverEngine, CompactSearchMatchesFullWidthReferenceOnRandomCharts) {
+  for (const auto& [what, t] : random_charts()) expect_same_search(t, what);
 }
 
 TEST(CoverEngine, CompactSearchMatchesFullWidthReferenceOnUncoverableCharts) {
@@ -319,20 +328,74 @@ CoverTable chart_with_live_rows(std::size_t live, std::size_t forced,
   return t;
 }
 
-TEST(CoverEngine, CompactSearchMatchesFullWidthReferenceAroundWordEdges) {
+struct WordEdgeChart {
+  std::size_t live;
+  std::size_t forced;
+  std::string what;
+  CoverTable table;
+};
+
+std::vector<WordEdgeChart> word_edge_charts() {
+  std::vector<WordEdgeChart> charts;
   XorShift rand{0x0b1e'c7edULL};
   for (const std::size_t live : {5u, 63u, 64u, 65u, 127u, 128u, 129u, 300u}) {
     for (const std::size_t forced : {0u, 3u}) {
-      const CoverTable t = chart_with_live_rows(live, forced, rand);
-      const std::string what = std::to_string(live) + " live rows, " +
-                               std::to_string(forced) + " forced";
-      // Ring and chord columns gain two rows each, so the one-node root
-      // bound reads the live count back to within one.
-      EXPECT_EQ(solve_min_cover(t, 1).lower_bound, forced + (live + 1) / 2)
-          << what;
-      expect_same_search(t, what);
+      charts.push_back({live, forced,
+                        std::to_string(live) + " live rows, " +
+                            std::to_string(forced) + " forced",
+                        chart_with_live_rows(live, forced, rand)});
     }
   }
+  return charts;
+}
+
+TEST(CoverEngine, CompactSearchMatchesFullWidthReferenceAroundWordEdges) {
+  for (const WordEdgeChart& c : word_edge_charts()) {
+    // Ring and chord columns gain two rows each, so the one-node root
+    // bound reads the live count back to within one.
+    EXPECT_EQ(solve_min_cover(c.table, 1).lower_bound,
+              c.forced + (c.live + 1) / 2)
+        << c.what;
+    expect_same_search(c.table, c.what);
+  }
+}
+
+// The ceiling against the search as it was without it (the reference
+// with its ceiling off), at the same budgets: a chart that search proves
+// keeps its columns and needs no more nodes; a truncated one still
+// returns a cover, no larger than the incumbent that search kept or the
+// greedy cover, with a bound no weaker.
+TEST(CoverEngine, GreedyCeilingNeverLosesToTheSearchWithoutIt) {
+  std::size_t improved = 0;
+  const auto check = [&](const CoverTable& t, const std::string& what) {
+    const auto greedy = greedy_cover(t);
+    for (const std::size_t budget : kDiffBudgets) {
+      const MinCoverResult got = solve_min_cover(t, budget);
+      const MinCoverResult old =
+          reference_solve_min_cover(t, budget, /*greedy_ceiling=*/false);
+      const std::string at = what + " budget " + std::to_string(budget);
+      if (old.exact) {
+        EXPECT_TRUE(got.exact) << at;
+        EXPECT_EQ(got.found, old.found) << at;
+        EXPECT_EQ(got.columns, old.columns) << at;
+        EXPECT_LE(got.nodes, old.nodes) << at;
+        EXPECT_EQ(got.lower_bound, old.lower_bound) << at;
+        continue;
+      }
+      ASSERT_TRUE(greedy.has_value()) << at;
+      ASSERT_TRUE(got.found) << at;
+      EXPECT_TRUE(is_valid_cover(t, got.columns)) << at;
+      EXPECT_LE(got.columns.size(), greedy->size()) << at;
+      if (old.found) {
+        EXPECT_LE(got.columns.size(), old.columns.size()) << at;
+      }
+      EXPECT_GE(got.lower_bound, old.lower_bound) << at;
+      if (!old.found || got.columns.size() < old.columns.size()) ++improved;
+    }
+  };
+  for (const auto& [what, t] : random_charts()) check(t, what);
+  for (const WordEdgeChart& c : word_edge_charts()) check(c.table, c.what);
+  EXPECT_GT(improved, 0u) << "no truncated search gained from the ceiling";
 }
 
 }  // namespace

@@ -83,7 +83,7 @@ TEST(Serve, RepeatRequestHitsTheCache) {
 TEST(Serve, OptLineSelectsDistinctCacheEntries) {
   ResultCache cache(CacheConfig{"", 1 << 20});
   const std::string baseline =
-      "v9 fsv=0 minimize=1 factor=1 consensus=1 tt=1";
+      "v10 fsv=0 minimize=1 factor=1 consensus=1 tt=1";
   const auto lines = run_session(request_of("a", example_kiss()) +
                                      request_of("b", example_kiss(), baseline),
                                  &cache);
@@ -132,7 +132,7 @@ TEST(Serve, MalformedInputGetsErrAndTheLoopSurvives) {
   const auto lines = run_session(
       "BOGUS\n"                            // unknown verb
       "REQ\n"                              // missing name: unknown verb too
-      "REQ x\nOPT v9 nope\n"               // bad options encoding
+      "REQ x\nOPT v10 nope\n"               // bad options encoding
       "REQ y\nTABLE zero\n"                // bad table count
       + request_of("ok", example_kiss())   // still serving after the ERRs
       + "REQ z\nTABLE 2\n.i 1\n",          // truncated: EOF inside TABLE
@@ -178,11 +178,11 @@ TEST(Serve, TimeoutRequestsUseTheServerTable) {
   EXPECT_GT(std::stoull(stats.substr(at + 11)), 0u) << stats;
 
   // A request stopped by its deadline keeps the server's table and its
-  // STATS tt-* counters; nothing replaces them.  (hardest-20x6-0001
-  // takes hundreds of ms, far past a 20 ms budget.)
+  // STATS tt-* counters; nothing replaces them.  (hardest-20x6-0008
+  // takes about 200 ms, far past a 20 ms budget.)
   driver::BatchRunner hardest;
-  hardest.add_hardest_generated(2, 1);
-  const std::string stopped = flowtable::to_kiss2(hardest.jobs()[1].table);
+  hardest.add_hardest_generated(9, 1);
+  const std::string stopped = flowtable::to_kiss2(hardest.jobs()[8].table);
   SynthesisRequest tight;
   tight.timeout_ms = 20;
   const auto lines = run_session(request_of("lion", lion) + "STATS\n" +
