@@ -35,6 +35,12 @@ std::vector<Transition> column_transitions(const FlowTable& table, int column) {
 
 namespace detail {
 
+bool fits(const Partition& p, const Dichotomy& d, bool flip) {
+  const StateSet zeros = flip ? d.b : d.a;
+  const StateSet ones = flip ? d.a : d.b;
+  return (zeros & p.ones) == 0 && (ones & p.zeros) == 0;
+}
+
 Dichotomy canonical(Dichotomy d) {
   if (d.b < d.a) std::swap(d.a, d.b);
   return d;
@@ -200,6 +206,107 @@ std::optional<Certificate> tracey_certificate(
   return cert;
 }
 
+FitPlanes::FitPlanes(const std::vector<Dichotomy>& dichotomies)
+    : count_(dichotomies.size()), words_((count_ + 63) / 64) {
+  if (count_ > kMaxSearchDichotomies) {
+    // Appended, not `"..." + std::to_string(n)`: g++ 12 at -O3 warns
+    // -Wrestrict (a false positive) on operator+(const char*, string&&).
+    std::string what = "assign_ustt: ";
+    what += std::to_string(count_);
+    what += " dichotomies exceed the partition search's fit-plane limit of ";
+    what += std::to_string(kMaxSearchDichotomies);
+    throw std::length_error(what);
+  }
+  // Dichotomy j conflicts with one made of m alone at orientation 0 iff
+  // some state sits in j.a and m.b or in j.b and m.a, and at orientation 1
+  // iff some state sits in the same block of both.  So each row is the
+  // complement of an OR of per-state block planes: bit j of
+  // in_block[2s + 0] (or + 1) is set iff state s is in block a (or b) of
+  // dichotomy j.
+  StateSet mentioned = 0;
+  for (const Dichotomy& d : dichotomies) mentioned |= d.a | d.b;
+  std::vector<std::uint64_t> in_block(2 * std::bit_width(mentioned) * words_, 0);
+  const auto block = [&](int s, int side) {
+    return in_block.data() + (2 * static_cast<std::size_t>(s) + side) * words_;
+  };
+  for (std::size_t j = 0; j < count_; ++j) {
+    const std::uint64_t bit = std::uint64_t{1} << (j % 64);
+    for (StateSet a = dichotomies[j].a; a != 0; a &= a - 1) {
+      block(std::countr_zero(a), 0)[j / 64] |= bit;
+    }
+    for (StateSet b = dichotomies[j].b; b != 0; b &= b - 1) {
+      block(std::countr_zero(b), 1)[j / 64] |= bit;
+    }
+  }
+  rows_.assign(2 * count_ * words_, 0);
+  for (std::size_t m = 0; m < count_; ++m) {
+    std::uint64_t* unflipped = rows_.data() + 2 * m * words_;
+    std::uint64_t* flipped = unflipped + words_;
+    for (const int side : {0, 1}) {
+      // States of m's block a (side 0) clash with the other block of j
+      // unflipped and with the same block flipped; block b the reverse.
+      for (StateSet states = side == 0 ? dichotomies[m].a : dichotomies[m].b;
+           states != 0; states &= states - 1) {
+        const int s = std::countr_zero(states);
+        const std::uint64_t* other = block(s, 1 - side);
+        const std::uint64_t* own = block(s, side);
+        for (std::size_t w = 0; w < words_; ++w) {
+          unflipped[w] |= other[w];
+          flipped[w] |= own[w];
+        }
+      }
+    }
+    for (std::size_t w = 0; w < words_; ++w) {
+      unflipped[w] = ~unflipped[w];
+      flipped[w] = ~flipped[w];
+    }
+    if (count_ % 64 != 0) {
+      const std::uint64_t live = (std::uint64_t{1} << (count_ % 64)) - 1;
+      unflipped[words_ - 1] &= live;
+      flipped[words_ - 1] &= live;
+    }
+  }
+}
+
+void FitPlanes::open(std::uint64_t* planes, std::size_t m,
+                     std::size_t from) const {
+  const std::uint64_t* row = rows_.data() + 2 * m * words_;
+  for (std::size_t w = from / 64; w < words_; ++w) {
+    planes[w] = row[w];
+    planes[words_ + w] = row[words_ + w];
+  }
+}
+
+void FitPlanes::merge(std::uint64_t* planes, std::size_t m, bool flip,
+                      std::size_t from) const {
+  // Dichotomy j fits m placed at `flip` at orientation o iff it fits m
+  // unflipped at o ^ flip.
+  const std::uint64_t* row = rows_.data() + 2 * m * words_;
+  const std::uint64_t* same = row + (flip ? words_ : 0);
+  const std::uint64_t* mirrored = row + (flip ? 0 : words_);
+  for (std::size_t w = from / 64; w < words_; ++w) {
+    planes[w] &= same[w];
+    planes[words_ + w] &= mirrored[w];
+  }
+}
+
+bool FitPlanes::some_fits_nowhere(const std::uint64_t* planes,
+                                  std::size_t num_classes,
+                                  std::size_t first) const {
+  for (std::size_t w = first / 64; w < words_; ++w) {
+    std::uint64_t unplaced = ~std::uint64_t{0};
+    if (w == first / 64) unplaced <<= first % 64;
+    if (w + 1 == words_ && count_ % 64 != 0) {
+      unplaced &= (std::uint64_t{1} << (count_ % 64)) - 1;
+    }
+    for (std::size_t i = 0; i < num_classes && unplaced != 0; ++i) {
+      unplaced &= ~(planes[2 * i * words_ + w] | planes[(2 * i + 1) * words_ + w]);
+    }
+    if (unplaced != 0) return true;
+  }
+  return false;
+}
+
 }  // namespace detail
 
 namespace {
@@ -230,6 +337,10 @@ class PartitionSearch {
     return best_;
   }
 
+  // Reads the last branch and bound's node count and truncation.
+  friend detail::PartitionResult detail::solve_partitions(
+      std::vector<Dichotomy>, std::size_t, search::TranspositionTable*);
+
   // Folds `fresh` into the constraint set and re-solves incrementally.
   // Must follow a solve() or add() call.
   std::vector<Partition> add(const std::vector<Dichotomy>& fresh, bool* exact) {
@@ -255,12 +366,6 @@ class PartitionSearch {
   }
 
  private:
-  static bool fits(const Partition& p, const Dichotomy& d, bool flip) {
-    const StateSet zeros = flip ? d.b : d.a;
-    const StateSet ones = flip ? d.a : d.b;
-    return (zeros & p.ones) == 0 && (ones & p.zeros) == 0;
-  }
-
   static void merge(Partition& p, const Dichotomy& d, bool flip) {
     p.zeros |= flip ? d.b : d.a;
     p.ones |= flip ? d.a : d.b;
@@ -274,7 +379,7 @@ class PartitionSearch {
   static bool place_first_fit(std::vector<Partition>& classes, const Dichotomy& d) {
     for (Partition& p : classes) {
       for (const bool flip : {false, true}) {
-        if (fits(p, d, flip)) {
+        if (detail::fits(p, d, flip)) {
           merge(p, d, flip);
           return true;
         }
@@ -310,9 +415,12 @@ class PartitionSearch {
       last_exact_ = true;
       return;
     }
+    // A leaf larger than the cover's own solution would lose to it below,
+    // so the search looks only for leaves no larger.
+    const bool covered = cert && !cert->partitions.empty();
+    cap_ = covered ? cert->partitions.size() + 1 : kNoCap;
     search();
-    if (cert && !cert->partitions.empty() &&
-        cert->partitions.size() < best_.size()) {
+    if (covered && cert->partitions.size() < best_.size()) {
       best_ = cert->partitions;
     }
     last_exact_ = budget_.exact() || (cert && best_.size() <= bound_);
@@ -321,9 +429,34 @@ class PartitionSearch {
   // The search has met its budget or the certificate's bound.
   bool stopped() const { return budget_.exhausted() || best_.size() <= bound_; }
 
+  // Class counts from here up can neither beat the incumbent nor the
+  // cover's solution.
+  std::size_t limit() const { return std::min(best_.size(), cap_); }
+
+  std::uint64_t* class_planes(std::size_t i) {
+    return planes_.data() + 2 * i * fit_->words();
+  }
+
+  // Copies the words of a class's planes that hold dichotomies `from` on.
+  void copy_planes(const std::uint64_t* source, std::uint64_t* target,
+                   std::size_t from) const {
+    const std::size_t words = fit_->words();
+    std::copy(source + from / 64, source + words, target + from / 64);
+    std::copy(source + words + from / 64, source + 2 * words,
+              target + words + from / 64);
+  }
+
   void search() {
     std::vector<Partition> classes;
     budget_.reset();
+    // Rebuilt per search, as the memo keys below.  At most limit()
+    // classes are ever open, and each depth saves the planes of the one
+    // class it merges into.  A node at index i reads and writes only the
+    // words holding dichotomies i on.
+    fit_.emplace(dichotomies_);
+    const std::size_t plane_words = 2 * fit_->words();
+    planes_.assign(limit() * plane_words, 0);
+    undo_.assign(dichotomies_.size() * plane_words, 0);
     if (tt_ != nullptr) {
       // Re-rooted per search: add() extends and re-sorts dichotomies_,
       // which changes what an (index, classes) state means.
@@ -352,29 +485,40 @@ class PartitionSearch {
     // pre-increment guard here could never leave nodes_ above budget_,
     // so a truncated search still claimed exact=true.
     if (budget_.charge()) return;
-    if (classes.size() >= best_.size()) return;  // cannot improve
+    if (classes.size() >= limit()) return;  // cannot improve
     if (index == dichotomies_.size()) {
       best_ = classes;
       return;
     }
+    // Forward check: with no class left to open, a dichotomy that fits no
+    // class in either orientation can never be placed below this node.
+    if (classes.size() + 1 >= limit() &&
+        fit_->some_fits_nowhere(planes_.data(), classes.size(), index)) {
+      return;
+    }
     std::uint64_t sig = 0;
-    const std::size_t best_in = best_.size();
+    const std::size_t best_in = limit();
     if (tt_ != nullptr) {
       sig = search::hash_mix(index_key_[index], class_sum);
       if (const auto e = tt_->probe(sig)) {
         if (search::has_lower(e->bound) &&
-            classes.size() + e->value >= best_.size()) {
+            classes.size() + e->value >= limit()) {
           return;
         }
       }
     }
     const Dichotomy& d = dichotomies_[index];
+    std::uint64_t* const saved_planes =
+        undo_.data() + index * 2 * fit_->words();
     bool truncated = false;
     for (std::size_t i = 0; i < classes.size() && !truncated; ++i) {
+      std::uint64_t* const planes = class_planes(i);
       for (const bool flip : {false, true}) {
-        if (!fits(classes[i], d, flip)) continue;
+        if (!fit_->fits(planes, index, flip)) continue;
         const Partition saved = classes[i];
+        copy_planes(planes, saved_planes, index);
         merge(classes[i], d, flip);
+        fit_->merge(planes, index, flip, index);
         std::uint64_t child_sum = 0;
         std::uint64_t saved_hash = 0;
         if (tt_ != nullptr) {
@@ -384,6 +528,7 @@ class PartitionSearch {
         }
         recurse(index + 1, classes, child_sum);
         classes[i] = saved;
+        copy_planes(saved_planes, planes, index);
         if (tt_ != nullptr) class_hash_[i] = saved_hash;
         if (stopped()) {
           truncated = true;
@@ -393,6 +538,7 @@ class PartitionSearch {
     }
     if (!truncated) {
       // Open a new class.
+      fit_->open(class_planes(classes.size()), index, index);
       classes.push_back(Partition{d.a, d.b});
       std::uint64_t child_sum = 0;
       if (tt_ != nullptr) {
@@ -424,6 +570,8 @@ class PartitionSearch {
     }
   }
 
+  static constexpr std::size_t kNoCap = static_cast<std::size_t>(-1);
+
   std::vector<Dichotomy> dichotomies_;
   search::NodeBudget budget_;
   search::TranspositionTable* tt_;
@@ -431,10 +579,25 @@ class PartitionSearch {
   std::vector<std::uint64_t> class_hash_;  ///< class_hash of each class
   std::vector<Partition> best_;
   std::size_t bound_ = 0;  ///< the certificate's lower bound (0: none)
+  std::size_t cap_ = kNoCap;  ///< the cover's solution size + 1
   bool last_exact_ = true;
+  std::optional<detail::FitPlanes> fit_;  ///< this search's pairwise fits
+  std::vector<std::uint64_t> planes_;  ///< open class i's planes at 2i words()
+  std::vector<std::uint64_t> undo_;    ///< depth i's saved class planes
 };
 
 }  // namespace
+
+detail::PartitionResult detail::solve_partitions(
+    std::vector<Dichotomy> dichotomies, std::size_t node_budget,
+    search::TranspositionTable* tt) {
+  PartitionSearch search(std::move(dichotomies), node_budget, tt);
+  PartitionResult result;
+  result.classes = search.solve(&result.exact);
+  result.nodes = search.budget_.nodes();
+  result.truncated = search.budget_.exhausted();
+  return result;
+}
 
 Assignment assign_ustt(const FlowTable& table, const AssignOptions& options,
                        search::TranspositionTable* tt) {

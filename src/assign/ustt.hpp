@@ -27,8 +27,21 @@
 // as an incumbent reaches the bound, returning the classes an unbounded
 // search would (incumbents change only on strict improvement); and a
 // search that runs out of budget above the cover's own solution returns
-// the cover's partitions.
+// the cover's partitions.  The search also looks only for solutions no
+// larger than the cover's own, so it reaches a class count the cover
+// proves without first walking the larger ones.
 // Past the cell ceiling the search runs unbounded.
+//
+// The branch and bound tests fits on bit planes (detail::FitPlanes):
+// fitting a class is the AND of the pairwise fits of its members, so each
+// open class keeps one bit per dichotomy and orientation, narrowed by an
+// AND as members join.  When no class may be opened any more, a node is
+// pruned as soon as some unplaced dichotomy fits no class in either
+// orientation (forward checking; Haralick and Elliott, "Increasing tree
+// search efficiency for constraint satisfaction problems", AI 1980).
+// Both prunes drop only subtrees without a leaf below the current limit,
+// so a search that finishes within its budget returns the classes a
+// plain depth-first search does.
 //
 // This header is the production path: dominance reduction is
 // popcount-bucketed (only a strictly larger dichotomy can dominate, so
@@ -148,6 +161,11 @@ namespace detail {
 [[nodiscard]] std::vector<Dichotomy> raw_dichotomies(
     const flowtable::FlowTable& table);
 
+/// Whether dichotomy d can join partition p without a state on both
+/// sides: a on the zero side and b on the one side, or the reverse when
+/// `flip` is set.
+[[nodiscard]] bool fits(const Partition& p, const Dichotomy& d, bool flip);
+
 /// Expands partitions into per-state codes (bit v = side of partition v).
 [[nodiscard]] std::vector<std::uint32_t> codes_from_partitions(
     int num_states, const std::vector<Partition>& parts);
@@ -158,6 +176,59 @@ namespace detail {
 /// took at most 0.1 s in the sweep of generated tables and random charts
 /// recorded in BENCH_31.json (`certificate_cost_sweep`).
 inline constexpr std::size_t kCertificateNodeBudget = 2'000'000;
+
+/// Longest dichotomy list the partition search takes.  Its planes hold
+/// 2·n² bits of pairwise fits and as many again for the undo stack (one
+/// class's planes per depth), plus 2n bits per open class: about 32 MiB
+/// at this limit.  A longer list throws std::length_error before any
+/// plane is allocated.  The golden and seed-7 corpora search at most 178
+/// and 776 dichotomies; reduced generated tables pass the limit from
+/// about 45 states and 4 inputs, where their equations already exceed
+/// logic::kMaxVars.
+inline constexpr std::size_t kMaxSearchDichotomies = 8192;
+
+/// Pairwise fit planes over an ordered dichotomy list, one bit per
+/// dichotomy.  A class's fit planes are two such rows, one per
+/// orientation: bit j of plane r is set iff dichotomy j fits the class
+/// at orientation r (the `flip` of the partition search, which puts b on
+/// the zero side).  Fitting a class is the AND of fitting each member,
+/// so the planes of a class follow from its members' rows here.
+class FitPlanes {
+ public:
+  /// Throws std::length_error past kMaxSearchDichotomies.
+  explicit FitPlanes(const std::vector<Dichotomy>& dichotomies);
+
+  /// 64-bit words per plane; a class's two planes take 2 * words().
+  [[nodiscard]] std::size_t words() const { return words_; }
+
+  /// Writes the planes of a class opened with dichotomy m (unflipped).
+  /// Only the words holding dichotomies `from` on are written: a search
+  /// at index `from` never reads the bits of earlier dichotomies again.
+  void open(std::uint64_t* planes, std::size_t m, std::size_t from) const;
+
+  /// Narrows a class's planes once dichotomy m joins it at `flip`, in the
+  /// words holding dichotomies `from` on.
+  void merge(std::uint64_t* planes, std::size_t m, bool flip,
+             std::size_t from) const;
+
+  /// Whether dichotomy j fits the class at `flip`.
+  [[nodiscard]] bool fits(const std::uint64_t* planes, std::size_t j,
+                          bool flip) const {
+    return (planes[(flip ? words_ : 0) + j / 64] >> (j % 64)) & 1u;
+  }
+
+  /// Whether some dichotomy from `first` on fits none of `num_classes`
+  /// consecutive classes' planes in either orientation.
+  [[nodiscard]] bool some_fits_nowhere(const std::uint64_t* planes,
+                                       std::size_t num_classes,
+                                       std::size_t first) const;
+
+ private:
+  std::size_t count_ = 0;
+  std::size_t words_ = 0;
+  /// Row (m, r) at (2m + r) * words_: the planes of a class made of m.
+  std::vector<std::uint64_t> rows_;
+};
 
 /// Tracey's cover of a dichotomy set: its certified lower bound on the
 /// number of partitions, and the cover's own partitions (complete over the
@@ -177,6 +248,19 @@ struct Certificate {
 /// through the cover search's node budget.
 [[nodiscard]] std::optional<Certificate> tracey_certificate(
     const std::vector<Dichotomy>& dichotomies);
+
+/// The partition search alone, as assign_ustt runs it before the codes
+/// are completed: greedy incumbent, Tracey's certificate, then the branch
+/// and bound, on `dichotomies` sorted most-constrained-first.
+struct PartitionResult {
+  std::vector<Partition> classes;
+  bool exact = true;   ///< as Assignment::exact
+  std::size_t nodes = 0;  ///< nodes the branch and bound charged (0: none ran)
+  bool truncated = false;  ///< the branch and bound ran out of budget
+};
+[[nodiscard]] PartitionResult solve_partitions(
+    std::vector<Dichotomy> dichotomies, std::size_t node_budget,
+    search::TranspositionTable* tt = nullptr);
 
 }  // namespace detail
 

@@ -18,8 +18,21 @@ using flowtable::Trit;
 using logic::Cover;
 using logic::Minterm;
 
+namespace {
+
+// `prefix` followed by `index` in decimal.  Appended rather than spelled
+// `"v" + std::to_string(i)`: g++ 12 at -O3 warns -Wrestrict (a false
+// positive) on operator+(const char*, std::string&&).
+std::string tagged(char prefix, int index) {
+  std::string s(1, prefix);
+  s += std::to_string(index);
+  return s;
+}
+
+}  // namespace
+
 std::string options_to_string(const SynthesisOptions& options) {
-  std::string s = "v" + std::to_string(kOptionsEncodingVersion);
+  std::string s = tagged('v', kOptionsEncodingVersion);
   const auto add_bool = [&](const char* key, bool value) {
     s += ' ';
     s += key;
@@ -54,7 +67,7 @@ SynthesisOptions options_from_string(std::string_view text) {
     tokens.push_back(text.substr(start, end - start));
     pos = end;
   }
-  const std::string version = "v" + std::to_string(kOptionsEncodingVersion);
+  const std::string version = tagged('v', kOptionsEncodingVersion);
   if (tokens.empty() || tokens.front() != version) {
     fail("expected version tag '" + version + "', got '" +
          (tokens.empty() ? std::string() : std::string(tokens.front())) + "'");
@@ -109,8 +122,8 @@ SynthesisOptions options_from_string(std::string_view text) {
 
 std::vector<std::string> VariableLayout::names() const {
   std::vector<std::string> result;
-  for (int i = 0; i < num_inputs; ++i) result.push_back("x" + std::to_string(i));
-  for (int n = 0; n < num_state_vars; ++n) result.push_back("y" + std::to_string(n));
+  for (int i = 0; i < num_inputs; ++i) result.push_back(tagged('x', i));
+  for (int n = 0; n < num_state_vars; ++n) result.push_back(tagged('y', n));
   if (has_fsv) result.push_back("fsv");
   return result;
 }
@@ -510,7 +523,7 @@ bool verify_equations(const FantomMachine& machine, std::string* why) {
           if (expr.test(base) != cover.test(base)) ok = false;
         });
         if (!ok) {
-          return fail("Y" + std::to_string(n) + " wrong on transition (" +
+          return fail(tagged('Y', n) + " wrong on transition (" +
                       table.state_name(s) + ", col " + std::to_string(c) + ")");
         }
       }
@@ -521,7 +534,7 @@ bool verify_equations(const FantomMachine& machine, std::string* why) {
           const Trit t = e.outputs[static_cast<std::size_t>(k)];
           if (t == Trit::kDC) continue;
           if (z_cover[static_cast<std::size_t>(k)].test(parked) != (t == Trit::k1)) {
-            return fail("Z" + std::to_string(k) + " wrong at stable (" +
+            return fail(tagged('Z', k) + " wrong at stable (" +
                         table.state_name(s) + ", col " + std::to_string(c) + ")");
           }
         }

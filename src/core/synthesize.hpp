@@ -123,11 +123,15 @@ struct SynthesisOptions {
 /// without Tracey's cover certificate, which gives some rows fewer state
 /// variables.  v9 rows came from a cover search that started with no
 /// incumbent under a 2,000,000-node budget; v10's starts at the greedy
-/// cover under 200,000 nodes, which moves budget-truncated covers.)
-inline constexpr int kOptionsEncodingVersion = 10;
+/// cover under 200,000 nodes, which moves budget-truncated covers.  v10
+/// rows came from a USTT partition search that looked for any class count
+/// below its incumbent; v11's looks only for counts no larger than
+/// Tracey's cover and forward-checks, which moves budget-truncated
+/// assignments.)
+inline constexpr int kOptionsEncodingVersion = 11;
 
 /// Canonical, byte-stable encoding of every result-affecting knob:
-///   "v10 fsv=B minimize=B factor=B consensus=B tt=B"
+///   "v11 fsv=B minimize=B factor=B consensus=B tt=B"
 /// Equal options always produce equal bytes (field order is pinned by
 /// test), so the string can key a content-addressed cache and compare
 /// pipeline configurations across processes.

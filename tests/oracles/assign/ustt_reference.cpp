@@ -122,6 +122,12 @@ class ReferencePartitionSearch {
 
 }  // namespace
 
+std::vector<Partition> reference_partitions(std::vector<Dichotomy> dichotomies,
+                                            std::size_t budget, bool* finished) {
+  ReferencePartitionSearch search(std::move(dichotomies), budget);
+  return search.solve(finished);
+}
+
 Assignment reference_assign_ustt(const FlowTable& table, const AssignOptions& options) {
   if (table.num_states() > flowtable::kMaxStates) {
     throw std::invalid_argument("assign_ustt: too many states");

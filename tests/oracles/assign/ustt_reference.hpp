@@ -24,6 +24,13 @@ namespace seance::assign {
 [[nodiscard]] std::vector<Dichotomy> reference_transition_dichotomies(
     const flowtable::FlowTable& table);
 
+/// The seed's partition search on its own: greedy incumbent, then a plain
+/// depth-first branch and bound (no certificate, fit planes, cap or
+/// forward check) over the same most-constrained-first order.  Sets
+/// `finished` iff it ran to completion within `budget` nodes.
+[[nodiscard]] std::vector<Partition> reference_partitions(
+    std::vector<Dichotomy> dichotomies, std::size_t budget, bool* finished);
+
 /// Full seed-path assignment: fresh partition search per uniqueness
 /// round, one colliding pair added per round.  Same contract as
 /// assign_ustt(); completion_rounds counts the rounds that found a

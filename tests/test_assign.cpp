@@ -2,10 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <limits>
 #include <set>
+#include <stdexcept>
+#include <utility>
+#include <vector>
 
 #include "assign/ustt_reference.hpp"
 #include "bench_suite/benchmarks.hpp"
@@ -300,14 +304,44 @@ TEST(TraceyCertificate, ProvesTheGreedyCodesOfHardest0002) {
 }
 
 TEST(TraceyCertificate, Hardest0003NeedsSixVariables) {
-  // The uncertified search gives up at eight variables; the cover's
-  // proven six-partition solution replaces its incumbent.
+  // Greedy gives eight classes and the cover proves six.  Searching only
+  // for six or fewer, with forward checking and the memo synthesis uses,
+  // the branch and bound reaches its first six-class leaf in under
+  // 100,000 nodes and stops at the bound, so a small budget and a huge
+  // one give the same codes.  (An uncapped search spent 500,000 nodes
+  // without getting below eight and returned the cover's code instead.
+  // Without the memo the capped search needs about 8.3M nodes.)
   const FlowTable t = reduced_hardest(3);
-  const Assignment a = assign_ustt(t, core::SynthesisOptions::assign);
-  EXPECT_TRUE(a.exact);
-  EXPECT_EQ(a.num_vars, 6);
+  search::TranspositionTable tt(core::SynthesisOptions::tt_mb << 20);
+  std::vector<Assignment> results;
+  for (const std::size_t budget : {std::size_t{150'000}, std::size_t{20'000'000}}) {
+    AssignOptions options;
+    options.node_budget = budget;
+    tt.clear();
+    results.push_back(assign_ustt(t, options, &tt));
+    const Assignment& a = results.back();
+    EXPECT_TRUE(a.exact) << budget;
+    EXPECT_EQ(a.num_vars, 6) << budget;
+    std::string why;
+    EXPECT_TRUE(verify_ustt(t, a.codes, a.num_vars, &why)) << why;
+  }
+  EXPECT_EQ(results[0].codes, results[1].codes);
+
+  // Without the memo the default budget runs out above six classes, and
+  // the cover's proven six partitions replace the incumbent.
+  const Assignment cold = assign_ustt(t, core::SynthesisOptions::assign);
+  EXPECT_TRUE(cold.exact);
+  EXPECT_EQ(cold.num_vars, 6);
   std::string why;
-  EXPECT_TRUE(verify_ustt(t, a.codes, a.num_vars, &why)) << why;
+  EXPECT_TRUE(verify_ustt(t, cold.codes, cold.num_vars, &why)) << why;
+
+  tt.clear();
+  const detail::PartitionResult search =
+      detail::solve_partitions(transition_dichotomies(t), 150'000, &tt);
+  EXPECT_FALSE(search.truncated);
+  EXPECT_GT(search.nodes, 0u);
+  EXPECT_LT(search.nodes, 100'000u);
+  EXPECT_EQ(search.classes.size(), 6u);
 }
 
 TEST(TraceyCertificate, Hardest0016GetsSixVariablesFromTheGreedyCeiling) {
@@ -380,6 +414,153 @@ TEST(TraceyCertificate, ExpiredDeadlineStopsTheCoverSearch) {
   AssignOptions options;
   options.node_budget = 0;
   EXPECT_THROW((void)assign_ustt(t, options), search::DeadlineExceeded);
+}
+
+// Random dichotomies over `num_states` states: each state lands in block
+// a, block b or neither.
+std::vector<Dichotomy> random_dichotomies(std::uint64_t& rng, int num_states,
+                                          std::size_t count) {
+  std::vector<Dichotomy> dichotomies;
+  while (dichotomies.size() < count) {
+    Dichotomy d;
+    for (int s = 0; s < num_states; ++s) {
+      rng = search::hash_u64(rng);
+      const std::uint64_t side = rng % 3;
+      if (side == 1) d.a |= StateSet{1} << s;
+      if (side == 2) d.b |= StateSet{1} << s;
+    }
+    if (d.valid()) dichotomies.push_back(d);
+  }
+  return dichotomies;
+}
+
+TEST(FitPlanes, RandomMergeSequencesAgreeWithFits) {
+  std::uint64_t rng = 0x9e3779b97f4a7c15ull;
+  const auto draw = [&rng](std::uint64_t bound) {
+    rng = search::hash_u64(rng);
+    return rng % bound;
+  };
+  for (int trial = 0; trial < 60; ++trial) {
+    SCOPED_TRACE(trial);
+    // Up to 200 dichotomies, so planes span several words and a partial
+    // last word.
+    const int n = 3 + static_cast<int>(draw(14));
+    const std::vector<Dichotomy> dichotomies =
+        random_dichotomies(rng, n, 1 + draw(200));
+    const detail::FitPlanes planes(dichotomies);
+    ASSERT_EQ(planes.words(), (dichotomies.size() + 63) / 64);
+
+    // A few classes, each grown by a random merge sequence.
+    const std::size_t num_classes = 1 + draw(4);
+    std::vector<Partition> classes;
+    std::vector<std::uint64_t> class_planes(num_classes * 2 * planes.words());
+    for (std::size_t c = 0; c < num_classes; ++c) {
+      std::uint64_t* mine = class_planes.data() + c * 2 * planes.words();
+      const std::size_t first = draw(dichotomies.size());
+      planes.open(mine, first, 0);
+      Partition p{dichotomies[first].a, dichotomies[first].b};
+      for (int step = 0; step < 12; ++step) {
+        std::vector<std::pair<std::size_t, bool>> fitting;
+        for (std::size_t j = 0; j < dichotomies.size(); ++j) {
+          for (const bool flip : {false, true}) {
+            ASSERT_EQ(planes.fits(mine, j, flip), detail::fits(p, dichotomies[j], flip))
+                << "class " << c << " step " << step << " dichotomy " << j;
+            if (detail::fits(p, dichotomies[j], flip)) fitting.emplace_back(j, flip);
+          }
+        }
+        // Members always fit, so there is always something to merge.
+        const auto [j, flip] = fitting[draw(fitting.size())];
+        p.zeros |= flip ? dichotomies[j].b : dichotomies[j].a;
+        p.ones |= flip ? dichotomies[j].a : dichotomies[j].b;
+        planes.merge(mine, j, flip, 0);
+        // A class that a dichotomy joined separates it.
+        EXPECT_TRUE(separates(p, dichotomies[j]));
+      }
+      classes.push_back(p);
+    }
+
+    // The forward check's test against every suffix of the list.
+    for (std::size_t first = 0; first < dichotomies.size(); ++first) {
+      for (std::size_t k = 0; k <= num_classes; ++k) {
+        bool nowhere = false;
+        for (std::size_t j = first; j < dichotomies.size(); ++j) {
+          bool somewhere = false;
+          for (std::size_t c = 0; c < k; ++c) {
+            somewhere = somewhere || detail::fits(classes[c], dichotomies[j], false) ||
+                        detail::fits(classes[c], dichotomies[j], true);
+          }
+          nowhere = nowhere || !somewhere;
+        }
+        EXPECT_EQ(planes.some_fits_nowhere(class_planes.data(), k, first), nowhere)
+            << "first " << first << " classes " << k;
+      }
+    }
+  }
+}
+
+TEST(FitPlanes, ListsPastTheLimitThrowBeforeAllocating) {
+  std::uint64_t rng = 7;
+  std::vector<Dichotomy> dichotomies =
+      random_dichotomies(rng, 8, detail::kMaxSearchDichotomies);
+  EXPECT_NO_THROW((void)detail::FitPlanes(dichotomies));
+  dichotomies.push_back(dichotomies.front());
+  EXPECT_THROW((void)detail::FitPlanes(dichotomies), std::length_error);
+}
+
+bool same_partitions(const std::vector<Partition>& x, const std::vector<Partition>& y) {
+  return std::equal(x.begin(), x.end(), y.begin(), y.end(),
+                    [](const Partition& p, const Partition& q) {
+                      return p.zeros == q.zeros && p.ones == q.ones;
+                    });
+}
+
+TEST(PartitionSearch, MatchesThePlainDepthFirstSearchWhenBothFinish) {
+  // The certificate's cap and bound, the fit planes and the forward check
+  // only skip subtrees without a leaf below the incumbent, so a search
+  // that finishes returns the classes of the seed's plain search.
+  std::uint64_t rng = 0x2545f4914f6cdd1dull;
+  const auto draw = [&rng](std::uint64_t bound) {
+    rng = search::hash_u64(rng);
+    return rng % bound;
+  };
+  search::TranspositionTable tt(core::SynthesisOptions::tt_mb << 20);
+  int compared = 0;
+  int searched = 0;
+  for (int trial = 0; trial < 600; ++trial) {
+    SCOPED_TRACE(trial);
+    const int n = 3 + static_cast<int>(draw(6));  // 3..8 states
+    // Shaped like transition dichotomies: one or two states a side.
+    std::vector<Dichotomy> dichotomies;
+    const std::size_t rows = 4 + draw(40);
+    const auto block = [&] {
+      StateSet states = StateSet{1} << draw(static_cast<std::uint64_t>(n));
+      if (draw(2) == 0) states |= StateSet{1} << draw(static_cast<std::uint64_t>(n));
+      return states;
+    };
+    while (dichotomies.size() < rows) {
+      const Dichotomy d{block(), block()};
+      if (d.valid()) dichotomies.push_back(d);
+    }
+    bool finished = false;
+    const std::vector<Partition> reference =
+        reference_partitions(dichotomies, 2'000'000, &finished);
+    tt.clear();
+    for (search::TranspositionTable* memo :
+         {static_cast<search::TranspositionTable*>(nullptr), &tt}) {
+      const detail::PartitionResult production =
+          detail::solve_partitions(dichotomies, 500'000, memo);
+      if (!finished || production.truncated) continue;
+      ++compared;
+      if (production.nodes > 0) ++searched;
+      EXPECT_TRUE(production.exact);
+      EXPECT_TRUE(same_partitions(production.classes, reference))
+          << production.classes.size() << " vs " << reference.size() << " classes";
+    }
+  }
+  // Most sets are solved by greedy at the certificate's bound; enough
+  // still run the branch and bound.
+  EXPECT_GE(compared, 1000);
+  EXPECT_GE(searched, 200);
 }
 
 }  // namespace

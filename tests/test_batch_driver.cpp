@@ -436,33 +436,47 @@ TEST(BatchRunner, TimeoutPathPreservesThreadCountInvariance) {
 }
 
 TEST(BatchRunner, TimedOutJobLeavesTheWorkerTableUsable) {
-  // One worker, so the Table-1 jobs run in the table the hardest job was
-  // stopped in mid-search.  (hardest-20x6-0008 takes about 200 ms.)
+  // A deadline already past when the job starts (1 ps is no tick of the
+  // steady clock) stops it at its first checkpoint, however fast the
+  // engines get, after a fixed amount of work in the worker's table.
+  constexpr double kAlreadyPastMs = 1e-9;
   BatchRunner hardest;
   hardest.add_hardest_generated(9, 1);
   const JobSpec& stopped = hardest.jobs()[8];
   ASSERT_EQ(stopped.name, "hardest-20x6-0008");
-  const auto run_with = [&](double timeout_ms) {
-    BatchOptions options;
-    options.threads = 1;
-    options.job_timeout_ms = timeout_ms;
-    BatchRunner runner(options);
-    runner.add(stopped);
-    runner.add_table1_suite();
-    return runner.run();
-  };
-  const BatchReport timed = run_with(5.0);
-  const BatchReport untimed = run_with(0.0);
-  ASSERT_EQ(timed.jobs.size(), untimed.jobs.size());
+
+  // Through the pool: a timeout row, and the worker's table kept its
+  // counters; nothing replaced it.
+  BatchOptions options;
+  options.threads = 1;
+  options.job_timeout_ms = kAlreadyPastMs;
+  BatchRunner runner(options);
+  runner.add(stopped);
+  const BatchReport timed = runner.run();
+  ASSERT_EQ(timed.jobs.size(), 1u);
   EXPECT_EQ(timed.jobs[0].status, JobStatus::kTimeout);
   EXPECT_EQ(timed.jobs[0].input_states, stopped.table.num_states());
-  for (std::size_t i = 0; i < timed.jobs.size(); ++i) {
-    if (timed.jobs[i].status == JobStatus::kTimeout) continue;
-    EXPECT_EQ(to_csv_row(timed.jobs[i]), to_csv_row(untimed.jobs[i]));
-  }
-  // The stopped job's table kept its counters; nothing replaced it.
   EXPECT_GT(timed.tt_stats.stores, 0u);
   EXPECT_GT(timed.tt_stats.hits + timed.tt_stats.misses, 0u);
+
+  // The worker body on one table: the Table-1 jobs, run without a
+  // deadline in the table the hardest job was stopped in mid-search, give
+  // the rows of a fresh table.
+  search::TranspositionTable tt(core::SynthesisOptions::tt_mb << 20);
+  const JobResult first = run_with_deadline(stopped.name, kAlreadyPastMs, [&] {
+    return BatchRunner::run_job(stopped, options, nullptr, &tt);
+  });
+  EXPECT_EQ(first.status, JobStatus::kTimeout);
+  const search::TtStats at_stop = tt.stats();
+  EXPECT_EQ(at_stop.stores, timed.tt_stats.stores);
+  BatchRunner table1;
+  table1.add_table1_suite();
+  for (const JobSpec& spec : table1.jobs()) {
+    EXPECT_EQ(to_csv_row(BatchRunner::run_job(spec, options, nullptr, &tt)),
+              to_csv_row(BatchRunner::run_job(spec, options)))
+        << spec.name;
+  }
+  EXPECT_GT(tt.stats().stores, at_stop.stores);
 }
 
 TEST(BatchRunner, ProgressCallbackStreamsEveryJobOnce) {

@@ -83,7 +83,7 @@ TEST(Serve, RepeatRequestHitsTheCache) {
 TEST(Serve, OptLineSelectsDistinctCacheEntries) {
   ResultCache cache(CacheConfig{"", 1 << 20});
   const std::string baseline =
-      "v10 fsv=0 minimize=1 factor=1 consensus=1 tt=1";
+      "v11 fsv=0 minimize=1 factor=1 consensus=1 tt=1";
   const auto lines = run_session(request_of("a", example_kiss()) +
                                      request_of("b", example_kiss(), baseline),
                                  &cache);
@@ -132,7 +132,7 @@ TEST(Serve, MalformedInputGetsErrAndTheLoopSurvives) {
   const auto lines = run_session(
       "BOGUS\n"                            // unknown verb
       "REQ\n"                              // missing name: unknown verb too
-      "REQ x\nOPT v10 nope\n"               // bad options encoding
+      "REQ x\nOPT v11 nope\n"               // bad options encoding
       "REQ y\nTABLE zero\n"                // bad table count
       + request_of("ok", example_kiss())   // still serving after the ERRs
       + "REQ z\nTABLE 2\n.i 1\n",          // truncated: EOF inside TABLE
@@ -178,17 +178,21 @@ TEST(Serve, TimeoutRequestsUseTheServerTable) {
   EXPECT_GT(std::stoull(stats.substr(at + 11)), 0u) << stats;
 
   // A request stopped by its deadline keeps the server's table and its
-  // STATS tt-* counters; nothing replaces them.  (hardest-20x6-0008
-  // takes about 200 ms, far past a 20 ms budget.)
+  // STATS tt-* counters; nothing replaces them.  The deadline is already
+  // past when each request starts (1 ps is no tick of the steady clock),
+  // so every request of this session stops at its first checkpoint,
+  // however fast the engines get, after a fixed amount of table work.
   driver::BatchRunner hardest;
   hardest.add_hardest_generated(9, 1);
-  const std::string stopped = flowtable::to_kiss2(hardest.jobs()[8].table);
-  SynthesisRequest tight;
-  tight.timeout_ms = 20;
+  const std::string stopped =
+      request_of("stopped", flowtable::to_kiss2(hardest.jobs()[8].table));
+  SynthesisRequest expired;
+  expired.timeout_ms = 1e-9;
   const auto lines = run_session(request_of("lion", lion) + "STATS\n" +
-                                     request_of("stopped", stopped) + "STATS\n",
-                                 nullptr, nullptr, tight);
+                                     stopped + "STATS\n",
+                                 nullptr, nullptr, expired);
   ASSERT_EQ(lines.size(), 8u);
+  EXPECT_EQ(lines[1].rfind("ROW lion,timeout,", 0), 0u) << lines[1];
   EXPECT_EQ(lines[5].rfind("ROW stopped,timeout,", 0), 0u) << lines[5];
   const auto counters = [](const std::string& line) {
     std::vector<unsigned long long> out;
@@ -207,6 +211,16 @@ TEST(Serve, TimeoutRequestsUseTheServerTable) {
   EXPECT_GT(before[2], 0u) << lines[3];
   for (std::size_t k = 0; k < 4; ++k) {
     EXPECT_GE(after[k], before[k]) << lines[3] << "\n" << lines[7];
+  }
+  // The second request added exactly its own work, which a session
+  // serving it alone counts.
+  const auto alone = run_session(stopped + "STATS\n", nullptr, nullptr, expired);
+  ASSERT_EQ(alone.size(), 4u);
+  const auto own = counters(alone[3]);
+  ASSERT_EQ(own.size(), 4u) << alone[3];
+  EXPECT_GT(own[2], 0u) << alone[3];
+  for (std::size_t k = 0; k < 4; ++k) {
+    EXPECT_EQ(after[k], before[k] + own[k]) << lines[7] << "\n" << alone[3];
   }
 }
 
