@@ -497,14 +497,11 @@ class PartitionSearch {
       return;
     }
     std::uint64_t sig = 0;
-    const std::size_t best_in = limit();
     if (tt_ != nullptr) {
       sig = search::hash_mix(index_key_[index], class_sum);
-      if (const auto e = tt_->probe(sig)) {
-        if (search::has_lower(e->bound) &&
-            classes.size() + e->value >= limit()) {
-          return;
-        }
+      if (const auto lower = tt_->probe(sig);
+          lower && classes.size() + *lower >= limit()) {
+        return;
       }
     }
     const Dichotomy& d = dichotomies_[index];
@@ -549,24 +546,9 @@ class PartitionSearch {
       classes.pop_back();
       if (tt_ != nullptr) class_hash_.pop_back();
     }
-    // A search stopped at the certificate's bound stores Exact on the path
-    // to the leaf that met it: that leaf's size is the optimum, so no
-    // completion from these nodes is cheaper.
-    if (tt_ != nullptr) {
-      const std::size_t g = classes.size();
-      const std::size_t best_out = best_.size();
-      if (!budget_.exhausted()) {
-        if (best_out < best_in) {
-          tt_->store(sig, search::Bound::kExact,
-                     static_cast<std::uint32_t>(best_out - g));
-        } else {
-          tt_->store(sig, search::Bound::kLower,
-                     static_cast<std::uint32_t>(best_in - g));
-        }
-      } else if (best_out < best_in) {
-        tt_->store(sig, search::Bound::kUpper,
-                   static_cast<std::uint32_t>(best_out - g));
-      }
+    // No completion below here beats the limit we leave with.
+    if (tt_ != nullptr && !budget_.exhausted()) {
+      tt_->store(sig, static_cast<std::uint32_t>(limit() - classes.size()));
     }
   }
 

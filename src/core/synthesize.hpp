@@ -127,11 +127,14 @@ struct SynthesisOptions {
 /// rows came from a USTT partition search that looked for any class count
 /// below its incumbent; v11's looks only for counts no larger than
 /// Tracey's cover and forward-checks, which moves budget-truncated
-/// assignments.)
-inline constexpr int kOptionsEncodingVersion = 11;
+/// assignments.  v11's memo also kept Upper entries after a search ran
+/// out of budget; v12's keeps one lower bound per entry and stores none
+/// after truncation, so evictions, and with them a later truncated
+/// search in the same job, may differ.)
+inline constexpr int kOptionsEncodingVersion = 12;
 
 /// Canonical, byte-stable encoding of every result-affecting knob:
-///   "v11 fsv=B minimize=B factor=B consensus=B tt=B"
+///   "v12 fsv=B minimize=B factor=B consensus=B tt=B"
 /// Equal options always produce equal bytes (field order is pinned by
 /// test), so the string can key a content-addressed cache and compare
 /// pipeline configurations across processes.

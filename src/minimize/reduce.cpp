@@ -218,44 +218,19 @@ std::vector<PrimeCompatible> prime_compatibles(const FlowTable& table,
   // Every candidate is a nonempty submask of some maximal compatible, and
   // the reference path's level-by-level subset generation visits exactly
   // that family.  Enumerate it directly: walk each MC's submask lattice
-  // once, deduplicate across overlapping MCs with a 2^n seen-bitmap when
-  // n is small enough for one (the practical regime), else with per-size
-  // sort+unique, and bucket by popcount.  This removes the duplicated
-  // per-level candidate churn — a size-k subset was previously pushed
-  // once per parent — which dominated reduce() on collapse-heavy tables.
+  // once into per-size buckets, then sort each bucket and drop the copies
+  // that overlapping MCs share.  This removes the duplicated per-level
+  // candidate churn — a size-k subset was previously pushed once per
+  // parent — which dominated reduce() on collapse-heavy tables.
   std::vector<std::vector<StateSet>> by_size(static_cast<std::size_t>(n) + 1);
-  constexpr int kBitmapStates = 26;  // 2^26 bits = 8 MiB, far past any bench
-  if (n <= kBitmapStates) {
-    std::vector<std::uint64_t> seen((std::size_t{1} << n) / 64 + 1, 0);
-    for (const StateSet mc : mcs) {
-      for (StateSet sub = mc; sub != 0; sub = (sub - 1) & mc) {
-        auto& word = seen[static_cast<std::size_t>(sub >> 6)];
-        const std::uint64_t bit = std::uint64_t{1} << (sub & 63);
-        if (word & bit) continue;  // shared with an earlier MC
-        word |= bit;
-        by_size[static_cast<std::size_t>(popcount(sub))].push_back(sub);
-      }
+  for (const StateSet mc : mcs) {
+    for (StateSet sub = mc; sub != 0; sub = (sub - 1) & mc) {
+      by_size[static_cast<std::size_t>(popcount(sub))].push_back(sub);
     }
-    for (auto& bucket : by_size) std::sort(bucket.begin(), bucket.end());
-  } else {
-    for (const StateSet mc : mcs) {
-      by_size[static_cast<std::size_t>(popcount(mc))].push_back(mc);
-    }
-    for (int size = n; size > 1; --size) {
-      auto& bucket = by_size[static_cast<std::size_t>(size)];
-      std::sort(bucket.begin(), bucket.end());
-      bucket.erase(std::unique(bucket.begin(), bucket.end()), bucket.end());
-      for (const StateSet cand : bucket) {
-        for (StateSet rest = cand; rest != 0; rest &= rest - 1) {
-          by_size[static_cast<std::size_t>(size - 1)].push_back(
-              cand & ~(StateSet{1} << std::countr_zero(rest)));
-        }
-      }
-    }
-    auto& singletons = by_size[1];
-    std::sort(singletons.begin(), singletons.end());
-    singletons.erase(std::unique(singletons.begin(), singletons.end()),
-                     singletons.end());
+  }
+  for (auto& bucket : by_size) {
+    std::sort(bucket.begin(), bucket.end());
+    bucket.erase(std::unique(bucket.begin(), bucket.end()), bucket.end());
   }
 
   std::vector<PrimeCompatible> primes;
@@ -471,14 +446,11 @@ class CoverSearch {
       return;
     }
     std::uint64_t sig = 0;
-    const std::size_t best_in = best_.size();
     if (tt_ != nullptr) {
       sig = search::hash_mix(root_sig_, sig_accum_);
-      if (const auto e = tt_->probe(sig)) {
-        if (search::has_lower(e->bound) &&
-            chosen_.size() + e->value >= best_.size()) {
-          return;
-        }
+      if (const auto lower = tt_->probe(sig);
+          lower && chosen_.size() + *lower >= best_.size()) {
+        return;
       }
     }
     for (std::size_t i = 0; i < primes_.size(); ++i) {
@@ -489,21 +461,9 @@ class CoverSearch {
       pop();
       if (budget_.exhausted()) break;
     }
-    if (tt_ != nullptr) {
-      const std::size_t g = chosen_.size();
-      const std::size_t best_out = best_.size();
-      if (!budget_.exhausted()) {
-        if (best_out < best_in) {
-          tt_->store(sig, search::Bound::kExact,
-                     static_cast<std::uint32_t>(best_out - g));
-        } else {
-          tt_->store(sig, search::Bound::kLower,
-                     static_cast<std::uint32_t>(best_in - g));
-        }
-      } else if (best_out < best_in) {
-        tt_->store(sig, search::Bound::kUpper,
-                   static_cast<std::uint32_t>(best_out - g));
-      }
+    // No completion below here beats the incumbent we leave with.
+    if (tt_ != nullptr && !budget_.exhausted()) {
+      tt_->store(sig, static_cast<std::uint32_t>(best_.size() - chosen_.size()));
     }
   }
 

@@ -78,56 +78,35 @@ TranspositionTable::TranspositionTable(std::size_t bytes)
   std::uninitialized_value_construct_n(slots_.get(), capacity_);
 }
 
-std::optional<TranspositionTable::Entry> TranspositionTable::probe(
-    std::uint64_t key) {
+std::optional<std::uint32_t> TranspositionTable::probe(std::uint64_t key) {
   const std::size_t h = home(key);
   for (std::size_t i = 0; i < kProbeWindow; ++i) {
     const Slot& s = slots_[(h + i) & mask_];
     if (!live(s)) break;  // never displaced past an empty slot
     if (s.key == key) {
       ++stats_.hits;
-      return Entry{s.bound, s.value};
+      return s.value;
     }
   }
   ++stats_.misses;
   return std::nullopt;
 }
 
-void TranspositionTable::store(std::uint64_t key, Bound bound,
-                               std::uint32_t value) {
-  if (bound == Bound::kNone) return;
+void TranspositionTable::store(std::uint64_t key, std::uint32_t lower_bound) {
+  ++stats_.stores;
   const std::size_t h = home(key);
-  Slot* empty = nullptr;
+  Slot* target = nullptr;
   for (std::size_t i = 0; i < kProbeWindow; ++i) {
     Slot& s = slots_[(h + i) & mask_];
     if (!live(s)) {
-      empty = &s;  // never displaced past an empty slot, as in probe
+      target = &s;  // never displaced past an empty slot, as in probe
       break;
     }
     if (s.key == key) {
-      // Merge, keeping the most informative bound. Exact is sticky.
-      if (s.bound == Bound::kExact) return;
-      if (bound == Bound::kExact) {
-        s.bound = bound;
-        s.value = value;
-      } else if (bound == s.bound) {
-        if (bound == Bound::kLower) {
-          if (value > s.value) s.value = value;
-        } else {
-          if (value < s.value) s.value = value;
-        }
-      } else if (value == s.value) {
-        s.bound = Bound::kExact;  // lower meets upper
-      } else if (bound == Bound::kLower) {
-        // Prefer the pruning side: Lower replaces a looser Upper.
-        s.bound = bound;
-        s.value = value;
-      }
-      ++stats_.stores;
+      s.value = std::max(s.value, lower_bound);
       return;
     }
   }
-  Slot* target = empty;
   if (target == nullptr) {
     target = &slots_[h];  // deterministic replacement
     ++stats_.evictions;
@@ -135,10 +114,8 @@ void TranspositionTable::store(std::uint64_t key, Bound bound,
     ++live_;
   }
   target->key = key;
-  target->bound = bound;
-  target->value = value;
+  target->value = lower_bound;
   target->epoch = epoch_;
-  ++stats_.stores;
 }
 
 void TranspositionTable::clear() {
@@ -150,13 +127,13 @@ void TranspositionTable::clear() {
   }
 }
 
-std::vector<std::tuple<std::uint64_t, Bound, std::uint32_t>>
-TranspositionTable::dump() const {
-  std::vector<std::tuple<std::uint64_t, Bound, std::uint32_t>> out;
+std::vector<std::pair<std::uint64_t, std::uint32_t>> TranspositionTable::dump()
+    const {
+  std::vector<std::pair<std::uint64_t, std::uint32_t>> out;
   out.reserve(live_);
   for (std::size_t i = 0; i < capacity_; ++i) {
     const Slot& s = slots_[i];
-    if (live(s)) out.emplace_back(s.key, s.bound, s.value);
+    if (live(s)) out.emplace_back(s.key, s.value);
   }
   return out;
 }

@@ -7,7 +7,7 @@
 #include <optional>
 #include <stdexcept>
 #include <string_view>
-#include <tuple>
+#include <utility>
 #include <vector>
 
 /// Shared branch-and-bound search core.
@@ -26,23 +26,27 @@
 ///    after the search means the result is a proof). All three engines
 ///    charge it.
 ///  * `TranspositionTable` — a bounded open-addressed memo over
-///    64-bit signatures of reduced subproblems, storing a
-///    `Bound{None,Lower,Upper,Exact}` kind plus a value (the
-///    additional cost to complete from that subproblem). The two
-///    memoized engines, `minimize::reduce` and `assign::assign_ustt`,
-///    consult it before expanding a node and prune subtrees whose
-///    certified lower bound cannot strictly improve the incumbent. The
+///    64-bit signatures of reduced subproblems, storing one certified
+///    lower bound on the additional cost to complete from that
+///    subproblem. The two memoized engines, `minimize::reduce` and
+///    `assign::assign_ustt`, consult it before expanding a node and
+///    prune subtrees whose bound cannot strictly improve the incumbent.
+///    On leaving a node whose search stayed within budget, each engine
+///    stores `limit - g`, where `g` is the cost already spent and
+///    `limit` the cost a completion must beat on exit: the search proved
+///    that no completion below the node costs less, and when the subtree
+///    improved the incumbent the value is the subtree's optimum. The
 ///    cover engine keeps no memo: on its budget-truncated charts the
 ///    probes cost more time than they saved, and bought no gates.
 ///
-/// Soundness contract: a `Lower`/`Upper`/`Exact` entry must bracket the
-/// true optimal completion cost of the subproblem it keys, regardless
-/// of which search stored it. Because the engines replace incumbents
-/// only on strict improvement and the table prunes only subtrees whose
-/// every completion is >= the incumbent, a warm table can change node
-/// counts but never the returned solution of a search that completes
-/// within budget — the property `tests/test_search_property.cpp`
-/// checks differentially. A search that *exhausts* its budget keeps
+/// Soundness contract: an entry must not exceed the true optimal
+/// completion cost of the subproblem it keys, regardless of which
+/// search stored it, so keeping the larger of two entries is sound.
+/// Because the engines replace incumbents only on strict improvement
+/// and the table prunes only subtrees whose every completion is >= the
+/// incumbent, a warm table can change node counts but never the
+/// returned solution of a search that completes within budget — the
+/// property `tests/test_search_property.cpp` checks differentially. A search that *exhausts* its budget keeps
 /// whatever incumbent the pruned traversal reached, which is
 /// warmth-dependent by nature; pipelines that promise byte-identical
 /// reports therefore scope entries to one result computation (see
@@ -58,25 +62,6 @@
 /// `verify_equations` entry, per `run_procedures` 64-lane word, and per
 /// `find_hazards` state.
 namespace seance::search {
-
-/// Bound kind for a memoized subproblem value (robocide `bound.h`
-/// encoding: Exact == Lower | Upper).
-enum class Bound : std::uint8_t {
-  kNone = 0,
-  kLower = 1,
-  kUpper = 2,
-  kExact = 3,
-};
-
-constexpr bool has_lower(Bound b) {
-  return (static_cast<std::uint8_t>(b) &
-          static_cast<std::uint8_t>(Bound::kLower)) != 0;
-}
-
-constexpr bool has_upper(Bound b) {
-  return (static_cast<std::uint8_t>(b) &
-          static_cast<std::uint8_t>(Bound::kUpper)) != 0;
-}
 
 /// FNV-1a over raw bytes: the repo's one content hash. The search core
 /// sits below every other library, so the api cache keys and corpus
@@ -134,11 +119,6 @@ struct TtStats {
 /// prefetching.
 class TranspositionTable {
  public:
-  struct Entry {
-    Bound bound = Bound::kNone;
-    std::uint32_t value = 0;
-  };
-
   /// Sizes the table to the largest power-of-two slot count that fits
   /// in `bytes` (minimum one probe window). `bytes == 0` is allowed
   /// and yields a table that still works but thrashes; callers gate
@@ -152,19 +132,17 @@ class TranspositionTable {
   /// capacity() to detect a mismatch without allocating.
   [[nodiscard]] static std::size_t slot_count_for(std::size_t bytes);
 
-  /// Looks up `key`; counts a hit or a miss.
-  std::optional<Entry> probe(std::uint64_t key);
+  /// Looks up `key`'s lower bound; counts a hit or a miss.
+  std::optional<std::uint32_t> probe(std::uint64_t key);
 
-  /// Inserts or merges an entry for `key`. Merge rules keep the most
-  /// informative bound: Exact wins; Lower keeps the max value; Upper
-  /// keeps the min; a Lower meeting an Upper at the same value
-  /// promotes to Exact; otherwise the Lower side is preferred (it is
-  /// the pruning side). A new key takes the first empty slot of its
-  /// window, and the scan stops there as probe's does: slots are never
-  /// emptied between clears and eviction writes the home slot, so no
-  /// entry for the key can lie past an empty one. Evicts
-  /// deterministically (home slot) when the probe window is full.
-  void store(std::uint64_t key, Bound bound, std::uint32_t value);
+  /// Records `lower_bound` for `key`, keeping the larger of it and any
+  /// bound already stored; every call counts a store. A new key takes
+  /// the first empty slot of its window, and the scan stops there as
+  /// probe's does: slots are never emptied between clears and eviction
+  /// writes the home slot, so no entry for the key can lie past an
+  /// empty one. Evicts deterministically (home slot) when the probe
+  /// window is full.
+  void store(std::uint64_t key, std::uint32_t lower_bound);
 
   /// Drops every entry in O(1), keeping capacity and the cumulative
   /// stats: it bumps the table's epoch, which turns every slot stamped
@@ -179,13 +157,12 @@ class TranspositionTable {
   void clear();
 
   const TtStats& stats() const { return stats_; }
-  void reset_stats() { stats_ = TtStats{}; }
 
   std::size_t capacity() const { return capacity_; }
   std::size_t size() const { return live_; }
 
-  /// Every live entry, for the bound-soundness audit in tests.
-  std::vector<std::tuple<std::uint64_t, Bound, std::uint32_t>> dump() const;
+  /// Every live (key, lower bound) entry in slot order, for tests.
+  std::vector<std::pair<std::uint64_t, std::uint32_t>> dump() const;
 
   /// Start of the slot storage (its alignment is tested).
   const void* storage() const { return slots_.get(); }
@@ -194,11 +171,11 @@ class TranspositionTable {
   struct Slot {
     std::uint64_t key = 0;
     std::uint32_t value = 0;
-    Bound bound = Bound::kNone;
     std::uint16_t epoch = 0;  // the clear() generation that wrote it
   };
   // The epoch lives in padding: slot_count_for divides by sizeof(Slot),
-  // and capacity decides results, so a wider slot would move them.
+  // and capacity decides results, so a narrower or wider slot would
+  // move them.
   static_assert(sizeof(Slot) == 16);
 
   struct FreeStorage {

@@ -87,7 +87,7 @@ TEST(OptionsCodec, PinnedDefaultBytes) {
   // invalidates every cache entry and golden identity, so it must be a
   // deliberate version bump, never drift.
   EXPECT_EQ(core::options_to_string(core::SynthesisOptions{}),
-            "v11 fsv=1 minimize=1 factor=1 consensus=1 tt=1");
+            "v12 fsv=1 minimize=1 factor=1 consensus=1 tt=1");
 }
 
 TEST(OptionsCodec, FixedConstantsArePinnedToTheCodecVersion) {
@@ -100,7 +100,7 @@ TEST(OptionsCodec, FixedConstantsArePinnedToTheCodecVersion) {
       "rows without moving any cache key: bump "
       "core::kOptionsEncodingVersion, regenerate the golden corpus, and "
       "update this pin";
-  EXPECT_EQ(core::kOptionsEncodingVersion, 11) << kWhy;
+  EXPECT_EQ(core::kOptionsEncodingVersion, 12) << kWhy;
   EXPECT_EQ(core::SynthesisOptions::tt_mb, 1u) << kWhy;
   EXPECT_EQ(core::SynthesisOptions::assign.node_budget, 500'000u) << kWhy;
   EXPECT_EQ(core::SynthesisOptions::reduce.node_budget, 1'000'000u) << kWhy;
@@ -110,7 +110,7 @@ TEST(OptionsCodec, FixedConstantsArePinnedToTheCodecVersion) {
 }
 
 TEST(OptionsCodec, AbsentKeysKeepDefaults) {
-  const core::SynthesisOptions back = core::options_from_string("v11 fsv=0");
+  const core::SynthesisOptions back = core::options_from_string("v12 fsv=0");
   EXPECT_FALSE(back.add_fsv);
   EXPECT_TRUE(back.minimize_states);
   EXPECT_TRUE(back.tt);
@@ -119,7 +119,7 @@ TEST(OptionsCodec, AbsentKeysKeepDefaults) {
 TEST(OptionsCodec, RejectsBadInput) {
   // Unknown keys are rejected, not skipped: a key this build does not
   // understand could alias two configurations under one cache key.
-  EXPECT_THROW((void)core::options_from_string("v11 warp=1"),
+  EXPECT_THROW((void)core::options_from_string("v12 warp=1"),
                std::runtime_error);
   EXPECT_THROW((void)core::options_from_string("v3 fsv=1"),
                std::runtime_error);
@@ -144,24 +144,28 @@ TEST(OptionsCodec, RejectsBadInput) {
   EXPECT_THROW((void)core::options_from_string(
                    "v10 fsv=1 minimize=1 factor=1 consensus=1 tt=1"),
                std::runtime_error);
+  // v11 rows came from a memo that kept Upper entries after truncation.
+  EXPECT_THROW((void)core::options_from_string(
+                   "v11 fsv=1 minimize=1 factor=1 consensus=1 tt=1"),
+               std::runtime_error);
   EXPECT_THROW((void)core::options_from_string(""), std::runtime_error);
-  EXPECT_THROW((void)core::options_from_string("v11 fsv=2"),
+  EXPECT_THROW((void)core::options_from_string("v12 fsv=2"),
                std::runtime_error);
-  EXPECT_THROW((void)core::options_from_string("v11 fsv=1 fsv=1"),
+  EXPECT_THROW((void)core::options_from_string("v12 fsv=1 fsv=1"),
                std::runtime_error);
-  EXPECT_THROW((void)core::options_from_string("v11 tt=maybe"),
+  EXPECT_THROW((void)core::options_from_string("v12 tt=maybe"),
                std::runtime_error);
   // v3's cover-budget / cover-cells keys are gone, not silently ignored.
-  EXPECT_THROW((void)core::options_from_string("v11 cover-budget=2000000"),
+  EXPECT_THROW((void)core::options_from_string("v12 cover-budget=2000000"),
                std::runtime_error);
 }
 
 TEST(OptionsCodec, RejectsTheRetiredTtMbKey) {
-  // v4's tt-mb is the fixed SynthesisOptions::tt_mb now: a v11 string
+  // v4's tt-mb is the fixed SynthesisOptions::tt_mb now: a v12 string
   // carrying it is an unknown key, and a whole v4 string is a version
   // mismatch, so neither aliases a current configuration.
   try {
-    (void)core::options_from_string("v11 tt-mb=16");
+    (void)core::options_from_string("v12 tt-mb=16");
     ADD_FAILURE() << "accepted tt-mb";
   } catch (const std::runtime_error& e) {
     EXPECT_NE(std::string(e.what()).find("unknown key 'tt-mb'"),
@@ -174,7 +178,7 @@ TEST(OptionsCodec, RejectsTheRetiredTtMbKey) {
         "unique=1 assign-budget=500000 reduce-budget=1000000 tt=1 tt-mb=16");
     ADD_FAILURE() << "accepted a v4 string";
   } catch (const std::runtime_error& e) {
-    EXPECT_NE(std::string(e.what()).find("expected version tag 'v11'"),
+    EXPECT_NE(std::string(e.what()).find("expected version tag 'v12'"),
               std::string::npos)
         << e.what();
   }
@@ -182,7 +186,7 @@ TEST(OptionsCodec, RejectsTheRetiredTtMbKey) {
 
 TEST(OptionsCodec, RejectsTheRetiredV5Keys) {
   // v5's cover policy, uniqueness switch and node budgets are fixed
-  // SynthesisOptions members now: each key is unknown to v11, even at its
+  // SynthesisOptions members now: each key is unknown to v12, even at its
   // old default, and a whole v5 string is a version mismatch.
   for (const char* token : {"cover=essential-sop", "unique=1",
                             "assign-budget=500000", "reduce-budget=1000000"}) {
@@ -190,7 +194,7 @@ TEST(OptionsCodec, RejectsTheRetiredV5Keys) {
     const std::string token_text(token);
     const std::string key = token_text.substr(0, token_text.find('='));
     try {
-      (void)core::options_from_string(std::string("v11 ") + token);
+      (void)core::options_from_string(std::string("v12 ") + token);
       ADD_FAILURE() << "accepted";
     } catch (const std::runtime_error& e) {
       EXPECT_NE(std::string(e.what()).find("unknown key '" + key + "'"),
@@ -204,7 +208,7 @@ TEST(OptionsCodec, RejectsTheRetiredV5Keys) {
         "unique=1 assign-budget=500000 reduce-budget=1000000 tt=1");
     ADD_FAILURE() << "accepted a v5 string";
   } catch (const std::runtime_error& e) {
-    EXPECT_NE(std::string(e.what()).find("expected version tag 'v11'"),
+    EXPECT_NE(std::string(e.what()).find("expected version tag 'v12'"),
               std::string::npos)
         << e.what();
   }

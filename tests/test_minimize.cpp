@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <random>
 #include <stdexcept>
 
@@ -182,6 +183,69 @@ TEST(Minimize, PrimeCompatiblesIncludeUsefulClasses) {
   StateSet covered = 0;
   for (const PrimeCompatible& p : primes) covered |= p.states;
   EXPECT_EQ(covered, (StateSet{1} << t.num_states()) - 1);
+}
+
+// Overlapping maximal compatibles share submasks; a prime inside two of
+// them is walked twice and must still come out once.
+TEST(Minimize, OverlappingMaximalCompatiblesYieldEachPrimeOnce) {
+  GeneratorOptions gen;
+  gen.num_states = 12;
+  gen.num_inputs = 4;
+  gen.num_outputs = 2;
+  int shared = 0;  // primes strictly inside two or more maximal compatibles
+  for (std::uint64_t seed = 1; seed <= 10; ++seed) {
+    SCOPED_TRACE(seed);
+    gen.seed = seed;
+    const FlowTable t = bench_suite::generate(gen);
+    const auto rows = compatibility_rows(t);
+    const auto mcs = maximal_compatibles(t, rows);
+    const auto primes = prime_compatibles(t, rows);
+    std::vector<StateSet> sets;
+    for (const PrimeCompatible& p : primes) {
+      sets.push_back(p.states);
+      const auto inside =
+          std::count_if(mcs.begin(), mcs.end(), [&](StateSet mc) {
+            return (p.states & mc) == p.states && p.states != mc;
+          });
+      if (inside >= 2) ++shared;
+    }
+    std::sort(sets.begin(), sets.end());
+    EXPECT_EQ(std::adjacent_find(sets.begin(), sets.end()), sets.end());
+    const auto ref =
+        reference_prime_compatibles(t, reference_compatible_pairs(t));
+    ASSERT_EQ(primes.size(), ref.size());
+    for (std::size_t i = 0; i < primes.size(); ++i) {
+      EXPECT_EQ(primes[i].states, ref[i].states) << "prime " << i;
+    }
+  }
+  EXPECT_GT(shared, 0);
+}
+
+// Past 26 states prime_compatibles once deduplicated candidates level by
+// level instead of through a seen-bitmap; one path now serves every
+// state count, and its prime list must still be the reference's.
+TEST(Minimize, PrimeCompatiblesPastTwentySixStatesMatchTheReference) {
+  GeneratorOptions gen;
+  gen.num_inputs = 6;
+  gen.num_outputs = 2;
+  for (const int states : {27, 30}) {
+    for (const double density : {0.3, 0.7}) {
+      gen.num_states = states;
+      gen.transition_density = density;
+      gen.seed = static_cast<std::uint64_t>(states);
+      SCOPED_TRACE(states);
+      SCOPED_TRACE(density);
+      const FlowTable t = bench_suite::generate(gen);
+      const auto primes = prime_compatibles(t, compatibility_rows(t));
+      const auto ref =
+          reference_prime_compatibles(t, reference_compatible_pairs(t));
+      ASSERT_EQ(primes.size(), ref.size());
+      for (std::size_t i = 0; i < primes.size(); ++i) {
+        EXPECT_EQ(primes[i].states, ref[i].states) << "prime " << i;
+        EXPECT_EQ(primes[i].implied, ref[i].implied) << "prime " << i;
+      }
+    }
+  }
 }
 
 // Two chosen classes can share their lowest member; without the

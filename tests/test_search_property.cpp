@@ -24,7 +24,7 @@
 #include <cstdint>
 #include <limits>
 #include <string>
-#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "assign/ustt.hpp"
@@ -337,6 +337,58 @@ TEST(SearchProperty, AssignmentIsMemoizationIndependent) {
   }
 }
 
+// A search that runs out of budget still stores a bound for every node it
+// left before the budget ran out, and none after.  Those entries must be
+// sound: a full search on the same table returns what a memo-free one
+// does.
+TEST(SearchProperty, TruncatedMinimizeLeavesASoundMemo) {
+  std::uint64_t truncated_stores = 0;
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    bench_suite::GeneratorOptions g;
+    g.num_states = 12;
+    g.num_inputs = 4;
+    g.seed = seed;
+    const flowtable::FlowTable table = bench_suite::generate(g);
+    const minimize::ReductionResult off = minimize::reduce(table);
+    ASSERT_TRUE(off.cover_exact);
+    if (off.cover_nodes < 8) continue;
+    SCOPED_TRACE(seed);
+    search::TranspositionTable tt(1 << 20);
+    minimize::ReduceOptions truncated;
+    truncated.node_budget = off.cover_nodes / 2;
+    EXPECT_FALSE(minimize::reduce(table, truncated, &tt).cover_exact);
+    truncated_stores += tt.stats().stores;
+    const minimize::ReductionResult warm = minimize::reduce(table, {}, &tt);
+    EXPECT_TRUE(warm.cover_exact);
+    EXPECT_EQ(warm.classes, off.classes);
+    EXPECT_EQ(warm.state_to_class, off.state_to_class);
+  }
+  EXPECT_GT(truncated_stores, 0u);
+}
+
+TEST(SearchProperty, TruncatedAssignmentLeavesASoundMemo) {
+  std::uint64_t truncated_stores = 0;
+  for (const bench_suite::NamedBenchmark& bench :
+       bench_suite::table1_suite()) {
+    SCOPED_TRACE(bench.name);
+    const flowtable::FlowTable table = bench_suite::load(bench);
+    const assign::Assignment off = assign::assign_ustt(table);
+    for (const std::size_t budget : {std::size_t{1}, std::size_t{16}}) {
+      SCOPED_TRACE(budget);
+      search::TranspositionTable tt(1 << 20);
+      assign::AssignOptions truncated;
+      truncated.node_budget = budget;
+      (void)assign::assign_ustt(table, truncated, &tt);
+      truncated_stores += tt.stats().stores;
+      const assign::Assignment warm = assign::assign_ustt(table, {}, &tt);
+      EXPECT_EQ(warm.codes, off.codes);
+      EXPECT_EQ(warm.num_vars, off.num_vars);
+      EXPECT_EQ(warm.exact, off.exact);
+    }
+  }
+  EXPECT_GT(truncated_stores, 0u);
+}
+
 TEST(SearchProperty, CoverOverrunReportsInexact) {
   const logic::CoverTable t = cyclic_ring(16);
   const logic::MinCoverResult r = logic::solve_min_cover(t, 1);
@@ -393,8 +445,8 @@ TEST(SearchProperty, AssignmentOverrunReportsInexact) {
   EXPECT_TRUE(saw_inexact);
 }
 
-std::vector<std::tuple<std::uint64_t, search::Bound, std::uint32_t>>
-sorted_dump(const search::TranspositionTable& tt) {
+std::vector<std::pair<std::uint64_t, std::uint32_t>> sorted_dump(
+    const search::TranspositionTable& tt) {
   auto entries = tt.dump();
   std::sort(entries.begin(), entries.end());
   return entries;

@@ -83,7 +83,7 @@ TEST(Serve, RepeatRequestHitsTheCache) {
 TEST(Serve, OptLineSelectsDistinctCacheEntries) {
   ResultCache cache(CacheConfig{"", 1 << 20});
   const std::string baseline =
-      "v11 fsv=0 minimize=1 factor=1 consensus=1 tt=1";
+      "v12 fsv=0 minimize=1 factor=1 consensus=1 tt=1";
   const auto lines = run_session(request_of("a", example_kiss()) +
                                      request_of("b", example_kiss(), baseline),
                                  &cache);
@@ -132,7 +132,7 @@ TEST(Serve, MalformedInputGetsErrAndTheLoopSurvives) {
   const auto lines = run_session(
       "BOGUS\n"                            // unknown verb
       "REQ\n"                              // missing name: unknown verb too
-      "REQ x\nOPT v11 nope\n"               // bad options encoding
+      "REQ x\nOPT v12 nope\n"               // bad options encoding
       "REQ y\nTABLE zero\n"                // bad table count
       + request_of("ok", example_kiss())   // still serving after the ERRs
       + "REQ z\nTABLE 2\n.i 1\n",          // truncated: EOF inside TABLE

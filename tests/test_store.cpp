@@ -471,7 +471,7 @@ TEST(StoreDescribe, PinnedSpellings) {
   // cache; changing the synthesis spelling means bumping
   // core::kOptionsEncodingVersion and regenerating the golden corpus.
   EXPECT_EQ(describe(core::SynthesisOptions{}),
-            "v11 fsv=1 minimize=1 factor=1 consensus=1 tt=1");
+            "v12 fsv=1 minimize=1 factor=1 consensus=1 tt=1");
   EXPECT_EQ(describe(core::SynthesisOptions{}),
             core::options_to_string(core::SynthesisOptions{}));
   EXPECT_EQ(describe(bench_suite::GeneratorOptions{}),
