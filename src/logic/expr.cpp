@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <sstream>
 #include <stdexcept>
-#include <unordered_set>
+#include <vector>
 
 #include "logic/truth_table.hpp"
 
@@ -85,15 +85,23 @@ int Expr::depth() const {
 }
 
 int Expr::gate_count() const {
-  std::unordered_set<const Expr*> seen;
-  int count = 0;
-  const auto walk = [&](auto&& self, const Expr* e) -> void {
-    if (!seen.insert(e).second) return;
-    if (e->op_ != Op::kConst && e->op_ != Op::kVar) ++count;
-    for (const ExprPtr& k : e->kids_) self(self, k.get());
+  // Every parent holds its own ExprPtr to a kid, so a node met along two
+  // paths has use_count() > 1.  Only such gate nodes are remembered, and
+  // a tree (the common case) is counted without allocating.
+  std::vector<const Expr*> shared;
+  const auto walk = [&](auto&& self, const Expr* e) -> int {
+    int count = 1;
+    for (const ExprPtr& k : e->kids_) {
+      if (k->op_ == Op::kConst || k->op_ == Op::kVar) continue;
+      if (k.use_count() > 1) {
+        if (std::find(shared.begin(), shared.end(), k.get()) != shared.end()) continue;
+        shared.push_back(k.get());
+      }
+      count += self(self, k.get());
+    }
+    return count;
   };
-  walk(walk, this);
-  return count;
+  return op_ == Op::kConst || op_ == Op::kVar ? 0 : walk(walk, this);
 }
 
 int Expr::literal_count() const {

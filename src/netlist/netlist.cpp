@@ -1,8 +1,12 @@
 #include "netlist/netlist.hpp"
 
-#include <set>
+#include <algorithm>
+#include <array>
+#include <charconv>
+#include <cstring>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
 
 namespace seance::netlist {
 
@@ -158,20 +162,19 @@ std::string Netlist::to_string() const {
 namespace {
 
 /// Verilog-2001 reserved words a port name must never shadow (the subset
-/// is deliberately generous: any hit gains a trailing '_').
-bool is_verilog_keyword(const std::string& s) {
-  static const char* const kKeywords[] = {
-      "always",   "and",      "assign",   "begin",  "buf",       "case",
-      "default",  "defparam", "else",     "end",    "endcase",   "endmodule",
-      "for",      "function", "if",       "inout",  "initial",   "input",
-      "integer",  "module",   "nand",     "negedge", "nor",      "not",
-      "or",       "output",   "parameter", "posedge", "reg",     "signed",
-      "supply0",  "supply1",  "table",    "task",   "tri",       "wand",
-      "while",    "wire",     "wor",      "xnor",   "xor"};
-  for (const char* k : kKeywords) {
-    if (s == k) return true;
-  }
-  return false;
+/// is deliberately generous: any hit gains a trailing '_'), sorted.
+constexpr std::array<std::string_view, 41> kKeywords = {
+    "always",   "and",      "assign",   "begin",  "buf",       "case",
+    "default",  "defparam", "else",     "end",    "endcase",   "endmodule",
+    "for",      "function", "if",       "initial", "inout",    "input",
+    "integer",  "module",   "nand",     "negedge", "nor",      "not",
+    "or",       "output",   "parameter", "posedge", "reg",     "signed",
+    "supply0",  "supply1",  "table",    "task",   "tri",       "wand",
+    "while",    "wire",     "wor",      "xnor",   "xor"};
+static_assert(std::is_sorted(kKeywords.begin(), kKeywords.end()));
+
+bool is_verilog_keyword(std::string_view s) {
+  return std::binary_search(kKeywords.begin(), kKeywords.end(), s);
 }
 
 /// True for the internal wire spelling n<digits> — input ports must not
@@ -248,103 +251,142 @@ void validate_for_verilog(const Netlist& netlist) {
 
 std::string to_verilog(const Netlist& netlist, const std::string& module_name) {
   validate_for_verilog(netlist);
-
-  std::ostringstream out;
-  std::vector<int> inputs;
-  for (int i = 0; i < netlist.size(); ++i) {
-    if (netlist.gates()[static_cast<std::size_t>(i)].kind == GateKind::kInput) {
-      inputs.push_back(i);
-    }
-  }
+  const std::vector<Gate>& gates = netlist.gates();
 
   // Port naming: sanitize, then uniquify against keywords, the internal
   // n<digits> wire pattern, and earlier ports by appending '_'.  Inputs
   // first (in net order), then outputs (map order) — the emission order
-  // below, so the mapping is deterministic and pinned by test.
-  std::vector<std::string> port_of(static_cast<std::size_t>(netlist.size()));
-  std::set<std::string> used;
-  for (const int i : inputs) {
-    const Gate& g = netlist.gates()[static_cast<std::size_t>(i)];
-    std::string name =
-        sanitize_identifier(g.name.empty() ? "in" + std::to_string(i) : g.name);
+  // below, so the mapping is deterministic and pinned by test.  An empty
+  // name takes a positional default: in<net> for an input, out<net> for
+  // an output.  `used` holds sorted views of the names placed in port_of
+  // and output_port, which never reallocate once sized.
+  std::vector<std::string> port_of(gates.size());
+  std::vector<std::string> output_port;  // outputs() order
+  output_port.reserve(netlist.outputs().size());
+  std::vector<std::string_view> used;
+  used.reserve(gates.size() + netlist.outputs().size());
+  const auto taken = [&used](std::string_view name) {
+    return std::binary_search(used.begin(), used.end(), name);
+  };
+  const auto take = [&used](std::string_view name) {
+    used.insert(std::upper_bound(used.begin(), used.end(), name), name);
+  };
+  std::size_t widest_input = 0;
+  for (std::size_t i = 0; i < gates.size(); ++i) {
+    if (gates[i].kind != GateKind::kInput) continue;
+    std::string name = sanitize_identifier(
+        gates[i].name.empty() ? "in" + std::to_string(i) : gates[i].name);
     if (name.empty()) name = "in" + std::to_string(i);
-    while (is_verilog_keyword(name) || is_internal_wire_name(name) ||
-           used.count(name) != 0) {
+    while (is_verilog_keyword(name) || is_internal_wire_name(name) || taken(name)) {
       name += '_';
     }
-    used.insert(name);
-    port_of[static_cast<std::size_t>(i)] = std::move(name);
+    widest_input = std::max(widest_input, name.size());
+    port_of[i] = std::move(name);
+    take(port_of[i]);
   }
-  std::map<std::string, std::string> output_port;
   for (const auto& [name, net] : netlist.outputs()) {
-    (void)net;
-    std::string port = "o_" + sanitize_identifier(name);
-    while (used.count(port) != 0) port += '_';
-    used.insert(port);
-    output_port[name] = std::move(port);
+    std::string port =
+        "o_" + sanitize_identifier(name.empty() ? "out" + std::to_string(net)
+                                                : name);
+    while (taken(port)) port += '_';
+    output_port.push_back(std::move(port));
+    take(output_port.back());
   }
 
-  const auto net_name = [&](int i) {
-    const Gate& g = netlist.gates()[static_cast<std::size_t>(i)];
-    if (g.kind == GateKind::kInput) return port_of[static_cast<std::size_t>(i)];
-    return "n" + std::to_string(i);
+  // One buffer, sized for the longest spelling of every line (a net
+  // reference is an input port or n<index>, at most `ref` characters),
+  // written through a cursor and cut to length at the end.
+  const std::size_t ref =
+      std::max(widest_input, std::to_string(gates.size()).size() + 1);
+  std::size_t bound = module_name.size() + 32;
+  for (const Gate& g : gates) bound += 2 * ref + 32 + g.fanin.size() * (ref + 3);
+  for (const std::string& port : output_port) bound += 2 * port.size() + ref + 32;
+  std::string out(bound, '\0');
+  char* cursor = out.data();
+  const auto put = [&cursor](std::string_view text) {
+    std::memcpy(cursor, text.data(), text.size());
+    cursor += text.size();
+  };
+  const auto put_net = [&](int i) {
+    const auto at = static_cast<std::size_t>(i);
+    if (gates[at].kind == GateKind::kInput) {
+      put(port_of[at]);
+    } else {
+      *cursor++ = 'n';
+      cursor = std::to_chars(cursor, cursor + ref, i).ptr;
+    }
   };
 
-  out << "module " << module_name << " (\n";
-  bool first = true;
-  for (int i : inputs) {
-    out << (first ? "  input wire " : ",\n  input wire ") << net_name(i);
-    first = false;
+  put("module ");
+  put(module_name);
+  put(" (\n");
+  std::string_view separator = "  ";
+  for (std::size_t i = 0; i < gates.size(); ++i) {
+    if (gates[i].kind != GateKind::kInput) continue;
+    put(separator);
+    put("input wire ");
+    put(port_of[i]);
+    separator = ",\n  ";
   }
-  for (const auto& [name, net] : netlist.outputs()) {
-    (void)net;
-    out << (first ? "  output wire " : ",\n  output wire ")
-        << output_port.at(name);
-    first = false;
+  for (const std::string& port : output_port) {
+    put(separator);
+    put("output wire ");
+    put(port);
+    separator = ",\n  ";
   }
-  out << "\n);\n";
+  put("\n);\n");
 
   for (int i = 0; i < netlist.size(); ++i) {
-    const Gate& g = netlist.gates()[static_cast<std::size_t>(i)];
-    if (g.kind == GateKind::kInput) continue;
-    out << "  wire " << net_name(i) << ";\n";
+    if (gates[static_cast<std::size_t>(i)].kind == GateKind::kInput) continue;
+    put("  wire ");
+    put_net(i);
+    put(";\n");
   }
   for (int i = 0; i < netlist.size(); ++i) {
-    const Gate& g = netlist.gates()[static_cast<std::size_t>(i)];
+    const Gate& g = gates[static_cast<std::size_t>(i)];
+    if (g.kind == GateKind::kInput) continue;
+    put("  assign ");
+    put_net(i);
+    put(" = ");
     switch (g.kind) {
       case GateKind::kInput:
         break;
       case GateKind::kConst:
-        out << "  assign " << net_name(i) << " = 1'b" << (g.const_value ? 1 : 0) << ";\n";
+        put(g.const_value ? "1'b1" : "1'b0");
         break;
       case GateKind::kBuf:
-        out << "  assign " << net_name(i) << " = " << net_name(g.fanin.at(0)) << ";\n";
+        put_net(g.fanin.front());
         break;
       case GateKind::kNot:
-        out << "  assign " << net_name(i) << " = ~" << net_name(g.fanin.at(0)) << ";\n";
+        *cursor++ = '~';
+        put_net(g.fanin.front());
         break;
       case GateKind::kAnd:
       case GateKind::kOr:
       case GateKind::kNor: {
-        const char* op = g.kind == GateKind::kAnd ? " & " : " | ";
-        out << "  assign " << net_name(i) << " = ";
-        if (g.kind == GateKind::kNor) out << "~(";
+        const std::string_view op = g.kind == GateKind::kAnd ? " & " : " | ";
+        if (g.kind == GateKind::kNor) put("~(");
         for (std::size_t k = 0; k < g.fanin.size(); ++k) {
-          if (k > 0) out << op;
-          out << net_name(g.fanin[k]);
+          if (k > 0) put(op);
+          put_net(g.fanin[k]);
         }
-        if (g.kind == GateKind::kNor) out << ")";
-        out << ";\n";
+        if (g.kind == GateKind::kNor) *cursor++ = ')';
         break;
       }
     }
+    put(";\n");
   }
+  std::size_t k = 0;
   for (const auto& [name, net] : netlist.outputs()) {
-    out << "  assign " << output_port.at(name) << " = " << net_name(net)
-        << ";\n";
+    put("  assign ");
+    put(output_port[k++]);
+    put(" = ");
+    put_net(net);
+    put(";\n");
   }
-  out << "endmodule\n";
-  return out.str();
+  put("endmodule\n");
+  out.resize(static_cast<std::size_t>(cursor - out.data()));
+  return out;
 }
 
 FantomNets build_fantom(const core::FantomMachine& machine, Netlist& netlist) {

@@ -121,10 +121,17 @@ struct FantomNets {
 /// [A-Za-z0-9_$] become '_', a leading digit/'$' gets a '_' prefix, and a
 /// result that is a Verilog keyword, matches the internal wire pattern
 /// n<digits>, or collides with an earlier port gains trailing '_' until
-/// unique (deterministic, pinned by test).  Throws std::invalid_argument
+/// unique (deterministic, pinned by test).  Output ports are o_<name>;
+/// an empty name takes a positional default like an empty input name
+/// does (in<net> for an input, out<net> for an output), so every export
+/// parses back.  Throws std::invalid_argument
 /// naming the gate when the netlist is not exportable: a BUF/NOT without
 /// exactly one fanin (an unconnected placeholder) or a zero-fanin
 /// AND/OR/NOR, which would emit `assign n = ;`.
+///
+/// One pass: the text is written through a cursor into a single buffer
+/// sized up front from the gate, fanin and port counts, and net names
+/// are formatted in place (std::to_chars), not built as strings.
 [[nodiscard]] std::string to_verilog(const Netlist& netlist,
                                      const std::string& module_name);
 

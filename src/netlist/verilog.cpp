@@ -1,128 +1,39 @@
 #include "netlist/verilog.hpp"
 
+#include <algorithm>
+#include <array>
 #include <cstddef>
 #include <map>
 #include <stdexcept>
 #include <string>
 #include <string_view>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 namespace seance::netlist {
 
 namespace {
 
-/// A token is a view into the parsed text, which outlives the parse.
-struct Token {
-  std::string_view text;
-  int line = 0;
-};
-
 [[noreturn]] void fail(int line, const std::string& why) {
-  throw std::runtime_error("parse_verilog: line " + std::to_string(line) +
-                           ": " + why);
+  throw std::runtime_error("parse_verilog: line " + std::to_string(line) + ": " + why);
 }
 
-bool is_ident_start(char c) {
-  return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c == '_' ||
-         c == '$';
-}
+std::string quoted(std::string_view text) { return "'" + std::string(text) + "'"; }
 
-bool is_ident_char(char c) {
-  return is_ident_start(c) || (c >= '0' && c <= '9');
-}
+enum : unsigned char { kSpace = 1, kIdent = 2, kDigit = 4, kPunct = 8 };
 
-/// Identifiers, the two constant literals, and single-character
-/// punctuation; `//` comments run to end of line.
-std::vector<Token> tokenize(std::string_view text) {
-  std::vector<Token> tokens;
-  int line = 1;
-  std::size_t i = 0;
-  while (i < text.size()) {
-    const char c = text[i];
-    if (c == '\n') {
-      ++line;
-      ++i;
-      continue;
-    }
-    if (c == ' ' || c == '\t' || c == '\r') {
-      ++i;
-      continue;
-    }
-    if (c == '/' && i + 1 < text.size() && text[i + 1] == '/') {
-      while (i < text.size() && text[i] != '\n') ++i;
-      continue;
-    }
-    if (is_ident_start(c)) {
-      std::size_t j = i + 1;
-      while (j < text.size() && is_ident_char(text[j])) ++j;
-      tokens.push_back({text.substr(i, j - i), line});
-      i = j;
-      continue;
-    }
-    if (c >= '0' && c <= '9') {
-      // Sized binary literal: 1'b0 / 1'b1 is the only number to_verilog
-      // emits; anything else is rejected where it is consumed.
-      std::size_t j = i + 1;
-      while (j < text.size() &&
-             (is_ident_char(text[j]) || text[j] == '\'')) {
-        ++j;
-      }
-      tokens.push_back({text.substr(i, j - i), line});
-      i = j;
-      continue;
-    }
-    switch (c) {
-      case '(': case ')': case ',': case ';': case '=': case '~':
-      case '&': case '|':
-        tokens.push_back({text.substr(i, 1), line});
-        ++i;
-        break;
-      default:
-        fail(line, std::string("unexpected character '") + c + "'");
-    }
-  }
-  return tokens;
-}
+constexpr std::array<unsigned char, 256> kClass = [] {
+  std::array<unsigned char, 256> c{};
+  for (int i = 0; i < 26; ++i) c['a' + i] = c['A' + i] = kIdent;
+  for (int i = 0; i < 10; ++i) c['0' + i] = kDigit;
+  c['_'] = c['$'] = kIdent;
+  c[' '] = c['\t'] = c['\r'] = c['\n'] = kSpace;
+  for (const char p : std::string_view("(),;=~&|")) c[static_cast<unsigned char>(p)] = kPunct;
+  return c;
+}();
 
-/// Cursor over the token stream with one-line error reporting.
-class Parser {
- public:
-  explicit Parser(std::vector<Token> tokens) : tokens_(std::move(tokens)) {}
-
-  [[nodiscard]] bool done() const { return pos_ >= tokens_.size(); }
-  [[nodiscard]] const Token& peek() const {
-    if (done()) fail(last_line(), "unexpected end of input");
-    return tokens_[pos_];
-  }
-  Token next() {
-    const Token t = peek();
-    ++pos_;
-    return t;
-  }
-  Token expect(std::string_view text) {
-    const Token t = next();
-    if (t.text != text) {
-      fail(t.line, "expected '" + std::string(text) + "', got '" +
-                       std::string(t.text) + "'");
-    }
-    return t;
-  }
-  Token expect_ident() {
-    const Token t = next();
-    if (t.text.empty() || !is_ident_start(t.text[0])) {
-      fail(t.line, "expected an identifier, got '" + std::string(t.text) + "'");
-    }
-    return t;
-  }
-  [[nodiscard]] int last_line() const {
-    return tokens_.empty() ? 1 : tokens_.back().line;
-  }
-
- private:
-  std::vector<Token> tokens_;
-  std::size_t pos_ = 0;
-};
+unsigned char class_of(char c) { return kClass[static_cast<unsigned char>(c)]; }
 
 /// n<digits> -> index, or -1 when the name is not an internal wire.
 int wire_index(std::string_view name) {
@@ -137,266 +48,354 @@ int wire_index(std::string_view name) {
   return static_cast<int>(value);
 }
 
-struct ParsedAssign {
-  Token lhs;
-  GateKind kind = GateKind::kBuf;
-  bool const_value = false;
-  std::vector<Token> fanin;  ///< operand identifiers, unresolved
-  int line = 0;
+/// A token is a view into the parsed text, which outlives the parse.
+struct Token {
+  std::string_view text;
+  int line = 1;
 };
 
-/// One continuous-assignment right-hand side (`=` consumed, stops at `;`).
-ParsedAssign parse_rhs(Parser& p) {
-  ParsedAssign a;
-  Token t = p.next();
-  a.line = t.line;
-  if (t.text == "1'b0" || t.text == "1'b1") {
-    a.kind = GateKind::kConst;
-    a.const_value = t.text == "1'b1";
-    p.expect(";");
-    return a;
-  }
-  if (t.text == "~") {
-    if (p.peek().text == "(") {
-      p.expect("(");
-      a.kind = GateKind::kNor;
-      a.fanin.push_back(p.expect_ident());
-      while (p.peek().text == "|") {
-        p.expect("|");
-        a.fanin.push_back(p.expect_ident());
-      }
-      p.expect(")");
-    } else {
-      a.kind = GateKind::kNot;
-      a.fanin.push_back(p.expect_ident());
-    }
-    p.expect(";");
-    return a;
-  }
-  if (t.text.empty() || !is_ident_start(t.text[0])) {
-    fail(t.line, "expected an operand, got '" + std::string(t.text) + "'");
-  }
-  a.fanin.push_back(t);
-  const std::string_view op = p.peek().text;
-  if (op == "&" || op == "|") {
-    a.kind = op == "&" ? GateKind::kAnd : GateKind::kOr;
-    while (p.peek().text == op) {
-      p.expect(op);
-      a.fanin.push_back(p.expect_ident());
-    }
-    if (p.peek().text == "&" || p.peek().text == "|") {
-      fail(p.peek().line, "mixed '&'/'|' without parentheses");
-    }
-  } else {
-    a.kind = GateKind::kBuf;
-  }
-  p.expect(";");
-  return a;
+/// Fails at `t`'s line, naming it between `before` and `after`.
+[[noreturn]] void fail(const Token& t, const std::string& before, const std::string& after = "") {
+  fail(t.line, before + quoted(t.text) + after);
 }
 
-struct Wire {
-  Token name;
-  int index = 0;
+/// Lexes on demand with one token of lookahead.  A number is a digit then
+/// identifier characters and quotes (1'b0 / 1'b1 is the only one
+/// to_verilog emits); punctuation is one character.
+class Cursor {
+ public:
+  explicit Cursor(const std::string& text) : text_(text) { advance(); }
+
+  [[nodiscard]] bool done() const { return done_; }
+  /// At the end, the last token's line (line 1 for an empty text).
+  [[nodiscard]] const Token& peek() const {
+    if (done_) fail(tok_.line, "unexpected end of input");
+    return tok_;
+  }
+  Token next() {
+    const Token t = peek();
+    advance();
+    return t;
+  }
+  /// No token but a punctuation mark starts with one.
+  [[nodiscard]] bool at(char punct) const { return peek().text[0] == punct; }
+  bool accept(char punct) {
+    if (!at(punct)) return false;
+    advance();
+    return true;
+  }
+  void expect(char punct) {
+    const Token t = next();
+    if (t.text[0] != punct) fail_at(t, "expected " + quoted({&punct, 1}) + ", got ");
+  }
+  Token expect_ident() {
+    const Token t = next();
+    if (class_of(t.text[0]) != kIdent) fail_at(t, "expected an identifier, got ");
+    return t;
+  }
+  /// Lexes the rest first: a rejected character anywhere is reported
+  /// ahead of any syntax or semantic error.
+  [[noreturn]] void fail_at(int line, const std::string& why) {
+    while (!done_) advance();
+    fail(line, why);
+  }
+  [[noreturn]] void fail_at(const Token& t, const std::string& before,
+                            const std::string& after = "") {
+    fail_at(t.line, before + quoted(t.text) + after);
+  }
+
+ private:
+  void advance() {
+    const char* const s = text_.data();  // NUL-terminated: ends any run
+    for (const std::size_t size = text_.size(); pos_ < size;) {
+      const char c = s[pos_];
+      const unsigned char cls = class_of(c);
+      if (cls == kSpace) {
+        line_ += c == '\n' ? 1 : 0;
+        ++pos_;
+        continue;
+      }
+      if (c == '/' && s[pos_ + 1] == '/') {
+        pos_ = std::min(text_.find('\n', pos_), size);
+        continue;
+      }
+      std::size_t end = pos_ + 1;
+      if (cls == kIdent) {
+        while ((class_of(s[end]) & (kIdent | kDigit)) != 0) ++end;
+      } else if (cls == kDigit) {
+        while ((class_of(s[end]) & (kIdent | kDigit)) != 0 || s[end] == '\'') ++end;
+      } else if (cls != kPunct) {
+        fail(line_, std::string("unexpected character '") + c + "'");
+      }
+      tok_ = {std::string_view(s + pos_, end - pos_), line_};
+      pos_ = end;
+      return;
+    }
+    done_ = true;
+  }
+
+  const std::string& text_;
+  std::size_t pos_ = 0;
+  int line_ = 1;
+  Token tok_;
+  bool done_ = false;
 };
+
+struct Assign {
+  Token lhs;
+  int line = 0;  ///< line of the right-hand side's first token
+  GateKind kind = GateKind::kBuf;
+  bool const_value = false;
+  int key = -1;  ///< see key_of; -1 when keyed in other_assign
+  std::size_t first = 0;  ///< operands [first, first + count)
+  std::size_t count = 0;
+};
+
+/// (spelling, declaration position) pairs, sorted.
+using Ports = std::vector<std::pair<std::string_view, int>>;
+Ports sorted_ports(const std::vector<Token>& ports) {
+  Ports sorted;
+  sorted.reserve(ports.size());
+  for (const Token& port : ports) sorted.emplace_back(port.text, static_cast<int>(sorted.size()));
+  std::sort(sorted.begin(), sorted.end());
+  return sorted;
+}
+
+/// The first declaration position spelled `name`, or -1.
+int find_port(const Ports& sorted, std::string_view name) {
+  const auto it = std::lower_bound(
+      sorted.begin(), sorted.end(), name,
+      [](const auto& entry, std::string_view key) { return entry.first < key; });
+  return it != sorted.end() && it->first == name ? it->second : -1;
+}
+
+/// to_verilog never spells a port like an internal wire.
+bool wire_like(const std::vector<Token>& ports) {
+  return std::any_of(ports.begin(), ports.end(),
+                     [](const Token& t) { return wire_index(t.text) >= 0; });
+}
+
+/// Sets bit `i`, growing on demand; returns whether it was set already.
+bool test_and_set(std::vector<bool>& bits, int i) {
+  const auto at = static_cast<std::size_t>(i);
+  if (at >= bits.size()) bits.resize(std::max(at + 1, 2 * bits.size()));
+  if (bits[at]) return true;
+  bits[at] = true;
+  return false;
+}
 
 }  // namespace
 
 Netlist parse_verilog(const std::string& text) {
-  Parser p(tokenize(text));
-
-  p.expect("module");
+  Cursor p(text);
+  const Token head = p.next();
+  if (head.text != "module") p.fail_at(head, "expected 'module', got ");
   p.expect_ident();  // module name: not part of the netlist
-  p.expect("(");
-
-  std::vector<Token> input_ports;
-  std::vector<Token> output_ports;
-  if (p.peek().text != ")") {
-    while (true) {
+  p.expect('(');
+  std::vector<Token> inputs;
+  std::vector<Token> outputs;
+  if (!p.at(')')) {
+    do {
       const Token dir = p.next();
       const bool is_input = dir.text == "input";
-      if (!is_input && dir.text != "output") {
-        fail(dir.line, "expected 'input' or 'output', got '" +
-                           std::string(dir.text) + "'");
-      }
-      if (p.peek().text == "wire") p.expect("wire");
-      const Token name = p.expect_ident();
-      (is_input ? input_ports : output_ports).push_back(name);
-      if (p.peek().text != ",") break;
-      p.expect(",");
-    }
+      if (!is_input && dir.text != "output") p.fail_at(dir, "expected 'input' or 'output', got ");
+      if (p.peek().text == "wire") p.next();
+      (is_input ? inputs : outputs).push_back(p.expect_ident());
+    } while (p.accept(','));
   }
-  p.expect(")");
-  p.expect(";");
-
-  // Body: wire declarations and assigns, in any order (to_verilog emits
-  // all wires first, but feedback means assigns reference wires declared
-  // anywhere, so collect everything before building).  Duplicates are
-  // caught as they are read: wires by index, assigns by spelling.
-  std::vector<Wire> wires;  // declaration order
-  std::vector<bool> wire_declared;  // by index
-  std::vector<ParsedAssign> assigns;  // declaration order
-  std::unordered_map<std::string_view, std::size_t> assign_of;  // lhs -> position
+  p.expect(')');
+  p.expect(';');
+  const Ports input_of = sorted_ports(inputs);
+  const Ports output_of = sorted_ports(outputs);
+  // Assignment keys: an output port's first declaration position, else
+  // outputs.size() + k for a canonical n<k>, else -1 (other_assign).
+  const bool outputs_wire_like = wire_like(outputs);
+  const int nets_from = static_cast<int>(outputs.size());
+  const auto key_of = [&](std::string_view name) {
+    const int k = wire_index(name);
+    const bool canonical = k >= 0 && (name.size() == 2 || name[1] != '0');
+    const int output = canonical && !outputs_wire_like ? -1 : find_port(output_of, name);
+    return output >= 0 ? output : canonical ? nets_from + k : -1;
+  };
+  std::unordered_map<std::string_view, int> other_assign;
+  // Body, read whole before building (feedback means an assign may name a
+  // wire declared anywhere); duplicates fail as they are read.
+  std::vector<Token> wires;
+  std::vector<Assign> assigns;
+  std::vector<Token> operands;
+  std::vector<bool> wire_seen;
+  std::vector<bool> key_seen;
   while (p.peek().text != "endmodule") {
     const Token t = p.next();
     if (t.text == "wire") {
-      while (true) {
+      do {
         const Token name = p.expect_ident();
         const int index = wire_index(name.text);
-        if (index < 0) {
-          fail(name.line, "wire '" + std::string(name.text) +
-                              "' is not of the internal form n<index>");
-        }
-        const auto i = static_cast<std::size_t>(index);
-        if (i >= wire_declared.size()) wire_declared.resize(i + 1);
-        if (wire_declared[i]) {
-          fail(name.line, "duplicate wire '" + std::string(name.text) + "'");
-        }
-        wire_declared[i] = true;
-        wires.push_back({name, index});
-        if (p.peek().text != ",") break;
-        p.expect(",");
+        if (index < 0) p.fail_at(name, "wire ", " is not of the internal form n<index>");
+        if (test_and_set(wire_seen, index)) p.fail_at(name, "duplicate wire ");
+        wires.push_back(name);
+      } while (p.accept(','));
+      p.expect(';');
+      continue;
+    }
+    if (t.text != "assign") p.fail_at(t, "expected 'wire', 'assign' or 'endmodule', got ");
+    // to_verilog emits every wire first, then one assign per wire/output.
+    if (assigns.empty()) assigns.reserve(wires.size() + outputs.size());
+    Assign a{p.expect_ident()};
+    p.expect('=');
+    const Token rhs = p.next();
+    a.line = rhs.line;
+    a.first = operands.size();
+    if (rhs.text == "1'b0" || rhs.text == "1'b1") {
+      a.kind = GateKind::kConst;
+      a.const_value = rhs.text == "1'b1";
+    } else if (rhs.text[0] == '~') {
+      a.kind = p.accept('(') ? GateKind::kNor : GateKind::kNot;
+      operands.push_back(p.expect_ident());
+      if (a.kind == GateKind::kNor) {
+        while (p.accept('|')) operands.push_back(p.expect_ident());
+        p.expect(')');
       }
-      p.expect(";");
-    } else if (t.text == "assign") {
-      const Token lhs = p.expect_ident();
-      p.expect("=");
-      ParsedAssign rhs = parse_rhs(p);
-      rhs.lhs = lhs;
-      if (!assign_of.emplace(lhs.text, assigns.size()).second) {
-        fail(lhs.line,
-             "duplicate assignment to '" + std::string(lhs.text) + "'");
-      }
-      assigns.push_back(std::move(rhs));
     } else {
-      fail(t.line, "expected 'wire', 'assign' or 'endmodule', got '" +
-                       std::string(t.text) + "'");
+      if (class_of(rhs.text[0]) != kIdent) p.fail_at(rhs, "expected an operand, got ");
+      operands.push_back(rhs);
+      const char op = p.peek().text[0];
+      if (op == '&' || op == '|') {
+        a.kind = op == '&' ? GateKind::kAnd : GateKind::kOr;
+        while (p.accept(op)) operands.push_back(p.expect_ident());
+        if (p.at('&') || p.at('|')) p.fail_at(p.peek().line, "mixed '&'/'|' without parentheses");
+      }
+    }
+    p.expect(';');
+    a.count = operands.size() - a.first;
+    a.key = key_of(a.lhs.text);
+    if (a.key >= 0 ? test_and_set(key_seen, a.key)
+                   : !other_assign.emplace(a.lhs.text, static_cast<int>(assigns.size())).second) {
+      p.fail_at(a.lhs, "duplicate assignment to ");
+    }
+    assigns.push_back(a);
+  }
+  p.next();  // endmodule
+  if (!p.done()) p.fail_at(p.peek().line, "trailing input after endmodule");
+  // Wires keep their indices; input ports fill the free slots in order
+  // (to_verilog lists them in net order).  The lowest gap is reported.
+  const int total = static_cast<int>(wires.size() + inputs.size());
+  const auto slots = static_cast<std::size_t>(total);
+  std::vector<int> wire_at(slots, -1);
+  int gap = -1;  // a wire position
+  for (std::size_t w = 0; w < wires.size(); ++w) {
+    const int index = wire_index(wires[w].text);
+    if (index < total) {
+      wire_at[static_cast<std::size_t>(index)] = static_cast<int>(w);
+    } else if (gap < 0 || index < wire_index(wires[static_cast<std::size_t>(gap)].text)) {
+      gap = static_cast<int>(w);
     }
   }
-  p.expect("endmodule");
-  if (!p.done()) fail(p.peek().line, "trailing input after endmodule");
-
-  // Net numbering: wires keep their emitted indices; input ports fill the
-  // remaining slots in declaration order (to_verilog lists inputs in net
-  // order, so this reconstructs the original indices exactly).  Of the
-  // wires past the end, the lowest index is reported.
-  const int total = static_cast<int>(wires.size() + input_ports.size());
-  const Wire* gap = nullptr;
-  for (const Wire& w : wires) {
-    if (w.index >= total && (gap == nullptr || w.index < gap->index)) gap = &w;
+  if (gap >= 0) {
+    const Token& wire = wires[static_cast<std::size_t>(gap)];
+    fail(wire, "wire ", " leaves a gap: " + std::to_string(total) + " nets declared but index " +
+                            std::to_string(wire_index(wire.text)) + " used");
   }
-  if (gap != nullptr) {
-    fail(gap->name.line, "wire '" + std::string(gap->name.text) +
-                             "' leaves a gap: " + std::to_string(total) +
-                             " nets declared but index " +
-                             std::to_string(gap->index) + " used");
+  // The wires sit at distinct indices below `total`, so exactly one slot
+  // is left per port; the first port spelled like an earlier one fails.
+  std::vector<Gate> gates(slots);
+  std::vector<int> input_net(inputs.size());
+  for (int i = 0, port = 0; i < total; ++i) {
+    if (wire_at[static_cast<std::size_t>(i)] >= 0) continue;
+    const Token& name = inputs[static_cast<std::size_t>(port)];
+    if (find_port(input_of, name.text) != port) fail(name, "duplicate input port ");
+    input_net[static_cast<std::size_t>(port++)] = i;
+    gates[static_cast<std::size_t>(i)] = Gate{GateKind::kInput, false, {}, std::string(name.text)};
   }
-  std::vector<const Wire*> wire_at(static_cast<std::size_t>(total), nullptr);
-  for (const Wire& w : wires) wire_at[static_cast<std::size_t>(w.index)] = &w;
-
-  // The wires sit at distinct indices (duplicates failed above), all
-  // below `total` (gaps failed just now), so they fill wires.size() of
-  // the `total` slots and exactly input_ports.size() slots are left: each
-  // free slot below takes the next port, and no port or slot is left over.
-  std::map<std::string_view, int> input_net;
-  std::vector<Gate> gates(static_cast<std::size_t>(total));
-  std::size_t next_input = 0;
-  for (int i = 0; i < total; ++i) {
-    if (wire_at[static_cast<std::size_t>(i)] != nullptr) continue;
-    const Token& port = input_ports[next_input++];
-    if (!input_net.emplace(port.text, i).second) {
-      fail(port.line, "duplicate input port '" + std::string(port.text) + "'");
-    }
-    gates[static_cast<std::size_t>(i)] =
-        Gate{GateKind::kInput, false, {}, std::string(port.text)};
-  }
-  // total = wires + inputs and every free slot consumed one input, so all
-  // input ports are placed; wires resolve by their own spelling.
-  for (const Wire* w : wire_at) {
-    if (w != nullptr && input_net.count(w->name.text) != 0) {
-      fail(w->name.line, "wire '" + std::string(w->name.text) +
-                             "' collides with an input port");
+  const bool inputs_wire_like = wire_like(inputs);
+  for (std::size_t i = 0; i < slots && inputs_wire_like; ++i) {
+    const Token* wire = wire_at[i] < 0 ? nullptr : &wires[static_cast<std::size_t>(wire_at[i])];
+    if (wire != nullptr && find_port(input_of, wire->text) >= 0) {
+      fail(*wire, "wire ", " collides with an input port");
     }
   }
-
-  const auto resolve = [&](const Token& ident) {
-    const int index = wire_index(ident.text);
-    if (index >= 0 && index < total) {
-      const Wire* w = wire_at[static_cast<std::size_t>(index)];
-      if (w != nullptr && w->name.text == ident.text) return index;
-    }
-    const auto it = input_net.find(ident.text);
-    if (it == input_net.end()) {
-      fail(ident.line, "unknown identifier '" + std::string(ident.text) + "'");
-    }
-    return it->second;
+  // An operand is the wire at its n<k> index when spelled alike (same
+  // index and length: same digits), else an input port.
+  const auto resolve = [&](const Token& op) {
+    const int k = wire_index(op.text);
+    const int w = k >= 0 && k < total ? wire_at[static_cast<std::size_t>(k)] : -1;
+    if (w >= 0 && wires[static_cast<std::size_t>(w)].text.size() == op.text.size()) return k;
+    const int port = find_port(input_of, op.text);
+    if (port < 0) fail(op, "unknown identifier ");
+    return input_net[static_cast<std::size_t>(port)];
   };
-
-  // Looks up the assign to `name` and marks it as placed.
+  // Finds the assign to `name` by its key and marks it placed; keys past
+  // the last net are strays, never looked up.
+  const int keys = nets_from + total;
+  std::vector<int> assign_at(static_cast<std::size_t>(keys), -1);
+  for (std::size_t i = 0; i < assigns.size(); ++i) {
+    if (assigns[i].key >= 0 && assigns[i].key < keys) {
+      assign_at[static_cast<std::size_t>(assigns[i].key)] = static_cast<int>(i);
+    }
+  }
   std::vector<bool> landed(assigns.size());
-  const auto take_assign = [&](std::string_view name) -> const ParsedAssign* {
-    const auto it = assign_of.find(name);
-    if (it == assign_of.end()) return nullptr;
-    landed[it->second] = true;
-    return &assigns[it->second];
+  const auto take_assign = [&](std::string_view name) -> const Assign* {
+    const int key = key_of(name);
+    int id = key >= 0 && key < keys ? assign_at[static_cast<std::size_t>(key)] : -1;
+    if (key < 0) {
+      const auto it = other_assign.find(name);
+      id = it == other_assign.end() ? -1 : it->second;
+    }
+    if (id < 0) return nullptr;
+    landed[static_cast<std::size_t>(id)] = true;
+    return &assigns[static_cast<std::size_t>(id)];
   };
 
   // Gate definitions: every wire needs exactly one assign.
-  std::map<std::string, int> outputs;
   for (int index = 0; index < total; ++index) {
-    const Wire* w = wire_at[static_cast<std::size_t>(index)];
-    if (w == nullptr) continue;
-    const ParsedAssign* a = take_assign(w->name.text);
-    if (a == nullptr) {
-      fail(w->name.line,
-           "wire '" + std::string(w->name.text) + "' is never assigned");
-    }
+    const int w = wire_at[static_cast<std::size_t>(index)];
+    if (w < 0) continue;
+    const Token& wire = wires[static_cast<std::size_t>(w)];
+    const Assign* a = take_assign(wire.text);
+    if (a == nullptr) fail(wire, "wire ", " is never assigned");
     Gate& g = gates[static_cast<std::size_t>(index)];
     g.kind = a->kind;
     g.const_value = a->const_value;
-    for (const Token& operand : a->fanin) {
-      const int fanin = resolve(operand);
+    g.fanin.reserve(a->count);
+    for (std::size_t k = a->first; k < a->first + a->count; ++k) {
+      const int fanin = resolve(operands[k]);
       if (fanin >= index && a->kind != GateKind::kBuf) {
-        fail(a->line, "feedback into '" + std::string(w->name.text) +
-                          "' through a non-buffer gate — only plain-copy "
+        fail(a->line, "feedback into " + quoted(wire.text) +
+                          " through a non-buffer gate — only plain-copy "
                           "assigns may reference later wires");
       }
       g.fanin.push_back(fanin);
     }
   }
-
   // Output bindings: `assign o_<name> = <net>;`, one per output port.
-  for (const Token& port : output_ports) {
-    const std::string name(port.text);
-    const ParsedAssign* a = take_assign(port.text);
-    if (a == nullptr) {
-      fail(port.line, "output port '" + name + "' is never assigned");
-    }
-    if (a->kind != GateKind::kBuf || a->fanin.size() != 1) {
-      fail(a->line, "output port '" + name + "' must be bound to a single net");
+  std::map<std::string, int> bound;
+  for (const Token& port : outputs) {
+    const Assign* a = take_assign(port.text);
+    if (a == nullptr) fail(port, "output port ", " is never assigned");
+    if (a->kind != GateKind::kBuf || a->count != 1) {
+      fail(a->line, "output port " + quoted(port.text) + " must be bound to a single net");
     }
     if (!port.text.starts_with("o_") || port.text.size() <= 2) {
-      fail(port.line, "output port '" + name +
-                          "' lacks the o_<name> prefix to_verilog emits");
+      fail(port, "output port ", " lacks the o_<name> prefix to_verilog emits");
     }
-    if (!outputs.emplace(name.substr(2), resolve(a->fanin[0])).second) {
-      fail(port.line, "duplicate output '" + name + "'");
+    if (!bound.emplace(port.text.substr(2), resolve(operands[a->first])).second) {
+      fail(port, "duplicate output ");
     }
   }
-  // Every assign must have landed as a gate definition or output binding;
-  // of those that did not, the first in spelling order is reported.
-  const ParsedAssign* stray = nullptr;
+  // Of the assigns that landed nowhere, the first in spelling order fails.
+  const Assign* stray = nullptr;
   for (std::size_t i = 0; i < assigns.size(); ++i) {
     if (!landed[i] && (stray == nullptr || assigns[i].lhs.text < stray->lhs.text)) {
       stray = &assigns[i];
     }
   }
   if (stray != nullptr) {
-    fail(stray->line, "assignment to '" + std::string(stray->lhs.text) +
-                          "', which is neither a wire nor an output port");
+    fail(stray->line, "assignment to " + quoted(stray->lhs.text) +
+                          ", which is neither a wire nor an output port");
   }
 
   try {
-    return Netlist::from_gates(std::move(gates), std::move(outputs));
+    return Netlist::from_gates(std::move(gates), std::move(bound));
   } catch (const std::invalid_argument& e) {
     throw std::runtime_error(std::string("parse_verilog: ") + e.what());
   }

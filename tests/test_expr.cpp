@@ -73,6 +73,28 @@ TEST(Expr, DepthCountsGateLevels) {
   EXPECT_EQ(e->literal_count(), 4);
 }
 
+TEST(Expr, GateCountCountsASharedNodeOnce) {
+  // One NOR and one NOT(OR) each feed two ANDs: OR + 2 AND + NOR + NOT
+  // + the NOT's OR = 6, where a tree walk would count 9.
+  const ExprPtr nor = Expr::make_nor({Expr::var(0), Expr::var(1)});
+  const ExprPtr inv = Expr::negate(Expr::make_or({Expr::var(2), Expr::var(3)}));
+  const ExprPtr e = Expr::make_or({Expr::make_and({Expr::var(4), nor, inv}),
+                                   Expr::make_and({Expr::var(5), nor, inv})});
+  EXPECT_EQ(e->gate_count(), 6);
+  // A kid listed twice by one parent, and a shared AND two levels down.
+  const ExprPtr both = Expr::make_and({nor, nor});
+  EXPECT_EQ(both->gate_count(), 2);
+  const ExprPtr deep = Expr::make_or(
+      {Expr::make_nor({both, Expr::var(6)}), Expr::make_and({both, Expr::var(7)})});
+  EXPECT_EQ(deep->gate_count(), 5);
+  // Sharing outside the expression does not matter: a tree held twice
+  // still counts every node.
+  const ExprPtr copy = e;
+  EXPECT_EQ(copy->gate_count(), 6);
+  EXPECT_EQ(Expr::var(0)->gate_count(), 0);
+  EXPECT_EQ(Expr::constant(true)->gate_count(), 0);
+}
+
 TEST(Expr, SopExprMatchesCover) {
   Cover cover(3);
   cover.add(Cube::from_string("1-0"));

@@ -2,6 +2,7 @@
 
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "bench_suite/benchmarks.hpp"
 #include "bench_suite/generator.hpp"
@@ -255,6 +256,26 @@ TEST(VerilogRoundTrip, SanitizedPortsSurviveReimport) {
   EXPECT_EQ(to_verilog(back, "m"), v);
 }
 
+TEST(VerilogRoundTrip, EmptyOutputNameTakesAPositionalDefault) {
+  // An output named "" used to be emitted as port `o_`, which the
+  // reader rejects for lacking a name after the prefix.  Like an empty
+  // input name (in<net>), it now takes out<net>, uniquified like any
+  // other port: here against a real output spelled "out1".
+  Netlist n;
+  const int a = n.add_input("a");
+  const int g = n.add_gate(GateKind::kNot, {a});
+  n.set_output("", g);
+  n.set_output("out1", a);
+  const std::string v = to_verilog(n, "m");
+  EXPECT_NE(v.find("  output wire o_out1,\n  output wire o_out1_\n"),
+            std::string::npos)
+      << v;
+  const Netlist back = parse_verilog(v);
+  EXPECT_EQ(back.output("out1"), g);
+  EXPECT_EQ(back.output("out1_"), a);
+  EXPECT_EQ(to_verilog(back, "m"), v);
+}
+
 // ---- parser diagnostics ---------------------------------------------
 
 TEST(VerilogParse, ErrorsNameTheLine) {
@@ -271,6 +292,25 @@ TEST(VerilogParse, ErrorsNameTheLine) {
   } catch (const std::runtime_error& e) {
     EXPECT_NE(std::string(e.what()).find("line 5"), std::string::npos)
         << e.what();
+  }
+}
+
+TEST(VerilogParse, RejectedCharacterWinsOverEarlierErrors) {
+  // A character the lexer rejects is reported wherever it sits, ahead of
+  // a syntax error (line 1) or a duplicate wire (line 3) read before it.
+  const std::pair<std::string, std::string> cases[] = {
+      {"module m (input wire a;\nendmodule +\n",
+       "parse_verilog: line 2: unexpected character '+'"},
+      {"module m (input wire a);\n  wire n1;\n  wire n1;\n  assign n1 = a + a;\nendmodule\n",
+       "parse_verilog: line 4: unexpected character '+'"},
+  };
+  for (const auto& [text, message] : cases) {
+    try {
+      (void)parse_verilog(text);
+      FAIL() << "expected std::runtime_error";
+    } catch (const std::runtime_error& e) {
+      EXPECT_EQ(std::string(e.what()), message);
+    }
   }
 }
 
